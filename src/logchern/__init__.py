@@ -15,8 +15,10 @@ from logchern.characters import (
     delta_k,
     discriminants,
     from_chern_classes,
+    generic_bundle,
     log_character,
     modified_delta,
+    normal_form,
     power_sum_character,
     tensor,
 )
@@ -69,11 +71,13 @@ __all__ = [
     "ext_power_ch3",
     "f4_sym",
     "from_chern_classes",
+    "generic_bundle",
     "hc_shift_check",
     "is_primitive",
     "log_character",
     "modified_delta",
     "mukai_schur",
+    "normal_form",
     "oracle_schur_ch",
     "power_sum_character",
     "proportion",

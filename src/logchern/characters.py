@@ -4,7 +4,9 @@ A :class:`BundleCharacter` is a rank (any nonzero rational is allowed --
 virtual characters are first class) together with homogeneous graded
 components ch_1..ch_D over some coefficient ring.  By default the
 coefficients are the free symbols e1..eD, where e_k stands for ch_k of an
-underlying bundle; the oracle also builds characters over Chern-root rings.
+underlying bundle; the root-ring witness in the tests also builds characters
+over Chern-root rings.  Above the rank, ``normal_form`` picks the canonical
+representative on the generic rank-r bundle.
 
 Discriminants come from the logarithm of the normalized total character:
 
@@ -312,3 +314,35 @@ def from_chern_classes(rank: int, classes, D: int, ring: PolyRing | None = None)
         p[k] = acc
         comps.append(acc / factorial(k))
     return BundleCharacter(Fraction(r), tuple(comps), ring)
+
+
+@lru_cache(maxsize=None)
+def generic_bundle(r: int, D: int) -> BundleCharacter:
+    """The generic rank-r bundle over e1..eD, in normal form.
+
+    ch_k = e_k for k <= r; above the rank, ch_k is the polynomial in
+    e_1..e_r forced by c_1..c_r (those of e) and c_(>r) = 0.
+    """
+    base = base_bundle(r, D)
+    if D <= r:
+        return base
+    classes = chern_classes(base).classes[:r]
+    return from_chern_classes(r, classes, D, base.ring)
+
+
+def normal_form(p: GradedPoly, r: int) -> GradedPoly:
+    """Canonical representative of p over e1..eD on the generic rank-r bundle.
+
+    Substitutes e_k -> ch_k(generic_bundle(r, D)), the identity when D <= r.
+    The result is a polynomial in e_1..e_r, which are free on a rank-r
+    bundle, so two polynomials agree on every rank-r bundle exactly when
+    their normal forms are equal.  It is the same section the power-sum
+    rewrite of a root-ring value picks (monomials in p_1..p_r first).
+    """
+    D = p.ring.truncation
+    if p.ring != ch_ring(D):
+        raise ValueError("normal forms are taken over e1..eD")
+    if D <= r:
+        return p
+    bundle = generic_bundle(r, D)
+    return p.substitute(p.ring, {f"e{k}": bundle.ch(k) for k in range(1, D + 1)})

@@ -15,24 +15,44 @@ from logchern.characters import (
     BundleCharacter,
     delta_k,
     from_chern_classes,
+    generic_bundle,
     modified_delta,
+    normal_form,
 )
 from logchern.formulas import hc_shift_check, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
-from logchern.oracle import (
-    base_in_roots,
-    oracle_schur_total,
-    root_ring,
-    roots_to_ch_basis,
-    roots_to_e_poly,
-    sweep,
-    verify_delta4_proportionality,
-)
+from logchern.oracle import oracle_schur_ch, sweep, verify_delta4_proportionality
 from logchern.report import format_table, unexpected_discrepancies
 from logchern.ring import PolyRing, graded_generators, proportion
 from logchern.symfunc import Partition
 
 MAX_DEGREE = 5
+# Largest rank ch, delta and delta4 accept.  The oracle's cost does not grow
+# with the rank, but a partition may have up to rank parts, and the
+# Jacobi-Trudi determinant's cofactor expansion doubles with each part (16
+# parts take seconds).  Rank 16 is the largest any documented command uses.
+MAX_RANK = 16
+
+
+def _rank(r: int) -> int:
+    if not 1 <= r <= MAX_RANK:
+        raise ValueError(f"rank must lie in 1..{MAX_RANK}, got {r}")
+    return r
+
+
+def _partition(text: str, r: int) -> Partition:
+    alpha = Partition.parse(text)
+    if len(alpha) > r:
+        raise ValueError(f"partition {alpha} has {len(alpha)} parts, more than the rank {r}")
+    return alpha
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact rational such as 3 or 7/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 def _character_lines(ch: BundleCharacter) -> list[str]:
@@ -61,20 +81,16 @@ def _closed_character(alpha: Partition, r: int, degree: int) -> BundleCharacter:
 
 
 def cmd_ch(args) -> int:
-    alpha = Partition.parse(args.partition)
-    r = args.rank
+    r = _rank(args.rank)
+    alpha = _partition(args.partition, r)
     degree = args.max_degree
     out: dict = {}
     if args.method in ("closed", "both"):
         out["closed"] = _closed_character(alpha, r, degree)
     if args.method in ("oracle", "both"):
-        out["oracle"] = roots_to_ch_basis(oracle_schur_total(alpha, r, degree), r)
+        out["oracle"] = oracle_schur_ch(alpha, r, degree)
     if args.method == "both":
-        from logchern.oracle import char_to_roots
-
-        out["match"] = char_to_roots(out["closed"], r) == char_to_roots(
-            out["oracle"], r
-        )
+        out["match"] = normal_form(out["closed"].total(), r) == out["oracle"].total()
     if args.format == "json":
         doc = {
             key: (val.to_json_dict() if isinstance(val, BundleCharacter) else val)
@@ -94,20 +110,12 @@ def cmd_ch(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    alpha = Partition.parse(args.partition)
-    r, k = args.rank, args.k
-    ring = root_ring(r, k)
-    schur = BundleCharacter.from_total(ring, oracle_schur_total(alpha, r, k))
-    base = base_in_roots(r, k)
-    d_schur = delta_k(schur, k)
-    d_base = delta_k(base, k)
-
-    def render(p):
-        return roots_to_e_poly(p, r).text()
-
-    name = f"S^({alpha}) E"
-    print(f"Delta_{k}({name}) = {render(d_schur)}")
-    print(f"Delta_{k}(E) = {render(d_base)}")
+    r, k = _rank(args.rank), args.k
+    alpha = _partition(args.partition, r)
+    d_schur = delta_k(oracle_schur_ch(alpha, r, k), k)
+    d_base = delta_k(generic_bundle(r, k), k)
+    print(f"Delta_{k}(S^({alpha}) E) = {d_schur.text()}")
+    print(f"Delta_{k}(E) = {d_base.text()}")
     ok, lam = proportion(d_schur, d_base)
     if ok and lam is not None:
         print(f"factor: {lam}")
@@ -145,7 +153,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_delta4(args) -> int:
-    res = verify_delta4_proportionality(args.m, args.rank, args.t)
+    res = verify_delta4_proportionality(args.m, _rank(args.rank), args.t)
     print(f"Delta_(4,{res.t})(S^{args.m} V) vs Delta_(4,{res.t})(V) at rank {args.rank}:")
     if res.is_proportional:
         print(f"proportional: yes, ratio {res.lam}")
@@ -188,6 +196,8 @@ def cmd_mukai(args) -> int:
 
 def cmd_hc_check(args) -> int:
     samples = args.samples
+    if samples is not None and samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     if samples is None and args.rank >= 5:
         samples = 2000
     rep = hc_shift_check(args.k, args.rank, max_points=samples, seed=args.seed)
@@ -233,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta4", help="degree-4 proportionality for a symmetric power")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=Fraction, default=None, help="parameter t (default: rank)")
+    p.add_argument("--t", type=_fraction, default=None, help="parameter t (default: rank)")
     p.set_defaults(func=cmd_delta4)
 
     p = sub.add_parser("lowrank", help="modified degree-4/5 class of a generic low-rank bundle")

@@ -1,11 +1,18 @@
-"""Splitting-principle brute force: the single source of truth.
+"""Splitting-principle oracle: the single source of truth.
 
-Everything here works in the ring of r Chern roots a1..ar.  A Schur functor
-of the generic rank-r bundle has total character s_alpha(exp a1, ..., exp ar)
--- no formula involved beyond the definition -- and any symmetric result is
-re-expressed bundle-intrinsically through power sums (ch_k = p_k/k!).  The
-closed formulas elsewhere in the package are verified against these values;
-nothing is ever compared with a tolerance.
+A Schur functor of the generic rank-r bundle has total character
+s_alpha(exp a_1, ..., exp a_r) -- no formula involved beyond the definition.
+Its power sums are the Adams operations, p_j(exp a) = ch(psi^j E) =
+r + sum_k j^k e_k with e_k = ch_k(E) = p_k(a)/k!, so Newton's identities and
+the Jacobi-Trudi determinant give s_alpha directly over e1..eD, in a ring
+whose size depends on D only.  Above the rank the result is reduced to its
+normal form on the generic rank-r bundle (``characters.normal_form``), so
+equality there is plain ``==``.  The closed formulas elsewhere in the package
+are verified against these values; nothing is compared with a tolerance.
+
+``root_ring``, ``exp_roots``, ``base_in_roots`` and ``char_to_roots`` build
+the same objects in the ring of r Chern roots.  They are the independent
+witness the tests compare the oracle against; no production path calls them.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ from logchern.characters import (
     delta4t,
     delta_k,
     discriminants,
+    generic_bundle,
+    normal_form,
+    power_sum_character,
 )
 from logchern.formulas import ext_power_ch3, f4_sym, schur_coefficients, schur_ch3, sym_power_ch
 from logchern.ring import GradedPoly, PolyRing, proportion, root_generators
@@ -27,13 +37,39 @@ from logchern.symfunc import (
     Partition,
     enumerate_partitions,
     power_sum_poly,
-    schur_in_roots,
-    sym_to_power_sums,
+    schur_from_power_sums,
     weyl_dim,
 )
 
 MAX_SWEEP_RANK = 6
 MAX_SWEEP_SIZE = 8
+
+
+def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
+    """Total character of S^alpha E over e1..eD, in normal form.
+
+    s_alpha evaluated on the power sums p_j = ch(psi^j E) of the generic
+    rank-r bundle, j = 0..|alpha|.
+    """
+    alpha = Partition.of(alpha)
+    if r < 1:
+        raise ValueError("rank must be a positive integer")
+    if len(alpha) > r:
+        raise ValueError(f"partition {alpha.parts} has more than {r} parts")
+    adams = [power_sum_character(j, r, D).total() for j in range(alpha.size + 1)]
+    return normal_form(schur_from_power_sums(alpha, adams), r)
+
+
+def oracle_schur_ch(alpha, r: int, D: int) -> BundleCharacter:
+    """ch(S^alpha E) over e1..eD, computed purely from the splitting principle."""
+    alpha = Partition.of(alpha)
+    out = BundleCharacter.from_total(ch_ring(D), oracle_schur_total(alpha, r, D))
+    if out.rank != weyl_dim(alpha, r):
+        raise ArithmeticError("oracle rank disagrees with the Weyl dimension")
+    return out
+
+
+# -- the root-ring witness ----------------------------------------------------
 
 
 def root_ring(r: int, D: int) -> PolyRing:
@@ -45,7 +81,7 @@ def exp_roots(ring: PolyRing) -> list[GradedPoly]:
 
 
 def base_in_roots(r: int, D: int) -> BundleCharacter:
-    """The generic bundle itself: ch(E) = sum_i exp(a_i)."""
+    """The generic bundle in the root ring: ch(E) = sum_i exp(a_i)."""
     ring = root_ring(r, D)
     total = ring.zero()
     for q in exp_roots(ring):
@@ -53,52 +89,11 @@ def base_in_roots(r: int, D: int) -> BundleCharacter:
     return BundleCharacter.from_total(ring, total)
 
 
-def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
-    """Total character of S^alpha E in the root ring: s_alpha(exp a)."""
-    ring = root_ring(r, D)
-    return schur_in_roots(alpha, r, exp_roots(ring))
-
-
-def roots_to_e_poly(p: GradedPoly, r: int) -> GradedPoly:
-    """Express a symmetric root-ring polynomial over the free symbols e_k.
-
-    Rewrites in power sums (symmetry is checked degree by degree) and then
-    substitutes p_k -> k! e_k, since ch_k(E) = p_k(a)/k!.  Above degree r the
-    power-sum rewriting is the deterministic section documented in symfunc.
-    """
-    in_powersums = sym_to_power_sums(p, r)
-    target = ch_ring(p.ring.truncation)
-    terms = {}
-    for exps, c in in_powersums.terms.items():
-        scale = 1
-        for j, e in enumerate(exps, start=1):
-            if e:
-                scale *= factorial(j) ** e
-        terms[exps] = c * scale
-    return target.from_terms(terms)
-
-
-def roots_to_ch_basis(total: GradedPoly, r: int) -> BundleCharacter:
-    """Bundle character over e1..eD from a symmetric root-ring total."""
-    e_total = roots_to_e_poly(total, r)
-    return BundleCharacter.from_total(e_total.ring, e_total)
-
-
-def oracle_schur_ch(alpha, r: int, D: int) -> BundleCharacter:
-    """ch(S^alpha E) over e1..eD, computed purely from the splitting principle."""
-    alpha = Partition.of(alpha)
-    total = oracle_schur_total(alpha, r, D)
-    out = roots_to_ch_basis(total, r)
-    if out.rank != weyl_dim(alpha, r):
-        raise ArithmeticError("oracle rank disagrees with the Weyl dimension")
-    return out
-
-
 def char_to_roots(a: BundleCharacter, r: int) -> BundleCharacter:
-    """Interpret an e-ring character on the generic rank-r bundle.
+    """Interpret an e-ring character on the generic rank-r bundle of roots.
 
-    Substitutes e_k -> p_k(a)/k!; this is the canonical place to compare
-    expressions whose degree exceeds r.
+    Substitutes e_k -> p_k(a)/k!; agrees with ``normal_form`` equality, which
+    the production code uses instead.
     """
     D = a.D
     ring = root_ring(r, D)
@@ -155,6 +150,19 @@ def _factor_check(name: str, lhs: GradedPoly, rhs: GradedPoly, expected) -> Chec
     return Check(name, False, f"factor {lam if ok else 'none'}", f"factor {expected}")
 
 
+def _over_e(a: BundleCharacter, t: int) -> BundleCharacter:
+    """ch_0..ch_t of a character over e1..eD, read over e1..et.
+
+    Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
+    """
+    ring = ch_ring(t)
+    comps = tuple(
+        ring.from_terms({exps[:t]: c for exps, c in a.ch(k).terms.items()})
+        for k in range(1, t + 1)
+    )
+    return BundleCharacter(a.rank, comps, ring)
+
+
 def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     """Compare the oracle against every applicable closed formula.
 
@@ -168,19 +176,14 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     alpha = Partition.of(alpha)
     total = oracle_schur_total(alpha, r, D)
     ring = total.ring
-    oracle_root = BundleCharacter.from_total(ring, total)
-    oracle_e = roots_to_ch_basis(total, r)
+    oracle_e = BundleCharacter.from_total(ring, total)
     sc = schur_coefficients(alpha, r)
     checks = [
         _equality_check("rank equals Weyl dimension", oracle_e.rank, Fraction(weyl_dim(alpha, r)))
     ]
 
     table_up_to = min(D, 3 if r >= 3 else (2 if r == 2 else 1))
-    # re-express in the table's own ring (e1..e_table_up_to)
-    if table_up_to < D:
-        oracle_t = roots_to_ch_basis(total.truncate(table_up_to), r)
-    else:
-        oracle_t = oracle_e
+    oracle_t = _over_e(oracle_e, table_up_to) if table_up_to < D else oracle_e
     closed = schur_ch3(alpha, r, up_to=table_up_to)
     checks.append(_equality_check("rank vs Schur table", oracle_t.rank, closed.rank))
     for k in range(1, table_up_to + 1):
@@ -190,9 +193,10 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 
     if len(alpha) <= 1:
         row = sym_power_ch(alpha.size, r, D)
-        row_root = char_to_roots(row, r)
         checks.append(
-            _equality_check("total vs symmetric double sum", total, row_root.total())
+            _equality_check(
+                "total vs symmetric double sum", total, normal_form(row.total(), r)
+            )
         )
     if alpha.parts and all(p == 1 for p in alpha.parts):
         col = ext_power_ch3(len(alpha), r, up_to=table_up_to)
@@ -201,10 +205,9 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
                 _equality_check(f"ch{k} vs exterior table", oracle_t.ch(k), col.ch(k))
             )
 
-    base = base_in_roots(r, D)
     weight = Fraction(sc.r_alpha, r)
-    ds_schur = discriminants(oracle_root, D)
-    ds_base = discriminants(base, D)
+    ds_schur = discriminants(oracle_e, D)
+    ds_base = discriminants(generic_bundle(r, D), D)
     checks.append(
         _factor_check("Delta_1 scaling", ds_schur[0], ds_base[0], alpha.size * weight)
     )
@@ -231,8 +234,8 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 def verify_sym_power_full(m: int, r: int, D: int) -> Check:
     """Full-degree check of the symmetric-power double sum against the oracle."""
     total = oracle_schur_total((m,), r, D)
-    closed_root = char_to_roots(sym_power_ch(m, r, D), r)
-    return _equality_check(f"S^{m}, r={r}, D={D}", total, closed_root.total())
+    closed = normal_form(sym_power_ch(m, r, D).total(), r)
+    return _equality_check(f"S^{m}, r={r}, D={D}", total, closed)
 
 
 # -- degree-4 proportionality -------------------------------------------------
@@ -261,10 +264,8 @@ def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
     if r < 2:
         raise ValueError("need r >= 2")
     t = Fraction(r) if t is None else Fraction(t)
-    sym = BundleCharacter.from_total(
-        root_ring(r, 4), oracle_schur_total((m,), r, 4)
-    )
-    base = base_in_roots(r, 4)
+    sym = oracle_schur_ch((m,), r, 4)
+    base = generic_bundle(r, 4)
     ok, lam = proportion(delta4t(sym, t), delta4t(base, t))
     printed = f4_sym(m, r) * Fraction(weyl_dim((m,), r), r) ** 4
     return Delta4Result(m, r, t, ok, lam, printed)
@@ -274,11 +275,9 @@ def plain_delta4_witnesses(max_m: int = 4, max_r: int = 4) -> list[tuple[int, in
     """(m, r) pairs where the unmodified Delta_4(S^m V) is NOT a multiple of Delta_4(V)."""
     out = []
     for r in range(2, max_r + 1):
-        base = base_in_roots(r, 4)
+        base = generic_bundle(r, 4)
         for m in range(2, max_m + 1):
-            sym = BundleCharacter.from_total(
-                root_ring(r, 4), oracle_schur_total((m,), r, 4)
-            )
+            sym = oracle_schur_ch((m,), r, 4)
             ok, _ = proportion(delta_k(sym, 4), delta_k(base, 4))
             if not ok:
                 out.append((m, r))
@@ -287,9 +286,8 @@ def plain_delta4_witnesses(max_m: int = 4, max_r: int = 4) -> list[tuple[int, in
 
 def verify_nonproportional_hook(alpha, r: int, t) -> bool:
     """True when Delta_{4,t}(S^alpha V) is confirmed NOT a multiple of Delta_{4,t}(V)."""
-    alpha = Partition.of(alpha)
-    sym = BundleCharacter.from_total(root_ring(r, 4), oracle_schur_total(alpha, r, 4))
-    base = base_in_roots(r, 4)
+    sym = oracle_schur_ch(alpha, r, 4)
+    base = generic_bundle(r, 4)
     ok, _ = proportion(delta4t(sym, Fraction(t)), delta4t(base, Fraction(t)))
     return not ok
 

@@ -16,17 +16,15 @@ from importlib import resources
 from itertools import product
 
 from logchern.characters import (
-    BundleCharacter,
     base_bundle,
     d_k,
     delta_k,
+    generic_bundle,
 )
 from logchern.formulas import sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
 from logchern.oracle import (
-    base_in_roots,
-    oracle_schur_total,
-    root_ring,
+    oracle_schur_ch,
     verify_delta4_proportionality,
     verify_nonproportional_hook,
 )
@@ -60,13 +58,9 @@ def _row(claim, location, printed, measured) -> Discrepancy:
     return Discrepancy(claim, location, str(printed), str(measured), status)
 
 
-def _schur_root(alpha, r, D):
-    return BundleCharacter.from_total(root_ring(r, D), oracle_schur_total(alpha, r, D))
-
-
 def _measured_delta_factor(alpha, r, k):
-    sym = _schur_root(alpha, r, k)
-    base = base_in_roots(r, k)
+    sym = oracle_schur_ch(alpha, r, k)
+    base = generic_bundle(r, k)
     ok, lam = proportion(delta_k(sym, k), delta_k(base, k))
     return lam if ok else None
 
@@ -131,8 +125,8 @@ def build_report(delta4_max_m: int = 4, delta4_max_r: int = 4) -> list[Discrepan
 
     # the theorem display ends its Delta_3 line in Delta_2(E); measured, the
     # class is a multiple of Delta_3(E) and of nothing in degree 2
-    sym = _schur_root((2, 1), 4, 3)
-    base = base_in_roots(4, 3)
+    sym = oracle_schur_ch((2, 1), 4, 3)
+    base = generic_bundle(4, 3)
     ok3, lam3 = proportion(delta_k(sym, 3), delta_k(base, 3))
     ok2, _ = proportion(delta_k(sym, 3), delta_k(base, 2))
     measured = (

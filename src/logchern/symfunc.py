@@ -1,10 +1,14 @@
 """Partitions, tableaux and the classical symmetric polynomial families.
 
 This is the combinatorial substrate shared by the closed formulas and the
-brute-force oracle: partition enumeration, Stirling numbers, the Weyl
-dimension product, semistandard tableau counting (an independent dimension
-count), Schur evaluation through the Jacobi-Trudi determinant, and the change
-of basis from symmetric polynomials in degree-1 roots to power sums.
+oracle: partition enumeration, Stirling numbers, the Weyl dimension product,
+semistandard tableau counting (an independent dimension count) and Schur
+evaluation through the Jacobi-Trudi determinant on a list of power sums.
+
+The evaluation at explicit roots (``schur_in_roots``) and the change of basis
+from symmetric polynomials in degree-1 roots to power sums
+(``sym_to_power_sums``) form the root-ring witness: the tests compare the
+oracle against them, and no production path calls them.
 
 All functions are pure; the memo tables (Stirling numbers, power-sum
 expansion data) sit behind lru_cache, so concurrent use is safe and
@@ -182,15 +186,18 @@ def power_sum_poly(k: int, values) -> GradedPoly:
     return acc
 
 
-def _newton_family(up_to: int, values, signed: bool) -> list[GradedPoly]:
-    """h_k (signed=False) or sigma_k (signed=True) via Newton recurrences."""
-    ring = _check_values(values)
-    ps = [power_sum_poly(i, values) for i in range(up_to + 1)]
+def _newton_family(power_sums, signed: bool) -> list[GradedPoly]:
+    """h_0..h_n (signed=False) or sigma_0..sigma_n (signed=True) from p_0..p_n.
+
+    Newton's identities k h_k = sum_i p_i h_(k-i) and
+    k sigma_k = sum_i (-1)^(i-1) p_i sigma_(k-i); p_0 only fixes the ring.
+    """
+    ring = power_sums[0].ring
     fam = [ring.one()]
-    for k in range(1, up_to + 1):
+    for k in range(1, len(power_sums)):
         acc = ring.zero()
         for i in range(1, k + 1):
-            term = ps[i] * fam[k - i]
+            term = power_sums[i] * fam[k - i]
             if signed and i % 2 == 0:
                 acc = acc - term
             else:
@@ -199,11 +206,15 @@ def _newton_family(up_to: int, values, signed: bool) -> list[GradedPoly]:
     return fam
 
 
+def _root_power_sums(n: int, values) -> list[GradedPoly]:
+    return [power_sum_poly(k, values) for k in range(n + 1)]
+
+
 def complete_poly(k: int, values) -> GradedPoly:
     """Complete homogeneous h_k evaluated at the values."""
     if k < 0:
         return _check_values(values).zero()
-    return _newton_family(k, values, signed=False)[k]
+    return _newton_family(_root_power_sums(k, values), signed=False)[k]
 
 
 def elementary_poly(k: int, values) -> GradedPoly:
@@ -211,31 +222,46 @@ def elementary_poly(k: int, values) -> GradedPoly:
     ring = _check_values(values)
     if k < 0 or k > len(values):
         return ring.zero()
-    return _newton_family(k, values, signed=True)[k]
+    return _newton_family(_root_power_sums(k, values), signed=True)[k]
 
 
-def schur_in_roots(alpha, r: int, values) -> GradedPoly:
-    """Schur polynomial s_alpha at the given r values (Jacobi-Trudi).
+def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
+    """Schur polynomial s_alpha from its power sums p_0..p_n (Jacobi-Trudi).
 
-    s_alpha = det( h_{alpha_i - i + j} ) over 1 <= i,j <= len(alpha).
+    s_alpha = det( h_{alpha_i - i + j} ) over 1 <= i,j <= len(alpha), with the
+    h_k from Newton's identities.  The largest index needed is
+    alpha_1 + len(alpha) - 1 <= |alpha|, so n = |alpha| always suffices.
     """
     alpha = Partition.of(alpha)
-    if len(values) != r:
-        raise ValueError(f"expected {r} values, got {len(values)}")
-    ring = _check_values(values)
-    if len(alpha) > r:
-        raise ValueError(f"partition {alpha.parts} has more than {r} parts")
+    ring = power_sums[0].ring
     ell = len(alpha)
     if ell == 0:
         return ring.one()
-    top = max(alpha.parts[i] - i + j for i in range(ell) for j in range(ell))
-    hs = _newton_family(max(top, 0), values, signed=False)
+    top = alpha.parts[0] + ell - 1
+    if len(power_sums) <= top:
+        raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
+    hs = _newton_family(power_sums[: top + 1], signed=False)
 
     def h(k):
         return ring.zero() if k < 0 else hs[k]
 
     matrix = [[h(alpha.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
     return _det(matrix, ring)
+
+
+def schur_in_roots(alpha, r: int, values) -> GradedPoly:
+    """Schur polynomial s_alpha at the given r values (Jacobi-Trudi).
+
+    The root-ring witness: the oracle evaluates the same determinant on the
+    Adams power sums over e1..eD, and tests compare the two.
+    """
+    alpha = Partition.of(alpha)
+    if len(values) != r:
+        raise ValueError(f"expected {r} values, got {len(values)}")
+    _check_values(values)
+    if len(alpha) > r:
+        raise ValueError(f"partition {alpha.parts} has more than {r} parts")
+    return schur_from_power_sums(alpha, _root_power_sums(alpha.size, values))
 
 
 def _det(matrix, ring: PolyRing) -> GradedPoly:
@@ -357,6 +383,8 @@ def sym_to_power_sums(p: GradedPoly, r: int) -> GradedPoly:
     dependent and the result is the deterministic section supported on the
     lexicographically earliest independent products (small parts first).
     Substituting p_k -> p_k(a_1..a_r) always recovers the input exactly.
+    With p_k -> k! e_k that section is ``characters.normal_form``, which the
+    production code uses; this rewrite is kept as the tests' witness.
     """
     if len(p.ring.gens) != r or set(p.ring.gens.degrees) - {1}:
         raise ValueError("input must live in a ring of r degree-1 roots")

@@ -20,6 +20,7 @@ from logchern.characters import (
     d_k,
     delta_k,
     from_chern_classes,
+    generic_bundle,
     log_character,
     modified_delta,
     power_sum_character,
@@ -30,7 +31,7 @@ from logchern.mukai import MukaiVector, is_primitive, mukai_schur
 from logchern.oracle import (
     base_in_roots,
     exp_roots,
-    oracle_schur_total,
+    oracle_schur_ch,
     plain_delta4_witnesses,
     root_ring,
     sweep,
@@ -80,8 +81,8 @@ def _monomials_of_degree(ring, k):
 
 
 def _delta2_factor(alpha, r):
-    sym = BundleCharacter.from_total(root_ring(r, 2), oracle_schur_total(alpha, r, 2))
-    ok, lam = proportion(delta_k(sym, 2), delta_k(base_in_roots(r, 2), 2))
+    sym = oracle_schur_ch(alpha, r, 2)
+    ok, lam = proportion(delta_k(sym, 2), delta_k(generic_bundle(r, 2), 2))
     assert ok
     return lam
 

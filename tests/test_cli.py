@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from logchern.cli import main
+from logchern.cli import MAX_RANK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,3 +151,63 @@ class TestOthers:
         )
         assert code == 0
         assert "50 sampled points" in out
+
+
+def run_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    return code, err
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("rank", ["0", "-2", str(MAX_RANK + 1)])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("ch", "--partition", "0", "--method", "oracle"),
+            ("ch", "--partition", "1"),
+            ("delta", "--partition", "1"),
+            ("delta4", "--m", "2"),
+        ],
+    )
+    def test_rank_out_of_range(self, capsys, command, rank):
+        code, err = run_error(capsys, *command, "--rank", rank)
+        assert code == 2
+        assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+
+    def test_max_rank_accepted(self, capsys):
+        code, out = run(
+            capsys, "ch", "--rank", str(MAX_RANK), "--partition", "1",
+            "--max-degree", "1", "--method", "oracle",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"rank: {MAX_RANK}"
+
+    @pytest.mark.parametrize("command", ["ch", "delta"])
+    def test_partition_longer_than_rank(self, capsys, command):
+        code, err = run_error(capsys, command, "--rank", "2", "--partition", "1,1,1")
+        assert code == 2
+        assert err == "error: partition 1,1,1 has 3 parts, more than the rank 2\n"
+
+    @pytest.mark.parametrize("t", ["1/0", "abc"])
+    def test_delta4_bad_t_is_a_usage_error(self, capsys, t):
+        with pytest.raises(SystemExit) as exc:
+            main(["delta4", "--rank", "3", "--m", "2", "--t", t])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"not an exact rational: {t!r}" in err
+
+    def test_delta4_rational_t(self, capsys):
+        code, out = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", "7/2")
+        assert code == 0
+        assert out.startswith("Delta_(4,7/2)(S^2 V)")
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_hc_check_refuses_empty_sample(self, capsys, samples):
+        code, err = run_error(
+            capsys, "hc-check", "--k", "2", "--rank", "4", "--samples", samples
+        )
+        assert code == 2
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
+

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logchern.characters import (
     BundleCharacter,
     base_bundle,
     ch_ring,
     d_k,
+    discriminants,
+    generic_bundle,
+    normal_form,
     tensor,
 )
 from logchern.oracle import (
@@ -14,10 +18,8 @@ from logchern.oracle import (
     char_to_roots,
     exp_roots,
     oracle_schur_ch,
-    oracle_schur_total,
     plain_delta4_witnesses,
     root_ring,
-    roots_to_ch_basis,
     sweep,
     verify_delta4_proportionality,
     verify_nonproportional_hook,
@@ -26,6 +28,7 @@ from logchern.oracle import (
 )
 from logchern.ring import proportion
 from logchern.symfunc import enumerate_partitions, power_sum_poly, ssyt_count, weyl_dim
+from witness import roots_to_ch_basis, witness_schur_total
 
 
 class TestOracleCharacter:
@@ -76,9 +79,96 @@ class TestOracleCharacter:
     def test_round_trip_through_roots(self):
         # e-basis output evaluated back on the generic bundle returns the total
         for alpha, r in (((2, 1), 3), ((2,), 2), ((3, 2), 4)):
-            total = oracle_schur_total(alpha, r, 4)
+            total = witness_schur_total(alpha, r, 4)
             again = char_to_roots(roots_to_ch_basis(total, r), r)
             assert again.total() == total
+            assert char_to_roots(oracle_schur_ch(alpha, r, 4), r).total() == total
+
+
+def _e_monomials(D):
+    """Exponent vectors of every monomial in e1..eD of weight <= D."""
+    out = []
+    for k in range(D + 1):
+        for mu in enumerate_partitions(k, k):
+            exps = [0] * D
+            for part in mu:
+                exps[part - 1] += 1
+            out.append(tuple(exps))
+    return out
+
+
+def _draw_poly(data, ring):
+    monos = _e_monomials(ring.truncation)
+    nums = data.draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    den = data.draw(st.integers(1, 3))
+    return ring.from_terms({m: Fraction(n, den) for m, n in zip(monos, nums)})
+
+
+class TestRootRingWitness:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_adams_oracle_equals_root_ring_witness(self, data):
+        r = data.draw(st.integers(1, 5))
+        D = data.draw(st.integers(1, 5))
+        size = data.draw(st.integers(0, 5))
+        alpha = data.draw(st.sampled_from(enumerate_partitions(size, r)))
+        expect = roots_to_ch_basis(witness_schur_total(alpha, r, D), r)
+        assert oracle_schur_ch(alpha, r, D) == expect
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_normal_form_equality_is_root_ring_equality(self, data):
+        D = data.draw(st.integers(2, 5))
+        r = data.draw(st.integers(1, D - 1))
+        ring = ch_ring(D)
+        generic = generic_bundle(r, D)
+        a = _draw_poly(data, ring)
+        # b agrees with a on every rank-r bundle unless the perturbation moves it
+        b = a
+        for k in range(r + 1, D + 1):
+            relation = ring.gen(f"e{k}") - generic.ch(k)
+            b = b + relation * _draw_poly(data, ring)
+        if data.draw(st.booleans()):
+            b = b + _draw_poly(data, ring)
+
+        def on_roots(p):
+            return char_to_roots(BundleCharacter.from_total(ring, p), r)
+
+        na, nb = normal_form(a, r), normal_form(b, r)
+        assert (na == nb) == (on_roots(a) == on_roots(b))
+        assert on_roots(na) == on_roots(a)
+        assert all(not any(exps[r:]) for exps in na.terms)
+        assert normal_form(na, r) == na
+
+    def test_delta3_is_literally_zero_at_rank_two_or_less(self):
+        for r in (1, 2):
+            for size in range(9):
+                for alpha in enumerate_partitions(size, r):
+                    ds = discriminants(oracle_schur_ch(alpha, r, 3), 3)
+                    assert ds[2].is_zero(), (alpha, r)
+
+
+class TestNormalForm:
+    def test_identity_up_to_the_rank(self):
+        ring = ch_ring(3)
+        p = ring.parse("1 + e3 - 2*e1*e2")
+        assert normal_form(p, 3) is p
+        assert normal_form(p, 4) is p
+
+    def test_line_bundle(self):
+        # rank 1: ch(L) = exp(e1), so e_k reduces to e1^k/k!
+        ring = ch_ring(3)
+        assert normal_form(ring.parse("e2 + e3"), 1) == ring.parse("1/2*e1^2 + 1/6*e1^3")
+
+    def test_generic_bundle_is_base_up_to_the_rank(self):
+        assert generic_bundle(3, 3) == base_bundle(3, 3)
+        assert generic_bundle(2, 3).ch(3) == normal_form(ch_ring(3).gen("e3"), 2)
+
+    def test_rejects_other_rings(self):
+        with pytest.raises(ValueError):
+            normal_form(root_ring(2, 3).one(), 1)
+        with pytest.raises(ValueError):
+            normal_form(ch_ring(3).gen("e3"), 0)
 
 
 class TestOracleConsistency:
@@ -87,20 +177,12 @@ class TestOracleConsistency:
         for r in (2, 3):
             for m in (1, 2, 3):
                 D = 3
-                v = BundleCharacter.from_total(
-                    root_ring(r, D), oracle_schur_total((1,), r, D)
-                )
-                sm = BundleCharacter.from_total(
-                    root_ring(r, D), oracle_schur_total((m,), r, D)
-                )
+                v = oracle_schur_ch((1,), r, D)
+                sm = oracle_schur_ch((m,), r, D)
                 lhs = tensor(v, sm)
-                rhs = BundleCharacter.from_total(
-                    root_ring(r, D), oracle_schur_total((m + 1,), r, D)
-                )
+                rhs = oracle_schur_ch((m + 1,), r, D)
                 if r >= 2:
-                    rhs = rhs + BundleCharacter.from_total(
-                        root_ring(r, D), oracle_schur_total((m, 1), r, D)
-                    )
+                    rhs = rhs + oracle_schur_ch((m, 1), r, D)
                 assert lhs == rhs
 
     def test_power_sum_character_law(self):
@@ -121,11 +203,10 @@ class TestOracleConsistency:
     def test_f_coefficient_log_multiplicativity(self):
         # f_k(A (x) B) = ch0(B) f_k(A) + ch0(A) f_k(B) via oracle d_k values
         r, D = 3, 3
-        ring = root_ring(r, D)
-        base = base_in_roots(r, D)
+        base = generic_bundle(r, D)
         for a, b in ((1, 2), (2, 2), (1, 3)):
-            sa = BundleCharacter.from_total(ring, oracle_schur_total((a,), r, D))
-            sb = BundleCharacter.from_total(ring, oracle_schur_total((b,), r, D))
+            sa = oracle_schur_ch((a,), r, D)
+            sb = oracle_schur_ch((b,), r, D)
             ab = tensor(sa, sb)
             for k in (2, 3):
                 fa = proportion(d_k(sa, k), d_k(base, k))[1]

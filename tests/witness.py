@@ -1,0 +1,45 @@
+"""Root-ring witness for the oracle: Schur characters from explicit Chern roots.
+
+The library computes every Schur character over e1..eD through the Adams
+operations and a normal form.  This module recomputes it the long way, in the
+ring of r Chern roots: s_alpha(exp a_1, ..., exp a_r), rewritten in power
+sums by linear algebra on monomial coefficients, then p_k -> k! e_k.  It shares
+only the Jacobi-Trudi determinant with the library, and its cost grows like
+C(r+D, D), so the tests use it at small r and D.
+"""
+
+from math import factorial
+
+from logchern.characters import BundleCharacter, ch_ring
+from logchern.oracle import exp_roots, root_ring
+from logchern.symfunc import schur_in_roots, sym_to_power_sums
+
+
+def witness_schur_total(alpha, r, D):
+    """s_alpha(exp a_1, ..., exp a_r) in the root ring."""
+    return schur_in_roots(alpha, r, exp_roots(root_ring(r, D)))
+
+
+def roots_to_e_poly(p, r):
+    """Express a symmetric root-ring polynomial over the free symbols e_k.
+
+    Rewrites in power sums (symmetry is checked degree by degree) and then
+    substitutes p_k -> k! e_k, since ch_k(E) = p_k(a)/k!.  Above degree r the
+    power-sum rewriting is the deterministic section documented in symfunc.
+    """
+    in_powersums = sym_to_power_sums(p, r)
+    target = ch_ring(p.ring.truncation)
+    terms = {}
+    for exps, c in in_powersums.terms.items():
+        scale = 1
+        for j, e in enumerate(exps, start=1):
+            if e:
+                scale *= factorial(j) ** e
+        terms[exps] = c * scale
+    return target.from_terms(terms)
+
+
+def roots_to_ch_basis(total, r):
+    """Bundle character over e1..eD from a symmetric root-ring total."""
+    e_total = roots_to_e_poly(total, r)
+    return BundleCharacter.from_total(e_total.ring, e_total)
