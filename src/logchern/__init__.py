@@ -40,14 +40,12 @@ from logchern.oracle import (
     verify_nonproportional_hook,
     verify_schur,
 )
-from logchern.ring import GeneratorSet, GradedPoly, PolyRing, Rational, proportion
+from logchern.ring import GeneratorSet, GradedPoly, PolyRing, proportion
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
-    schur_in_roots,
     ssyt_count,
     stirling2,
-    sym_to_power_sums,
     weyl_dim,
 )
 
@@ -58,7 +56,6 @@ __all__ = [
     "MukaiVector",
     "Partition",
     "PolyRing",
-    "Rational",
     "base_bundle",
     "chern_classes",
     "d_k",
@@ -83,12 +80,10 @@ __all__ = [
     "proportion",
     "schur_ch3",
     "schur_coefficients",
-    "schur_in_roots",
     "ssyt_count",
     "stirling2",
     "sym_power_ch",
     "sweep",
-    "sym_to_power_sums",
     "tensor",
     "verify_delta4_proportionality",
     "verify_nonproportional_hook",

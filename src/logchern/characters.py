@@ -26,12 +26,13 @@ from functools import lru_cache
 from math import factorial
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, rat
+from logchern.symfunc import newton_family
 
 
 @lru_cache(maxsize=None)
-def ch_ring(D: int, prefix: str = "e") -> PolyRing:
+def ch_ring(D: int) -> PolyRing:
     """The abstract coefficient ring e1..eD with deg e_k = k."""
-    return PolyRing(graded_generators(prefix, D), D)
+    return PolyRing(graded_generators("e", D), D)
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,6 @@ def base_bundle(rank, D: int) -> BundleCharacter:
     return BundleCharacter(rat(rank), comps, ring)
 
 
-def trivial_character(rank, ring: PolyRing) -> BundleCharacter:
-    comps = tuple(ring.zero() for _ in range(ring.truncation))
-    return BundleCharacter(rat(rank), comps, ring)
-
-
 def tensor(a: BundleCharacter, b: BundleCharacter) -> BundleCharacter:
     """Product character: graded pieces of total(a)*total(b)."""
     a._check(b)
@@ -161,12 +157,6 @@ def d_k(a: BundleCharacter, k: int) -> GradedPoly:
     return log_character(a).component(k).scale(a.rank)
 
 
-def delta_k(a: BundleCharacter, k: int) -> GradedPoly:
-    """Discriminant Delta_k extracted from the logarithmic character."""
-    sign = Fraction((-1) ** (k + 1))
-    return d_k(a, k).scale(sign * k * a.rank ** (k - 1))
-
-
 def discriminants(a: BundleCharacter, up_to: int) -> tuple[GradedPoly, ...]:
     """Delta_1..Delta_up_to."""
     if not 1 <= up_to <= a.D:
@@ -181,39 +171,9 @@ def discriminants(a: BundleCharacter, up_to: int) -> tuple[GradedPoly, ...]:
     return tuple(out)
 
 
-DiscriminantVector = tuple[GradedPoly, ...]
-
-
-def delta_explicit(a: BundleCharacter, k: int) -> GradedPoly:
-    """Delta_k from its explicit expansion in ch_0..ch_k (k <= 5).
-
-    Kept separate from the log extraction so the two can cross-check each
-    other; any disagreement is a bug in one of them.
-    """
-    r = a.ring.scalar(a.rank)
-    c = a.ch
-    if k == 1:
-        return c(1)
-    if k == 2:
-        return c(1) * c(1) - 2 * r * c(2)
-    if k == 3:
-        return c(1) ** 3 - 3 * r * c(1) * c(2) + 3 * r**2 * c(3)
-    if k == 4:
-        return (
-            c(1) ** 4
-            - 4 * r * c(1) ** 2 * c(2)
-            + 2 * r**2 * (c(2) ** 2 + 2 * c(1) * c(3))
-            - 4 * r**3 * c(4)
-        )
-    if k == 5:
-        return (
-            c(1) ** 5
-            - 5 * r * c(1) ** 3 * c(2)
-            + 5 * r**2 * c(1) * (c(2) ** 2 + c(1) * c(3))
-            - 5 * r**3 * (c(2) * c(3) + c(1) * c(4))
-            + 5 * r**4 * c(5)
-        )
-    raise ValueError("explicit expansions cover k <= 5 only")
+def delta_k(a: BundleCharacter, k: int) -> GradedPoly:
+    """Discriminant Delta_k extracted from the logarithmic character."""
+    return discriminants(a, k)[k - 1]
 
 
 def delta4t(a: BundleCharacter, t) -> GradedPoly:
@@ -257,32 +217,13 @@ def modified_delta(a: BundleCharacter, k: int) -> GradedPoly:
 # -- Chern class conversion --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernClassVector:
-    classes: tuple[GradedPoly, ...]  # c_1..c_D
-
-    def c(self, i: int) -> GradedPoly:
-        return self.classes[i - 1]
+def chern_classes(a: BundleCharacter) -> tuple[GradedPoly, ...]:
+    """c_1..c_D from the character: Newton's identities on p_k = k! ch_k."""
+    power_sums = [a.ch(k).scale(factorial(k)) for k in range(a.D + 1)]
+    return tuple(newton_family(power_sums, signed=True)[1:])
 
 
-def chern_classes(a: BundleCharacter) -> ChernClassVector:
-    """Chern classes from the character via Newton's identities.
-
-    With p_k = k! ch_k:  c_k = (-1)^(k+1)/k * (p_k - c_1 p_{k-1} + ...
-    + (-1)^(k-1) c_{k-1} p_1).
-    """
-    D = a.D
-    p = [None] + [a.ch(k).scale(factorial(k)) for k in range(1, D + 1)]
-    cs: list[GradedPoly] = []
-    for k in range(1, D + 1):
-        acc = p[k]
-        for i in range(1, k):
-            acc = acc + cs[i - 1] * p[k - i] * Fraction((-1) ** i)
-        cs.append(acc.scale(Fraction((-1) ** (k + 1), k)))
-    return ChernClassVector(tuple(cs))
-
-
-def from_chern_classes(rank: int, classes, D: int, ring: PolyRing | None = None) -> BundleCharacter:
+def from_chern_classes(rank: int, classes, D: int, ring: PolyRing) -> BundleCharacter:
     """Character of a rank-r bundle with the given c_1..c_min(r,D).
 
     Classes beyond index r are forced to zero (a rank-r bundle has none),
@@ -294,10 +235,6 @@ def from_chern_classes(rank: int, classes, D: int, ring: PolyRing | None = None)
     if r <= 0:
         raise ValueError("rank must be a positive integer")
     classes = list(classes)
-    if ring is None:
-        if not classes:
-            raise ValueError("need a ring or at least one class")
-        ring = classes[0].ring
     zero = ring.zero()
 
     def c(i: int) -> GradedPoly:
@@ -326,7 +263,7 @@ def generic_bundle(r: int, D: int) -> BundleCharacter:
     base = base_bundle(r, D)
     if D <= r:
         return base
-    classes = chern_classes(base).classes[:r]
+    classes = chern_classes(base)[:r]
     return from_chern_classes(r, classes, D, base.ring)
 
 

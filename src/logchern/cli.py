@@ -22,16 +22,25 @@ from logchern.characters import (
 from logchern.formulas import hc_shift_check, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
 from logchern.oracle import oracle_schur_ch, sweep, verify_delta4_proportionality
-from logchern.report import format_table, unexpected_discrepancies
+from logchern.report import build_report, format_table, unexpected_discrepancies
 from logchern.ring import PolyRing, graded_generators, proportion
 from logchern.symfunc import Partition
 
 MAX_DEGREE = 5
-# Largest rank ch, delta and delta4 accept.  The oracle's cost does not grow
-# with the rank, but a partition may have up to rank parts, and the
-# Jacobi-Trudi determinant's cofactor expansion doubles with each part (16
-# parts take seconds).  Rank 16 is the largest any documented command uses.
+# Largest rank ch, delta, delta4, mukai and hc-check accept.  The oracle's
+# cost does not grow with the rank, but a partition may have up to rank parts,
+# and the Jacobi-Trudi determinant's cofactor expansion doubles with each part
+# (16 parts take tens of seconds).  The Weyl dimension product grows like a
+# superfactorial of the rank, and hc-check's cubic costs O(r^3) per point.
+# Rank 16 is the largest any documented command uses.
 MAX_RANK = 16
+# Largest partition size ch and delta accept, and largest m for delta4:
+# Newton's recurrence takes O(|alpha|^2) products of growing fractions
+# (size 300 takes seconds).
+MAX_SIZE = 64
+# hc-check's sample size at rank >= 5, where the full grid has 7^r points,
+# and the largest --samples: every sampled point is held in memory.
+MAX_SAMPLES = 2000
 
 
 def _rank(r: int) -> int:
@@ -40,8 +49,15 @@ def _rank(r: int) -> int:
     return r
 
 
+def _size(n: int) -> int:
+    if n > MAX_SIZE:
+        raise ValueError(f"partition size must be at most {MAX_SIZE}, got {n}")
+    return n
+
+
 def _partition(text: str, r: int) -> Partition:
     alpha = Partition.parse(text)
+    _size(alpha.size)
     if len(alpha) > r:
         raise ValueError(f"partition {alpha} has {len(alpha)} parts, more than the rank {r}")
     return alpha
@@ -65,8 +81,10 @@ def _character_lines(ch: BundleCharacter) -> list[str]:
 
 
 def _closed_character(alpha: Partition, r: int, degree: int) -> BundleCharacter:
+    """The closed formula's character, in normal form like the oracle's."""
     if len(alpha) <= 1:
-        return sym_power_ch(alpha.size, r, degree)
+        row = sym_power_ch(alpha.size, r, degree)
+        return BundleCharacter.from_total(row.ring, normal_form(row.total(), r))
     if degree > 3:
         raise ValueError(
             "closed formulas for general partitions cover degree <= 3 only "
@@ -90,7 +108,7 @@ def cmd_ch(args) -> int:
     if args.method in ("oracle", "both"):
         out["oracle"] = oracle_schur_ch(alpha, r, degree)
     if args.method == "both":
-        out["match"] = normal_form(out["closed"].total(), r) == out["oracle"].total()
+        out["match"] = out["closed"] == out["oracle"]
     if args.format == "json":
         doc = {
             key: (val.to_json_dict() if isinstance(val, BundleCharacter) else val)
@@ -128,10 +146,15 @@ def cmd_delta(args) -> int:
 
 def cmd_verify(args) -> int:
     report = sweep(args.max_rank, args.max_size, args.max_degree)
-    unexpected = unexpected_discrepancies(report.discrepancies)
+    rows = build_report()
+    unexpected = unexpected_discrepancies(rows)
     failed = report.failed > 0 or bool(unexpected)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        doc = {
+            **report.to_json_dict(),
+            "discrepancies": [row.to_json_dict() for row in rows],
+        }
+        print(json.dumps(doc, indent=2))
         return 1 if failed else 0
     print(
         f"sweep: {report.cases} cases, {report.passed} passed, {report.failed} failed"
@@ -145,7 +168,7 @@ def cmd_verify(args) -> int:
                 )
     print()
     print("claim table (printed vs measured):")
-    print(format_table(report.discrepancies))
+    print(format_table(rows))
     if unexpected:
         print()
         print(f"{len(unexpected)} NON-WHITELISTED discrepancies -- failing")
@@ -153,7 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_delta4(args) -> int:
-    res = verify_delta4_proportionality(args.m, _rank(args.rank), args.t)
+    r = _rank(args.rank)
+    res = verify_delta4_proportionality(_size(args.m), r, args.t)
     print(f"Delta_(4,{res.t})(S^{args.m} V) vs Delta_(4,{res.t})(V) at rank {args.rank}:")
     if res.is_proportional:
         print(f"proportional: yes, ratio {res.lam}")
@@ -182,7 +206,7 @@ def cmd_mukai(args) -> int:
         r, c, s = (int(x) for x in args.v.split(","))
     except ValueError:
         raise ValueError(f"cannot parse Mukai vector {args.v!r}; expected r,c,s")
-    v = MukaiVector(r, c, Fraction(s), args.d)
+    v = MukaiVector(_rank(r), c, Fraction(s), args.d)
     alpha = Partition.parse(args.partition)
     out = mukai_schur(v, alpha)
     print(f"v(E) = {v}, H^2 = {2 * args.d}")
@@ -195,12 +219,13 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_hc_check(args) -> int:
-    samples = args.samples
-    if samples is not None and samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {samples}")
-    if samples is None and args.rank >= 5:
-        samples = 2000
-    rep = hc_shift_check(args.k, args.rank, max_points=samples, seed=args.seed)
+    r, samples = _rank(args.rank), args.samples
+    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+        bound = "at least 1" if samples < 1 else f"at most {MAX_SAMPLES}"
+        raise ValueError(f"--samples must be {bound}, got {samples}")
+    if samples is None and r >= 5:
+        samples = MAX_SAMPLES
+    rep = hc_shift_check(args.k, r, max_points=samples, seed=args.seed)
     kind = f"{rep.points} grid points" if samples is None else f"{rep.points} sampled points"
     if rep.passed:
         print(f"shift and translation identities hold on {kind} (k={args.k}, r={args.rank})")

@@ -310,6 +310,7 @@ def delta3_x(xs, r: int) -> Fraction:
 _DELTA_X = {2: delta2_x, 3: delta3_x}
 _DELTA_DOT = {2: delta2_dot, 3: delta3_dot}
 _SHIFTS = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(7, 3))
+_AXIS = range(-3, 4)
 
 
 @dataclass(frozen=True)
@@ -321,12 +322,10 @@ class HCShiftReport:
     failures: tuple[str, ...]
 
 
-def hc_shift_check(
-    k: int, r: int, grid_radius: int = 3, max_points: int | None = None, seed: int = 0
-) -> HCShiftReport:
+def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0) -> HCShiftReport:
     """Check the change of variables x_i = a_i - i + 1 and translation invariance.
 
-    On integer points x of the grid {-radius..radius}^r (or a seeded random
+    On integer points x of the grid {-3..3}^r (or a seeded random
     sample of max_points of them) this verifies, exactly:
 
       (a) delta_x(x) == delta_dot(a) for a_i = x_i + i - 1;
@@ -341,15 +340,11 @@ def hc_shift_check(
         raise ValueError("need r >= 2")
     dx = _DELTA_X[k]
     ddot = _DELTA_DOT[k]
-    axis = range(-grid_radius, grid_radius + 1)
-    total = (2 * grid_radius + 1) ** r
-    if max_points is not None and max_points < total:
+    if max_points is not None and max_points < len(_AXIS) ** r:
         rng = random.Random(seed)
-        points = [
-            tuple(rng.choice(axis) for _ in range(r)) for _ in range(max_points)
-        ]
+        points = [tuple(rng.choice(_AXIS) for _ in range(r)) for _ in range(max_points)]
     else:
-        points = list(itertools.product(axis, repeat=r))
+        points = list(itertools.product(_AXIS, repeat=r))
     failures = []
     for x in points:
         val = dx(x, r)

@@ -17,7 +17,7 @@ witness the tests compare the oracle against; no production path calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -250,9 +250,10 @@ class Delta4Result:
     lam: Fraction | None
     printed: Fraction
 
-    @property
-    def matches_printed(self) -> bool:
-        return self.is_proportional and self.lam == self.printed
+
+def schur_factor(alpha, r: int, D: int, cls) -> tuple[bool, Fraction | None]:
+    """``proportion(cls(S^alpha E), cls(E))`` on the generic rank-r bundle over e1..eD."""
+    return proportion(cls(oracle_schur_ch(alpha, r, D)), cls(generic_bundle(r, D)))
 
 
 def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
@@ -264,82 +265,67 @@ def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
     if r < 2:
         raise ValueError("need r >= 2")
     t = Fraction(r) if t is None else Fraction(t)
-    sym = oracle_schur_ch((m,), r, 4)
-    base = generic_bundle(r, 4)
-    ok, lam = proportion(delta4t(sym, t), delta4t(base, t))
+    ok, lam = schur_factor((m,), r, 4, lambda a: delta4t(a, t))
     printed = f4_sym(m, r) * Fraction(weyl_dim((m,), r), r) ** 4
     return Delta4Result(m, r, t, ok, lam, printed)
 
 
-def plain_delta4_witnesses(max_m: int = 4, max_r: int = 4) -> list[tuple[int, int]]:
-    """(m, r) pairs where the unmodified Delta_4(S^m V) is NOT a multiple of Delta_4(V)."""
-    out = []
-    for r in range(2, max_r + 1):
-        base = generic_bundle(r, 4)
-        for m in range(2, max_m + 1):
-            sym = oracle_schur_ch((m,), r, 4)
-            ok, _ = proportion(delta_k(sym, 4), delta_k(base, 4))
-            if not ok:
-                out.append((m, r))
-    return out
+def plain_delta4_witnesses() -> list[tuple[int, int]]:
+    """(m, r) pairs with 2 <= m, r <= 4 where the unmodified Delta_4(S^m V)
+    is NOT a multiple of Delta_4(V)."""
+    return [
+        (m, r)
+        for r in range(2, 5)
+        for m in range(2, 5)
+        if not schur_factor((m,), r, 4, lambda a: delta_k(a, 4))[0]
+    ]
 
 
 def verify_nonproportional_hook(alpha, r: int, t) -> bool:
     """True when Delta_{4,t}(S^alpha V) is confirmed NOT a multiple of Delta_{4,t}(V)."""
-    sym = oracle_schur_ch(alpha, r, 4)
-    base = generic_bundle(r, 4)
-    ok, _ = proportion(delta4t(sym, Fraction(t)), delta4t(base, Fraction(t)))
-    return not ok
+    return not schur_factor(alpha, r, 4, lambda a: delta4t(a, Fraction(t)))[0]
 
 
 # -- the sweep ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepReport:
-    cases: int = 0
-    passed: int = 0
-    failed: int = 0
-    records: list[VerificationRecord] = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
+    records: tuple[VerificationRecord, ...]
 
-    def add(self, record: VerificationRecord) -> None:
-        self.cases += 1
-        self.records.append(record)
-        if record.ok:
-            self.passed += 1
-        else:
-            self.failed += 1
+    @property
+    def cases(self) -> int:
+        return len(self.records)
+
+    @property
+    def passed(self) -> int:
+        return sum(rec.ok for rec in self.records)
+
+    @property
+    def failed(self) -> int:
+        return self.cases - self.passed
 
     def to_json_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "passed": self.passed,
-            "failed": self.failed,
-            "discrepancies": [d.to_json_dict() for d in self.discrepancies],
-        }
+        return {"cases": self.cases, "passed": self.passed, "failed": self.failed}
 
 
-def sweep(max_r: int, max_size: int, D: int = 3, include_report: bool = True) -> SweepReport:
+def sweep(max_r: int, max_size: int, D: int = 3) -> SweepReport:
     """verify_schur over every (r <= max_r, 1 <= |alpha| <= max_size, <= r parts).
 
     Rank 1 (where every Schur functor is a power of a line and every table
     degenerates) is included only when it is the only rank in range.
     Deterministic case order (rank, then size, then decreasing-lex
-    partitions); results are aggregated in case order.  With include_report
-    the measured printed-vs-derived claim table is attached as well.
+    partitions).
     """
     if not 1 <= max_r <= MAX_SWEEP_RANK:
         raise ValueError(f"max_r must lie in 1..{MAX_SWEEP_RANK}")
     if not 1 <= max_size <= MAX_SWEEP_SIZE:
         raise ValueError(f"max_size must lie in 1..{MAX_SWEEP_SIZE}")
-    report = SweepReport()
-    for r in range(1 if max_r == 1 else 2, max_r + 1):
-        for size in range(1, max_size + 1):
-            for alpha in enumerate_partitions(size, r):
-                report.add(verify_schur(alpha, r, D))
-    if include_report:
-        from logchern.report import build_report
-
-        report.discrepancies = build_report()
-    return report
+    return SweepReport(
+        tuple(
+            verify_schur(alpha, r, D)
+            for r in range(1 if max_r == 1 else 2, max_r + 1)
+            for size in range(1, max_size + 1)
+            for alpha in enumerate_partitions(size, r)
+        )
+    )

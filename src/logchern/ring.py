@@ -15,8 +15,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-Rational = Fraction
-
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _GEN_RE = re.compile(r"([A-Za-z_]\w*?)(?:\^(\d+))?$")
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
@@ -72,9 +70,9 @@ class GeneratorSet:
         return self._index[name]
 
 
-def root_generators(r: int, name: str = "a") -> GeneratorSet:
+def root_generators(r: int) -> GeneratorSet:
     """r degree-1 generators a1..ar (Chern roots)."""
-    return GeneratorSet((f"{name}{i}", 1) for i in range(1, r + 1))
+    return GeneratorSet((f"a{i}", 1) for i in range(1, r + 1))
 
 
 def graded_generators(prefix: str, count: int) -> GeneratorSet:
@@ -150,9 +148,6 @@ class PolyRing:
                 raise ValueError("term exceeds the truncation degree")
             out[exps] = c
         return GradedPoly(self, out)
-
-    def restrict(self, truncation: int) -> PolyRing:
-        return PolyRing(self.gens, truncation)
 
     def parse(self, text: str) -> GradedPoly:
         """Parse the canonical text form (spaces optional)."""
@@ -308,21 +303,9 @@ class GradedPoly:
             self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == k}
         )
 
-    def top_degree(self) -> int:
-        wdeg = self.ring.wdeg
-        return max((wdeg(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, k: int) -> bool:
         wdeg = self.ring.wdeg
         return all(wdeg(e) == k for e in self.terms)
-
-    def truncate(self, truncation: int) -> GradedPoly:
-        """Image in the same generators with a lower truncation bound."""
-        target = self.ring.restrict(truncation)
-        wdeg = self.ring.wdeg
-        return GradedPoly(
-            target, {e: c for e, c in self.terms.items() if wdeg(e) <= truncation}
-        )
 
     def substitute(
         self, target: PolyRing, images: Mapping[str, GradedPoly]

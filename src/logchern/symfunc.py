@@ -2,8 +2,9 @@
 
 This is the combinatorial substrate shared by the closed formulas and the
 oracle: partition enumeration, Stirling numbers, the Weyl dimension product,
-semistandard tableau counting (an independent dimension count) and Schur
-evaluation through the Jacobi-Trudi determinant on a list of power sums.
+semistandard tableau counting (an independent dimension count), Newton's
+identities and Schur evaluation through the Jacobi-Trudi determinant on a list
+of power sums.
 
 The evaluation at explicit roots (``schur_in_roots``) and the change of basis
 from symmetric polynomials in degree-1 roots to power sums
@@ -30,7 +31,6 @@ class Partition:
     """Weakly decreasing tuple of positive parts (zeros normalized away)."""
 
     parts: tuple[int, ...]
-    context_rank: int | None = None
 
     def __post_init__(self):
         parts = tuple(p for p in self.parts if p != 0)
@@ -39,17 +39,10 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {self.parts}")
         object.__setattr__(self, "parts", parts)
-        r = self.context_rank
-        if r is not None and len(parts) > r:
-            raise ValueError(f"partition {parts} has more than {r} parts")
 
     @classmethod
-    def of(cls, obj, context_rank: int | None = None) -> Partition:
-        if isinstance(obj, Partition):
-            if context_rank is not None and obj.context_rank != context_rank:
-                return cls(obj.parts, context_rank)
-            return obj
-        return cls(tuple(obj), context_rank)
+    def of(cls, obj) -> Partition:
+        return obj if isinstance(obj, Partition) else cls(tuple(obj))
 
     @classmethod
     def parse(cls, text: str) -> Partition:
@@ -74,10 +67,7 @@ class Partition:
         return self.parts + (0,) * (r - len(self.parts))
 
     def __str__(self) -> str:
-        parts = self.parts
-        if self.context_rank is not None:
-            parts = self.padded(self.context_rank)
-        return ",".join(str(p) for p in parts) if parts else "0"
+        return ",".join(str(p) for p in self.parts) if self.parts else "0"
 
 
 def enumerate_partitions(size: int, max_parts: int) -> list[Partition]:
@@ -186,7 +176,7 @@ def power_sum_poly(k: int, values) -> GradedPoly:
     return acc
 
 
-def _newton_family(power_sums, signed: bool) -> list[GradedPoly]:
+def newton_family(power_sums, signed: bool) -> list[GradedPoly]:
     """h_0..h_n (signed=False) or sigma_0..sigma_n (signed=True) from p_0..p_n.
 
     Newton's identities k h_k = sum_i p_i h_(k-i) and
@@ -206,25 +196,6 @@ def _newton_family(power_sums, signed: bool) -> list[GradedPoly]:
     return fam
 
 
-def _root_power_sums(n: int, values) -> list[GradedPoly]:
-    return [power_sum_poly(k, values) for k in range(n + 1)]
-
-
-def complete_poly(k: int, values) -> GradedPoly:
-    """Complete homogeneous h_k evaluated at the values."""
-    if k < 0:
-        return _check_values(values).zero()
-    return _newton_family(_root_power_sums(k, values), signed=False)[k]
-
-
-def elementary_poly(k: int, values) -> GradedPoly:
-    """Elementary sigma_k evaluated at the values; 0 for k > #values."""
-    ring = _check_values(values)
-    if k < 0 or k > len(values):
-        return ring.zero()
-    return _newton_family(_root_power_sums(k, values), signed=True)[k]
-
-
 def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
     """Schur polynomial s_alpha from its power sums p_0..p_n (Jacobi-Trudi).
 
@@ -240,7 +211,7 @@ def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
     top = alpha.parts[0] + ell - 1
     if len(power_sums) <= top:
         raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
-    hs = _newton_family(power_sums[: top + 1], signed=False)
+    hs = newton_family(power_sums[: top + 1], signed=False)
 
     def h(k):
         return ring.zero() if k < 0 else hs[k]
@@ -261,7 +232,7 @@ def schur_in_roots(alpha, r: int, values) -> GradedPoly:
     _check_values(values)
     if len(alpha) > r:
         raise ValueError(f"partition {alpha.parts} has more than {r} parts")
-    return schur_from_power_sums(alpha, _root_power_sums(alpha.size, values))
+    return schur_from_power_sums(alpha, [power_sum_poly(k, values) for k in range(alpha.size + 1)])
 
 
 def _det(matrix, ring: PolyRing) -> GradedPoly:
@@ -283,21 +254,6 @@ def _det(matrix, ring: PolyRing) -> GradedPoly:
         return acc
 
     return minor(tuple(range(n)))
-
-
-def family_in_roots(kind: str, index, r: int, values) -> GradedPoly:
-    """Dispatch on family name: 'p', 'h', 'sigma' (or 'e'), 's'."""
-    if kind == "s":
-        return schur_in_roots(index, r, values)
-    if len(values) != r:
-        raise ValueError(f"expected {r} values, got {len(values)}")
-    if kind == "p":
-        return power_sum_poly(index, values)
-    if kind == "h":
-        return complete_poly(index, values)
-    if kind in ("sigma", "e"):
-        return elementary_poly(index, values)
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 # -- power-sum basis conversion ---------------------------------------------
@@ -408,17 +364,6 @@ def sym_to_power_sums(p: GradedPoly, r: int) -> GradedPoly:
                 exps[part - 1] += 1
             result = result + target.monomial(tuple(exps), g)
     return result
-
-
-def powersums_to_roots(q: GradedPoly, r: int) -> GradedPoly:
-    """Substitute p_k -> p_k(a_1..a_r); inverse check for sym_to_power_sums."""
-    D = q.ring.truncation
-    ring = PolyRing(root_generators(r), D)
-    roots = [ring.gen(name) for name in ring.gens.names]
-    images = {
-        f"p{k}": power_sum_poly(k, roots) for k in range(1, D + 1)
-    }
-    return q.substitute(ring, images)
 
 
 def binomial(n: int, k: int) -> int:

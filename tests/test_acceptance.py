@@ -89,7 +89,7 @@ def _delta2_factor(alpha, r):
 
 def test_criterion_01_oracle_vs_closed_sweep():
     t0 = time.time()
-    report = sweep(5, 6, 3, include_report=False)
+    report = sweep(5, 6, 3)
     elapsed = time.time() - t0
     assert report.cases == 91
     assert report.failed == 0, [
@@ -185,7 +185,7 @@ def test_criterion_06_delta4_proportionality():
     assert len(rows) == 12
     assert all("measured ratio" in d.measured_value for d in rows)
     # the unmodified degree-4 class does fail proportionality somewhere
-    assert plain_delta4_witnesses(4, 4) == [(2, 4), (3, 4), (4, 4)]
+    assert plain_delta4_witnesses() == [(2, 4), (3, 4), (4, 4)]
     # hook check: measured adjudication (see notes) -- rank 3 is accidentally
     # proportional, the genuine witness lives at rank 4
     assert verify_nonproportional_hook((2, 1), 3, 3) is False

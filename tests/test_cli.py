@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logchern.cli import MAX_RANK, main
+from logchern.cli import MAX_RANK, MAX_SAMPLES, MAX_SIZE, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,6 +67,22 @@ class TestCh:
         assert code == 0
         assert "match: yes" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("rank", ["1", "2"])
+    def test_both_blocks_identical_above_the_rank(self, capsys, rank, fmt):
+        code, out = run(
+            capsys, "ch", "--rank", rank, "--partition", "2",
+            "--max-degree", "4", "--method", "both", "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["closed"] == doc["oracle"]
+            assert doc["match"] is True
+        else:
+            closed, oracle = out.removeprefix("[closed]\n").split("[oracle]\n")
+            assert oracle == closed + "match: yes\n"
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["ch", "--rank", "2"])
@@ -96,8 +115,19 @@ class TestVerify:
         )
         assert code == 0
         data = json.loads(out)
-        assert set(data) == {"cases", "passed", "failed", "discrepancies"}
+        assert list(data) == ["cases", "passed", "failed", "discrepancies"]
+        assert data["cases"] == 3
         assert data["failed"] == 0
+        assert data["discrepancies"]
+        for row in data["discrepancies"]:
+            assert list(row) == [
+                "claim",
+                "paper_location",
+                "printed_value",
+                "measured_value",
+                "status",
+            ]
+            assert row["status"] in ("confirmed", "typo-suspected")
 
 
 class TestOthers:
@@ -168,12 +198,42 @@ class TestInputBounds:
             ("ch", "--partition", "1"),
             ("delta", "--partition", "1"),
             ("delta4", "--m", "2"),
+            ("hc-check", "--k", "3"),
         ],
     )
     def test_rank_out_of_range(self, capsys, command, rank):
         code, err = run_error(capsys, *command, "--rank", rank)
         assert code == 2
         assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+
+    @pytest.mark.parametrize("rank", ["0", "-2", str(MAX_RANK + 1), "1000"])
+    def test_mukai_rank_out_of_range(self, capsys, rank):
+        code, err = run_error(
+            capsys, "mukai", f"--v={rank},1,2", "--d", "3", "--partition", "2"
+        )
+        assert code == 2
+        assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("ch", "--rank", "2", "--partition", str(MAX_SIZE + 1)),
+            ("ch", "--rank", "2", "--partition", f"{MAX_SIZE},1", "--method", "oracle"),
+            ("delta", "--rank", "3", "--partition", str(MAX_SIZE + 1)),
+            ("delta4", "--rank", "3", "--m", str(MAX_SIZE + 1)),
+        ],
+    )
+    def test_size_above_max(self, capsys, command):
+        code, err = run_error(capsys, *command)
+        assert code == 2
+        assert err == f"error: partition size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
+
+    def test_max_size_accepted(self, capsys):
+        code, out = run(
+            capsys, "delta", "--rank", "1", "--partition", str(MAX_SIZE), "--k", "1"
+        )
+        assert code == 0
+        assert out.endswith(f"factor: {MAX_SIZE}\n")
 
     def test_max_rank_accepted(self, capsys):
         code, out = run(
@@ -211,3 +271,87 @@ class TestInputBounds:
         assert code == 2
         assert err == f"error: --samples must be at least 1, got {samples}\n"
 
+
+    def test_hc_check_refuses_oversized_sample(self, capsys):
+        samples = str(MAX_SAMPLES + 1)
+        code, err = run_error(
+            capsys, "hc-check", "--k", "2", "--rank", "4", "--samples", samples
+        )
+        assert code == 2
+        assert err == f"error: --samples must be at most {MAX_SAMPLES}, got {samples}\n"
+
+    def test_hc_check_default_sample_at_rank_five(self, capsys):
+        code, out = run(capsys, "hc-check", "--k", "2", "--rank", "5")
+        assert code == 0
+        assert f"{MAX_SAMPLES} sampled points" in out
+
+
+# Option values per subcommand: small in-range values, out-of-range ones and
+# junk.  None leaves the option out.  Each drawn command runs in well under a
+# second (no rank-16 determinant, no full sweep, no rank >= 4 hc-check grid).
+RANKS = ("-1", "0", "1", "2", "3", str(MAX_RANK + 1), "x")
+PARTITIONS = ("", "0", "1", "2", "1,1", "2,1", "3,1", "1,2", "2,-1", str(MAX_SIZE + 1), "a")
+CLI_OPTIONS = {
+    "ch": (
+        ("--rank", RANKS),
+        ("--partition", PARTITIONS),
+        ("--max-degree", ("0", "1", "2", "3", "5", "6")),
+        ("--method", ("closed", "oracle", "both", "other")),
+        ("--format", ("text", "json")),
+    ),
+    "delta": (
+        ("--rank", RANKS),
+        ("--partition", PARTITIONS),
+        ("--k", ("0", "1", "3", "5", "6")),
+    ),
+    "verify": (
+        ("--max-rank", ("-1", "0", "1", "2", "7")),
+        ("--max-size", ("0", "1", "2", "9")),
+        ("--max-degree", ("0", "1", "3", "4")),
+        ("--format", ("text", "json")),
+    ),
+    "delta4": (
+        ("--rank", RANKS),
+        ("--m", ("-1", "0", "1", "2", str(MAX_SIZE + 1), "x")),
+        ("--t", ("0", "-3", "7/2", "1/0", "x")),
+    ),
+    "lowrank": (
+        ("--k", ("3", "4", "5")),
+        ("--rank", RANKS),
+    ),
+    "mukai": (
+        ("--v", ("2,1,2", "3,-1,0", "0,1,2", f"{MAX_RANK + 1},1,2", "2;1;2", "2,1")),
+        ("--d", ("-1", "0", "3")),
+        ("--partition", PARTITIONS),
+    ),
+    "hc-check": (
+        ("--k", ("1", "2", "3")),
+        ("--rank", RANKS),
+        ("--samples", ("-1", "0", "1", "50", str(MAX_SAMPLES + 1))),
+        ("--seed", ("0", "7")),
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(CLI_OPTIONS)))
+    argv = [command]
+    for flag, values in CLI_OPTIONS[command]:
+        value = draw(st.sampled_from((None,) + values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_every_argv_exits_0_1_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

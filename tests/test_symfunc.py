@@ -7,20 +7,18 @@ from hypothesis import given, settings, strategies as st
 from logchern.ring import PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
-    complete_poly,
-    elementary_poly,
     enumerate_partitions,
-    family_in_roots,
     is_symmetric,
+    newton_family,
     power_sum_poly,
     powersum_ring,
-    powersums_to_roots,
     schur_in_roots,
     ssyt_count,
     stirling2,
     sym_to_power_sums,
     weyl_dim,
 )
+from witness import powersums_to_roots
 
 
 def roots(r, D):
@@ -62,17 +60,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1, 2))
 
-    def test_context_rank_limit(self):
-        with pytest.raises(ValueError):
-            Partition((1, 1, 1), context_rank=2)
-
     def test_parse_and_str(self):
         assert Partition.parse("2,1").parts == (2, 1)
         assert Partition.parse("").parts == ()
         assert Partition.parse("0").parts == ()
         assert str(Partition(())) == "0"
         assert str(Partition((2, 1))) == "2,1"
-        assert str(Partition((2, 1), context_rank=4)) == "2,1,0,0"
 
     def test_enumerate_empty(self):
         assert enumerate_partitions(0, 3) == [Partition(())]
@@ -142,12 +135,14 @@ class TestFamilies:
 
     def test_elementary(self):
         ring, qs = roots(3, 2)
-        assert elementary_poly(2, qs) == ring.parse("a1*a2 + a1*a3 + a2*a3")
-        assert elementary_poly(4, qs).is_zero()
+        assert schur_in_roots((1, 1), 3, qs) == ring.parse("a1*a2 + a1*a3 + a2*a3")
+        ring, qs = roots(3, 4)
+        sigma = newton_family([power_sum_poly(k, qs) for k in range(5)], signed=True)
+        assert sigma[4].is_zero()
 
     def test_complete_degree_two(self):
         ring, qs = roots(2, 2)
-        assert complete_poly(2, qs) == ring.parse("a1^2 + a1*a2 + a2^2")
+        assert schur_in_roots((2,), 2, qs) == ring.parse("a1^2 + a1*a2 + a2^2")
 
     def test_against_direct_monomial_expansion(self):
         # independent oracle: sums over (strictly/weakly) increasing index tuples
@@ -166,24 +161,22 @@ class TestFamilies:
                     for i in idx:
                         term = term * qs[i]
                     h = h + term
-                assert elementary_poly(k, qs) == sigma
-                assert complete_poly(k, qs) == h
+                power_sums = [power_sum_poly(j, qs) for j in range(k + 1)]
+                assert newton_family(power_sums, signed=True)[k] == sigma
+                assert newton_family(power_sums, signed=False)[k] == h
+                if k <= r:
+                    assert schur_in_roots((1,) * k, r, qs) == sigma
+                assert schur_in_roots((k,), r, qs) == h
 
     def test_homogeneous_and_symmetric(self):
-        for kind, k in (("p", 3), ("h", 3), ("sigma", 2)):
-            ring, qs = roots(3, 3)
-            val = family_in_roots(kind, k, 3, qs)
+        ring, qs = roots(3, 3)
+        for k, val in (
+            (3, power_sum_poly(3, qs)),
+            (3, schur_in_roots((3,), 3, qs)),
+            (2, schur_in_roots((1, 1), 3, qs)),
+        ):
             assert val.is_homogeneous(k)
             assert is_symmetric(val)
-
-    def test_dispatch(self):
-        ring, qs = roots(2, 2)
-        assert family_in_roots("p", 2, 2, qs) == power_sum_poly(2, qs)
-        assert family_in_roots("sigma", 1, 2, qs) == elementary_poly(1, qs)
-        assert family_in_roots("h", 2, 2, qs) == complete_poly(2, qs)
-        assert family_in_roots("s", (1, 1), 2, qs) == elementary_poly(2, qs)
-        with pytest.raises(ValueError):
-            family_in_roots("m", 1, 2, qs)
 
 
 class TestSchur:
@@ -256,7 +249,7 @@ class TestPowerSumConversion:
 
     def test_sigma3_three_vars(self):
         ring, a = roots(3, 3)
-        out = sym_to_power_sums(elementary_poly(3, a), 3)
+        out = sym_to_power_sums(schur_in_roots((1, 1, 1), 3, a), 3)
         assert out == powersum_ring(3).parse("1/6*p1^3 - 1/2*p1*p2 + 1/3*p3")
 
     def test_rejects_asymmetric(self):
@@ -291,6 +284,6 @@ class TestPowerSumConversion:
     def test_round_trip_above_rank(self):
         # degrees above r exercise the chosen section
         ring, a = roots(2, 5)
-        poly = schur_in_roots((3, 2), 2, a) + complete_poly(4, a)
+        poly = schur_in_roots((3, 2), 2, a) + schur_in_roots((4,), 2, a)
         out = sym_to_power_sums(poly, 2)
         assert powersums_to_roots(out, 2) == poly

@@ -12,7 +12,7 @@ from math import factorial
 
 from logchern.characters import BundleCharacter, ch_ring
 from logchern.oracle import exp_roots, root_ring
-from logchern.symfunc import schur_in_roots, sym_to_power_sums
+from logchern.symfunc import power_sum_poly, schur_in_roots, sym_to_power_sums
 
 
 def witness_schur_total(alpha, r, D):
@@ -43,3 +43,11 @@ def roots_to_ch_basis(total, r):
     """Bundle character over e1..eD from a symmetric root-ring total."""
     e_total = roots_to_e_poly(total, r)
     return BundleCharacter.from_total(e_total.ring, e_total)
+
+
+def powersums_to_roots(q, r):
+    """Substitute p_k -> p_k(a_1..a_r); inverse check for sym_to_power_sums."""
+    ring = root_ring(r, q.ring.truncation)
+    roots = [ring.gen(name) for name in ring.gens.names]
+    images = {f"p{k}": power_sum_poly(k, roots) for k in range(1, ring.truncation + 1)}
+    return q.substitute(ring, images)
