@@ -40,7 +40,7 @@ from logchern.oracle import (
     verify_nonproportional_hook,
     verify_schur,
 )
-from logchern.ring import GeneratorSet, GradedPoly, PolyRing, proportion
+from logchern.ring import GradedPoly, PolyRing, proportion
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
@@ -51,7 +51,6 @@ from logchern.symfunc import (
 
 __all__ = [
     "BundleCharacter",
-    "GeneratorSet",
     "GradedPoly",
     "MukaiVector",
     "Partition",

@@ -26,7 +26,6 @@ from functools import lru_cache
 from math import factorial
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, rat
-from logchern.symfunc import newton_family
 
 
 @lru_cache(maxsize=None)
@@ -218,39 +217,37 @@ def modified_delta(a: BundleCharacter, k: int) -> GradedPoly:
 
 
 def chern_classes(a: BundleCharacter) -> tuple[GradedPoly, ...]:
-    """c_1..c_D from the character: Newton's identities on p_k = k! ch_k."""
-    power_sums = [a.ch(k).scale(factorial(k)) for k in range(a.D + 1)]
-    return tuple(newton_family(power_sums, signed=True)[1:])
+    """c_1..c_D: the graded pieces of c(E) = exp(sum_k (-1)^(k-1) (k-1)! ch_k)."""
+    acc = a.ring.zero()
+    for k in range(1, a.D + 1):
+        acc = acc + a.ch(k).scale((-1) ** (k - 1) * factorial(k - 1))
+    total = acc.exp()
+    return tuple(total.component(k) for k in range(1, a.D + 1))
 
 
-def from_chern_classes(rank: int, classes, D: int, ring: PolyRing) -> BundleCharacter:
+def from_chern_classes(rank: int, classes, ring: PolyRing) -> BundleCharacter:
     """Character of a rank-r bundle with the given c_1..c_min(r,D).
 
     Classes beyond index r are forced to zero (a rank-r bundle has none),
-    which pins down every ch_k through degree D.
+    which pins down every ch_k through degree D: the inverse of
+    ``chern_classes``, ch_k = (-1)^(k-1) [log(1 + c_1 + ... + c_r)]_k / (k-1)!.
     """
     if not (isinstance(rank, int) or (isinstance(rank, Fraction) and rank.denominator == 1)):
         raise ValueError("rank must be a positive integer")
     r = int(rank)
     if r <= 0:
         raise ValueError("rank must be a positive integer")
-    classes = list(classes)
-    zero = ring.zero()
-
-    def c(i: int) -> GradedPoly:
-        if i < 1 or i > min(r, len(classes)):
-            return zero
-        return classes[i - 1]
-
-    p = [zero] * (D + 1)
-    comps = []
-    for k in range(1, D + 1):
-        acc = c(k).scale(Fraction((-1) ** (k - 1) * k))
-        for i in range(1, k):
-            acc = acc + c(i) * p[k - i] * Fraction((-1) ** (i - 1))
-        p[k] = acc
-        comps.append(acc / factorial(k))
-    return BundleCharacter(Fraction(r), tuple(comps), ring)
+    total = ring.one()
+    for i, c in enumerate(list(classes)[: min(r, ring.truncation)], start=1):
+        if not c.is_homogeneous(i):
+            raise ValueError(f"c_{i} is not homogeneous of degree {i}")
+        total = total + c
+    log = total.log()
+    comps = tuple(
+        log.component(k).scale(Fraction((-1) ** (k - 1), factorial(k - 1)))
+        for k in range(1, ring.truncation + 1)
+    )
+    return BundleCharacter(Fraction(r), comps, ring)
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +261,7 @@ def generic_bundle(r: int, D: int) -> BundleCharacter:
     if D <= r:
         return base
     classes = chern_classes(base)[:r]
-    return from_chern_classes(r, classes, D, base.ring)
+    return from_chern_classes(r, classes, base.ring)
 
 
 def normal_form(p: GradedPoly, r: int) -> GradedPoly:

@@ -191,7 +191,7 @@ def cmd_lowrank(args) -> int:
     k, r = args.k, args.rank
     ring = PolyRing(graded_generators("c", k), k)
     classes = [ring.gen(f"c{i}") for i in range(1, min(r, k) + 1)]
-    bundle = from_chern_classes(r, classes, k, ring)
+    bundle = from_chern_classes(r, classes, ring)
     md = modified_delta(bundle, k)
     label = f"modified Delta_{k} at rank {r}"
     if md.is_zero():

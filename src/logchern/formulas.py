@@ -188,14 +188,28 @@ def sym_power_ch(m: int, r: int, D: int) -> BundleCharacter:
 # -- degree <= 3 character tables ---------------------------------------------
 
 
-def _table_character(rank, rows, up_to: int) -> BundleCharacter:
+# The table monomials of degrees 1..3 as exponent vectors over e1, e2, e3:
+# ch1 = A e1, ch2 = B e1^2 + C e2, ch3 = D e1^3 + E e1 e2 + F e3.
+_TABLE_MONOMIALS = (
+    ((1, 0, 0),),
+    ((2, 0, 0), (0, 1, 0)),
+    ((3, 0, 0), (1, 1, 0), (0, 0, 1)),
+)
+
+
+def _table_character(rank: int, r: int, rows) -> BundleCharacter:
+    """The table shape through degree len(rows), all times rank/r.
+
+    rows[k-1] holds the printed coefficients of the degree-k monomials.
+    """
+    up_to = len(rows)
     ring = ch_ring(up_to)
-    comps = [rows.get(1, ring.zero())]
-    if up_to >= 2:
-        comps.append(rows.get(2, ring.zero()))
-    if up_to >= 3:
-        comps.append(rows.get(3, ring.zero()))
-    return BundleCharacter(rat(rank), tuple(comps), ring)
+    w = Fraction(rank, r)
+    comps = tuple(
+        ring.from_terms({exps[:up_to]: c * w for exps, c in zip(_TABLE_MONOMIALS[k], coeffs)})
+        for k, coeffs in enumerate(rows)
+    )
+    return BundleCharacter(rank, comps, ring)
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
@@ -215,25 +229,17 @@ def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> BundleCharacter:
     if not 0 <= n <= r:
         raise ValueError("need 0 <= n <= r")
     up_to = _resolve_up_to(up_to, r, "the exterior table")
-    ring = ch_ring(up_to)
-    e1 = ring.gen("e1")
-    rn = binomial(r, n)
-    w = Fraction(rn, r)
-    rows = {1: e1.scale(n * w)}
+    rows = [(n,)]
     if up_to >= 2:
-        e2 = ring.gen("e2")
-        rows[2] = (e1 * e1).scale(Fraction((n - 1) * n, 2 * (r - 1)) * w) + e2.scale(
-            Fraction(n * (r - n), r - 1) * w
-        )
+        rows.append((Fraction((n - 1) * n, 2 * (r - 1)), Fraction(n * (r - n), r - 1)))
     if up_to >= 3:
-        e3 = ring.gen("e3")
         den = (r - 2) * (r - 1)
-        rows[3] = (
-            (e1 ** 3).scale(Fraction((n - 2) * (n - 1) * n, 6 * den) * w)
-            + (e1 * e2).scale(Fraction((n - 1) * n * (r - n), den) * w)
-            + e3.scale(Fraction(n * (2 * n * n - 3 * r * n + r * r), den) * w)
-        )
-    return _table_character(rn, rows, up_to)
+        rows.append((
+            Fraction((n - 2) * (n - 1) * n, 6 * den),
+            Fraction((n - 1) * n * (r - n), den),
+            Fraction(n * (2 * n * n - 3 * r * n + r * r), den),
+        ))
+    return _table_character(binomial(r, n), r, rows)
 
 
 def schur_ch3(alpha, r: int, up_to: int | None = None) -> BundleCharacter:
@@ -241,26 +247,17 @@ def schur_ch3(alpha, r: int, up_to: int | None = None) -> BundleCharacter:
     alpha = Partition.of(alpha)
     up_to = _resolve_up_to(up_to, r, "the Schur table")
     sc = schur_coefficients(alpha, r)
-    ring = ch_ring(up_to)
-    e1 = ring.gen("e1")
-    w = Fraction(sc.r_alpha, r)
-    size = alpha.size
-    rows = {1: e1.scale(size * w)}
+    size, dt2, dt3 = alpha.size, sc.delta2_tilde, sc.delta3_tilde
+    rows = [(size,)]
     if up_to >= 2:
-        e2 = ring.gen("e2")
-        dt2 = sc.delta2_tilde
-        rows[2] = (e1 * e1).scale(Fraction(size * size - dt2, 2 * r) * w) + e2.scale(
-            dt2 * w
-        )
+        rows.append((Fraction(size * size - dt2, 2 * r), dt2))
     if up_to >= 3:
-        e3 = ring.gen("e3")
-        dt2, dt3 = sc.delta2_tilde, sc.delta3_tilde
-        rows[3] = (
-            (e1 ** 3).scale((size**3 - 3 * size * dt2 + 2 * dt3) / (6 * r * r) * w)
-            + (e1 * ring.gen("e2")).scale((size * dt2 - dt3) / r * w)
-            + e3.scale(dt3 * w)
-        )
-    return _table_character(sc.r_alpha, rows, up_to)
+        rows.append((
+            (size**3 - 3 * size * dt2 + 2 * dt3) / (6 * r * r),
+            (size * dt2 - dt3) / r,
+            dt3,
+        ))
+    return _table_character(sc.r_alpha, r, rows)
 
 
 def f4_sym(m: int, r: int) -> Fraction:

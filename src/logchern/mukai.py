@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from logchern.formulas import delta_tilde2
+from logchern.formulas import schur_coefficients
 from logchern.ring import rat
-from logchern.symfunc import Partition, weyl_dim
 
 
 @dataclass(frozen=True)
@@ -43,24 +42,21 @@ class MukaiVector:
         return f"({self.r}, {self.c}*H, {s})"
 
 
-def mukai_schur(v: MukaiVector, alpha, d: int | None = None) -> MukaiVector:
+def mukai_schur(v: MukaiVector, alpha) -> MukaiVector:
     """Mukai vector of S^alpha E from v(E); c^2/2 is read as c^2 * d."""
-    alpha = Partition.of(alpha)
-    d = v.d if d is None else d
-    r = v.r
-    ra = weyl_dim(alpha, r)
+    sc = schur_coefficients(alpha, v.r)
+    r, ra, dt2 = v.r, sc.r_alpha, sc.delta2_tilde
     weight = Fraction(ra, r)
-    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
-    size = alpha.size
+    size = sc.alpha.size
     c_new = size * weight * v.c
     s_new = (
-        Fraction(size * size - dt2, r) * weight * v.c**2 * d
+        Fraction(size * size - dt2, r) * weight * v.c**2 * v.d
         + dt2 * (v.s - r) * weight
         + ra
     )
     if c_new.denominator != 1:
         raise ArithmeticError(f"non-integral first Chern component {c_new}")
-    return MukaiVector(ra, int(c_new), s_new, d)
+    return MukaiVector(ra, int(c_new), s_new, v.d)
 
 
 def is_primitive(v: MukaiVector) -> bool:

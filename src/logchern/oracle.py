@@ -77,7 +77,7 @@ def root_ring(r: int, D: int) -> PolyRing:
 
 
 def exp_roots(ring: PolyRing) -> list[GradedPoly]:
-    return [ring.gen(name).exp() for name in ring.gens.names]
+    return [ring.gen(name).exp() for name in ring.names]
 
 
 def base_in_roots(r: int, D: int) -> BundleCharacter:
@@ -97,7 +97,7 @@ def char_to_roots(a: BundleCharacter, r: int) -> BundleCharacter:
     """
     D = a.D
     ring = root_ring(r, D)
-    roots = [ring.gen(name) for name in ring.gens.names]
+    roots = [ring.gen(name) for name in ring.names]
     images = {
         f"e{k}": power_sum_poly(k, roots) / factorial(k) for k in range(1, D + 1)
     }

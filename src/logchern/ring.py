@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _GEN_RE = re.compile(r"([A-Za-z_]\w*?)(?:\^(\d+))?$")
@@ -31,85 +31,55 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class Generator(NamedTuple):
-    name: str
-    degree: int
-
-
-class GeneratorSet:
-    """Ordered list of named generators with positive integer degrees."""
-
-    def __init__(self, gens: Iterable[Generator | tuple[str, int]]):
-        gens = tuple(Generator(n, d) for n, d in gens)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        for g in gens:
-            if g.degree < 1:
-                raise ValueError(f"generator {g.name} must have degree >= 1")
-        self.gens = gens
-        self.names = tuple(names)
-        self.degrees = tuple(g.degree for g in gens)
-        self._index = {n: i for i, n in enumerate(names)}
-
-    def __len__(self) -> int:
-        return len(self.gens)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorSet) and self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash(self.gens)
-
-    def __repr__(self) -> str:
-        return "GeneratorSet(%s)" % ", ".join(
-            f"{g.name}:{g.degree}" for g in self.gens
-        )
-
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-
-def root_generators(r: int) -> GeneratorSet:
+def root_generators(r: int) -> tuple[tuple[str, int], ...]:
     """r degree-1 generators a1..ar (Chern roots)."""
-    return GeneratorSet((f"a{i}", 1) for i in range(1, r + 1))
+    return tuple((f"a{i}", 1) for i in range(1, r + 1))
 
 
-def graded_generators(prefix: str, count: int) -> GeneratorSet:
+def graded_generators(prefix: str, count: int) -> tuple[tuple[str, int], ...]:
     """Generators prefix1..prefixN where prefixK has degree K."""
-    return GeneratorSet((f"{prefix}{k}", k) for k in range(1, count + 1))
+    return tuple((f"{prefix}{k}", k) for k in range(1, count + 1))
 
 
 class PolyRing:
-    """A generator set together with a global truncation degree.
+    """Named generators with positive integer degrees and a truncation degree."""
 
-    The default bound of 5 is the highest degree any implemented class needs
-    (the modified degree-5 discriminant).
-    """
-
-    def __init__(self, gens: GeneratorSet, truncation: int = 5):
+    def __init__(self, gens: Iterable[tuple[str, int]], truncation: int):
+        gens = tuple(gens)
+        names = tuple(n for n, _ in gens)
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be unique")
+        for n, d in gens:
+            if d < 1:
+                raise ValueError(f"generator {n} must have degree >= 1")
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
-        self.gens = gens
+        self.names = names
+        self.degrees = tuple(d for _, d in gens)
         self.truncation = truncation
-        self._zero_exp = (0,) * len(gens)
+        self._index = {n: i for i, n in enumerate(names)}
+        self._zero_exp = (0,) * len(names)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolyRing)
-            and self.gens == other.gens
+            and self.names == other.names
+            and self.degrees == other.degrees
             and self.truncation == other.truncation
         )
 
     def __hash__(self) -> int:
-        return hash((self.gens, self.truncation))
+        return hash((self.names, self.degrees, self.truncation))
 
     def __repr__(self) -> str:
-        return f"PolyRing({self.gens!r}, D={self.truncation})"
+        gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
+        return f"PolyRing({gens}, D={self.truncation})"
+
+    def index(self, name: str) -> int:
+        return self._index[name]
 
     def wdeg(self, exps: tuple[int, ...]) -> int:
-        degs = self.gens.degrees
-        return sum(e * d for e, d in zip(exps, degs))
+        return sum(e * d for e, d in zip(exps, self.degrees))
 
     def zero(self) -> GradedPoly:
         return GradedPoly(self, {})
@@ -122,13 +92,13 @@ class PolyRing:
         return GradedPoly(self, {self._zero_exp: c} if c else {})
 
     def gen(self, name: str) -> GradedPoly:
-        i = self.gens.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.gens)))
+        i = self.index(name)
+        exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return self.monomial(exps)
 
     def monomial(self, exps: Iterable[int], coeff=1) -> GradedPoly:
         exps = tuple(exps)
-        if len(exps) != len(self.gens) or any(e < 0 for e in exps):
+        if len(exps) != len(self.names) or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps}")
         if self.wdeg(exps) > self.truncation:
             raise ValueError("monomial exceeds the truncation degree")
@@ -142,7 +112,7 @@ class PolyRing:
             c = rat(c)
             if not c:
                 continue
-            if len(exps) != len(self.gens) or any(e < 0 for e in exps):
+            if len(exps) != len(self.names) or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             if self.wdeg(exps) > self.truncation:
                 raise ValueError("term exceeds the truncation degree")
@@ -162,16 +132,16 @@ class PolyRing:
             sign = -1 if piece.startswith("-") else 1
             piece = piece.lstrip("+-")
             coeff = Fraction(sign)
-            exps = [0] * len(self.gens)
+            exps = [0] * len(self.names)
             for factor in piece.split("*"):
                 if _NUM_RE.fullmatch(factor):
                     coeff *= Fraction(factor)
                     continue
                 gm = _GEN_RE.fullmatch(factor)
-                if not gm or gm.group(1) not in self.gens._index:
+                if not gm or gm.group(1) not in self._index:
                     raise ValueError(f"cannot parse term factor {factor!r}")
                 e = int(gm.group(2)) if gm.group(2) else 1
-                exps[self.gens.index(gm.group(1))] += e
+                exps[self.index(gm.group(1))] += e
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + coeff
         if consumed != len(s):
@@ -319,7 +289,7 @@ class GradedPoly:
             if img.ring != target:
                 raise ValueError("substitution images live in the wrong ring")
         powers: dict[int, list[GradedPoly]] = {}
-        names = self.ring.gens.names
+        names = self.ring.names
         result = target.zero()
         for exps, c in self.terms.items():
             term = target.scalar(c)
@@ -380,7 +350,7 @@ class GradedPoly:
         return items[0] if items else None
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
-        names = self.ring.gens.names
+        names = self.ring.names
         pieces = []
         for name, e in zip(names, exps):
             if e == 1:

@@ -18,12 +18,17 @@ deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generators
+
+# One part of a comma-separated partition; int() alone would also read "1_0"
+# as 10 and "+2" as 2.
+_PART_RE = re.compile(r"\s*-?\d+\s*")
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,10 @@ class Partition:
         text = text.strip()
         if text in ("", "0"):
             return cls(())
-        return cls(tuple(int(p) for p in text.split(",")))
+        parts = text.split(",")
+        if not all(_PART_RE.fullmatch(p) for p in parts):
+            raise ValueError(f"cannot parse partition {text!r}")
+        return cls(tuple(int(p) for p in parts))
 
     @property
     def size(self) -> int:
@@ -176,22 +184,17 @@ def power_sum_poly(k: int, values) -> GradedPoly:
     return acc
 
 
-def newton_family(power_sums, signed: bool) -> list[GradedPoly]:
-    """h_0..h_n (signed=False) or sigma_0..sigma_n (signed=True) from p_0..p_n.
+def newton_family(power_sums) -> list[GradedPoly]:
+    """h_0..h_n from p_0..p_n by Newton's identities k h_k = sum_i p_i h_(k-i).
 
-    Newton's identities k h_k = sum_i p_i h_(k-i) and
-    k sigma_k = sum_i (-1)^(i-1) p_i sigma_(k-i); p_0 only fixes the ring.
+    p_0 only fixes the ring.
     """
     ring = power_sums[0].ring
     fam = [ring.one()]
     for k in range(1, len(power_sums)):
         acc = ring.zero()
         for i in range(1, k + 1):
-            term = power_sums[i] * fam[k - i]
-            if signed and i % 2 == 0:
-                acc = acc - term
-            else:
-                acc = acc + term
+            acc = acc + power_sums[i] * fam[k - i]
         fam.append(acc / k)
     return fam
 
@@ -211,7 +214,7 @@ def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
     top = alpha.parts[0] + ell - 1
     if len(power_sums) <= top:
         raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
-    hs = newton_family(power_sums[: top + 1], signed=False)
+    hs = newton_family(power_sums[: top + 1])
 
     def h(k):
         return ring.zero() if k < 0 else hs[k]
@@ -266,7 +269,7 @@ def powersum_ring(D: int) -> PolyRing:
 
 def is_symmetric(p: GradedPoly) -> bool:
     """Invariance under adjacent transpositions of the (degree-1) generators."""
-    n = len(p.ring.gens)
+    n = len(p.ring.names)
     for i in range(n - 1):
         swapped = {}
         for exps, c in p.terms.items():
@@ -286,7 +289,7 @@ def _powersum_matrix(r: int, k: int):
     ascending lex order, matrix columns keyed by mu as coefficient tuples).
     """
     ring = PolyRing(root_generators(r), k)
-    roots = [ring.gen(name) for name in ring.gens.names]
+    roots = [ring.gen(name) for name in ring.names]
     rows = [lam.padded(r) for lam in enumerate_partitions(k, r)]
     candidates = sorted(p.parts for p in enumerate_partitions(k, k))
     cols = []
@@ -342,7 +345,7 @@ def sym_to_power_sums(p: GradedPoly, r: int) -> GradedPoly:
     With p_k -> k! e_k that section is ``characters.normal_form``, which the
     production code uses; this rewrite is kept as the tests' witness.
     """
-    if len(p.ring.gens) != r or set(p.ring.gens.degrees) - {1}:
+    if len(p.ring.names) != r or set(p.ring.degrees) - {1}:
         raise ValueError("input must live in a ring of r degree-1 roots")
     if not is_symmetric(p):
         raise ValueError("input polynomial is not symmetric")

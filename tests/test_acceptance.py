@@ -65,7 +65,7 @@ def _random_character(ring, rng):
 
 
 def _monomials_of_degree(ring, k):
-    degs = ring.gens.degrees
+    degs = ring.degrees
     out = []
 
     def rec(i, remaining, exps):
@@ -160,7 +160,7 @@ def test_criterion_05_low_rank_vanishing():
     def generic(r, D=5):
         ring = PolyRing(graded_generators("c", D), D)
         classes = [ring.gen(f"c{i}") for i in range(1, min(r, D) + 1)]
-        return from_chern_classes(r, classes, D, ring)
+        return from_chern_classes(r, classes, ring)
 
     assert delta_k(generic(1), 2).is_zero()
     for r in (1, 2):

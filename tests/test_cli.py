@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,21 @@ class TestInputBounds:
         assert code == 2
         assert err == "error: partition 1,1,1 has 3 parts, more than the rank 2\n"
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (("ch", "--rank", "2", "--partition", "1,,1"), "1,,1"),
+            (("delta", "--rank", "2", "--partition", "2.5"), "2.5"),
+            (("ch", "--rank", "2", "--partition", "1_0"), "1_0"),
+            (("delta", "--rank", "2", "--partition", "+2"), "+2"),
+            (("mukai", "--v", "2,1,2", "--d", "3", "--partition", "x"), "x"),
+        ],
+    )
+    def test_unparsable_partition(self, capsys, command, text):
+        code, err = run_error(capsys, *command)
+        assert code == 2
+        assert err == f"error: cannot parse partition {text!r}\n"
+
     @pytest.mark.parametrize("t", ["1/0", "abc"])
     def test_delta4_bad_t_is_a_usage_error(self, capsys, t):
         with pytest.raises(SystemExit) as exc:
@@ -284,6 +300,34 @@ class TestInputBounds:
         code, out = run(capsys, "hc-check", "--k", "2", "--rank", "5")
         assert code == 0
         assert f"{MAX_SAMPLES} sampled points" in out
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_section(title):
+    text = README.read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    block = readme_section("Command line").split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("logchern ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(capsys, argv):
+    assert main(argv) == 0
+
+
+def test_readme_quotes_the_cli_bounds():
+    quoted = re.findall(r"(\d+)\s+\(`logchern\.cli\.(MAX_\w+)`\)", readme_section("Command line"))
+    assert {name: int(value) for value, name in quoted} == {
+        "MAX_RANK": MAX_RANK,
+        "MAX_SIZE": MAX_SIZE,
+        "MAX_SAMPLES": MAX_SAMPLES,
+    }
+    assert len(quoted) == 3
 
 
 # Option values per subcommand: small in-range values, out-of-range ones and

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logchern.characters import BundleCharacter, chern_classes
 from logchern.ring import PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
@@ -23,7 +25,14 @@ from witness import powersums_to_roots
 
 def roots(r, D):
     ring = PolyRing(root_generators(r), D)
-    return ring, [ring.gen(n) for n in ring.gens.names]
+    return ring, [ring.gen(n) for n in ring.names]
+
+
+def roots_character(qs):
+    """The character with ch_k = p_k/k! of the roots qs; its c_k are their sigma_k."""
+    ring = qs[0].ring
+    comps = tuple(power_sum_poly(k, qs) / factorial(k) for k in range(1, ring.truncation + 1))
+    return BundleCharacter(len(qs), comps, ring)
 
 
 def ssyt_fillings(shape, r):
@@ -137,8 +146,7 @@ class TestFamilies:
         ring, qs = roots(3, 2)
         assert schur_in_roots((1, 1), 3, qs) == ring.parse("a1*a2 + a1*a3 + a2*a3")
         ring, qs = roots(3, 4)
-        sigma = newton_family([power_sum_poly(k, qs) for k in range(5)], signed=True)
-        assert sigma[4].is_zero()
+        assert chern_classes(roots_character(qs))[3].is_zero()
 
     def test_complete_degree_two(self):
         ring, qs = roots(2, 2)
@@ -162,8 +170,8 @@ class TestFamilies:
                         term = term * qs[i]
                     h = h + term
                 power_sums = [power_sum_poly(j, qs) for j in range(k + 1)]
-                assert newton_family(power_sums, signed=True)[k] == sigma
-                assert newton_family(power_sums, signed=False)[k] == h
+                assert chern_classes(roots_character(qs))[k - 1] == sigma
+                assert newton_family(power_sums)[k] == h
                 if k <= r:
                     assert schur_in_roots((1,) * k, r, qs) == sigma
                 assert schur_in_roots((k,), r, qs) == h

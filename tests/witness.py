@@ -48,6 +48,6 @@ def roots_to_ch_basis(total, r):
 def powersums_to_roots(q, r):
     """Substitute p_k -> p_k(a_1..a_r); inverse check for sym_to_power_sums."""
     ring = root_ring(r, q.ring.truncation)
-    roots = [ring.gen(name) for name in ring.gens.names]
+    roots = [ring.gen(name) for name in ring.names]
     images = {f"p{k}": power_sum_poly(k, roots) for k in range(1, ring.truncation + 1)}
     return q.substitute(ring, images)
