@@ -29,10 +29,11 @@ from logchern.symfunc import Partition
 MAX_DEGREE = 5
 # Largest rank ch, delta, delta4, mukai and hc-check accept.  The oracle's
 # cost does not grow with the rank, but a partition may have up to rank parts,
-# and the Jacobi-Trudi determinant's cofactor expansion doubles with each part
-# (16 parts take tens of seconds).  The Weyl dimension product grows like a
-# superfactorial of the rank, and hc-check's cubic costs O(r^3) per point.
-# Rank 16 is the largest any documented command uses.
+# and the Jacobi-Trudi determinant's cofactor expansion doubles with each row
+# (it takes the shorter of the partition and its conjugate, so at most 8 rows
+# within MAX_SIZE).  The Weyl dimension product grows like a superfactorial of
+# the rank, and hc-check's printed delta3_dot costs O(r^3) integer products per
+# point.  Rank 16 is the largest any documented command uses.
 MAX_RANK = 16
 # Largest partition size ch and delta accept, and largest m for delta4:
 # Newton's recurrence takes O(|alpha|^2) products of growing fractions
@@ -207,7 +208,7 @@ def cmd_mukai(args) -> int:
     except ValueError:
         raise ValueError(f"cannot parse Mukai vector {args.v!r}; expected r,c,s")
     v = MukaiVector(_rank(r), c, Fraction(s), args.d)
-    alpha = Partition.parse(args.partition)
+    alpha = _partition(args.partition, r)
     out = mukai_schur(v, alpha)
     print(f"v(E) = {v}, H^2 = {2 * args.d}")
     print(f"v(S^({alpha}) E) = {out}")

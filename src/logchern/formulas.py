@@ -278,33 +278,41 @@ def f4_sym(m: int, r: int) -> Fraction:
 # -- shifted-variable identities ----------------------------------------------
 
 
-def delta2_x(xs, r: int) -> Fraction:
-    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12."""
-    xs = [rat(x) for x in xs]
+def _delta_x_part(k: int, xs, r: int):
+    """The degree-k part of delta_x at xs, from the power sums p_1, p_2, p_3.
+
+    A symmetric polynomial of degree <= 3 is a polynomial in p_1, p_2, p_3, so
+    this is O(r) work; integer coordinates give an integer.
+    """
     if len(xs) != r:
         raise ValueError("need exactly r coordinates")
-    sq = sum(x * x for x in xs)
-    cross = sum(xs[i] * xs[j] for i in range(r) for j in range(i + 1, r))
-    return (r - 1) * sq - 2 * cross - Fraction(r * r * (r * r - 1), 12)
+    p1 = sum(xs)
+    p2 = sum(x * x for x in xs)
+    if k == 2:
+        return r * p2 - p1 * p1
+    p3 = sum(x * x * x for x in xs)
+    return (
+        2 * (r - 2) * (r - 1) * p3
+        - 6 * (r - 2) * (p1 * p2 - p3)
+        + 4 * (p1**3 - 3 * p1 * p2 + 2 * p3)
+    )
+
+
+def _delta2_constant(r: int) -> int:
+    """r^2(r^2-1)/12, an integer for every r."""
+    return r * r * (r * r - 1) // 12
+
+
+def delta2_x(xs, r: int) -> Fraction:
+    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12."""
+    return Fraction(_delta_x_part(2, [rat(x) for x in xs], r) - _delta2_constant(r))
 
 
 def delta3_x(xs, r: int) -> Fraction:
     """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
-    xs = [rat(x) for x in xs]
-    if len(xs) != r:
-        raise ValueError("need exactly r coordinates")
-    cubes = sum(x**3 for x in xs)
-    sq_lin = sum(xs[i] ** 2 * xs[j] for i in range(r) for j in range(r) if i != j)
-    triple = sum(
-        xs[i] * xs[j] * xs[k]
-        for i in range(r)
-        for j in range(i + 1, r)
-        for k in range(j + 1, r)
-    )
-    return 2 * (r - 2) * (r - 1) * cubes - 6 * (r - 2) * sq_lin + 24 * triple
+    return Fraction(_delta_x_part(3, [rat(x) for x in xs], r))
 
 
-_DELTA_X = {2: delta2_x, 3: delta3_x}
 _DELTA_DOT = {2: delta2_dot, 3: delta3_dot}
 _SHIFTS = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(7, 3))
 _AXIS = range(-3, 4)
@@ -335,8 +343,8 @@ def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0)
         raise ValueError("k must be 2 or 3")
     if r < 2:
         raise ValueError("need r >= 2")
-    dx = _DELTA_X[k]
     ddot = _DELTA_DOT[k]
+    const = _delta2_constant(r) if k == 2 else 0
     if max_points is not None and max_points < len(_AXIS) ** r:
         rng = random.Random(seed)
         points = [tuple(rng.choice(_AXIS) for _ in range(r)) for _ in range(max_points)]
@@ -344,7 +352,8 @@ def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0)
         points = list(itertools.product(_AXIS, repeat=r))
     failures = []
     for x in points:
-        val = dx(x, r)
+        part = _delta_x_part(k, x, r)
+        val = part - const
         # the identity is between polynomials, so it is checked on arbitrary
         # integer vectors, not only on weakly decreasing ones
         alpha_vec = tuple(x[i] + i for i in range(r))
@@ -352,8 +361,10 @@ def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0)
         if val != dot:
             failures.append(f"shift mismatch at x={x}: {val} != {dot}")
         for a in _SHIFTS:
-            shifted = dx([xi - a for xi in x], r)
-            if shifted != val:
+            # the degree-k part is homogeneous, so for a = n/q the shift
+            # delta_x(x - a) == delta_x(x) reads, scaled by q^k, in integers
+            n, q = a.numerator, a.denominator
+            if _delta_x_part(k, [q * xi - n for xi in x], r) != q**k * part:
                 failures.append(f"translation by {a} broken at x={x}")
         if len(failures) > 5:
             break

@@ -203,8 +203,12 @@ def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
     """Schur polynomial s_alpha from its power sums p_0..p_n (Jacobi-Trudi).
 
     s_alpha = det( h_{alpha_i - i + j} ) over 1 <= i,j <= len(alpha), with the
-    h_k from Newton's identities.  The largest index needed is
-    alpha_1 + len(alpha) - 1 <= |alpha|, so n = |alpha| always suffices.
+    h_k from Newton's identities.  The cofactor expansion doubles with each
+    row, so when the conjugate partition alpha' has fewer parts the dual form
+    s_alpha = det( e_{alpha'_i - i + j} ) is used instead, its e_k the Newton
+    family of omega(p): p_k -> (-1)^(k-1) p_k.  The largest index needed is
+    alpha_1 + len(alpha) - 1 <= |alpha| either way, so n = |alpha| always
+    suffices.
     """
     alpha = Partition.of(alpha)
     ring = power_sums[0].ring
@@ -214,12 +218,19 @@ def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
     top = alpha.parts[0] + ell - 1
     if len(power_sums) <= top:
         raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
-    hs = newton_family(power_sums[: top + 1])
+    power_sums = power_sums[: top + 1]
+    rows = alpha.parts
+    if alpha.parts[0] < ell:
+        rows = tuple(sum(1 for p in alpha.parts if p > j) for j in range(alpha.parts[0]))
+        # omega(p); the sign of p_0 is irrelevant, it only fixes the ring
+        power_sums = [p if k % 2 else -p for k, p in enumerate(power_sums)]
+    fam = newton_family(power_sums)
 
-    def h(k):
-        return ring.zero() if k < 0 else hs[k]
+    def entry(k):
+        return ring.zero() if k < 0 else fam[k]
 
-    matrix = [[h(alpha.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
+    n = len(rows)
+    matrix = [[entry(rows[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
     return _det(matrix, ring)
 
 

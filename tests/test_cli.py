@@ -222,6 +222,7 @@ class TestInputBounds:
             ("ch", "--rank", "2", "--partition", f"{MAX_SIZE},1", "--method", "oracle"),
             ("delta", "--rank", "3", "--partition", str(MAX_SIZE + 1)),
             ("delta4", "--rank", "3", "--m", str(MAX_SIZE + 1)),
+            ("mukai", "--v", "2,1,2", "--d", "3", "--partition", str(MAX_SIZE + 1)),
         ],
     )
     def test_size_above_max(self, capsys, command):
@@ -244,9 +245,17 @@ class TestInputBounds:
         assert code == 0
         assert out.splitlines()[0] == f"rank: {MAX_RANK}"
 
-    @pytest.mark.parametrize("command", ["ch", "delta"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("ch", "--rank", "2"),
+            ("delta", "--rank", "2"),
+            ("mukai", "--v", "2,1,2", "--d", "3"),
+        ],
+        ids=["ch", "delta", "mukai"],
+    )
     def test_partition_longer_than_rank(self, capsys, command):
-        code, err = run_error(capsys, command, "--rank", "2", "--partition", "1,1,1")
+        code, err = run_error(capsys, *command, "--partition", "1,1,1")
         assert code == 2
         assert err == "error: partition 1,1,1 has 3 parts, more than the rank 2\n"
 
@@ -300,6 +309,26 @@ class TestInputBounds:
         code, out = run(capsys, "hc-check", "--k", "2", "--rank", "5")
         assert code == 0
         assert f"{MAX_SAMPLES} sampled points" in out
+
+    # The slowest commands inside the bounds: each runs in well under a
+    # second, so a return of the O(r^3) Fraction grid or of the 2^16-subset
+    # determinant shows up as a stalled suite.
+    def test_hc_check_at_max_rank(self, capsys):
+        code, out = run(capsys, "hc-check", "--k", "3", "--rank", str(MAX_RANK))
+        assert code == 0
+        assert out == (
+            f"shift and translation identities hold on {MAX_SAMPLES} sampled points"
+            f" (k=3, r={MAX_RANK})\n"
+        )
+
+    def test_ch_of_max_rank_parts(self, capsys):
+        partition = ",".join(["4"] * MAX_RANK)
+        code, out = run(
+            capsys, "ch", "--rank", str(MAX_RANK), "--partition", partition,
+            "--max-degree", "5", "--method", "oracle",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "rank: 1"
 
 
 README = Path(__file__).parent.parent / "README.md"

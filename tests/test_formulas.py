@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logchern import formulas
 from logchern.characters import base_bundle, ch_ring
 from logchern.formulas import (
     delta2_dot,
@@ -18,6 +20,7 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.symfunc import binomial, enumerate_partitions
+from witness import delta2_x_sums, delta3_x_sums
 
 
 class TestCasimirPolynomials:
@@ -236,3 +239,54 @@ class TestHCShift:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             hc_shift_check(4, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda r: st.lists(
+                st.one_of(
+                    st.integers(-50, 50),
+                    st.fractions(max_denominator=12).filter(lambda f: abs(f) <= 50),
+                ),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+    def test_power_sum_forms_equal_the_literal_sums(self, xs):
+        r = len(xs)
+        assert delta2_x(xs, r) == delta2_x_sums(xs, r)
+        assert delta3_x(xs, r) == delta3_x_sums(xs, r)
+        assert type(delta2_x(xs, r)) is type(delta3_x(xs, r)) is Fraction
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_wrong_printed_polynomial_is_a_shift_mismatch(self, monkeypatch, k):
+        printed = formulas._DELTA_DOT[k]
+        monkeypatch.setitem(formulas._DELTA_DOT, k, lambda a, r: printed(a, r) + 1)
+        report = hc_shift_check(k, 3)
+        assert not report.passed
+        x = (-3, -3, -3)
+        val = printed((-3, -2, -1), 3)
+        assert report.failures[0] == f"shift mismatch at x={x}: {val} != {val + 1}"
+        assert len(report.failures) == 6
+        assert all(f.startswith("shift mismatch at x=") for f in report.failures)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_translation_variant_part_breaks_translation(self, monkeypatch, k):
+        # add p_1^k to the degree-k part and the same polynomial, written in
+        # alpha = x + (0, 1, ..., r-1), to the printed one: check (a) still
+        # holds, while p_1 moves under translation
+        part, printed = formulas._delta_x_part, formulas._DELTA_DOT[k]
+        monkeypatch.setattr(
+            formulas, "_delta_x_part", lambda k, xs, r: part(k, xs, r) + sum(xs) ** k
+        )
+        monkeypatch.setitem(
+            formulas._DELTA_DOT,
+            k,
+            lambda a, r: printed(a, r) + (sum(a) - r * (r - 1) // 2) ** k,
+        )
+        report = hc_shift_check(k, 3)
+        assert not report.passed
+        assert report.failures[0] == "translation by 1 broken at x=(-3, -3, -3)"
+        assert all(f.startswith("translation by ") for f in report.failures)
+        assert {f.split()[2] for f in report.failures} == {"1", "-2", "1/2", "7/3"}

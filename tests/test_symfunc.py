@@ -9,11 +9,13 @@ from logchern.characters import BundleCharacter, chern_classes
 from logchern.ring import PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
+    _det,
     enumerate_partitions,
     is_symmetric,
     newton_family,
     power_sum_poly,
     powersum_ring,
+    schur_from_power_sums,
     schur_in_roots,
     ssyt_count,
     stirling2,
@@ -241,6 +243,33 @@ class TestSchur:
             s = schur_in_roots(alpha, 3, qs)
             assert s.is_homogeneous(4)
             assert is_symmetric(s)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([
+            alpha
+            for n in range(3, 9)
+            for alpha in enumerate_partitions(n, n)
+            if alpha.parts[0] < len(alpha)
+        ])
+    )
+    def test_dual_form_equals_h_determinant(self, alpha):
+        # schur_from_power_sums takes the e-form det(e_{alpha'_i - i + j})
+        # for these; the h-form det(h_{alpha_i - i + j}) is built here on
+        # free power sums
+        ring = powersum_ring(alpha.size)
+        ps = [ring.one()] + [ring.gen(f"p{k}") for k in range(1, alpha.size + 1)]
+        hs = newton_family(ps)
+        ell = len(alpha)
+        matrix = [
+            [
+                hs[k] if (k := alpha.parts[i] - i + j) >= 0 else ring.zero()
+                for j in range(ell)
+            ]
+            for i in range(ell)
+        ]
+        assert schur_from_power_sums(alpha, ps) == _det(matrix, ring)
 
 
 class TestPowerSumConversion:

@@ -6,8 +6,12 @@ ring of r Chern roots: s_alpha(exp a_1, ..., exp a_r), rewritten in power
 sums by linear algebra on monomial coefficients, then p_k -> k! e_k.  It shares
 only the Jacobi-Trudi determinant with the library, and its cost grows like
 C(r+D, D), so the tests use it at small r and D.
+
+It also keeps the shifted-variable eigenvalue polynomials as the literal sums
+over index pairs and triples; the library evaluates them through power sums.
 """
 
+from fractions import Fraction
 from math import factorial
 
 from logchern.characters import BundleCharacter, ch_ring
@@ -51,3 +55,25 @@ def powersums_to_roots(q, r):
     roots = [ring.gen(name) for name in ring.names]
     images = {f"p{k}": power_sum_poly(k, roots) for k in range(1, ring.truncation + 1)}
     return q.substitute(ring, images)
+
+
+def delta2_x_sums(xs, r):
+    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12, term by term."""
+    xs = [Fraction(x) for x in xs]
+    sq = sum(x * x for x in xs)
+    cross = sum(xs[i] * xs[j] for i in range(r) for j in range(i + 1, r))
+    return (r - 1) * sq - 2 * cross - Fraction(r * r * (r * r - 1), 12)
+
+
+def delta3_x_sums(xs, r):
+    """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
+    xs = [Fraction(x) for x in xs]
+    cubes = sum(x**3 for x in xs)
+    sq_lin = sum(xs[i] ** 2 * xs[j] for i in range(r) for j in range(r) if i != j)
+    triple = sum(
+        xs[i] * xs[j] * xs[k]
+        for i in range(r)
+        for j in range(i + 1, r)
+        for k in range(j + 1, r)
+    )
+    return 2 * (r - 2) * (r - 1) * cubes - 6 * (r - 2) * sq_lin + 24 * triple
