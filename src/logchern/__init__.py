@@ -44,7 +44,6 @@ from logchern.ring import GradedPoly, PolyRing, proportion
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
-    ssyt_count,
     stirling2,
     weyl_dim,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "proportion",
     "schur_ch3",
     "schur_coefficients",
-    "ssyt_count",
     "stirling2",
     "sym_power_ch",
     "sweep",

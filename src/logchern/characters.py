@@ -1,11 +1,12 @@
 """Formal bundle characters and the logarithmic/discriminant calculus.
 
-A :class:`BundleCharacter` is a rank (any nonzero rational is allowed --
-virtual characters are first class) together with homogeneous graded
-components ch_1..ch_D over some coefficient ring.  By default the
-coefficients are the free symbols e1..eD, where e_k stands for ch_k of an
-underlying bundle; the root-ring witness in the tests also builds characters
-over Chern-root rings.  Above the rank, ``normal_form`` picks the canonical
+A :class:`BundleCharacter` is its total character ch_0 + ch_1 + ... + ch_D,
+one truncated graded polynomial over some coefficient ring; the rank and
+each ch_k are read off it.  The rank is the constant term (any nonzero
+rational is allowed -- virtual characters are first class) and ch_k the
+degree-k part.  By default the coefficients are the free symbols e1..eD,
+where e_k stands for ch_k of an underlying bundle; the root-ring witness in
+the tests also builds characters over Chern-root rings.  Above the rank, ``normal_form`` picks the canonical
 representative on the generic rank-r bundle.
 
 Discriminants come from the logarithm of the normalized total character:
@@ -36,54 +37,29 @@ def ch_ring(D: int) -> PolyRing:
 
 @dataclass(frozen=True)
 class BundleCharacter:
-    """Rank plus graded components ch_1..ch_D (component k homogeneous of degree k)."""
+    """The total character ch_0 + ch_1 + ... + ch_D, one truncated polynomial."""
 
-    rank: Fraction
-    components: tuple[GradedPoly, ...]
-    ring: PolyRing
+    total: GradedPoly
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", rat(self.rank))
-        if len(self.components) != self.ring.truncation:
-            raise ValueError("need one component per degree 1..D")
-        for k, comp in enumerate(self.components, start=1):
-            if comp.ring != self.ring:
-                raise ValueError("component rings disagree")
-            if not comp.is_homogeneous(k):
-                raise ValueError(f"component {k} is not homogeneous of degree {k}")
+    @property
+    def ring(self) -> PolyRing:
+        return self.total.ring
 
     @property
     def D(self) -> int:
         return self.ring.truncation
 
+    @property
+    def rank(self) -> Fraction:
+        return self.total.constant()
+
     def ch(self, k: int) -> GradedPoly:
-        """ch_k for 0 <= k <= D (ch_0 as a constant polynomial)."""
-        if k == 0:
-            return self.ring.scalar(self.rank)
-        return self.components[k - 1]
-
-    def total(self) -> GradedPoly:
-        acc = self.ring.scalar(self.rank)
-        for comp in self.components:
-            acc = acc + comp
-        return acc
-
-    @classmethod
-    def from_total(cls, ring: PolyRing, total: GradedPoly) -> BundleCharacter:
-        if total.ring != ring:
-            raise ValueError("total character lives in the wrong ring")
-        comps = tuple(total.component(k) for k in range(1, ring.truncation + 1))
-        return cls(total.constant(), comps, ring)
-
-    def _check(self, other: BundleCharacter) -> None:
-        if self.ring != other.ring:
-            raise ValueError("mixed generator sets or truncations")
+        """ch_k, the degree-k part of the total (ch_0 as a constant polynomial)."""
+        return self.total.component(k)
 
     def __add__(self, other: BundleCharacter) -> BundleCharacter:
-        """Direct sum: component-wise, rank included."""
-        self._check(other)
-        comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return BundleCharacter(self.rank + other.rank, comps, self.ring)
+        """Direct sum."""
+        return BundleCharacter(self.total + other.total)
 
     def __mul__(self, other):
         if isinstance(other, BundleCharacter):
@@ -94,59 +70,39 @@ class BundleCharacter:
 
     def scale(self, c) -> BundleCharacter:
         """Q-linear scaling in the representation ring."""
-        c = rat(c)
-        return BundleCharacter(
-            c * self.rank, tuple(comp.scale(c) for comp in self.components), self.ring
-        )
+        return BundleCharacter(self.total.scale(c))
 
     def __sub__(self, other: BundleCharacter) -> BundleCharacter:
-        return self + other.scale(-1)
-
-    # -- serialization -------------------------------------------------------
+        return BundleCharacter(self.total - other.total)
 
     def to_json_dict(self) -> dict:
-        ch = {
-            str(k): comp.compact()
-            for k, comp in enumerate(self.components, start=1)
-            if not comp.is_zero()
-        }
+        comps = ((k, self.ch(k)) for k in range(1, self.D + 1))
+        ch = {str(k): comp.compact() for k, comp in comps if not comp.is_zero()}
         return {"rank": str(self.rank), "D": self.D, "ch": ch}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> BundleCharacter:
-        ring = ch_ring(int(data["D"]))
-        comps = []
-        for k in range(1, ring.truncation + 1):
-            text = data.get("ch", {}).get(str(k))
-            comps.append(ring.parse(text) if text else ring.zero())
-        return cls(Fraction(data["rank"]), tuple(comps), ring)
 
 
 def base_bundle(rank, D: int) -> BundleCharacter:
     """The generic bundle E: ch_k is the free symbol e_k."""
-    ring = ch_ring(D)
-    comps = tuple(ring.gen(f"e{k}") for k in range(1, D + 1))
-    return BundleCharacter(rat(rank), comps, ring)
+    return power_sum_character(1, rank, D)
 
 
 def tensor(a: BundleCharacter, b: BundleCharacter) -> BundleCharacter:
-    """Product character: graded pieces of total(a)*total(b)."""
-    a._check(b)
-    return BundleCharacter.from_total(a.ring, a.total() * b.total())
+    """Product character: total(a) * total(b)."""
+    return BundleCharacter(a.total * b.total)
 
 
 def power_sum_character(d: int, rank, D: int) -> BundleCharacter:
     """Virtual character with ch_k = d^k * e_k and the given rank."""
     ring = ch_ring(D)
-    comps = tuple(ring.gen(f"e{k}").scale(d**k) for k in range(1, D + 1))
-    return BundleCharacter(rat(rank), comps, ring)
+    gens = (ring.gen(f"e{k}").scale(d**k) for k in range(1, D + 1))
+    return BundleCharacter(sum(gens, ring.scalar(rank)))
 
 
 def log_character(a: BundleCharacter) -> GradedPoly:
     """log(ch/ch_0); degree-k coefficient is d_k/ch_0."""
     if a.rank == 0:
         raise ZeroDivisionError("log character needs nonzero rank")
-    return (a.total() / a.rank).log()
+    return (a.total / a.rank).log()
 
 
 def d_k(a: BundleCharacter, k: int) -> GradedPoly:
@@ -243,11 +199,11 @@ def from_chern_classes(rank: int, classes, ring: PolyRing) -> BundleCharacter:
             raise ValueError(f"c_{i} is not homogeneous of degree {i}")
         total = total + c
     log = total.log()
-    comps = tuple(
+    comps = (
         log.component(k).scale(Fraction((-1) ** (k - 1), factorial(k - 1)))
         for k in range(1, ring.truncation + 1)
     )
-    return BundleCharacter(Fraction(r), comps, ring)
+    return BundleCharacter(sum(comps, ring.scalar(r)))
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,16 @@
 """Command-line surface: compute characters and discriminants, verify, report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Rationals are
-always printed exactly as num/den; there is no floating point output.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
+SIGPIPE) when the reader of stdout goes away before the output is written.
+Rationals are always printed exactly as num/den; there is no floating point
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +45,9 @@ MAX_SIZE = 64
 # hc-check's sample size at rank >= 5, where the full grid has 7^r points,
 # and the largest --samples: every sampled point is held in memory.
 MAX_SAMPLES = 2000
+# Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
+# reports a process that SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
 
 
 def _rank(r: int) -> int:
@@ -84,8 +90,7 @@ def _character_lines(ch: BundleCharacter) -> list[str]:
 def _closed_character(alpha: Partition, r: int, degree: int) -> BundleCharacter:
     """The closed formula's character, in normal form like the oracle's."""
     if len(alpha) <= 1:
-        row = sym_power_ch(alpha.size, r, degree)
-        return BundleCharacter.from_total(row.ring, normal_form(row.total(), r))
+        return BundleCharacter(normal_form(sym_power_ch(alpha.size, r, degree).total, r))
     if degree > 3:
         raise ValueError(
             "closed formulas for general partitions cover degree <= 3 only "
@@ -227,7 +232,7 @@ def cmd_hc_check(args) -> int:
     if samples is None and r >= 5:
         samples = MAX_SAMPLES
     rep = hc_shift_check(args.k, r, max_points=samples, seed=args.seed)
-    kind = f"{rep.points} grid points" if samples is None else f"{rep.points} sampled points"
+    kind = f"{rep.points} {'sampled' if rep.sampled else 'grid'} points"
     if rep.passed:
         print(f"shift and translation identities hold on {kind} (k={args.k}, r={args.rank})")
         return 0
@@ -296,10 +301,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code = args.func(args)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader went away: send what is still buffered to devnull,
+        # so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import factorial
 
 from logchern.characters import BundleCharacter, ch_ring
-from logchern.ring import rat
 from logchern.symfunc import Partition, binomial, enumerate_partitions, stirling2, weyl_dim
 
 
@@ -182,15 +181,16 @@ def sym_power_ch(m: int, r: int, D: int) -> BundleCharacter:
             for part in alpha.parts:
                 mono = mono * ring.gen(f"e{part}")
             total = total + mono.scale(coeff / norm)
-    return BundleCharacter.from_total(ring, total)
+    return BundleCharacter(total)
 
 
 # -- degree <= 3 character tables ---------------------------------------------
 
 
-# The table monomials of degrees 1..3 as exponent vectors over e1, e2, e3:
-# ch1 = A e1, ch2 = B e1^2 + C e2, ch3 = D e1^3 + E e1 e2 + F e3.
+# The table monomials of degrees 0..3 as exponent vectors over e1, e2, e3:
+# ch0 = r, ch1 = A e1, ch2 = B e1^2 + C e2, ch3 = D e1^3 + E e1 e2 + F e3.
 _TABLE_MONOMIALS = (
+    ((0, 0, 0),),
     ((1, 0, 0),),
     ((2, 0, 0), (0, 1, 0)),
     ((3, 0, 0), (1, 1, 0), (0, 0, 1)),
@@ -203,13 +203,12 @@ def _table_character(rank: int, r: int, rows) -> BundleCharacter:
     rows[k-1] holds the printed coefficients of the degree-k monomials.
     """
     up_to = len(rows)
-    ring = ch_ring(up_to)
     w = Fraction(rank, r)
-    comps = tuple(
-        ring.from_terms({exps[:up_to]: c * w for exps, c in zip(_TABLE_MONOMIALS[k], coeffs)})
-        for k, coeffs in enumerate(rows)
-    )
-    return BundleCharacter(rank, comps, ring)
+    return BundleCharacter(ch_ring(up_to).from_terms({
+        exps[:up_to]: c * w
+        for monos, coeffs in zip(_TABLE_MONOMIALS, ((r,), *rows))
+        for exps, c in zip(monos, coeffs)
+    }))
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
@@ -303,16 +302,6 @@ def _delta2_constant(r: int) -> int:
     return r * r * (r * r - 1) // 12
 
 
-def delta2_x(xs, r: int) -> Fraction:
-    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12."""
-    return Fraction(_delta_x_part(2, [rat(x) for x in xs], r) - _delta2_constant(r))
-
-
-def delta3_x(xs, r: int) -> Fraction:
-    """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
-    return Fraction(_delta_x_part(3, [rat(x) for x in xs], r))
-
-
 _DELTA_DOT = {2: delta2_dot, 3: delta3_dot}
 _SHIFTS = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(7, 3))
 _AXIS = range(-3, 4)
@@ -325,6 +314,11 @@ class HCShiftReport:
     points: int
     passed: bool
     failures: tuple[str, ...]
+
+    @property
+    def sampled(self) -> bool:
+        """Whether a random sample ran rather than the whole grid."""
+        return self.points < len(_AXIS) ** self.r
 
 
 def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0) -> HCShiftReport:

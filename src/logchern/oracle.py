@@ -25,7 +25,6 @@ from logchern.characters import (
     BundleCharacter,
     ch_ring,
     delta4t,
-    delta_k,
     discriminants,
     generic_bundle,
     normal_form,
@@ -56,14 +55,14 @@ def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
         raise ValueError("rank must be a positive integer")
     if len(alpha) > r:
         raise ValueError(f"partition {alpha.parts} has more than {r} parts")
-    adams = [power_sum_character(j, r, D).total() for j in range(alpha.size + 1)]
+    adams = [power_sum_character(j, r, D).total for j in range(alpha.size + 1)]
     return normal_form(schur_from_power_sums(alpha, adams), r)
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> BundleCharacter:
     """ch(S^alpha E) over e1..eD, computed purely from the splitting principle."""
     alpha = Partition.of(alpha)
-    out = BundleCharacter.from_total(ch_ring(D), oracle_schur_total(alpha, r, D))
+    out = BundleCharacter(oracle_schur_total(alpha, r, D))
     if out.rank != weyl_dim(alpha, r):
         raise ArithmeticError("oracle rank disagrees with the Weyl dimension")
     return out
@@ -83,10 +82,7 @@ def exp_roots(ring: PolyRing) -> list[GradedPoly]:
 def base_in_roots(r: int, D: int) -> BundleCharacter:
     """The generic bundle in the root ring: ch(E) = sum_i exp(a_i)."""
     ring = root_ring(r, D)
-    total = ring.zero()
-    for q in exp_roots(ring):
-        total = total + q
-    return BundleCharacter.from_total(ring, total)
+    return BundleCharacter(sum(exp_roots(ring), ring.zero()))
 
 
 def char_to_roots(a: BundleCharacter, r: int) -> BundleCharacter:
@@ -101,8 +97,7 @@ def char_to_roots(a: BundleCharacter, r: int) -> BundleCharacter:
     images = {
         f"e{k}": power_sum_poly(k, roots) / factorial(k) for k in range(1, D + 1)
     }
-    total = a.total().substitute(ring, images)
-    return BundleCharacter.from_total(ring, total)
+    return BundleCharacter(a.total.substitute(ring, images))
 
 
 # -- verification records -----------------------------------------------------
@@ -155,12 +150,9 @@ def _over_e(a: BundleCharacter, t: int) -> BundleCharacter:
 
     Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
     """
-    ring = ch_ring(t)
-    comps = tuple(
-        ring.from_terms({exps[:t]: c for exps, c in a.ch(k).terms.items()})
-        for k in range(1, t + 1)
-    )
-    return BundleCharacter(a.rank, comps, ring)
+    wdeg = a.ring.wdeg
+    terms = a.total.terms.items()
+    return BundleCharacter(ch_ring(t).from_terms({e[:t]: c for e, c in terms if wdeg(e) <= t}))
 
 
 def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
@@ -176,7 +168,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     alpha = Partition.of(alpha)
     total = oracle_schur_total(alpha, r, D)
     ring = total.ring
-    oracle_e = BundleCharacter.from_total(ring, total)
+    oracle_e = BundleCharacter(total)
     sc = schur_coefficients(alpha, r)
     checks = [
         _equality_check("rank equals Weyl dimension", oracle_e.rank, Fraction(weyl_dim(alpha, r)))
@@ -195,7 +187,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
         row = sym_power_ch(alpha.size, r, D)
         checks.append(
             _equality_check(
-                "total vs symmetric double sum", total, normal_form(row.total(), r)
+                "total vs symmetric double sum", total, normal_form(row.total, r)
             )
         )
     if alpha.parts and all(p == 1 for p in alpha.parts):
@@ -231,13 +223,6 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     return VerificationRecord(alpha, r, D, tuple(checks))
 
 
-def verify_sym_power_full(m: int, r: int, D: int) -> Check:
-    """Full-degree check of the symmetric-power double sum against the oracle."""
-    total = oracle_schur_total((m,), r, D)
-    closed = normal_form(sym_power_ch(m, r, D).total(), r)
-    return _equality_check(f"S^{m}, r={r}, D={D}", total, closed)
-
-
 # -- degree-4 proportionality -------------------------------------------------
 
 
@@ -268,17 +253,6 @@ def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
     ok, lam = schur_factor((m,), r, 4, lambda a: delta4t(a, t))
     printed = f4_sym(m, r) * Fraction(weyl_dim((m,), r), r) ** 4
     return Delta4Result(m, r, t, ok, lam, printed)
-
-
-def plain_delta4_witnesses() -> list[tuple[int, int]]:
-    """(m, r) pairs with 2 <= m, r <= 4 where the unmodified Delta_4(S^m V)
-    is NOT a multiple of Delta_4(V)."""
-    return [
-        (m, r)
-        for r in range(2, 5)
-        for m in range(2, 5)
-        if not schur_factor((m,), r, 4, lambda a: delta_k(a, 4))[0]
-    ]
 
 
 def verify_nonproportional_hook(alpha, r: int, t) -> bool:

@@ -1,10 +1,9 @@
-"""Partitions, tableaux and the classical symmetric polynomial families.
+"""Partitions and the classical symmetric polynomial families.
 
 This is the combinatorial substrate shared by the closed formulas and the
 oracle: partition enumeration, Stirling numbers, the Weyl dimension product,
-semistandard tableau counting (an independent dimension count), Newton's
-identities and Schur evaluation through the Jacobi-Trudi determinant on a list
-of power sums.
+Newton's identities and Schur evaluation through the Jacobi-Trudi determinant
+on a list of power sums.
 
 The evaluation at explicit roots (``schur_in_roots``) and the change of basis
 from symmetric polynomials in degree-1 roots to power sums
@@ -33,17 +32,17 @@ _PART_RE = re.compile(r"\s*-?\d+\s*")
 
 @dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing tuple of positive parts (zeros normalized away)."""
+    """Weakly decreasing tuple of positive parts (trailing zeros normalized away)."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(p for p in self.parts if p != 0)
+        parts = tuple(self.parts)
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be non-negative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts not weakly decreasing: {self.parts}")
-        object.__setattr__(self, "parts", parts)
+            raise ValueError(f"parts not weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", tuple(p for p in parts if p))
 
     @classmethod
     def of(cls, obj) -> Partition:
@@ -124,40 +123,6 @@ def weyl_dim(alpha, r: int) -> int:
     if rem:
         raise ArithmeticError("Weyl product did not clear denominators")
     return q
-
-
-def ssyt_count(alpha, r: int) -> int:
-    """Number of semistandard tableaux of shape alpha, entries in 1..r.
-
-    Direct backtracking enumeration; intentionally independent of weyl_dim.
-    """
-    shape = Partition.of(alpha).padded(r)
-    rows = [p for p in shape if p]
-    if not rows:
-        return 1
-
-    count = 0
-    cells = [(i, j) for i, row in enumerate(rows) for j in range(row)]
-    grid = [[0] * row for row in rows]
-
-    def fill(pos):
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, r + 1):
-            grid[i][j] = v
-            fill(pos + 1)
-        grid[i][j] = 0
-
-    fill(0)
-    return count
 
 
 # -- symmetric polynomial families evaluated at given ring elements ---------

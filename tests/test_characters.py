@@ -68,7 +68,7 @@ def random_character(ring, rng, rank=None):
             if c:
                 terms[exps] = c
         comps.append(ring.from_terms(terms))
-    return BundleCharacter(rank, tuple(comps), ring)
+    return BundleCharacter(sum(comps, ring.scalar(rank)))
 
 
 def _monomials_of_degree(ring, k):
@@ -98,11 +98,6 @@ class TestBasics:
     def test_base_bundle_rational_rank_is_plain(self):
         assert base_bundle(Fraction(3, 1), 3).rank == 3
 
-    def test_component_homogeneity_enforced(self):
-        ring = ch_ring(2)
-        with pytest.raises(ValueError):
-            BundleCharacter(1, (ring.gen("e2"), ring.gen("e2")), ring)
-
     def test_direct_sum_with_zero(self):
         e = base_bundle(3, 3)
         assert e + e.scale(0) == e
@@ -117,9 +112,7 @@ class TestBasics:
         # ch(V + S^2 V) = (5, 4 e1, 1/2 e1^2 + 5 e2) at r = 2
         ring = ch_ring(2)
         v = base_bundle(2, 2)
-        s2 = BundleCharacter(
-            3, (ring.parse("3*e1"), ring.parse("1/2*e1^2 + 4*e2")), ring
-        )
+        s2 = BundleCharacter(ring.parse("3 + 3*e1 + 1/2*e1^2 + 4*e2"))
         both = v + s2
         assert both.rank == 5
         assert both.ch(1) == ring.parse("4*e1")
@@ -127,7 +120,7 @@ class TestBasics:
 
     def test_tensor_with_trivial_line(self):
         e = base_bundle(3, 3)
-        assert tensor(e, BundleCharacter.from_total(e.ring, e.ring.one())) == e
+        assert tensor(e, BundleCharacter(e.ring.one())) == e
 
     def test_tensor_ch1_rule(self):
         rng = random.Random(7)
@@ -146,7 +139,9 @@ class TestBasics:
         a = random_character(ch_ring(3), rng, rank=Fraction(3))
         data = a.to_json_dict()
         assert data["rank"] == "3"
-        assert BundleCharacter.from_json_dict(data) == a
+        ring = ch_ring(data["D"])
+        parts = (ring.parse(text) for text in data["ch"].values())
+        assert BundleCharacter(sum(parts, ring.scalar(data["rank"]))) == a
 
 
 class TestDiscriminants:
@@ -164,7 +159,7 @@ class TestDiscriminants:
 
     def test_line_bundle_deltas_vanish(self):
         ring = PolyRing([("t", 1)], 5)
-        line = BundleCharacter.from_total(ring, ring.gen("t").exp())
+        line = BundleCharacter(ring.gen("t").exp())
         assert log_character(line) == ring.gen("t")
         for k in range(2, 6):
             assert delta_k(line, k).is_zero()
@@ -192,9 +187,7 @@ class TestDiscriminants:
     def test_counterexample_d2_values(self):
         ring = ch_ring(2)
         v = base_bundle(2, 2)
-        s2 = BundleCharacter(
-            3, (ring.parse("3*e1"), ring.parse("1/2*e1^2 + 4*e2")), ring
-        )
+        s2 = BundleCharacter(ring.parse("3 + 3*e1 + 1/2*e1^2 + 4*e2"))
         assert d_k(v + s2, 2) == ring.parse("5*e2 - 11/10*e1^2")
         total = d_k(v, 2) + d_k(s2, 2)
         assert total == ring.parse("5*e2 - 5/4*e1^2")
@@ -203,9 +196,7 @@ class TestDiscriminants:
     def test_d2_of_sym_square_is_four_times(self):
         ring = ch_ring(2)
         v = base_bundle(2, 2)
-        s2 = BundleCharacter(
-            3, (ring.parse("3*e1"), ring.parse("1/2*e1^2 + 4*e2")), ring
-        )
+        s2 = BundleCharacter(ring.parse("3 + 3*e1 + 1/2*e1^2 + 4*e2"))
         assert d_k(s2, 2) == d_k(v, 2).scale(4)
 
 
@@ -416,10 +407,8 @@ class TestLogMultiplicativity:
 class TestTwistInvariance:
     def test_deltas_unchanged_by_line_twist(self):
         ring = PolyRing(graded_generators("e", 5) + (("t", 1),), 5)
-        e = BundleCharacter(
-            3, tuple(ring.gen(f"e{k}") for k in range(1, 6)), ring
-        )
-        line = BundleCharacter.from_total(ring, ring.gen("t").exp())
+        e = BundleCharacter(sum((ring.gen(f"e{k}") for k in range(1, 6)), ring.scalar(3)))
+        line = BundleCharacter(ring.gen("t").exp())
         twisted = tensor(e, line)
         for k in range(2, 6):
             assert delta_k(twisted, k) == delta_k(e, k)

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,7 +44,7 @@ class TestCh:
         assert out.splitlines()[0] == "rank: 1"
 
     def test_json_round_trips_schema(self, capsys):
-        from logchern.characters import BundleCharacter
+        from logchern.characters import BundleCharacter, ch_ring
         from logchern.oracle import oracle_schur_ch
 
         code, out = run(
@@ -49,7 +52,10 @@ class TestCh:
             "--max-degree", "3", "--format", "json", "--method", "oracle",
         )
         assert code == 0
-        parsed = BundleCharacter.from_json_dict(json.loads(out))
+        doc = json.loads(out)
+        ring = ch_ring(doc["D"])
+        parts = (ring.parse(text) for text in doc["ch"].values())
+        parsed = BundleCharacter(sum(parts, ring.scalar(doc["rank"])))
         assert parsed == oracle_schur_ch((2, 1), 4, 3)
 
     def test_closed_refuses_high_degree_for_general_partition(self, capsys):
@@ -176,6 +182,14 @@ class TestOthers:
         assert code == 0
         assert "49 grid points" in out
 
+    def test_hc_check_samples_covering_the_grid(self, capsys):
+        # 500 >= 7^3, so the whole grid runs and the label says so
+        code, out = run(
+            capsys, "hc-check", "--k", "2", "--rank", "3", "--samples", "500"
+        )
+        assert code == 0
+        assert out == "shift and translation identities hold on 343 grid points (k=2, r=3)\n"
+
     def test_hc_check_sampled(self, capsys):
         code, out = run(
             capsys, "hc-check", "--k", "3", "--rank", "4", "--samples", "50"
@@ -274,6 +288,16 @@ class TestInputBounds:
         assert code == 2
         assert err == f"error: cannot parse partition {text!r}\n"
 
+    @pytest.mark.parametrize("text", ["1,0,1", "0,2"])
+    def test_zero_before_a_part(self, capsys, text):
+        code, err = run_error(
+            capsys, "ch", "--rank", "3", "--partition", text,
+            "--method", "oracle", "--max-degree", "1",
+        )
+        assert code == 2
+        parts = ", ".join(text.split(","))
+        assert err == f"error: parts not weakly decreasing: ({parts})\n"
+
     @pytest.mark.parametrize("t", ["1/0", "abc"])
     def test_delta4_bad_t_is_a_usage_error(self, capsys, t):
         with pytest.raises(SystemExit) as exc:
@@ -329,6 +353,34 @@ class TestInputBounds:
         )
         assert code == 0
         assert out.splitlines()[0] == "rank: 1"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ch", "--rank", "2", "--partition", "2"),
+        ("verify", "--max-rank", "2", "--max-size", "2", "--format", "json"),
+    ],
+    ids=["ch", "verify"],
+)
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # stdout is a pipe whose read end is already closed, so every write fails:
+    # mid-command when unbuffered, in the final flush when buffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logchern", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 README = Path(__file__).parent.parent / "README.md"

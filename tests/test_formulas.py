@@ -7,9 +7,7 @@ from logchern import formulas
 from logchern.characters import base_bundle, ch_ring
 from logchern.formulas import (
     delta2_dot,
-    delta2_x,
     delta3_dot,
-    delta3_x,
     delta_tilde2,
     delta_tilde3,
     ext_power_ch3,
@@ -20,7 +18,7 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.symfunc import binomial, enumerate_partitions
-from witness import delta2_x_sums, delta3_x_sums
+from witness import delta2_x, delta2_x_sums, delta3_x, delta3_x_sums
 
 
 class TestCasimirPolynomials:
@@ -114,7 +112,7 @@ class TestSymPowerSum:
     def test_m_zero_is_trivial_line(self):
         ch = sym_power_ch(0, 3, 3)
         assert ch.rank == 1
-        assert all(c.is_zero() for c in ch.components)
+        assert all(ch.ch(k).is_zero() for k in range(1, ch.D + 1))
 
     def test_sym_square_rank_two(self):
         ring = ch_ring(2)

@@ -18,17 +18,21 @@ from logchern.oracle import (
     char_to_roots,
     exp_roots,
     oracle_schur_ch,
-    plain_delta4_witnesses,
     root_ring,
     sweep,
     verify_delta4_proportionality,
     verify_nonproportional_hook,
     verify_schur,
-    verify_sym_power_full,
 )
 from logchern.ring import proportion
-from logchern.symfunc import enumerate_partitions, power_sum_poly, ssyt_count, weyl_dim
-from witness import roots_to_ch_basis, witness_schur_total
+from logchern.symfunc import enumerate_partitions, power_sum_poly, weyl_dim
+from witness import (
+    plain_delta4_witnesses,
+    roots_to_ch_basis,
+    ssyt_count,
+    verify_sym_power_full,
+    witness_schur_total,
+)
 
 
 class TestOracleCharacter:
@@ -81,8 +85,8 @@ class TestOracleCharacter:
         for alpha, r in (((2, 1), 3), ((2,), 2), ((3, 2), 4)):
             total = witness_schur_total(alpha, r, 4)
             again = char_to_roots(roots_to_ch_basis(total, r), r)
-            assert again.total() == total
-            assert char_to_roots(oracle_schur_ch(alpha, r, 4), r).total() == total
+            assert again.total == total
+            assert char_to_roots(oracle_schur_ch(alpha, r, 4), r).total == total
 
 
 def _e_monomials(D):
@@ -132,7 +136,7 @@ class TestRootRingWitness:
             b = b + _draw_poly(data, ring)
 
         def on_roots(p):
-            return char_to_roots(BundleCharacter.from_total(ring, p), r)
+            return char_to_roots(BundleCharacter(p), r)
 
         na, nb = normal_form(a, r), normal_form(b, r)
         assert (na == nb) == (on_roots(a) == on_roots(b))
@@ -191,9 +195,7 @@ class TestOracleConsistency:
         ring = root_ring(r, D)
         base = base_in_roots(r, D)
         for d in (1, 2, 3, 4, 5):
-            p_d = BundleCharacter.from_total(
-                ring, power_sum_poly(d, exp_roots(ring))
-            )
+            p_d = BundleCharacter(power_sum_poly(d, exp_roots(ring)))
             assert p_d.rank == r
             for k in range(1, 6):
                 lhs = d_k(p_d, k) / p_d.rank

@@ -17,12 +17,11 @@ from logchern.symfunc import (
     powersum_ring,
     schur_from_power_sums,
     schur_in_roots,
-    ssyt_count,
     stirling2,
     sym_to_power_sums,
     weyl_dim,
 )
-from witness import powersums_to_roots
+from witness import powersums_to_roots, ssyt_count
 
 
 def roots(r, D):
@@ -34,7 +33,7 @@ def roots_character(qs):
     """The character with ch_k = p_k/k! of the roots qs; its c_k are their sigma_k."""
     ring = qs[0].ring
     comps = tuple(power_sum_poly(k, qs) / factorial(k) for k in range(1, ring.truncation + 1))
-    return BundleCharacter(len(qs), comps, ring)
+    return BundleCharacter(sum(comps, ring.scalar(len(qs))))
 
 
 def ssyt_fillings(shape, r):
@@ -70,6 +69,12 @@ class TestPartition:
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             Partition((1, 2))
+
+    @pytest.mark.parametrize("parts", [(1, 0, 1), (0, 2), (2, 0, 0, 1)])
+    def test_rejects_zero_before_a_part(self, parts):
+        # only trailing zeros are padding; (1, 0, 1) is not (1, 1)
+        with pytest.raises(ValueError):
+            Partition(parts)
 
     def test_parse_and_str(self):
         assert Partition.parse("2,1").parts == (2, 1)

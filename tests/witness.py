@@ -9,14 +9,26 @@ C(r+D, D), so the tests use it at small r and D.
 
 It also keeps the shifted-variable eigenvalue polynomials as the literal sums
 over index pairs and triples; the library evaluates them through power sums.
+The rest are helpers only the tests use: the shifted-variable polynomials at
+rational points, an independent tableau count of the Schur rank, and two
+verifications over the oracle.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from logchern.characters import BundleCharacter, ch_ring
-from logchern.oracle import exp_roots, root_ring
-from logchern.symfunc import power_sum_poly, schur_in_roots, sym_to_power_sums
+from logchern.characters import BundleCharacter, ch_ring, delta_k, normal_form
+from logchern.formulas import _delta2_constant, _delta_x_part, sym_power_ch
+from logchern.oracle import (
+    Check,
+    _equality_check,
+    exp_roots,
+    oracle_schur_total,
+    root_ring,
+    schur_factor,
+)
+from logchern.ring import rat
+from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums
 
 
 def witness_schur_total(alpha, r, D):
@@ -45,8 +57,7 @@ def roots_to_e_poly(p, r):
 
 def roots_to_ch_basis(total, r):
     """Bundle character over e1..eD from a symmetric root-ring total."""
-    e_total = roots_to_e_poly(total, r)
-    return BundleCharacter.from_total(e_total.ring, e_total)
+    return BundleCharacter(roots_to_e_poly(total, r))
 
 
 def powersums_to_roots(q, r):
@@ -77,3 +88,65 @@ def delta3_x_sums(xs, r):
         for k in range(j + 1, r)
     )
     return 2 * (r - 2) * (r - 1) * cubes - 6 * (r - 2) * sq_lin + 24 * triple
+
+
+def delta2_x(xs, r: int) -> Fraction:
+    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12."""
+    return Fraction(_delta_x_part(2, [rat(x) for x in xs], r) - _delta2_constant(r))
+
+
+def delta3_x(xs, r: int) -> Fraction:
+    """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
+    return Fraction(_delta_x_part(3, [rat(x) for x in xs], r))
+
+
+def ssyt_count(alpha, r: int) -> int:
+    """Number of semistandard tableaux of shape alpha, entries in 1..r.
+
+    Direct backtracking enumeration; intentionally independent of weyl_dim.
+    """
+    shape = Partition.of(alpha).padded(r)
+    rows = [p for p in shape if p]
+    if not rows:
+        return 1
+
+    count = 0
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(row)]
+    grid = [[0] * row for row in rows]
+
+    def fill(pos):
+        nonlocal count
+        if pos == len(cells):
+            count += 1
+            return
+        i, j = cells[pos]
+        lo = 1
+        if j > 0:
+            lo = max(lo, grid[i][j - 1])
+        if i > 0:
+            lo = max(lo, grid[i - 1][j] + 1)
+        for v in range(lo, r + 1):
+            grid[i][j] = v
+            fill(pos + 1)
+        grid[i][j] = 0
+
+    fill(0)
+    return count
+
+
+def verify_sym_power_full(m: int, r: int, D: int) -> Check:
+    """Full-degree check of the symmetric-power double sum against the oracle."""
+    total = oracle_schur_total((m,), r, D)
+    closed = normal_form(sym_power_ch(m, r, D).total, r)
+    return _equality_check(f"S^{m}, r={r}, D={D}", total, closed)
+
+
+def plain_delta4_witnesses() -> list[tuple[int, int]]:
+    """(m, r) pairs with 2 <= m, r <= 4 where the unmodified Delta_4(S^m V)
+    is NOT a multiple of Delta_4(V)."""
+    return [
+        (m, r)
+        for r in range(2, 5)
+        for m in range(2, 5)
+        if not schur_factor((m,), r, 4, lambda a: delta_k(a, 4))[0]
+    ]
