@@ -220,6 +220,12 @@ def generic_bundle(r: int, D: int) -> BundleCharacter:
     return from_chern_classes(r, classes, base.ring)
 
 
+@lru_cache(maxsize=None)
+def generic_discriminants(r: int, D: int) -> tuple[GradedPoly, ...]:
+    """Delta_1..Delta_D of the generic rank-r bundle over e1..eD."""
+    return discriminants(generic_bundle(r, D), D)
+
+
 def normal_form(p: GradedPoly, r: int) -> GradedPoly:
     """Canonical representative of p over e1..eD on the generic rank-r bundle.
 

@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
             **report.to_json_dict(),
             "discrepancies": [row.to_json_dict() for row in rows],
         }
+        if unexpected:
+            doc["unexpected"] = unexpected
         print(json.dumps(doc, indent=2))
         return 1 if failed else 0
     print(
@@ -177,7 +179,9 @@ def cmd_verify(args) -> int:
     print(format_table(rows))
     if unexpected:
         print()
-        print(f"{len(unexpected)} NON-WHITELISTED discrepancies -- failing")
+        print(f"{len(unexpected)} discrepancies the whitelist does not account for -- failing")
+        for line in unexpected:
+            print(f"  {line}")
     return 1 if failed else 0
 
 

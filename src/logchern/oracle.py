@@ -10,6 +10,16 @@ normal form on the generic rank-r bundle (``characters.normal_form``), so
 equality there is plain ``==``.  The closed formulas elsewhere in the package
 are verified against these values; nothing is compared with a tolerance.
 
+The Adams power sums, their Newton family and the discriminants of the
+generic bundle depend only on (r, D), so they are computed once per process
+and shared by every partition: ``_adams_power_sum`` per (r, D, j),
+``_adams_family`` per (r, D, dual form, top index), each family extending the
+next shorter one by one entry, and ``characters.generic_discriminants`` per
+(r, D).  Sharing them cannot change an answer: each table is an lru_cache of
+a pure function keyed on all of its inputs, and its values are
+``GradedPoly``s (or tuples of them), which nothing mutates.  Only the
+Jacobi-Trudi determinant and the normal form run per partition.
+
 ``root_ring``, ``exp_roots``, ``base_in_roots`` and ``char_to_roots`` build
 the same objects in the ring of r Chern roots.  They are the independent
 witness the tests compare the oracle against; no production path calls them.
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from logchern.characters import (
@@ -27,6 +38,7 @@ from logchern.characters import (
     delta4t,
     discriminants,
     generic_bundle,
+    generic_discriminants,
     normal_form,
     power_sum_character,
 )
@@ -35,8 +47,10 @@ from logchern.ring import GradedPoly, PolyRing, proportion, root_generators
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
+    jacobi_trudi,
+    jacobi_trudi_form,
+    newton_next,
     power_sum_poly,
-    schur_from_power_sums,
     weyl_dim,
 )
 
@@ -44,19 +58,39 @@ MAX_SWEEP_RANK = 6
 MAX_SWEEP_SIZE = 8
 
 
+@lru_cache(maxsize=None)
+def _adams_power_sum(r: int, D: int, j: int) -> GradedPoly:
+    """p_j = ch(psi^j E) of the generic rank-r bundle over e1..eD."""
+    return power_sum_character(j, r, D).total
+
+
+@lru_cache(maxsize=None)
+def _adams_family(r: int, D: int, dual: bool, n: int) -> tuple[GradedPoly, ...]:
+    """h_0..h_n (e_0..e_n when ``dual``) of the Adams power sums of ``_adams_power_sum``.
+
+    Entry k reads p_0..p_k only, so each family is the one a step shorter
+    plus one entry.
+    """
+    if n == 0:
+        return (ch_ring(D).one(),)
+    head = _adams_family(r, D, dual, n - 1)
+    power_sums = [_adams_power_sum(r, D, j) for j in range(n + 1)]
+    return head + (newton_next(power_sums, head, dual),)
+
+
 def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     """Total character of S^alpha E over e1..eD, in normal form.
 
     s_alpha evaluated on the power sums p_j = ch(psi^j E) of the generic
-    rank-r bundle, j = 0..|alpha|.
+    rank-r bundle: the Jacobi-Trudi determinant on their shared Newton family.
     """
     alpha = Partition.of(alpha)
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if len(alpha) > r:
         raise ValueError(f"partition {alpha.parts} has more than {r} parts")
-    adams = [power_sum_character(j, r, D).total for j in range(alpha.size + 1)]
-    return normal_form(schur_from_power_sums(alpha, adams), r)
+    rows, dual, top = jacobi_trudi_form(alpha)
+    return normal_form(jacobi_trudi(rows, _adams_family(r, D, dual, top)), r)
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> BundleCharacter:
@@ -199,7 +233,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 
     weight = Fraction(sc.r_alpha, r)
     ds_schur = discriminants(oracle_e, D)
-    ds_base = discriminants(generic_bundle(r, D), D)
+    ds_base = generic_discriminants(r, D)
     checks.append(
         _factor_check("Delta_1 scaling", ds_schur[0], ds_base[0], alpha.size * weight)
     )

@@ -2,9 +2,11 @@
 
 Every row is measured at run time -- nothing is hard-coded as true or false.
 A row whose printed and measured values agree is ``confirmed``; otherwise it
-is ``typo-suspected``.  The shipped whitelist enumerates the claims that are
-expected to disagree, so the verify command can pass while still reporting
-them; any non-whitelisted disagreement is a real failure.
+is ``typo-suspected``.  The shipped whitelist pins every row that is
+expected to disagree, by claim and paper location, with the printed and
+measured values the oracle adjudicated, so the verify command can pass while
+still reporting them.  Any other disagreement is a real failure, and so is a
+pinned row whose values drift, that no longer appears, or that now agrees.
 """
 
 from __future__ import annotations
@@ -229,29 +231,61 @@ def build_report() -> list[Discrepancy]:
     return rows
 
 
-def load_whitelist() -> dict[str, str]:
-    """Claim ids that are allowed to be non-confirmed, with a note each."""
+def load_whitelist() -> dict[tuple[str, str], tuple[str, str]]:
+    """The adjudicated rows: (claim, paper_location) -> (printed_value, measured_value)."""
     text = resources.files("logchern").joinpath("whitelist.json").read_text()
     data = json.loads(text)
-    return {entry["claim"]: entry["note"] for entry in data["expected"]}
+    return {
+        (entry["claim"], row["paper_location"]): (row["printed_value"], row["measured_value"])
+        for entry in data["expected"]
+        for row in entry["rows"]
+    }
 
 
-def unexpected_discrepancies(rows: list[Discrepancy]) -> list[Discrepancy]:
-    whitelist = load_whitelist()
-    return [
-        row
-        for row in rows
-        if row.status != CONFIRMED and row.claim not in whitelist
-    ]
+def unexpected_discrepancies(rows: list[Discrepancy]) -> list[str]:
+    """One line for each row the whitelist does not account for.
+
+    A non-confirmed row must be pinned with exactly its printed and measured
+    values, and every pinned row must still appear and still disagree.
+    """
+    pins = load_whitelist()
+    out = []
+    for row in rows:
+        pin = pins.get((row.claim, row.paper_location))
+        got = (row.printed_value, row.measured_value)
+        values = f"printed {got[0]!r}, measured {got[1]!r}"
+        if row.status == CONFIRMED:
+            if pin is None:
+                continue
+            reason = f"whitelisted but now confirmed; {values}"
+        elif pin is None:
+            reason = f"not whitelisted; {values}"
+        elif pin == got:
+            continue
+        else:
+            reason = "drifted; " + ", ".join(
+                f"{name} {new!r}, whitelisted {old!r}"
+                for name, new, old in zip(("printed", "measured"), got, pin)
+                if new != old
+            )
+        out.append(f"{row.claim} ({row.paper_location}): {reason}")
+    present = {(row.claim, row.paper_location) for row in rows}
+    out.extend(
+        f"{claim} ({location}): whitelisted row no longer appears"
+        for claim, location in pins
+        if (claim, location) not in present
+    )
+    return out
 
 
 def format_table(rows: list[Discrepancy]) -> str:
     """Human-readable claim table."""
-    whitelist = load_whitelist()
+    pins = load_whitelist()
     lines = []
     for row in rows:
         flag = row.status
-        if row.status != CONFIRMED and row.claim in whitelist:
+        pin = pins.get((row.claim, row.paper_location))
+        if row.status != CONFIRMED and pin == (row.printed_value, row.measured_value):
             flag += ", whitelisted"
         lines.append(f"[{flag}] {row.claim}")
         lines.append(f"    where:    {row.paper_location}")

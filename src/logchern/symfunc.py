@@ -3,7 +3,12 @@
 This is the combinatorial substrate shared by the closed formulas and the
 oracle: partition enumeration, Stirling numbers, the Weyl dimension product,
 Newton's identities and Schur evaluation through the Jacobi-Trudi determinant
-on a list of power sums.
+on a list of power sums.  That evaluation is two steps: the family step
+(``newton_family``: h_k, or e_k through omega) and the determinant step
+(``jacobi_trudi``), with ``jacobi_trudi_form`` the one place that picks the
+h-form or the dual e-form for a partition.  The family depends only on the
+power sums, not on the partition, so the oracle computes it once per bundle
+and runs only the determinant step per partition.
 
 The evaluation at explicit roots (``schur_in_roots``) and the change of basis
 from symmetric polynomials in degree-1 roots to power sums
@@ -11,8 +16,8 @@ from symmetric polynomials in degree-1 roots to power sums
 oracle against them, and no production path calls them.
 
 All functions are pure; the memo tables (Stirling numbers, power-sum
-expansion data) sit behind lru_cache, so concurrent use is safe and
-deterministic.
+expansion data) sit behind lru_cache, keyed on every input, so concurrent use
+is safe and deterministic.
 """
 
 from __future__ import annotations
@@ -149,54 +154,73 @@ def power_sum_poly(k: int, values) -> GradedPoly:
     return acc
 
 
-def newton_family(power_sums) -> list[GradedPoly]:
-    """h_0..h_n from p_0..p_n by Newton's identities k h_k = sum_i p_i h_(k-i).
+def newton_next(power_sums, fam, dual: bool = False) -> GradedPoly:
+    """The next Newton entry h_k, k = len(fam), from p_1..p_k and h_0..h_(k-1).
 
-    p_0 only fixes the ring.
+    k h_k = sum_i p_i h_(k-i).  With ``dual`` the power sums are read through
+    omega, p_i -> (-1)^(i-1) p_i, which makes the family e_0, e_1, ... instead.
+    Entry k reads p_0..p_k only, so a family extends one entry at a time.
     """
-    ring = power_sums[0].ring
-    fam = [ring.one()]
-    for k in range(1, len(power_sums)):
-        acc = ring.zero()
-        for i in range(1, k + 1):
-            acc = acc + power_sums[i] * fam[k - i]
-        fam.append(acc / k)
+    k = len(fam)
+    acc = fam[0].ring.zero()
+    for i in range(1, k + 1):
+        term = power_sums[i] * fam[k - i]
+        acc = acc - term if dual and i % 2 == 0 else acc + term
+    return acc / k
+
+
+def newton_family(power_sums, dual: bool = False) -> list[GradedPoly]:
+    """h_0..h_n (e_0..e_n when ``dual``) from p_0..p_n by Newton's identities.
+
+    The family step of the Schur evaluation; p_0 only fixes the ring.
+    """
+    fam = [power_sums[0].ring.one()]
+    while len(fam) < len(power_sums):
+        fam.append(newton_next(power_sums, fam, dual))
     return fam
 
 
-def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
-    """Schur polynomial s_alpha from its power sums p_0..p_n (Jacobi-Trudi).
+def jacobi_trudi_form(alpha) -> tuple[tuple[int, ...], bool, int]:
+    """The Jacobi-Trudi matrix for s_alpha: its rows, whether it is dual, its top index.
 
-    s_alpha = det( h_{alpha_i - i + j} ) over 1 <= i,j <= len(alpha), with the
-    h_k from Newton's identities.  The cofactor expansion doubles with each
-    row, so when the conjugate partition alpha' has fewer parts the dual form
-    s_alpha = det( e_{alpha'_i - i + j} ) is used instead, its e_k the Newton
-    family of omega(p): p_k -> (-1)^(k-1) p_k.  The largest index needed is
-    alpha_1 + len(alpha) - 1 <= |alpha| either way, so n = |alpha| always
-    suffices.
+    s_alpha = det( h_{alpha_i - i + j} ) over 1 <= i,j <= len(alpha).  The
+    cofactor expansion doubles with each row, so when the conjugate partition
+    alpha' has fewer parts the dual form s_alpha = det( e_{alpha'_i - i + j} )
+    is used instead.  The largest family index read is alpha_1 + len(alpha) - 1
+    <= |alpha| either way.
     """
-    alpha = Partition.of(alpha)
-    ring = power_sums[0].ring
-    ell = len(alpha)
-    if ell == 0:
-        return ring.one()
-    top = alpha.parts[0] + ell - 1
-    if len(power_sums) <= top:
-        raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
-    power_sums = power_sums[: top + 1]
-    rows = alpha.parts
-    if alpha.parts[0] < ell:
-        rows = tuple(sum(1 for p in alpha.parts if p > j) for j in range(alpha.parts[0]))
-        # omega(p); the sign of p_0 is irrelevant, it only fixes the ring
-        power_sums = [p if k % 2 else -p for k, p in enumerate(power_sums)]
-    fam = newton_family(power_sums)
+    parts = Partition.of(alpha).parts
+    if not parts:
+        return (), False, 0
+    top = parts[0] + len(parts) - 1
+    if parts[0] < len(parts):
+        return tuple(sum(1 for p in parts if p > j) for j in range(parts[0])), True, top
+    return parts, False, top
+
+
+def jacobi_trudi(rows, fam) -> GradedPoly:
+    """det( fam[rows_i - i + j] ), with fam[k] = 0 for k < 0: the determinant step."""
+    ring = fam[0].ring
 
     def entry(k):
         return ring.zero() if k < 0 else fam[k]
 
     n = len(rows)
-    matrix = [[entry(rows[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
-    return _det(matrix, ring)
+    return _det([[entry(rows[i] - i + j) for j in range(n)] for i in range(n)], ring)
+
+
+def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
+    """Schur polynomial s_alpha from its power sums p_0..p_n (Jacobi-Trudi).
+
+    The family step (``newton_family`` of p, or of omega(p) in the dual form)
+    followed by the determinant step (``jacobi_trudi``), in the form
+    ``jacobi_trudi_form`` picks.  n = |alpha| always suffices.
+    """
+    alpha = Partition.of(alpha)
+    rows, dual, top = jacobi_trudi_form(alpha)
+    if len(power_sums) <= top:
+        raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
+    return jacobi_trudi(rows, newton_family(power_sums[: top + 1], dual))
 
 
 def schur_in_roots(alpha, r: int, values) -> GradedPoly:

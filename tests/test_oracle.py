@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,22 +11,33 @@ from logchern.characters import (
     d_k,
     discriminants,
     generic_bundle,
+    generic_discriminants,
     normal_form,
+    power_sum_character,
     tensor,
 )
 from logchern.oracle import (
+    _adams_family,
+    _adams_power_sum,
     base_in_roots,
     char_to_roots,
     exp_roots,
     oracle_schur_ch,
+    oracle_schur_total,
     root_ring,
     sweep,
     verify_delta4_proportionality,
     verify_nonproportional_hook,
     verify_schur,
 )
-from logchern.ring import proportion
-from logchern.symfunc import enumerate_partitions, power_sum_poly, weyl_dim
+from logchern.ring import GradedPoly, proportion
+from logchern.symfunc import (
+    Partition,
+    enumerate_partitions,
+    power_sum_poly,
+    schur_from_power_sums,
+    weyl_dim,
+)
 from witness import (
     plain_delta4_witnesses,
     roots_to_ch_basis,
@@ -339,8 +351,121 @@ class TestReport:
         assert statuses["ext-delta2-factor-power"] == "typo-suspected"
 
     def test_unknown_mismatch_is_not_whitelisted(self):
-        from logchern.report import Discrepancy, unexpected_discrepancies
+        from logchern.report import Discrepancy, build_report, unexpected_discrepancies
 
         rogue = Discrepancy("new-claim", "somewhere", "1", "2", "typo-suspected")
         fine = Discrepancy("new-claim-2", "somewhere", "1", "1", "confirmed")
-        assert unexpected_discrepancies([rogue, fine]) == [rogue]
+        assert unexpected_discrepancies(build_report() + [rogue, fine]) == [
+            "new-claim (somewhere): not whitelisted; printed '1', measured '2'"
+        ]
+
+    def test_every_whitelisted_row_is_pinned(self):
+        from logchern.report import CONFIRMED, build_report, load_whitelist
+
+        pins = load_whitelist()
+        rows = [row for row in build_report() if row.status != CONFIRMED]
+        assert len(pins) == len(rows) == 19
+        for row in rows:
+            assert pins[row.claim, row.paper_location] == (row.printed_value, row.measured_value)
+
+    def test_stale_and_missing_pins_are_unexpected(self):
+        from dataclasses import replace
+
+        from logchern.report import CONFIRMED, build_report, unexpected_discrepancies
+
+        rows = build_report()
+        i = next(i for i, row in enumerate(rows) if row.claim == "delta5-ch5-coefficient")
+        agreed = replace(rows[i], printed_value=rows[i].measured_value, status=CONFIRMED)
+        assert unexpected_discrepancies(rows[:i] + [agreed] + rows[i + 1 :]) == [
+            "delta5-ch5-coefficient (degree-5 log expansion display): whitelisted but now "
+            "confirmed; printed '5*r^4 at r=3: 405', measured '5*r^4 at r=3: 405'"
+        ]
+        assert unexpected_discrepancies(rows[:i] + rows[i + 1 :]) == [
+            "delta5-ch5-coefficient (degree-5 log expansion display): "
+            "whitelisted row no longer appears"
+        ]
+
+
+def _verify_small(capsys, *extra):
+    from logchern.cli import main
+
+    code = main(["verify", "--max-rank", "3", "--max-size", "3", *extra])
+    return code, capsys.readouterr().out
+
+
+class TestWhitelistMutations:
+    """A whitelisted row whose measured value drifts fails ``verify``."""
+
+    def test_doubled_delta5_fails_verify(self, capsys, monkeypatch):
+        import logchern.characters
+
+        original = logchern.characters.discriminants
+
+        def doubled_delta5(a, up_to):
+            ds = original(a, up_to)
+            return ds[:4] + tuple(d.scale(2) for d in ds[4:5]) + ds[5:]
+
+        monkeypatch.setattr(logchern.characters, "discriminants", doubled_delta5)
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert "[typo-suspected] delta5-ch5-coefficient" in out
+        reason = (
+            "delta5-ch5-coefficient (degree-5 log expansion display): drifted; "
+            "measured '5*r^4 at r=3: 810', whitelisted '5*r^4 at r=3: 405'"
+        )
+        assert f"  {reason}\n" in out
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["unexpected"] == [reason]
+
+    def test_mutated_exterior_factor_fails_verify(self, capsys, monkeypatch):
+        import logchern.report
+
+        original = logchern.report.schur_factor
+
+        def doubled_wedge_delta3(alpha, r, D, cls):
+            ok, lam = original(alpha, r, D, cls)
+            if (Partition.of(alpha).parts, r, D) == ((1, 1), 5, 3):
+                lam *= 2
+            return ok, lam
+
+        monkeypatch.setattr(logchern.report, "schur_factor", doubled_wedge_delta3)
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert "[typo-suspected] ext-delta3-factor-power" in out
+        assert (
+            "  ext-delta3-factor-power (exterior-power table, Delta_3 line): drifted; "
+            "measured 'measured factor: 8', whitelisted 'measured factor: 4'\n"
+        ) in out
+
+
+class TestSharedFamilies:
+    """The per-(r, D) memo tables behind the oracle change no answer."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cached_oracle_equals_a_cold_evaluation(self, data):
+        r = data.draw(st.integers(1, 6))
+        D = data.draw(st.integers(1, 5))
+        pool = [a for n in range(9) for a in enumerate_partitions(n, r)]
+        alphas = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+        for alpha in alphas:
+            adams = [power_sum_character(j, r, D).total for j in range(alpha.size + 1)]
+            cold = normal_form(schur_from_power_sums(alpha, adams), r)
+            assert oracle_schur_total(alpha, r, D) == cold
+
+    def test_sweep_product_count(self, monkeypatch):
+        # 7998 products without the shared families and discriminants
+        for cached in (_adams_family, _adams_power_sum, generic_discriminants, generic_bundle):
+            cached.cache_clear()
+        count = 0
+        product = GradedPoly.__mul__
+
+        def counted(a, b):
+            nonlocal count
+            count += isinstance(b, GradedPoly)
+            return product(a, b)
+
+        monkeypatch.setattr(GradedPoly, "__mul__", counted)
+        assert sweep(6, 8).failed == 0
+        assert count <= 4000

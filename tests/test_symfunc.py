@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logchern.characters import BundleCharacter, chern_classes
+from logchern.oracle import _adams_family, _adams_power_sum
 from logchern.ring import PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
     _det,
     enumerate_partitions,
     is_symmetric,
+    jacobi_trudi,
+    jacobi_trudi_form,
     newton_family,
     power_sum_poly,
     powersum_ring,
@@ -275,6 +278,43 @@ class TestSchur:
             for i in range(ell)
         ]
         assert schur_from_power_sums(alpha, ps) == _det(matrix, ring)
+
+
+def conjugate(alpha):
+    first = alpha.parts[0] if alpha.parts else 0
+    return tuple(sum(1 for p in alpha.parts if p > j) for j in range(first))
+
+
+class TestJacobiTrudiSteps:
+    def test_both_forms_equal_the_root_ring_witness(self):
+        # the h-form det(h_{alpha_i - i + j}) and the e-form
+        # det(e_{alpha'_i - i + j}), each from the family step and the
+        # determinant step, whichever form schur_in_roots picks
+        forms = set()
+        for r in range(1, 5):
+            for size in range(7):
+                ring, qs = roots(r, max(size, 1))
+                ps = [power_sum_poly(k, qs) for k in range(size + 1)]
+                hs, es = newton_family(ps), newton_family(ps, dual=True)
+                for alpha in enumerate_partitions(size, r):
+                    expect = schur_in_roots(alpha, r, qs)
+                    assert jacobi_trudi(alpha.parts, hs) == expect
+                    assert jacobi_trudi(conjugate(alpha), es) == expect
+                    rows, dual, top = jacobi_trudi_form(alpha)
+                    assert rows == (conjugate(alpha) if dual else alpha.parts)
+                    assert top == (alpha.parts[0] + len(alpha) - 1 if alpha.parts else 0)
+                    forms.add(dual)
+        assert forms == {False, True}
+
+    def test_cached_family_is_the_newton_family_prefix(self):
+        for r, D in ((1, 3), (2, 3), (3, 4), (5, 2)):
+            ps = [_adams_power_sum(r, D, j) for j in range(9)]
+            omega = [p if k % 2 else -p for k, p in enumerate(ps)]
+            for dual, sums in ((False, ps), (True, omega)):
+                full = _adams_family(r, D, dual, 8)
+                for n in range(9):
+                    assert _adams_family(r, D, dual, n) == full[: n + 1]
+                    assert list(full[: n + 1]) == newton_family(sums[: n + 1])
 
 
 class TestPowerSumConversion:
