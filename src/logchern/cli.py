@@ -24,7 +24,13 @@ from logchern.characters import (
 )
 from logchern.formulas import hc_shift_check, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
-from logchern.oracle import oracle_schur_ch, sweep, verify_delta4_proportionality
+from logchern.oracle import (
+    MAX_SWEEP_RANK,
+    MAX_SWEEP_SIZE,
+    oracle_schur_ch,
+    sweep,
+    verify_delta4_proportionality,
+)
 from logchern.report import build_report, format_table, unexpected_discrepancies
 from logchern.ring import PolyRing, graded_generators, proportion
 from logchern.symfunc import Partition
@@ -40,7 +46,7 @@ MAX_DEGREE = 5
 MAX_RANK = 16
 # Largest partition size ch and delta accept, and largest m for delta4:
 # Newton's recurrence takes O(|alpha|^2) products of growing fractions
-# (size 300 takes seconds).
+# (size 300 takes 5-8 s at degree 5 on one core of a 2-CPU VM).
 MAX_SIZE = 64
 # hc-check's sample size at rank >= 5, where the full grid has 7^r points,
 # and the largest --samples: every sampled point is held in memory.
@@ -50,10 +56,14 @@ MAX_SAMPLES = 2000
 EXIT_BROKEN_PIPE = 141
 
 
+def _in_range(name: str, value: int, top: int) -> int:
+    if not 1 <= value <= top:
+        raise ValueError(f"{name} must lie in 1..{top}, got {value}")
+    return value
+
+
 def _rank(r: int) -> int:
-    if not 1 <= r <= MAX_RANK:
-        raise ValueError(f"rank must lie in 1..{MAX_RANK}, got {r}")
-    return r
+    return _in_range("rank", r, MAX_RANK)
 
 
 def _size(n: int) -> int:
@@ -151,7 +161,11 @@ def cmd_delta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = sweep(args.max_rank, args.max_size, args.max_degree)
+    report = sweep(
+        _in_range("--max-rank", args.max_rank, MAX_SWEEP_RANK),
+        _in_range("--max-size", args.max_size, MAX_SWEEP_SIZE),
+        args.max_degree,
+    )
     rows = build_report()
     unexpected = unexpected_discrepancies(rows)
     failed = report.failed > 0 or bool(unexpected)
@@ -246,8 +260,15 @@ def cmd_hc_check(args) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer drops a write error; let a closed stdout raise
+        # BrokenPipeError, as every other command's output does
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logchern",
         description="Exact Chern characters and discriminants of Schur functors, "
         "with brute-force verification.",
@@ -303,14 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         try:
+            args = parser.parse_args(argv)
             code = args.func(args)
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
-        sys.stdout.flush()
+        finally:
+            # also when --help or a usage error leaves by SystemExit, so that
+            # buffered help text into a closed stdout fails here, not at exit
+            sys.stdout.flush()
     except BrokenPipeError:
         # stdout's reader went away: send what is still buffered to devnull,
         # so the flush at interpreter exit cannot fail again

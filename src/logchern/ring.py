@@ -2,17 +2,24 @@
 
 Everything downstream computes in rings of this shape: a finite list of named
 generators, each with a positive integer degree, and a global truncation
-bound ``D`` above which all terms are discarded.  Coefficients are
-``fractions.Fraction`` throughout -- there is no floating point anywhere.
+bound ``D`` above which all terms are discarded.  Stored coefficients are
+reduced, nonzero ``fractions.Fraction``s -- there is no floating point
+anywhere.  A product brings each operand to integer numerators over the lcm
+of its denominators, sums the numerator products per output monomial as
+plain ints, and builds one Fraction per nonzero output term.  Each ring
+computes the weighted degree of an exponent vector once and keeps it.
 
-Values are immutable after construction and all operations are pure, so
-polynomials can be shared freely between threads.
+Values are immutable after construction and all operations are pure; a
+ring's degree memo only gains entries, each the one value any thread would
+compute, so polynomials can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 from typing import Iterable, Mapping
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
@@ -59,6 +66,9 @@ class PolyRing:
         self.truncation = truncation
         self._index = {n: i for i, n in enumerate(names)}
         self._zero_exp = (0,) * len(names)
+        # weighted degree of each exponent vector seen so far, kept for the
+        # monomials of degree <= truncation only, so it stays bounded
+        self._wdeg: dict[tuple[int, ...], int] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -79,7 +89,12 @@ class PolyRing:
         return self._index[name]
 
     def wdeg(self, exps: tuple[int, ...]) -> int:
-        return sum(e * d for e, d in zip(exps, self.degrees))
+        d = self._wdeg.get(exps)
+        if d is None:
+            d = sum(map(mul, exps, self.degrees))
+            if d <= self.truncation:
+                self._wdeg[exps] = d
+        return d
 
     def zero(self) -> GradedPoly:
         return GradedPoly(self, {})
@@ -189,34 +204,33 @@ class GradedPoly:
     def __sub__(self, other: GradedPoly) -> GradedPoly:
         return self + (-other)
 
+    def _numerators(self) -> tuple[int, list[tuple[int, tuple[int, ...], int]]]:
+        """(den, [(wdeg, exps, num)] by degree) with every coefficient num/den."""
+        wdeg = self.ring.wdeg
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return den, sorted(
+            (wdeg(e), e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()
+        )
+
     def __mul__(self, other) -> GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.scale(other)
         self._check(other)
         D = self.ring.truncation
-        wdeg = self.ring.wdeg
-        a = sorted(((wdeg(e), e, c) for e, c in self.terms.items()))
-        b = sorted(((wdeg(e), e, c) for e, c in other.terms.items()))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for da, ea, ca in a:
+        den_a, a = self._numerators()
+        den_b, b = other._numerators()
+        out: dict[tuple[int, ...], int] = {}
+        for da, ea, na in a:
             limit = D - da
             if b and b[0][0] > limit:
                 break
-            for db, eb, cb in b:
+            for db, eb, nb in b:
                 if db > limit:
                     break
-                key = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return GradedPoly(self.ring, out)
+                key = tuple(map(add, ea, eb))
+                out[key] = out.get(key, 0) + na * nb
+        den = den_a * den_b
+        return GradedPoly(self.ring, {e: Fraction(n, den) for e, n in out.items() if n})
 
     __rmul__ = __mul__
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logchern.cli import MAX_RANK, MAX_SAMPLES, MAX_SIZE, main
+from logchern.oracle import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -244,6 +245,20 @@ class TestInputBounds:
         assert code == 2
         assert err == f"error: partition size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, top",
+        [
+            ("--max-rank", 0, MAX_SWEEP_RANK),
+            ("--max-rank", MAX_SWEEP_RANK + 1, MAX_SWEEP_RANK),
+            ("--max-size", 0, MAX_SWEEP_SIZE),
+            ("--max-size", MAX_SWEEP_SIZE + 1, MAX_SWEEP_SIZE),
+        ],
+    )
+    def test_verify_range_names_the_flag(self, capsys, flag, value, top):
+        code, err = run_error(capsys, "verify", flag, str(value))
+        assert code == 2
+        assert err == f"error: {flag} must lie in 1..{top}, got {value}\n"
+
     def test_max_size_accepted(self, capsys):
         code, out = run(
             capsys, "delta", "--rank", "1", "--partition", str(MAX_SIZE), "--k", "1"
@@ -361,8 +376,10 @@ class TestInputBounds:
     [
         ("ch", "--rank", "2", "--partition", "2"),
         ("verify", "--max-rank", "2", "--max-size", "2", "--format", "json"),
+        ("--help",),
+        ("ch", "--help"),
     ],
-    ids=["ch", "verify"],
+    ids=["ch", "verify", "help", "ch-help"],
 )
 def test_closed_stdout_exits_141_quietly(argv, unbuffered):
     # stdout is a pipe whose read end is already closed, so every write fails:

@@ -16,6 +16,7 @@ from logchern.characters import (
     power_sum_character,
     tensor,
 )
+from logchern.cli import main
 from logchern.oracle import (
     _adams_family,
     _adams_power_sum,
@@ -387,8 +388,6 @@ class TestReport:
 
 
 def _verify_small(capsys, *extra):
-    from logchern.cli import main
-
     code = main(["verify", "--max-rank", "3", "--max-size", "3", *extra])
     return code, capsys.readouterr().out
 
@@ -454,8 +453,9 @@ class TestSharedFamilies:
             cold = normal_form(schur_from_power_sums(alpha, adams), r)
             assert oracle_schur_total(alpha, r, D) == cold
 
-    def test_sweep_product_count(self, monkeypatch):
-        # 7998 products without the shared families and discriminants
+    @staticmethod
+    def _count_cold_products(monkeypatch, run):
+        """run()'s value and the GradedPoly products it made, per-(r, D) tables empty."""
         for cached in (_adams_family, _adams_power_sum, generic_discriminants, generic_bundle):
             cached.cache_clear()
         count = 0
@@ -467,5 +467,25 @@ class TestSharedFamilies:
             return product(a, b)
 
         monkeypatch.setattr(GradedPoly, "__mul__", counted)
-        assert sweep(6, 8).failed == 0
+        value = run()
+        return value, count
+
+    def test_sweep_product_count(self, monkeypatch):
+        # 7998 products without the shared families and discriminants
+        report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
+        assert report.failed == 0
         assert count <= 4000
+
+    @pytest.mark.parametrize(
+        "argv, products",
+        [
+            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2127),
+            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1154),
+        ],
+        ids=["ch-64", "delta-8x8"],
+    )
+    def test_slowest_command_product_count(self, monkeypatch, argv, products):
+        # every product of the two slowest in-bounds commands goes through
+        # GradedPoly.__mul__, where the benchmark counts it
+        code, count = self._count_cold_products(monkeypatch, lambda: main(argv.split()))
+        assert (code, count) == (0, products)

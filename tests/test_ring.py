@@ -9,6 +9,7 @@ from logchern.ring import (
     proportion,
     root_generators,
 )
+from witness import reference_product
 
 
 def roots_ring(r, D):
@@ -100,6 +101,70 @@ class TestMul:
         x = RING23.gen("a1")
         assert 3 * x == x + x + x
         assert (x / 2) * 2 == x
+
+
+# roots of degree 1, e_k of degree k, and mixed degrees (2, 3, 1)
+KERNEL_RINGS = [
+    roots_ring(3, 5),
+    PolyRing(graded_generators("e", 4), 5),
+    PolyRing((("x", 2), ("y", 3), ("z", 1)), 6),
+]
+
+
+@st.composite
+def wide_poly_strategy(draw, ring):
+    """Polynomials of degree <= D with large numerators and unequal denominators."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = []
+        budget = ring.truncation
+        for d in ring.degrees:
+            e = draw(st.integers(0, budget // d))
+            exps.append(e)
+            budget -= e * d
+        num = draw(st.integers(-(10**30), 10**30))
+        den = draw(st.sampled_from([1, 2, 3, 7, 12, 10**12, 2**61 - 1, 3**40]))
+        terms[tuple(exps)] = Fraction(num, den)
+    return ring.from_terms(terms)
+
+
+def assert_kernel_matches(x, y):
+    got = x * y
+    assert got.terms == reference_product(x, y).terms
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+class TestProductKernel:
+    """The integer kernel of GradedPoly.__mul__ against the Fraction double loop."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_fraction_loop(self, data):
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        a = data.draw(wide_poly_strategy(ring))
+        b = data.draw(wide_poly_strategy(ring))
+        # (a + b)(a - b) cancels its cross terms
+        for x, y in ((a, b), (a + b, a - b), (a, ring.zero()), (ring.zero(), b)):
+            assert_kernel_matches(x, y)
+
+    def test_cancellation_stores_no_zero(self):
+        ring = KERNEL_RINGS[2]
+        p = ring.parse("1 + 3/7*x")
+        q = ring.parse("5/12*z - 2/9*y")
+        prod = (p + q) * (p - q)
+        assert prod == p * p - q * q
+        assert (p * q).terms.keys().isdisjoint(prod.terms)
+        assert_kernel_matches(p + q, p - q)
+
+    def test_terms_at_degree_d(self):
+        ring = KERNEL_RINGS[2]
+        top = ring.parse("-4/3*y^2 + 5/2*x^3 + 7*z^6 + x*z")
+        low = ring.parse("-9/14 + 2/5*z")
+        # every degree-6 term times the constant stays; times z it drops
+        assert top * low == ring.parse(
+            "-9/14*x*z + 2/5*x*z^2 + 6/7*y^2 - 45/28*x^3 - 9/2*z^6"
+        )
+        assert_kernel_matches(top, low)
 
 
 class TestSeries:

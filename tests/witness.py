@@ -9,7 +9,9 @@ C(r+D, D), so the tests use it at small r and D.
 
 It also keeps the shifted-variable eigenvalue polynomials as the literal sums
 over index pairs and triples; the library evaluates them through power sums.
-The rest are helpers only the tests use: the shifted-variable polynomials at
+It keeps the ring's former product too, one Fraction multiply and add per
+pair of terms, as the reference for the integer product kernel.  The rest are
+helpers only the tests use: the shifted-variable polynomials at
 rational points, an independent tableau count of the Schur rank, and two
 verifications over the oracle.
 """
@@ -27,8 +29,30 @@ from logchern.oracle import (
     root_ring,
     schur_factor,
 )
-from logchern.ring import rat
+from logchern.ring import GradedPoly, rat
 from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums
+
+
+def reference_product(a, b):
+    """a * b as a Fraction double loop over both operands' degree-sorted terms."""
+    if a.ring != b.ring:
+        raise ValueError("mixed generator sets or truncations")
+    D = a.ring.truncation
+    wdeg = a.ring.wdeg
+    xs = sorted((wdeg(e), e, c) for e, c in a.terms.items())
+    ys = sorted((wdeg(e), e, c) for e, c in b.terms.items())
+    out = {}
+    for dx, ex, cx in xs:
+        for dy, ey, cy in ys:
+            if dx + dy > D:
+                break
+            key = tuple(x + y for x, y in zip(ex, ey))
+            s = out.get(key, Fraction(0)) + cx * cy
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return GradedPoly(a.ring, out)
 
 
 def witness_schur_total(alpha, r, D):
