@@ -33,7 +33,7 @@ from logchern.oracle import (
 )
 from logchern.report import build_report, format_table, unexpected_discrepancies
 from logchern.ring import PolyRing, graded_generators, proportion
-from logchern.symfunc import Partition
+from logchern.symfunc import INT_RE, Partition
 
 MAX_DEGREE = 5
 # Largest rank ch, delta, delta4, mukai and hc-check accept.  The oracle's
@@ -46,7 +46,7 @@ MAX_DEGREE = 5
 MAX_RANK = 16
 # Largest partition size ch and delta accept, and largest m for delta4:
 # Newton's recurrence takes O(|alpha|^2) products of growing fractions
-# (size 300 takes 5-8 s at degree 5 on one core of a 2-CPU VM).
+# (size 300 takes about 4 s at degree 5 on one core of a 2-CPU VM).
 MAX_SIZE = 64
 # hc-check's sample size at rank >= 5, where the full grid has 7^r points,
 # and the largest --samples: every sampled point is held in memory.
@@ -226,10 +226,10 @@ def cmd_lowrank(args) -> int:
 
 
 def cmd_mukai(args) -> int:
-    try:
-        r, c, s = (int(x) for x in args.v.split(","))
-    except ValueError:
+    parts = args.v.split(",")
+    if len(parts) != 3 or not all(INT_RE.fullmatch(x) for x in parts):
         raise ValueError(f"cannot parse Mukai vector {args.v!r}; expected r,c,s")
+    r, c, s = (int(x) for x in parts)
     v = MukaiVector(_rank(r), c, Fraction(s), args.d)
     alpha = _partition(args.partition, r)
     out = mukai_schur(v, alpha)

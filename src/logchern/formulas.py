@@ -321,11 +321,32 @@ class HCShiftReport:
         return self.points < len(_AXIS) ** self.r
 
 
+def grid_points(r: int, max_points: int | None = None, seed: int = 0) -> list[tuple[int, ...]]:
+    """The grid {-3..3}^r, or max_points distinct points of it drawn with the seed.
+
+    A sample is drawn as distinct indices into the grid's lexicographic order,
+    each decoded in base 7, so no point is checked twice.
+    """
+    if max_points is not None and max_points < 1:
+        raise ValueError(f"need at least one sample point, got {max_points}")
+    size = len(_AXIS) ** r
+    if max_points is None or max_points >= size:
+        return list(itertools.product(_AXIS, repeat=r))
+    points = []
+    for index in random.Random(seed).sample(range(size), max_points):
+        digits = []
+        for _ in range(r):
+            index, d = divmod(index, len(_AXIS))
+            digits.append(_AXIS[d])
+        points.append(tuple(reversed(digits)))
+    return points
+
+
 def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0) -> HCShiftReport:
     """Check the change of variables x_i = a_i - i + 1 and translation invariance.
 
     On integer points x of the grid {-3..3}^r (or a seeded random
-    sample of max_points of them) this verifies, exactly:
+    sample of max_points distinct ones) this verifies, exactly:
 
       (a) delta_x(x) == delta_dot(a) for a_i = x_i + i - 1;
       (b) delta_x(x - a*1) == delta_x(x) for a fixed list of rational shifts.
@@ -339,11 +360,7 @@ def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0)
         raise ValueError("need r >= 2")
     ddot = _DELTA_DOT[k]
     const = _delta2_constant(r) if k == 2 else 0
-    if max_points is not None and max_points < len(_AXIS) ** r:
-        rng = random.Random(seed)
-        points = [tuple(rng.choice(_AXIS) for _ in range(r)) for _ in range(max_points)]
-    else:
-        points = list(itertools.product(_AXIS, repeat=r))
+    points = grid_points(r, max_points, seed)
     failures = []
     for x in points:
         part = _delta_x_part(k, x, r)

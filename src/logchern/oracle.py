@@ -185,7 +185,7 @@ def _over_e(a: BundleCharacter, t: int) -> BundleCharacter:
     Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
     """
     wdeg = a.ring.wdeg
-    terms = a.total.terms.items()
+    terms = a.total.items()
     return BundleCharacter(ch_ring(t).from_terms({e[:t]: c for e, c in terms if wdeg(e) <= t}))
 
 

@@ -2,12 +2,14 @@
 
 Everything downstream computes in rings of this shape: a finite list of named
 generators, each with a positive integer degree, and a global truncation
-bound ``D`` above which all terms are discarded.  Stored coefficients are
-reduced, nonzero ``fractions.Fraction``s -- there is no floating point
-anywhere.  A product brings each operand to integer numerators over the lcm
-of its denominators, sums the numerator products per output monomial as
-plain ints, and builds one Fraction per nonzero output term.  Each ring
-computes the weighted degree of an exponent vector once and keeps it.
+bound ``D`` above which all terms are discarded.  A polynomial is stored as
+integer numerators over one positive denominator, reduced so that the
+denominator and the numerators have no common factor -- there is no floating
+point anywhere.  Sums, scalings and products work on the ints alone and
+reduce once at the end; ``fractions.Fraction`` values appear only where a
+coefficient is read or written one at a time (parsing, printing, the
+constant term).  Each ring computes the weighted degree of an exponent vector
+once and keeps it.
 
 Values are immutable after construction and all operations are pure; a
 ring's degree memo only gains entries, each the one value any thread would
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -36,6 +38,13 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _num_den(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of anything ``rat`` accepts."""
+    if not isinstance(x, (int, Fraction)):
+        x = rat(x)
+    return x.numerator, x.denominator
 
 
 def root_generators(r: int) -> tuple[tuple[str, int], ...]:
@@ -97,14 +106,13 @@ class PolyRing:
         return d
 
     def zero(self) -> GradedPoly:
-        return GradedPoly(self, {})
+        return GradedPoly(self, 1, {})
 
     def one(self) -> GradedPoly:
         return self.scalar(1)
 
     def scalar(self, c) -> GradedPoly:
-        c = rat(c)
-        return GradedPoly(self, {self._zero_exp: c} if c else {})
+        return self.monomial(self._zero_exp, c)
 
     def gen(self, name: str) -> GradedPoly:
         i = self.index(name)
@@ -117,8 +125,8 @@ class PolyRing:
             raise ValueError(f"bad exponent vector {exps}")
         if self.wdeg(exps) > self.truncation:
             raise ValueError("monomial exceeds the truncation degree")
-        c = rat(coeff)
-        return GradedPoly(self, {exps: c} if c else {})
+        num, den = _num_den(coeff)
+        return GradedPoly(self, den, {exps: num}) if num else self.zero()
 
     def from_terms(self, terms: Mapping[tuple[int, ...], Fraction]) -> GradedPoly:
         out = {}
@@ -132,7 +140,10 @@ class PolyRing:
             if self.wdeg(exps) > self.truncation:
                 raise ValueError("term exceeds the truncation degree")
             out[exps] = c
-        return GradedPoly(self, out)
+        den = lcm(*(c.denominator for c in out.values()))
+        return _reduced(
+            self, den, {e: c.numerator * (den // c.denominator) for e, c in out.items()}
+        )
 
     def parse(self, text: str) -> GradedPoly:
         """Parse the canonical text form (spaces optional)."""
@@ -164,61 +175,78 @@ class PolyRing:
         return self.from_terms(terms)
 
 
-class GradedPoly:
-    """Element of a PolyRing: exponent-vector -> nonzero Fraction map.
+def _reduced(ring: PolyRing, den: int, terms: dict[tuple[int, ...], int]) -> GradedPoly:
+    """The element sum(terms) / den, with den > 0 and no zero numerator,
+    brought to canonical form by dividing out the common factor."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: n // g for e, n in terms.items()}
+    return GradedPoly(ring, den, terms)
 
-    Invariants: no stored term has weighted degree above the ring truncation
-    and no stored coefficient is zero.  Instances are never mutated.
+
+class GradedPoly:
+    """Element of a PolyRing: integer numerators over one common denominator.
+
+    ``terms`` maps exponent vectors to nonzero int numerators and ``den`` is
+    a positive int; the coefficient of a monomial is ``terms[exps] / den``.
+    Invariants: no stored term has weighted degree above the ring truncation,
+    no stored numerator is zero, ``gcd(den, *terms.values()) == 1``, and zero
+    is ``den == 1, terms == {}``.  So every value has exactly one
+    representation, and ``==`` and ``hash`` compare ``(den, terms)`` as they
+    are.  Instances are never mutated; ``items()`` gives the coefficients as
+    Fractions.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, ring: PolyRing, den: int, terms: dict[tuple[int, ...], int]):
         self.ring = ring
+        self.den = den
         self.terms = terms
 
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: GradedPoly) -> None:
-        if self.ring != other.ring:
+        # rings come from caches, so the identity test settles nearly all calls
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed generator sets or truncations")
 
-    def __add__(self, other: GradedPoly) -> GradedPoly:
+    def _combine(self, other: GradedPoly, sign: int) -> GradedPoly:
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = c
+        if not other.terms:
+            return self
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = dict(self.terms) if fa == 1 else {e: n * fa for e, n in self.terms.items()}
+        for e, n in other.terms.items():
+            s = out.get(e, 0) + n * fb
+            if s:
+                out[e] = s
             else:
-                s = s + c
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return GradedPoly(self.ring, out)
+                del out[e]
+        return _reduced(self.ring, den, out)
 
-    def __neg__(self) -> GradedPoly:
-        return GradedPoly(self.ring, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: GradedPoly) -> GradedPoly:
+        return self._combine(other, 1)
 
     def __sub__(self, other: GradedPoly) -> GradedPoly:
-        return self + (-other)
+        return self._combine(other, -1)
 
-    def _numerators(self) -> tuple[int, list[tuple[int, tuple[int, ...], int]]]:
-        """(den, [(wdeg, exps, num)] by degree) with every coefficient num/den."""
-        wdeg = self.ring.wdeg
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return den, sorted(
-            (wdeg(e), e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()
-        )
+    def __neg__(self) -> GradedPoly:
+        return GradedPoly(self.ring, self.den, {e: -n for e, n in self.terms.items()})
 
     def __mul__(self, other) -> GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.scale(other)
         self._check(other)
         D = self.ring.truncation
-        den_a, a = self._numerators()
-        den_b, b = other._numerators()
+        wdeg = self.ring.wdeg
+        a = sorted((wdeg(e), e, n) for e, n in self.terms.items())
+        b = sorted((wdeg(e), e, n) for e, n in other.terms.items())
         out: dict[tuple[int, ...], int] = {}
         for da, ea, na in a:
             limit = D - da
@@ -229,19 +257,24 @@ class GradedPoly:
                     break
                 key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + na * nb
-        den = den_a * den_b
-        return GradedPoly(self.ring, {e: Fraction(n, den) for e, n in out.items() if n})
+        return _reduced(self.ring, self.den * other.den, {e: n for e, n in out.items() if n})
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> GradedPoly:
-        c = rat(c)
-        if not c:
+    def _times(self, num: int, den: int) -> GradedPoly:
+        """self * num / den for ints num and den > 0."""
+        if not num or not self.terms:
             return self.ring.zero()
-        return GradedPoly(self.ring, {e: c * v for e, v in self.terms.items()})
+        return _reduced(self.ring, self.den * den, {e: n * num for e, n in self.terms.items()})
+
+    def scale(self, c) -> GradedPoly:
+        return self._times(*_num_den(c))
 
     def __truediv__(self, c) -> GradedPoly:
-        return self.scale(Fraction(1) / rat(c))
+        num, den = _num_den(c)
+        if not num:
+            raise ZeroDivisionError("polynomial divided by zero")
+        return self._times(den if num > 0 else -den, abs(num))
 
     def __pow__(self, n: int) -> GradedPoly:
         if n < 0:
@@ -260,11 +293,12 @@ class GradedPoly:
         return (
             isinstance(other, GradedPoly)
             and self.ring == other.ring
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -274,17 +308,22 @@ class GradedPoly:
 
     # -- structure ---------------------------------------------------------
 
-    def constant(self) -> Fraction:
-        return self.terms.get(self.ring._zero_exp, Fraction(0))
+    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponent vector, Fraction coefficient) for every stored term."""
+        den = self.den
+        return [(e, Fraction(n, den)) for e, n in self.terms.items()]
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0), self.den)
+
+    def constant(self) -> Fraction:
+        return self.coefficient(self.ring._zero_exp)
 
     def component(self, k: int) -> GradedPoly:
         """Homogeneous part of weighted degree k."""
         wdeg = self.ring.wdeg
-        return GradedPoly(
-            self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == k}
+        return _reduced(
+            self.ring, self.den, {e: n for e, n in self.terms.items() if wdeg(e) == k}
         )
 
     def is_homogeneous(self, k: int) -> bool:
@@ -305,7 +344,7 @@ class GradedPoly:
         powers: dict[int, list[GradedPoly]] = {}
         names = self.ring.names
         result = target.zero()
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             term = target.scalar(c)
             for i, e in enumerate(exps):
                 if e == 0:
@@ -347,7 +386,7 @@ class GradedPoly:
             power = power * q
             if power.is_zero():
                 break
-            result = result + power.scale(Fraction((-1) ** (j + 1), j))
+            result = result + power._times((-1) ** (j + 1), j)
         return result
 
     # -- canonical form ----------------------------------------------------
@@ -355,7 +394,7 @@ class GradedPoly:
     def _sorted_terms(self):
         wdeg = self.ring.wdeg
         return sorted(
-            self.terms.items(), key=lambda it: (wdeg(it[0]), tuple(-e for e in it[0]))
+            self.items(), key=lambda it: (wdeg(it[0]), tuple(-e for e in it[0]))
         )
 
     def leading(self) -> tuple[tuple[int, ...], Fraction] | None:

@@ -30,9 +30,10 @@ from math import comb
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generators
 
-# One part of a comma-separated partition; int() alone would also read "1_0"
-# as 10 and "+2" as 2.
-_PART_RE = re.compile(r"\s*-?\d+\s*")
+# One integer of a comma-separated list (a partition's parts, a Mukai vector):
+# an optional minus sign and a run of digits.  int() alone would also read
+# "1_0" as 10 and "+2" as 2.
+INT_RE = re.compile(r"\s*-?\d+\s*")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class Partition:
         if text in ("", "0"):
             return cls(())
         parts = text.split(",")
-        if not all(_PART_RE.fullmatch(p) for p in parts):
+        if not all(INT_RE.fullmatch(p) for p in parts):
             raise ValueError(f"cannot parse partition {text!r}")
         return cls(tuple(int(p) for p in parts))
 

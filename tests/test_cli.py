@@ -222,6 +222,22 @@ class TestInputBounds:
         assert code == 2
         assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
 
+    @pytest.mark.parametrize(
+        "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2"]
+    )
+    def test_mukai_vector_needs_three_plain_integers(self, capsys, vector):
+        # int() alone would read "1_0" as 10 and "+2" as 2
+        code, err = run_error(
+            capsys, "mukai", f"--v={vector}", "--d", "3", "--partition", "2"
+        )
+        assert code == 2
+        assert err == f"error: cannot parse Mukai vector {vector!r}; expected r,c,s\n"
+
+    def test_mukai_vector_allows_signs_and_spaces(self, capsys):
+        code, out = run(capsys, "mukai", "--v", " 2, -1 ,2", "--d", "3", "--partition", "2")
+        assert code == 0
+        assert out.startswith("v(E) = (2, -1*H, 2), H^2 = 6\n")
+
     @pytest.mark.parametrize("rank", ["0", "-2", str(MAX_RANK + 1), "1000"])
     def test_mukai_rank_out_of_range(self, capsys, rank):
         code, err = run_error(
@@ -462,7 +478,9 @@ CLI_OPTIONS = {
         ("--rank", RANKS),
     ),
     "mukai": (
-        ("--v", ("2,1,2", "3,-1,0", "0,1,2", f"{MAX_RANK + 1},1,2", "2;1;2", "2,1")),
+        ("--v", (
+            "2,1,2", "3,-1,0", "0,1,2", f"{MAX_RANK + 1},1,2", "2;1;2", "2,1", "2,1_0,2", "+2,1,2",
+        )),
         ("--d", ("-1", "0", "3")),
         ("--partition", PARTITIONS),
     ),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from logchern.formulas import (
     delta_tilde3,
     ext_power_ch3,
     f4_sym,
+    grid_points,
     hc_shift_check,
     schur_ch3,
     schur_coefficients,
@@ -233,6 +235,23 @@ class TestHCShift:
     def test_sampling_cap(self):
         report = hc_shift_check(2, 4, max_points=100, seed=5)
         assert report.passed and report.points == 100
+
+    @pytest.mark.parametrize("r, n", [(2, 48), (4, 2000), (5, 2000), (16, 2000)])
+    def test_sample_draws_distinct_grid_points(self, r, n):
+        # with replacement, 2000 draws from 7^4 points hit only about 1,360
+        points = grid_points(r, n, seed=0)
+        assert len(points) == len(set(points)) == n
+        assert all(len(x) == r and all(-3 <= xi <= 3 for xi in x) for x in points)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_sample_is_refused(self, n):
+        # a check on no points would pass vacuously
+        with pytest.raises(ValueError, match="at least one sample point"):
+            hc_shift_check(2, 5, max_points=n)
+
+    def test_sample_covering_the_grid_is_the_grid(self):
+        grid = list(itertools.product(range(-3, 4), repeat=3))
+        assert grid_points(3) == grid_points(3, 7**3) == grid
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from logchern.ring import (
     proportion,
     root_generators,
 )
-from witness import reference_product
+from witness import reference_product, reference_sum
 
 
 def roots_ring(r, D):
@@ -128,10 +129,23 @@ def wide_poly_strategy(draw, ring):
     return ring.from_terms(terms)
 
 
+def assert_canonical(p):
+    """The stored form: nonzero int numerators over a positive int denominator
+    with no common factor, and zero as 1 over no terms."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+
+
+def assert_same_value(got, ref):
+    """Equal coefficient by coefficient, read through the Fraction view."""
+    assert_canonical(got)
+    assert dict(got.items()) == dict(ref.items())
+    assert (got.den, got.terms) == (ref.den, ref.terms)
+
+
 def assert_kernel_matches(x, y):
-    got = x * y
-    assert got.terms == reference_product(x, y).terms
-    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert_same_value(x * y, reference_product(x, y))
 
 
 class TestProductKernel:
@@ -165,6 +179,51 @@ class TestProductKernel:
             "-9/14*x*z + 2/5*x*z^2 + 6/7*y^2 - 45/28*x^3 - 9/2*z^6"
         )
         assert_kernel_matches(top, low)
+
+
+@st.composite
+def wide_scalar(draw):
+    num = draw(st.integers(-(10**30), 10**30).filter(bool))
+    den = draw(st.sampled_from([1, 2, 3, 12, 10**12, 3**40]))
+    return Fraction(num, den)
+
+
+class TestIntegerSum:
+    """+, - and scale on integer numerators against the Fraction term loop."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_fraction_loop(self, data):
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        a = data.draw(wide_poly_strategy(ring))
+        b = data.draw(wide_poly_strategy(ring))
+        c = data.draw(wide_scalar())
+        assert_same_value(a + b, reference_sum(a, b))
+        assert_same_value(a - b, reference_sum(a, b, -1))
+        assert_same_value(a.scale(c), reference_sum(ring.zero(), a, c))
+        assert_same_value(a + b.scale(c), reference_sum(a, b, c))
+        assert_same_value(a / c, reference_sum(ring.zero(), a, 1 / c))
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_full_cancellation_is_the_canonical_zero(self, data):
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        a = data.draw(wide_poly_strategy(ring))
+        c = data.draw(wide_scalar())
+        for z in (a - a, a + (-a), a.scale(c) - a.scale(c), a.scale(0)):
+            assert (z.den, z.terms) == (1, {})
+            assert z == ring.zero()
+
+    def test_unequal_denominators_reduce(self):
+        ring = KERNEL_RINGS[2]
+        a = ring.parse("1/6*x + 1/4*z")
+        b = ring.parse("1/3*x - 1/4*z + 5/12")
+        total = a + b
+        # 1/6 + 1/3 = 1/2 and the z terms cancel: 1/2 x + 5/12 over 12
+        assert (total.den, total.terms) == (12, {(1, 0, 0): 6, (0, 0, 0): 5})
+        assert_same_value(total, reference_sum(a, b))
+        half = ring.parse("1/2*x + 1/2*z")
+        assert (half + half).den == 1
 
 
 class TestSeries:
@@ -225,10 +284,20 @@ class TestRingAxioms:
     def test_coefficients_stay_reduced(self, data):
         a = data.draw(poly_strategy(RING35))
         b = data.draw(poly_strategy(RING35))
-        for c in (a * b).terms.values():
-            assert c != 0
-            assert c.denominator > 0
-            assert Fraction(c.numerator, c.denominator) == c
+        c = data.draw(st.fractions(max_denominator=12))
+        for p in (a * b, a + b, a - b, -a, a.scale(c), *(a.component(k) for k in range(6))):
+            assert_canonical(p)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_values_share_one_representation(self, data):
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        a = data.draw(wide_poly_strategy(ring))
+        b = data.draw(wide_poly_strategy(ring))
+        c = data.draw(wide_scalar())
+        for same in ((a + b) - b, a * ring.one(), (a / 3) * 3, a.scale(c).scale(1 / c)):
+            assert (same.den, same.terms) == (a.den, a.terms)
+            assert hash(same) == hash(a)
 
 
 class TestCanonicalForm:

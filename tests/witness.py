@@ -9,9 +9,9 @@ C(r+D, D), so the tests use it at small r and D.
 
 It also keeps the shifted-variable eigenvalue polynomials as the literal sums
 over index pairs and triples; the library evaluates them through power sums.
-It keeps the ring's former product too, one Fraction multiply and add per
-pair of terms, as the reference for the integer product kernel.  The rest are
-helpers only the tests use: the shifted-variable polynomials at
+It keeps the ring's former product and sum too, Fraction loops with one
+multiply or add per term, as the references for the integer arithmetic.
+The rest are helpers only the tests use: the shifted-variable polynomials at
 rational points, an independent tableau count of the Schur rank, and two
 verifications over the oracle.
 """
@@ -29,7 +29,7 @@ from logchern.oracle import (
     root_ring,
     schur_factor,
 )
-from logchern.ring import GradedPoly, rat
+from logchern.ring import rat
 from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums
 
 
@@ -39,8 +39,8 @@ def reference_product(a, b):
         raise ValueError("mixed generator sets or truncations")
     D = a.ring.truncation
     wdeg = a.ring.wdeg
-    xs = sorted((wdeg(e), e, c) for e, c in a.terms.items())
-    ys = sorted((wdeg(e), e, c) for e, c in b.terms.items())
+    xs = sorted((wdeg(e), e, c) for e, c in a.items())
+    ys = sorted((wdeg(e), e, c) for e, c in b.items())
     out = {}
     for dx, ex, cx in xs:
         for dy, ey, cy in ys:
@@ -52,7 +52,22 @@ def reference_product(a, b):
                 out[key] = s
             else:
                 out.pop(key, None)
-    return GradedPoly(a.ring, out)
+    return a.ring.from_terms(out)
+
+
+def reference_sum(a, b, c=1):
+    """a + c * b as a Fraction loop over b's terms, one add per term."""
+    if a.ring != b.ring:
+        raise ValueError("mixed generator sets or truncations")
+    c = Fraction(c)
+    out = dict(a.items())
+    for exps, v in b.items():
+        s = out.get(exps, Fraction(0)) + c * v
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return a.ring.from_terms(out)
 
 
 def witness_schur_total(alpha, r, D):
@@ -70,7 +85,7 @@ def roots_to_e_poly(p, r):
     in_powersums = sym_to_power_sums(p, r)
     target = ch_ring(p.ring.truncation)
     terms = {}
-    for exps, c in in_powersums.terms.items():
+    for exps, c in in_powersums.items():
         scale = 1
         for j, e in enumerate(exps, start=1):
             if e:
