@@ -131,16 +131,15 @@ def cmd_ch(args) -> int:
             for key, val in out.items()
         }
         print(json.dumps(doc if args.method == "both" else doc[args.method], indent=2))
-        return 0
-    for key in ("closed", "oracle"):
-        if key in out:
-            if args.method == "both":
-                print(f"[{key}]")
-            print("\n".join(_character_lines(out[key])))
-    if "match" in out:
-        print(f"match: {'yes' if out['match'] else 'NO'}")
-        return 0 if out["match"] else 1
-    return 0
+    else:
+        for key in ("closed", "oracle"):
+            if key in out:
+                if args.method == "both":
+                    print(f"[{key}]")
+                print("\n".join(_character_lines(out[key])))
+        if "match" in out:
+            print(f"match: {'yes' if out['match'] else 'NO'}")
+    return 0 if out.get("match", True) else 1
 
 
 def cmd_delta(args) -> int:

@@ -119,6 +119,20 @@ class SchurCoefficients:
     f2: Fraction
     f3: Fraction | None
 
+    def table(self, up_to: int) -> BundleCharacter:
+        """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table."""
+        r, size, dt2, dt3 = self.r, self.alpha.size, self.delta2_tilde, self.delta3_tilde
+        rows = [(size,)]
+        if up_to >= 2:
+            rows.append((Fraction(size * size - dt2, 2 * r), dt2))
+        if up_to >= 3:
+            rows.append((
+                (size**3 - 3 * size * dt2 + 2 * dt3) / (6 * r * r),
+                (size * dt2 - dt3) / r,
+                dt3,
+            ))
+        return _table_character(self.r_alpha, r, rows)
+
 
 def schur_coefficients(alpha, r: int) -> SchurCoefficients:
     if r < 1:
@@ -245,18 +259,7 @@ def schur_ch3(alpha, r: int, up_to: int | None = None) -> BundleCharacter:
     """ch(S^alpha E) through degree <= 3 from the eigenvalue coefficients."""
     alpha = Partition.of(alpha)
     up_to = _resolve_up_to(up_to, r, "the Schur table")
-    sc = schur_coefficients(alpha, r)
-    size, dt2, dt3 = alpha.size, sc.delta2_tilde, sc.delta3_tilde
-    rows = [(size,)]
-    if up_to >= 2:
-        rows.append((Fraction(size * size - dt2, 2 * r), dt2))
-    if up_to >= 3:
-        rows.append((
-            (size**3 - 3 * size * dt2 + 2 * dt3) / (6 * r * r),
-            (size * dt2 - dt3) / r,
-            dt3,
-        ))
-    return _table_character(sc.r_alpha, r, rows)
+    return schur_coefficients(alpha, r).table(up_to)
 
 
 def f4_sym(m: int, r: int) -> Fraction:

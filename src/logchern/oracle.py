@@ -3,12 +3,13 @@
 A Schur functor of the generic rank-r bundle has total character
 s_alpha(exp a_1, ..., exp a_r) -- no formula involved beyond the definition.
 Its power sums are the Adams operations, p_j(exp a) = ch(psi^j E) =
-r + sum_k j^k e_k with e_k = ch_k(E) = p_k(a)/k!, so Newton's identities and
-the Jacobi-Trudi determinant give s_alpha directly over e1..eD, in a ring
-whose size depends on D only.  Above the rank the result is reduced to its
-normal form on the generic rank-r bundle (``characters.normal_form``), so
-equality there is plain ``==``.  The closed formulas elsewhere in the package
-are verified against these values; nothing is compared with a tolerance.
+r + sum_k j^k ch_k(E), so Newton's identities and the Jacobi-Trudi
+determinant give s_alpha directly over e1..eD, in a ring whose size depends
+on D only.  The ch_k are those of ``characters.generic_bundle``, already in
+normal form, so s_alpha is too (``normal_form`` is a ring map fixing
+e1..er) and equality above the rank is plain ``==``.  The closed formulas
+elsewhere in the package are verified against these values; nothing is
+compared with a tolerance.
 
 The Adams power sums, their Newton family and the discriminants of the
 generic bundle depend only on (r, D), so they are computed once per process
@@ -18,7 +19,7 @@ next shorter one by one entry, and ``characters.generic_discriminants`` per
 (r, D).  Sharing them cannot change an answer: each table is an lru_cache of
 a pure function keyed on all of its inputs, and its values are
 ``GradedPoly``s (or tuples of them), which nothing mutates.  Only the
-Jacobi-Trudi determinant and the normal form run per partition.
+Jacobi-Trudi determinant runs per partition.
 
 ``root_ring``, ``exp_roots``, ``base_in_roots`` and ``char_to_roots`` build
 the same objects in the ring of r Chern roots.  They are the independent
@@ -40,9 +41,8 @@ from logchern.characters import (
     generic_bundle,
     generic_discriminants,
     normal_form,
-    power_sum_character,
 )
-from logchern.formulas import ext_power_ch3, f4_sym, schur_coefficients, schur_ch3, sym_power_ch
+from logchern.formulas import ext_power_ch3, f4_sym, schur_coefficients, sym_power_ch
 from logchern.ring import GradedPoly, PolyRing, proportion, root_generators
 from logchern.symfunc import (
     Partition,
@@ -60,8 +60,9 @@ MAX_SWEEP_SIZE = 8
 
 @lru_cache(maxsize=None)
 def _adams_power_sum(r: int, D: int, j: int) -> GradedPoly:
-    """p_j = ch(psi^j E) of the generic rank-r bundle over e1..eD."""
-    return power_sum_character(j, r, D).total
+    """p_j = ch(psi^j E) = r + sum_k j^k ch_k of ``generic_bundle(r, D)``, in normal form."""
+    bundle = generic_bundle(r, D)
+    return sum((bundle.ch(k).scale(j**k) for k in range(1, D + 1)), bundle.ring.scalar(r))
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +91,7 @@ def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     if len(alpha) > r:
         raise ValueError(f"partition {alpha.parts} has more than {r} parts")
     rows, dual, top = jacobi_trudi_form(alpha)
-    return normal_form(jacobi_trudi(rows, _adams_family(r, D, dual, top)), r)
+    return jacobi_trudi(rows, _adams_family(r, D, dual, top))
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> BundleCharacter:
@@ -205,12 +206,12 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     oracle_e = BundleCharacter(total)
     sc = schur_coefficients(alpha, r)
     checks = [
-        _equality_check("rank equals Weyl dimension", oracle_e.rank, Fraction(weyl_dim(alpha, r)))
+        _equality_check("rank equals Weyl dimension", oracle_e.rank, Fraction(sc.r_alpha))
     ]
 
-    table_up_to = min(D, 3 if r >= 3 else (2 if r == 2 else 1))
+    table_up_to = min(D, r)
     oracle_t = _over_e(oracle_e, table_up_to) if table_up_to < D else oracle_e
-    closed = schur_ch3(alpha, r, up_to=table_up_to)
+    closed = sc.table(table_up_to)
     checks.append(_equality_check("rank vs Schur table", oracle_t.rank, closed.rank))
     for k in range(1, table_up_to + 1):
         checks.append(
@@ -234,25 +235,20 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     weight = Fraction(sc.r_alpha, r)
     ds_schur = discriminants(oracle_e, D)
     ds_base = generic_discriminants(r, D)
-    checks.append(
-        _factor_check("Delta_1 scaling", ds_schur[0], ds_base[0], alpha.size * weight)
-    )
+    checks.append(_factor_check("Delta_1 scaling", ds_schur[0], ds_base[0], sc.f1))
     if D >= 2:
         checks.append(
-            _factor_check(
-                "Delta_2 scaling", ds_schur[1], ds_base[1], sc.delta2_tilde * weight**2
-            )
+            _factor_check("Delta_2 scaling", ds_schur[1], ds_base[1], sc.f2 * weight)
         )
     if D >= 3:
-        expected = sc.delta3_tilde * weight**3 if sc.delta3_tilde is not None else None
-        if expected is None:
+        if sc.f3 is None:
             # rank <= 2: Delta_3 vanishes identically on both sides
             checks.append(
                 _equality_check("Delta_3 vanishing (r <= 2)", ds_schur[2], ring.zero())
             )
         else:
             checks.append(
-                _factor_check("Delta_3 scaling", ds_schur[2], ds_base[2], expected)
+                _factor_check("Delta_3 scaling", ds_schur[2], ds_base[2], sc.f3 * weight**2)
             )
     return VerificationRecord(alpha, r, D, tuple(checks))
 

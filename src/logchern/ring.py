@@ -9,7 +9,9 @@ point anywhere.  Sums, scalings and products work on the ints alone and
 reduce once at the end; ``fractions.Fraction`` values appear only where a
 coefficient is read or written one at a time (parsing, printing, the
 constant term).  Each ring computes the weighted degree of an exponent vector
-once and keeps it.
+once and keeps it.  Terms are stored unordered: products filter each pair of
+terms by degree and the proportionality test pivots on any term, so only
+``text()`` sorts them, into the canonical printed order.
 
 Values are immutable after construction and all operations are pure; a
 ring's degree memo only gains entries, each the one value any thread would
@@ -245,18 +247,14 @@ class GradedPoly:
         self._check(other)
         D = self.ring.truncation
         wdeg = self.ring.wdeg
-        a = sorted((wdeg(e), e, n) for e, n in self.terms.items())
-        b = sorted((wdeg(e), e, n) for e, n in other.terms.items())
+        b = [(wdeg(e), e, n) for e, n in other.terms.items()]
         out: dict[tuple[int, ...], int] = {}
-        for da, ea, na in a:
-            limit = D - da
-            if b and b[0][0] > limit:
-                break
+        for ea, na in self.terms.items():
+            limit = D - wdeg(ea)
             for db, eb, nb in b:
-                if db > limit:
-                    break
-                key = tuple(map(add, ea, eb))
-                out[key] = out.get(key, 0) + na * nb
+                if db <= limit:
+                    key = tuple(map(add, ea, eb))
+                    out[key] = out.get(key, 0) + na * nb
         return _reduced(self.ring, self.den * other.den, {e: n for e, n in out.items() if n})
 
     __rmul__ = __mul__
@@ -391,17 +389,6 @@ class GradedPoly:
 
     # -- canonical form ----------------------------------------------------
 
-    def _sorted_terms(self):
-        wdeg = self.ring.wdeg
-        return sorted(
-            self.items(), key=lambda it: (wdeg(it[0]), tuple(-e for e in it[0]))
-        )
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction] | None:
-        """First term in the canonical (graded-lex) ordering, or None."""
-        items = self._sorted_terms()
-        return items[0] if items else None
-
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
         names = self.ring.names
         pieces = []
@@ -413,12 +400,16 @@ class GradedPoly:
         return "*".join(pieces)
 
     def text(self, spaces: bool = True) -> str:
-        """Canonical text form, e.g. ``1 - 11/10*c1^2 + 5*ch2``."""
+        """Canonical text form, e.g. ``1 - 11/10*c1^2 + 5*ch2``: terms by
+        weighted degree, then graded-lex (the only place terms are ordered)."""
         if not self.terms:
             return "0"
         plus, minus = (" + ", " - ") if spaces else ("+", "-")
+        wdeg = self.ring.wdeg
         out = []
-        for exps, c in self._sorted_terms():
+        for exps, c in sorted(
+            self.items(), key=lambda it: (wdeg(it[0]), tuple(-e for e in it[0]))
+        ):
             mono = self._monomial_str(exps)
             mag = -c if c < 0 else c
             if not mono:
@@ -447,10 +438,12 @@ def proportion(x: GradedPoly, y: GradedPoly) -> tuple[bool, Fraction | None]:
     (False, None) otherwise (in particular when y == 0 != x).
     """
     x._check(y)
-    lead = y.leading()
-    if lead is None:
+    if not y.terms:
         return (x.is_zero(), None)
-    lam = x.coefficient(lead[0]) / lead[1]
+    # any stored term of y serves as the pivot: if x == lam*y at all, lam is
+    # the ratio of the two coefficients there
+    exps, n = next(iter(y.terms.items()))
+    lam = Fraction(x.terms.get(exps, 0) * y.den, x.den * n)
     if x == y.scale(lam):
         return (True, lam)
     return (False, None)

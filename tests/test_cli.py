@@ -91,6 +91,24 @@ class TestCh:
             closed, oracle = out.removeprefix("[closed]\n").split("[oracle]\n")
             assert oracle == closed + "match: yes\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_mismatch_exits_one(self, capsys, monkeypatch, fmt):
+        import logchern.cli
+
+        closed = logchern.cli._closed_character
+        monkeypatch.setattr(
+            logchern.cli, "_closed_character", lambda *args: closed(*args).scale(2)
+        )
+        code, out = run(
+            capsys, "ch", "--rank", "3", "--partition", "2,1",
+            "--max-degree", "3", "--method", "both", "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out)["match"] is False
+        else:
+            assert out.endswith("match: NO\n")
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["ch", "--rank", "2"])

@@ -438,6 +438,31 @@ class TestWhitelistMutations:
         ) in out
 
 
+class TestSchurCoefficientMutations:
+    """The sweep reads every expected Delta_k factor off ``SchurCoefficients``."""
+
+    def test_doubled_f2_fails_verify(self, capsys, monkeypatch):
+        import dataclasses
+
+        import logchern.formulas
+        import logchern.oracle
+
+        original = logchern.formulas.schur_coefficients
+
+        def doubled_f2(alpha, r):
+            sc = original(alpha, r)
+            return dataclasses.replace(sc, f2=2 * sc.f2)
+
+        for module in (logchern.formulas, logchern.oracle):
+            monkeypatch.setattr(module, "schur_coefficients", doubled_f2)
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert ": Delta_2 scaling\n" in out
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["failed"] > 0
+
+
 class TestSharedFamilies:
     """The per-(r, D) memo tables behind the oracle change no answer."""
 
@@ -452,6 +477,17 @@ class TestSharedFamilies:
             adams = [power_sum_character(j, r, D).total for j in range(alpha.size + 1)]
             cold = normal_form(schur_from_power_sums(alpha, adams), r)
             assert oracle_schur_total(alpha, r, D) == cold
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_adams_power_sums_are_born_in_normal_form(self, data):
+        r = data.draw(st.integers(1, 5))
+        D = data.draw(st.integers(r + 1, 6))
+        j = data.draw(st.integers(0, 9))
+        p = _adams_power_sum(r, D, j)
+        assert all(not any(exps[r:]) for exps in p.terms)
+        assert normal_form(p, r) == p
+        assert p == normal_form(power_sum_character(j, r, D).total, r)
 
     @staticmethod
     def _count_cold_products(monkeypatch, run):
@@ -471,15 +507,16 @@ class TestSharedFamilies:
         return value, count
 
     def test_sweep_product_count(self, monkeypatch):
-        # 7998 products without the shared families and discriminants
+        # 7998 products without the shared families and discriminants, 3346
+        # with them while each partition still took its own normal form
         report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
         assert report.failed == 0
-        assert count <= 4000
+        assert count <= 3200
 
     @pytest.mark.parametrize(
         "argv, products",
         [
-            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2127),
+            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2091),
             ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1154),
         ],
         ids=["ch-64", "delta-8x8"],

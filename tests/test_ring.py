@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -340,6 +341,28 @@ class TestProportion:
         ring = roots_ring(2, 2)
         ok, lam = proportion(ring.parse("a1^2"), ring.parse("a1^2 + a2^2"))
         assert not ok and lam is None
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_multiples_and_outsiders(self, data):
+        # the pivot is whichever term y stores first, so draw y at random
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        y = data.draw(wide_poly_strategy(ring))
+        c = data.draw(wide_scalar())
+        zero = ring.zero()
+        outside = [
+            exps
+            for exps in itertools.product(*(range(ring.truncation // d + 1) for d in ring.degrees))
+            if ring.wdeg(exps) <= ring.truncation and exps not in y.terms
+        ]
+        stray = ring.monomial(data.draw(st.sampled_from(outside)), data.draw(wide_scalar()))
+        assert proportion(y.scale(c) + stray, y) == (False, None)
+        if y.is_zero():
+            assert proportion(zero, y) == (True, None)
+        else:
+            assert proportion(y.scale(c), y) == (True, c)
+            assert proportion(zero, y) == (True, 0)
+            assert proportion(y, zero) == (False, None)
 
     def test_zero_cases(self):
         ring = roots_ring(2, 2)
