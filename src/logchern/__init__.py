@@ -7,7 +7,6 @@ arithmetic, and cross-checks one against the other.
 """
 
 from logchern.characters import (
-    BundleCharacter,
     base_bundle,
     chern_classes,
     d_k,
@@ -20,7 +19,6 @@ from logchern.characters import (
     modified_delta,
     normal_form,
     power_sum_character,
-    tensor,
 )
 from logchern.formulas import (
     delta2_dot,
@@ -49,7 +47,6 @@ from logchern.symfunc import (
 )
 
 __all__ = [
-    "BundleCharacter",
     "GradedPoly",
     "MukaiVector",
     "Partition",
@@ -81,7 +78,6 @@ __all__ = [
     "stirling2",
     "sym_power_ch",
     "sweep",
-    "tensor",
     "verify_delta4_proportionality",
     "verify_nonproportional_hook",
     "verify_schur",

@@ -1,13 +1,15 @@
 """Formal bundle characters and the logarithmic/discriminant calculus.
 
-A :class:`BundleCharacter` is its total character ch_0 + ch_1 + ... + ch_D,
-one truncated graded polynomial over some coefficient ring; the rank and
-each ch_k are read off it.  The rank is the constant term (any nonzero
-rational is allowed -- virtual characters are first class) and ch_k the
-degree-k part.  By default the coefficients are the free symbols e1..eD,
-where e_k stands for ch_k of an underlying bundle; the root-ring witness in
-the tests also builds characters over Chern-root rings.  Above the rank, ``normal_form`` picks the canonical
-representative on the generic rank-r bundle.
+A character is its total ch_0 + ch_1 + ... + ch_D: one truncated
+``GradedPoly`` over some coefficient ring.  The rank is its constant term
+(``constant()``; any nonzero rational is allowed -- virtual characters are
+first class), ch_k its degree-k part (``component(k)``) and D the ring's
+truncation.  The characters of a direct sum and of a product of bundles
+are ``+`` and ``*``, and a Q-multiple is ``scale``.  By default the
+coefficients are the free symbols e1..eD, where e_k stands for ch_k of an
+underlying bundle; the root-ring witness in the tests also builds
+characters over Chern-root rings.  Above the rank, ``normal_form`` picks
+the canonical representative on the generic rank-r bundle.
 
 Discriminants come from the logarithm of the normalized total character:
 
@@ -21,7 +23,6 @@ ch_1^2/(2 ch_0), and so on.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -35,114 +36,66 @@ def ch_ring(D: int) -> PolyRing:
     return PolyRing(graded_generators("e", D), D)
 
 
-@dataclass(frozen=True)
-class BundleCharacter:
-    """The total character ch_0 + ch_1 + ... + ch_D, one truncated polynomial."""
-
-    total: GradedPoly
-
-    @property
-    def ring(self) -> PolyRing:
-        return self.total.ring
-
-    @property
-    def D(self) -> int:
-        return self.ring.truncation
-
-    @property
-    def rank(self) -> Fraction:
-        return self.total.constant()
-
-    def ch(self, k: int) -> GradedPoly:
-        """ch_k, the degree-k part of the total (ch_0 as a constant polynomial)."""
-        return self.total.component(k)
-
-    def __add__(self, other: BundleCharacter) -> BundleCharacter:
-        """Direct sum."""
-        return BundleCharacter(self.total + other.total)
-
-    def __mul__(self, other):
-        if isinstance(other, BundleCharacter):
-            return tensor(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> BundleCharacter:
-        """Q-linear scaling in the representation ring."""
-        return BundleCharacter(self.total.scale(c))
-
-    def __sub__(self, other: BundleCharacter) -> BundleCharacter:
-        return BundleCharacter(self.total - other.total)
-
-    def to_json_dict(self) -> dict:
-        comps = ((k, self.ch(k)) for k in range(1, self.D + 1))
-        ch = {str(k): comp.compact() for k, comp in comps if not comp.is_zero()}
-        return {"rank": str(self.rank), "D": self.D, "ch": ch}
-
-
-def base_bundle(rank, D: int) -> BundleCharacter:
+def base_bundle(rank, D: int) -> GradedPoly:
     """The generic bundle E: ch_k is the free symbol e_k."""
     return power_sum_character(1, rank, D)
 
 
-def tensor(a: BundleCharacter, b: BundleCharacter) -> BundleCharacter:
-    """Product character: total(a) * total(b)."""
-    return BundleCharacter(a.total * b.total)
-
-
-def power_sum_character(d: int, rank, D: int) -> BundleCharacter:
+def power_sum_character(d: int, rank, D: int) -> GradedPoly:
     """Virtual character with ch_k = d^k * e_k and the given rank."""
     ring = ch_ring(D)
     gens = (ring.gen(f"e{k}").scale(d**k) for k in range(1, D + 1))
-    return BundleCharacter(sum(gens, ring.scalar(rank)))
+    return sum(gens, ring.scalar(rank))
 
 
-def log_character(a: BundleCharacter) -> GradedPoly:
+def log_character(a: GradedPoly) -> GradedPoly:
     """log(ch/ch_0); degree-k coefficient is d_k/ch_0."""
-    if a.rank == 0:
+    rank = a.constant()
+    if rank == 0:
         raise ZeroDivisionError("log character needs nonzero rank")
-    return (a.total / a.rank).log()
+    return (a / rank).log()
 
 
-def d_k(a: BundleCharacter, k: int) -> GradedPoly:
+def d_k(a: GradedPoly, k: int) -> GradedPoly:
     """Normalized discriminant d_k = (-1)^(k+1) Delta_k / (k ch_0^(k-1))."""
-    if not 1 <= k <= a.D:
-        raise ValueError(f"k must lie in 1..{a.D}")
-    return log_character(a).component(k).scale(a.rank)
+    D = a.ring.truncation
+    if not 1 <= k <= D:
+        raise ValueError(f"k must lie in 1..{D}")
+    return log_character(a).component(k).scale(a.constant())
 
 
-def discriminants(a: BundleCharacter, up_to: int) -> tuple[GradedPoly, ...]:
+def discriminants(a: GradedPoly, up_to: int) -> tuple[GradedPoly, ...]:
     """Delta_1..Delta_up_to."""
-    if not 1 <= up_to <= a.D:
-        raise ValueError(f"up_to must lie in 1..{a.D}")
-    if a.rank == 0:
+    D, rank = a.ring.truncation, a.constant()
+    if not 1 <= up_to <= D:
+        raise ValueError(f"up_to must lie in 1..{D}")
+    if rank == 0:
         raise ZeroDivisionError("discriminants need nonzero rank")
     log = log_character(a)
     out = []
     for k in range(1, up_to + 1):
         sign = Fraction((-1) ** (k + 1))
-        out.append(log.component(k).scale(sign * k * a.rank**k))
+        out.append(log.component(k).scale(sign * k * rank**k))
     return tuple(out)
 
 
-def delta_k(a: BundleCharacter, k: int) -> GradedPoly:
+def delta_k(a: GradedPoly, k: int) -> GradedPoly:
     """Discriminant Delta_k extracted from the logarithmic character."""
     return discriminants(a, k)[k - 1]
 
 
-def delta4t(a: BundleCharacter, t) -> GradedPoly:
+def delta4t(a: GradedPoly, t) -> GradedPoly:
     """The degree-4 class with parameter t tuned for symmetric powers.
 
     Delta_{4,t} = t ch1^4 - 4t ch0 ch1^2 ch2
                   + 2 ch0^2 ((t+1) ch2^2 + 2(t-1) ch1 ch3)
                   - 4(t-1) ch0^3 ch4.
     """
-    if a.D < 4:
+    if a.ring.truncation < 4:
         raise ValueError("need D >= 4")
     t = rat(t)
-    r = a.ring.scalar(a.rank)
-    c = a.ch
+    r = a.ring.scalar(a.constant())
+    c = a.component
     return (
         c(1) ** 4 * t
         - 4 * t * r * c(1) ** 2 * c(2)
@@ -151,16 +104,16 @@ def delta4t(a: BundleCharacter, t) -> GradedPoly:
     )
 
 
-def modified_delta(a: BundleCharacter, k: int) -> GradedPoly:
+def modified_delta(a: GradedPoly, k: int) -> GradedPoly:
     """The rank-sensitive modifications that vanish for rank < k.
 
     k=4: (r+1) Delta_4 - Delta_2^2;  k=5: (r+5) Delta_5 - 5 Delta_2 Delta_3.
     """
     if k not in (4, 5):
         raise ValueError("modified classes exist for k in {4, 5}")
-    if a.D < k:
+    if a.ring.truncation < k:
         raise ValueError(f"need D >= {k}")
-    r = a.rank
+    r = a.constant()
     if r.denominator != 1 or r <= 0:
         raise ValueError("modified classes need a positive integer rank")
     ds = discriminants(a, k)
@@ -172,16 +125,17 @@ def modified_delta(a: BundleCharacter, k: int) -> GradedPoly:
 # -- Chern class conversion --------------------------------------------------
 
 
-def chern_classes(a: BundleCharacter) -> tuple[GradedPoly, ...]:
+def chern_classes(a: GradedPoly) -> tuple[GradedPoly, ...]:
     """c_1..c_D: the graded pieces of c(E) = exp(sum_k (-1)^(k-1) (k-1)! ch_k)."""
+    D = a.ring.truncation
     acc = a.ring.zero()
-    for k in range(1, a.D + 1):
-        acc = acc + a.ch(k).scale((-1) ** (k - 1) * factorial(k - 1))
+    for k in range(1, D + 1):
+        acc = acc + a.component(k).scale((-1) ** (k - 1) * factorial(k - 1))
     total = acc.exp()
-    return tuple(total.component(k) for k in range(1, a.D + 1))
+    return tuple(total.component(k) for k in range(1, D + 1))
 
 
-def from_chern_classes(rank: int, classes, ring: PolyRing) -> BundleCharacter:
+def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:
     """Character of a rank-r bundle with the given c_1..c_min(r,D).
 
     Classes beyond index r are forced to zero (a rank-r bundle has none),
@@ -203,11 +157,11 @@ def from_chern_classes(rank: int, classes, ring: PolyRing) -> BundleCharacter:
         log.component(k).scale(Fraction((-1) ** (k - 1), factorial(k - 1)))
         for k in range(1, ring.truncation + 1)
     )
-    return BundleCharacter(sum(comps, ring.scalar(r)))
+    return sum(comps, ring.scalar(r))
 
 
 @lru_cache(maxsize=None)
-def generic_bundle(r: int, D: int) -> BundleCharacter:
+def generic_bundle(r: int, D: int) -> GradedPoly:
     """The generic rank-r bundle over e1..eD, in normal form.
 
     ch_k = e_k for k <= r; above the rank, ch_k is the polynomial in
@@ -241,4 +195,4 @@ def normal_form(p: GradedPoly, r: int) -> GradedPoly:
     if D <= r:
         return p
     bundle = generic_bundle(r, D)
-    return p.substitute(p.ring, {f"e{k}": bundle.ch(k) for k in range(1, D + 1)})
+    return p.substitute(p.ring, {f"e{k}": bundle.component(k) for k in range(1, D + 1)})

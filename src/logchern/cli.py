@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from logchern.characters import (
-    BundleCharacter,
     delta_k,
     from_chern_classes,
     generic_bundle,
@@ -32,7 +31,7 @@ from logchern.oracle import (
     verify_delta4_proportionality,
 )
 from logchern.report import build_report, format_table, unexpected_discrepancies
-from logchern.ring import PolyRing, graded_generators, proportion
+from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
 from logchern.symfunc import INT_RE, Partition
 
 MAX_DEGREE = 5
@@ -88,19 +87,25 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
-def _character_lines(ch: BundleCharacter) -> list[str]:
-    lines = [f"rank: {ch.rank}"]
-    for k in range(1, ch.D + 1):
-        comp = ch.ch(k)
+def _character_lines(ch: GradedPoly) -> list[str]:
+    lines = [f"rank: {ch.constant()}"]
+    for k in range(1, ch.ring.truncation + 1):
+        comp = ch.component(k)
         if not comp.is_zero():
             lines.append(f"ch{k}: {comp.text()}")
     return lines
 
 
-def _closed_character(alpha: Partition, r: int, degree: int) -> BundleCharacter:
+def _character_json(ch: GradedPoly) -> dict:
+    comps = ((k, ch.component(k)) for k in range(1, ch.ring.truncation + 1))
+    ch_k = {str(k): comp.compact() for k, comp in comps if not comp.is_zero()}
+    return {"rank": str(ch.constant()), "D": ch.ring.truncation, "ch": ch_k}
+
+
+def _closed_character(alpha: Partition, r: int, degree: int) -> GradedPoly:
     """The closed formula's character, in normal form like the oracle's."""
     if len(alpha) <= 1:
-        return BundleCharacter(normal_form(sym_power_ch(alpha.size, r, degree).total, r))
+        return normal_form(sym_power_ch(alpha.size, r, degree), r)
     if degree > 3:
         raise ValueError(
             "closed formulas for general partitions cover degree <= 3 only "
@@ -127,7 +132,7 @@ def cmd_ch(args) -> int:
         out["match"] = out["closed"] == out["oracle"]
     if args.format == "json":
         doc = {
-            key: (val.to_json_dict() if isinstance(val, BundleCharacter) else val)
+            key: (_character_json(val) if isinstance(val, GradedPoly) else val)
             for key, val in out.items()
         }
         print(json.dumps(doc if args.method == "both" else doc[args.method], indent=2))

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from logchern.characters import BundleCharacter, ch_ring
+from logchern.characters import ch_ring
+from logchern.ring import GradedPoly
 from logchern.symfunc import Partition, binomial, enumerate_partitions, stirling2, weyl_dim
 
 
@@ -119,7 +120,7 @@ class SchurCoefficients:
     f2: Fraction
     f3: Fraction | None
 
-    def table(self, up_to: int) -> BundleCharacter:
+    def table(self, up_to: int) -> GradedPoly:
         """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table."""
         r, size, dt2, dt3 = self.r, self.alpha.size, self.delta2_tilde, self.delta3_tilde
         rows = [(size,)]
@@ -157,7 +158,7 @@ def schur_coefficients(alpha, r: int) -> SchurCoefficients:
 # -- symmetric powers: the double-sum character ------------------------------
 
 
-def sym_power_ch(m: int, r: int, D: int) -> BundleCharacter:
+def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
     """ch(S^m E) through degree D as an explicit combinatorial double sum.
 
     Summing over partitions alpha with nonzero parts (|alpha| <= D) and over
@@ -195,7 +196,7 @@ def sym_power_ch(m: int, r: int, D: int) -> BundleCharacter:
             for part in alpha.parts:
                 mono = mono * ring.gen(f"e{part}")
             total = total + mono.scale(coeff / norm)
-    return BundleCharacter(total)
+    return total
 
 
 # -- degree <= 3 character tables ---------------------------------------------
@@ -211,18 +212,18 @@ _TABLE_MONOMIALS = (
 )
 
 
-def _table_character(rank: int, r: int, rows) -> BundleCharacter:
+def _table_character(rank: int, r: int, rows) -> GradedPoly:
     """The table shape through degree len(rows), all times rank/r.
 
     rows[k-1] holds the printed coefficients of the degree-k monomials.
     """
     up_to = len(rows)
     w = Fraction(rank, r)
-    return BundleCharacter(ch_ring(up_to).from_terms({
+    return ch_ring(up_to).from_terms({
         exps[:up_to]: c * w
         for monos, coeffs in zip(_TABLE_MONOMIALS, ((r,), *rows))
         for exps, c in zip(monos, coeffs)
-    }))
+    })
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
@@ -237,7 +238,7 @@ def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
     return up_to
 
 
-def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> BundleCharacter:
+def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> GradedPoly:
     """ch(wedge^n E) through degree <= 3 from the closed table."""
     if not 0 <= n <= r:
         raise ValueError("need 0 <= n <= r")
@@ -255,7 +256,7 @@ def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> BundleCharacter:
     return _table_character(binomial(r, n), r, rows)
 
 
-def schur_ch3(alpha, r: int, up_to: int | None = None) -> BundleCharacter:
+def schur_ch3(alpha, r: int, up_to: int | None = None) -> GradedPoly:
     """ch(S^alpha E) through degree <= 3 from the eigenvalue coefficients."""
     alpha = Partition.of(alpha)
     up_to = _resolve_up_to(up_to, r, "the Schur table")

@@ -48,15 +48,13 @@ def mukai_schur(v: MukaiVector, alpha) -> MukaiVector:
     r, ra, dt2 = v.r, sc.r_alpha, sc.delta2_tilde
     weight = Fraction(ra, r)
     size = sc.alpha.size
-    c_new = size * weight * v.c
     s_new = (
         Fraction(size * size - dt2, r) * weight * v.c**2 * v.d
         + dt2 * (v.s - r) * weight
         + ra
     )
-    if c_new.denominator != 1:
-        raise ArithmeticError(f"non-integral first Chern component {c_new}")
-    return MukaiVector(ra, int(c_new), s_new, v.d)
+    # f1 = |alpha| r_a/r is c_1(S^alpha E)/c_1(E), an integer
+    return MukaiVector(ra, int(sc.f1) * v.c, s_new, v.d)
 
 
 def is_primitive(v: MukaiVector) -> bool:

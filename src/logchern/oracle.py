@@ -7,9 +7,11 @@ r + sum_k j^k ch_k(E), so Newton's identities and the Jacobi-Trudi
 determinant give s_alpha directly over e1..eD, in a ring whose size depends
 on D only.  The ch_k are those of ``characters.generic_bundle``, already in
 normal form, so s_alpha is too (``normal_form`` is a ring map fixing
-e1..er) and equality above the rank is plain ``==``.  The closed formulas
-elsewhere in the package are verified against these values; nothing is
-compared with a tolerance.
+e1..er) and equality above the rank is plain ``==``.  Like every character
+in the package, the result is one ``GradedPoly``, the total ch_0 + ... +
+ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with its rank checked
+against the Weyl dimension.  The closed formulas elsewhere in the package
+are verified against these values; nothing is compared with a tolerance.
 
 The Adams power sums, their Newton family and the discriminants of the
 generic bundle depend only on (r, D), so they are computed once per process
@@ -34,7 +36,6 @@ from functools import lru_cache
 from math import factorial
 
 from logchern.characters import (
-    BundleCharacter,
     ch_ring,
     delta4t,
     discriminants,
@@ -62,7 +63,7 @@ MAX_SWEEP_SIZE = 8
 def _adams_power_sum(r: int, D: int, j: int) -> GradedPoly:
     """p_j = ch(psi^j E) = r + sum_k j^k ch_k of ``generic_bundle(r, D)``, in normal form."""
     bundle = generic_bundle(r, D)
-    return sum((bundle.ch(k).scale(j**k) for k in range(1, D + 1)), bundle.ring.scalar(r))
+    return sum((bundle.component(k).scale(j**k) for k in range(1, D + 1)), bundle.ring.scalar(r))
 
 
 @lru_cache(maxsize=None)
@@ -94,11 +95,11 @@ def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     return jacobi_trudi(rows, _adams_family(r, D, dual, top))
 
 
-def oracle_schur_ch(alpha, r: int, D: int) -> BundleCharacter:
+def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
     """ch(S^alpha E) over e1..eD, computed purely from the splitting principle."""
     alpha = Partition.of(alpha)
-    out = BundleCharacter(oracle_schur_total(alpha, r, D))
-    if out.rank != weyl_dim(alpha, r):
+    out = oracle_schur_total(alpha, r, D)
+    if out.constant() != weyl_dim(alpha, r):
         raise ArithmeticError("oracle rank disagrees with the Weyl dimension")
     return out
 
@@ -114,25 +115,25 @@ def exp_roots(ring: PolyRing) -> list[GradedPoly]:
     return [ring.gen(name).exp() for name in ring.names]
 
 
-def base_in_roots(r: int, D: int) -> BundleCharacter:
+def base_in_roots(r: int, D: int) -> GradedPoly:
     """The generic bundle in the root ring: ch(E) = sum_i exp(a_i)."""
     ring = root_ring(r, D)
-    return BundleCharacter(sum(exp_roots(ring), ring.zero()))
+    return sum(exp_roots(ring), ring.zero())
 
 
-def char_to_roots(a: BundleCharacter, r: int) -> BundleCharacter:
+def char_to_roots(a: GradedPoly, r: int) -> GradedPoly:
     """Interpret an e-ring character on the generic rank-r bundle of roots.
 
     Substitutes e_k -> p_k(a)/k!; agrees with ``normal_form`` equality, which
     the production code uses instead.
     """
-    D = a.D
+    D = a.ring.truncation
     ring = root_ring(r, D)
     roots = [ring.gen(name) for name in ring.names]
     images = {
         f"e{k}": power_sum_poly(k, roots) / factorial(k) for k in range(1, D + 1)
     }
-    return BundleCharacter(a.total.substitute(ring, images))
+    return a.substitute(ring, images)
 
 
 # -- verification records -----------------------------------------------------
@@ -180,14 +181,13 @@ def _factor_check(name: str, lhs: GradedPoly, rhs: GradedPoly, expected) -> Chec
     return Check(name, False, f"factor {lam if ok else 'none'}", f"factor {expected}")
 
 
-def _over_e(a: BundleCharacter, t: int) -> BundleCharacter:
+def _over_e(a: GradedPoly, t: int) -> GradedPoly:
     """ch_0..ch_t of a character over e1..eD, read over e1..et.
 
     Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
     """
     wdeg = a.ring.wdeg
-    terms = a.total.items()
-    return BundleCharacter(ch_ring(t).from_terms({e[:t]: c for e, c in terms if wdeg(e) <= t}))
+    return ch_ring(t).from_terms({e[:t]: c for e, c in a.items() if wdeg(e) <= t})
 
 
 def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
@@ -202,38 +202,40 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
         raise ValueError("verify_schur compares the degree <= 3 tables")
     alpha = Partition.of(alpha)
     total = oracle_schur_total(alpha, r, D)
-    ring = total.ring
-    oracle_e = BundleCharacter(total)
     sc = schur_coefficients(alpha, r)
     checks = [
-        _equality_check("rank equals Weyl dimension", oracle_e.rank, Fraction(sc.r_alpha))
+        _equality_check("rank equals Weyl dimension", total.constant(), Fraction(sc.r_alpha))
     ]
 
     table_up_to = min(D, r)
-    oracle_t = _over_e(oracle_e, table_up_to) if table_up_to < D else oracle_e
+    oracle_t = _over_e(total, table_up_to) if table_up_to < D else total
     closed = sc.table(table_up_to)
-    checks.append(_equality_check("rank vs Schur table", oracle_t.rank, closed.rank))
+    checks.append(_equality_check("rank vs Schur table", oracle_t.constant(), closed.constant()))
     for k in range(1, table_up_to + 1):
         checks.append(
-            _equality_check(f"ch{k} vs Schur table", oracle_t.ch(k), closed.ch(k))
+            _equality_check(
+                f"ch{k} vs Schur table", oracle_t.component(k), closed.component(k)
+            )
         )
 
     if len(alpha) <= 1:
         row = sym_power_ch(alpha.size, r, D)
         checks.append(
             _equality_check(
-                "total vs symmetric double sum", total, normal_form(row.total, r)
+                "total vs symmetric double sum", total, normal_form(row, r)
             )
         )
     if alpha.parts and all(p == 1 for p in alpha.parts):
         col = ext_power_ch3(len(alpha), r, up_to=table_up_to)
         for k in range(1, table_up_to + 1):
             checks.append(
-                _equality_check(f"ch{k} vs exterior table", oracle_t.ch(k), col.ch(k))
+                _equality_check(
+                    f"ch{k} vs exterior table", oracle_t.component(k), col.component(k)
+                )
             )
 
     weight = Fraction(sc.r_alpha, r)
-    ds_schur = discriminants(oracle_e, D)
+    ds_schur = discriminants(total, D)
     ds_base = generic_discriminants(r, D)
     checks.append(_factor_check("Delta_1 scaling", ds_schur[0], ds_base[0], sc.f1))
     if D >= 2:
@@ -244,7 +246,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
         if sc.f3 is None:
             # rank <= 2: Delta_3 vanishes identically on both sides
             checks.append(
-                _equality_check("Delta_3 vanishing (r <= 2)", ds_schur[2], ring.zero())
+                _equality_check("Delta_3 vanishing (r <= 2)", ds_schur[2], total.ring.zero())
             )
         else:
             checks.append(

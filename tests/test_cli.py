@@ -45,7 +45,7 @@ class TestCh:
         assert out.splitlines()[0] == "rank: 1"
 
     def test_json_round_trips_schema(self, capsys):
-        from logchern.characters import BundleCharacter, ch_ring
+        from logchern.characters import ch_ring
         from logchern.oracle import oracle_schur_ch
 
         code, out = run(
@@ -56,7 +56,7 @@ class TestCh:
         doc = json.loads(out)
         ring = ch_ring(doc["D"])
         parts = (ring.parse(text) for text in doc["ch"].values())
-        parsed = BundleCharacter(sum(parts, ring.scalar(doc["rank"])))
+        parsed = sum(parts, ring.scalar(doc["rank"]))
         assert parsed == oracle_schur_ch((2, 1), 4, 3)
 
     def test_closed_refuses_high_degree_for_general_partition(self, capsys):
@@ -450,6 +450,11 @@ def readme_commands():
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command_exits_0(capsys, argv):
     assert main(argv) == 0
+
+
+def test_readme_library_example_runs():
+    block = readme_section("Library").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
 
 
 def test_readme_quotes_the_cli_bounds():

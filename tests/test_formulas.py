@@ -113,15 +113,15 @@ class TestSymPowerSum:
 
     def test_m_zero_is_trivial_line(self):
         ch = sym_power_ch(0, 3, 3)
-        assert ch.rank == 1
-        assert all(ch.ch(k).is_zero() for k in range(1, ch.D + 1))
+        assert ch.constant() == 1
+        assert all(ch.component(k).is_zero() for k in range(1, ch.ring.truncation + 1))
 
     def test_sym_square_rank_two(self):
         ring = ch_ring(2)
         ch = sym_power_ch(2, 2, 2)
-        assert ch.rank == 3
-        assert ch.ch(1) == ring.parse("3*e1")
-        assert ch.ch(2) == ring.parse("1/2*e1^2 + 4*e2")
+        assert ch.constant() == 3
+        assert ch.component(1) == ring.parse("3*e1")
+        assert ch.component(2) == ring.parse("1/2*e1^2 + 4*e2")
 
     def test_ch2_line_of_sym_table(self):
         # 1/2 (m-1)m/(r+1) (r_m/r) e1^2 + m(m+r)/(r+1) (r_m/r) e2 at (2,3)
@@ -130,7 +130,7 @@ class TestSymPowerSum:
         w = Fraction(6, 3)
         c_sq = Fraction(2 * 1, 2 * 4) * w
         c_e2 = Fraction(2 * 5, 4) * w
-        assert ch.ch(2) == ring.parse(f"{c_sq}*e1^2 + {c_e2}*e2")
+        assert ch.component(2) == ring.parse(f"{c_sq}*e1^2 + {c_e2}*e2")
 
     def test_ch3_coefficients_from_double_sum(self):
         # independently derived: coefficient of e1*e2 in ch3(S^m E) is
@@ -148,15 +148,15 @@ class TestSymPowerSum:
                 )
                 e1e2 = (1, 1, 0)
                 e3 = (0, 0, 1)
-                assert ch.ch(3).coefficient(e1e2) == mixed
-                assert ch.ch(3).coefficient(e3) == pure
+                assert ch.component(3).coefficient(e1e2) == mixed
+                assert ch.component(3).coefficient(e3) == pure
 
     def test_rank_is_weyl_dimension(self):
         from logchern.symfunc import weyl_dim
 
         for m in range(6):
             for r in (2, 3, 4):
-                assert sym_power_ch(m, r, 2).rank == weyl_dim((m,), r)
+                assert sym_power_ch(m, r, 2).constant() == weyl_dim((m,), r)
 
 
 class TestTables:
@@ -166,16 +166,16 @@ class TestTables:
     def test_ext_determinant_line(self):
         ch = ext_power_ch3(3, 3)
         ring = ch_ring(3)
-        assert ch.rank == 1
-        assert ch.ch(1) == ring.parse("e1")
-        assert ch.ch(2) == ring.parse("1/2*e1^2")
+        assert ch.constant() == 1
+        assert ch.component(1) == ring.parse("e1")
+        assert ch.component(2) == ring.parse("1/2*e1^2")
 
     def test_ext_top_rank_two(self):
         ch = ext_power_ch3(2, 2)
         ring = ch_ring(2)
-        assert ch.rank == 1
-        assert ch.ch(1) == ring.parse("e1")
-        assert ch.ch(2) == ring.parse("1/2*e1^2")
+        assert ch.constant() == 1
+        assert ch.component(1) == ring.parse("e1")
+        assert ch.component(2) == ring.parse("1/2*e1^2")
 
     def test_ext_degenerate_ch3_rejected(self):
         with pytest.raises(ValueError):
@@ -198,8 +198,8 @@ class TestTables:
 
     def test_schur_rank_two_truncates_at_two(self):
         ch = schur_ch3((2,), 2)
-        assert ch.D == 2
-        assert ch.rank == 3
+        assert ch.ring.truncation == 2
+        assert ch.constant() == 3
 
 
 class TestF4:

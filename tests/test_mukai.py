@@ -34,6 +34,19 @@ class TestMukaiSchur:
             assert got.r == ra
             assert got.c == sum(alpha) * Fraction(ra, 3) * 2
 
+    def test_first_chern_factor_is_an_integer(self):
+        # f1 = |alpha| r_a/r is c_1(S^alpha E)/c_1(E), so mukai_schur's c is integral
+        from logchern.formulas import schur_coefficients
+        from logchern.symfunc import enumerate_partitions
+
+        for r in range(1, 7):
+            for size in range(9):
+                for alpha in enumerate_partitions(size, r):
+                    f1 = schur_coefficients(alpha, r).f1
+                    assert f1.denominator == 1, (alpha, r, f1)
+                    got = mukai_schur(MukaiVector(r, 3, 1, 2), alpha)
+                    assert got.c == 3 * f1
+
     def test_str_form(self):
         assert str(MukaiVector(3, 3, Fraction(8), 5)) == "(3, 3*H, 8)"
 

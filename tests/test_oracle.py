@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logchern.characters import (
-    BundleCharacter,
     base_bundle,
     ch_ring,
     d_k,
@@ -14,7 +13,6 @@ from logchern.characters import (
     generic_discriminants,
     normal_form,
     power_sum_character,
-    tensor,
 )
 from logchern.cli import main
 from logchern.oracle import (
@@ -60,23 +58,23 @@ class TestOracleCharacter:
     def test_sym_square_rank_two(self):
         got = oracle_schur_ch((2,), 2, 2)
         ring = ch_ring(2)
-        assert got.rank == 3
-        assert got.ch(1) == ring.parse("3*e1")
-        assert got.ch(2) == ring.parse("1/2*e1^2 + 4*e2")
+        assert got.constant() == 3
+        assert got.component(1) == ring.parse("3*e1")
+        assert got.component(2) == ring.parse("1/2*e1^2 + 4*e2")
 
     def test_wedge_square_rank_two(self):
         got = oracle_schur_ch((1, 1), 2, 2)
         ring = ch_ring(2)
-        assert got.rank == 1
-        assert got.ch(1) == ring.parse("e1")
-        assert got.ch(2) == ring.parse("1/2*e1^2")
+        assert got.constant() == 1
+        assert got.component(1) == ring.parse("e1")
+        assert got.component(2) == ring.parse("1/2*e1^2")
 
     def test_rank_is_weyl_dim_everywhere(self):
         for r in (2, 3):
             for size in range(1, 5):
                 for alpha in enumerate_partitions(size, r):
                     got = oracle_schur_ch(alpha, r, 2)
-                    assert got.rank == weyl_dim(alpha, r) == ssyt_count(alpha, r)
+                    assert got.constant() == weyl_dim(alpha, r) == ssyt_count(alpha, r)
 
     def test_too_many_parts_rejected(self):
         with pytest.raises(ValueError):
@@ -89,17 +87,17 @@ class TestOracleCharacter:
                 for alpha in enumerate_partitions(size, r):
                     got = oracle_schur_ch(alpha, r, 2)
                     expect = got.ring.gen("e1").scale(
-                        Fraction(size) * got.rank / r
+                        Fraction(size) * got.constant() / r
                     )
-                    assert got.ch(1) == expect
+                    assert got.component(1) == expect
 
     def test_round_trip_through_roots(self):
         # e-basis output evaluated back on the generic bundle returns the total
         for alpha, r in (((2, 1), 3), ((2,), 2), ((3, 2), 4)):
             total = witness_schur_total(alpha, r, 4)
             again = char_to_roots(roots_to_ch_basis(total, r), r)
-            assert again.total == total
-            assert char_to_roots(oracle_schur_ch(alpha, r, 4), r).total == total
+            assert again == total
+            assert char_to_roots(oracle_schur_ch(alpha, r, 4), r) == total
 
 
 def _e_monomials(D):
@@ -143,13 +141,13 @@ class TestRootRingWitness:
         # b agrees with a on every rank-r bundle unless the perturbation moves it
         b = a
         for k in range(r + 1, D + 1):
-            relation = ring.gen(f"e{k}") - generic.ch(k)
+            relation = ring.gen(f"e{k}") - generic.component(k)
             b = b + relation * _draw_poly(data, ring)
         if data.draw(st.booleans()):
             b = b + _draw_poly(data, ring)
 
         def on_roots(p):
-            return char_to_roots(BundleCharacter(p), r)
+            return char_to_roots(p, r)
 
         na, nb = normal_form(a, r), normal_form(b, r)
         assert (na == nb) == (on_roots(a) == on_roots(b))
@@ -179,7 +177,7 @@ class TestNormalForm:
 
     def test_generic_bundle_is_base_up_to_the_rank(self):
         assert generic_bundle(3, 3) == base_bundle(3, 3)
-        assert generic_bundle(2, 3).ch(3) == normal_form(ch_ring(3).gen("e3"), 2)
+        assert generic_bundle(2, 3).component(3) == normal_form(ch_ring(3).gen("e3"), 2)
 
     def test_rejects_other_rings(self):
         with pytest.raises(ValueError):
@@ -196,7 +194,7 @@ class TestOracleConsistency:
                 D = 3
                 v = oracle_schur_ch((1,), r, D)
                 sm = oracle_schur_ch((m,), r, D)
-                lhs = tensor(v, sm)
+                lhs = v * sm
                 rhs = oracle_schur_ch((m + 1,), r, D)
                 if r >= 2:
                     rhs = rhs + oracle_schur_ch((m, 1), r, D)
@@ -208,11 +206,11 @@ class TestOracleConsistency:
         ring = root_ring(r, D)
         base = base_in_roots(r, D)
         for d in (1, 2, 3, 4, 5):
-            p_d = BundleCharacter(power_sum_poly(d, exp_roots(ring)))
-            assert p_d.rank == r
+            p_d = power_sum_poly(d, exp_roots(ring))
+            assert p_d.constant() == r
             for k in range(1, 6):
-                lhs = d_k(p_d, k) / p_d.rank
-                rhs = (d_k(base, k) / base.rank).scale(d**k)
+                lhs = d_k(p_d, k) / p_d.constant()
+                rhs = (d_k(base, k) / base.constant()).scale(d**k)
                 assert lhs == rhs
 
     def test_f_coefficient_log_multiplicativity(self):
@@ -222,12 +220,12 @@ class TestOracleConsistency:
         for a, b in ((1, 2), (2, 2), (1, 3)):
             sa = oracle_schur_ch((a,), r, D)
             sb = oracle_schur_ch((b,), r, D)
-            ab = tensor(sa, sb)
+            ab = sa * sb
             for k in (2, 3):
                 fa = proportion(d_k(sa, k), d_k(base, k))[1]
                 fb = proportion(d_k(sb, k), d_k(base, k))[1]
                 fab = proportion(d_k(ab, k), d_k(base, k))[1]
-                assert fab == sb.rank * fa + sa.rank * fb
+                assert fab == sb.constant() * fa + sa.constant() * fb
 
 
 class TestVerifySchur:
@@ -393,7 +391,7 @@ def _verify_small(capsys, *extra):
 
 
 class TestWhitelistMutations:
-    """A whitelisted row whose measured value drifts fails ``verify``."""
+    """A whitelisted row whose values drift, or now agree, fails ``verify``."""
 
     def test_doubled_delta5_fails_verify(self, capsys, monkeypatch):
         import logchern.characters
@@ -437,6 +435,36 @@ class TestWhitelistMutations:
             "measured 'measured factor: 8', whitelisted 'measured factor: 4'\n"
         ) in out
 
+    def test_agreeing_delta4_coefficients_are_now_confirmed(self, capsys, monkeypatch):
+        # the labels of a row differ on the two sides; its status must come
+        # from the values, so a printed coefficient equal to the measured
+        # ratio reads confirmed and its whitelist pin fails
+        import dataclasses
+
+        import logchern.report
+
+        original = logchern.report.verify_delta4_proportionality
+
+        def printed_is_measured(m, r, t=None):
+            res = original(m, r, t)
+            return dataclasses.replace(res, printed=res.lam)
+
+        monkeypatch.setattr(
+            logchern.report, "verify_delta4_proportionality", printed_is_measured
+        )
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert out.count("[confirmed] sym-delta4-coefficient\n") == 12
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        unexpected = json.loads(out)["unexpected"]
+        assert len(unexpected) == 12
+        assert all(
+            line.startswith("sym-delta4-coefficient (degree-4 symmetric-power lemma at (m=")
+            and "): whitelisted but now confirmed; printed 'f4*(r_m/r)^4 = " in line
+            for line in unexpected
+        )
+
 
 class TestSchurCoefficientMutations:
     """The sweep reads every expected Delta_k factor off ``SchurCoefficients``."""
@@ -474,7 +502,7 @@ class TestSharedFamilies:
         pool = [a for n in range(9) for a in enumerate_partitions(n, r)]
         alphas = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
         for alpha in alphas:
-            adams = [power_sum_character(j, r, D).total for j in range(alpha.size + 1)]
+            adams = [power_sum_character(j, r, D) for j in range(alpha.size + 1)]
             cold = normal_form(schur_from_power_sums(alpha, adams), r)
             assert oracle_schur_total(alpha, r, D) == cold
 
@@ -487,7 +515,7 @@ class TestSharedFamilies:
         p = _adams_power_sum(r, D, j)
         assert all(not any(exps[r:]) for exps in p.terms)
         assert normal_form(p, r) == p
-        assert p == normal_form(power_sum_character(j, r, D).total, r)
+        assert p == normal_form(power_sum_character(j, r, D), r)
 
     @staticmethod
     def _count_cold_products(monkeypatch, run):

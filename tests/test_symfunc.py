@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.characters import BundleCharacter, chern_classes
+from logchern.characters import chern_classes
 from logchern.oracle import _adams_family, _adams_power_sum
 from logchern.ring import PolyRing, root_generators
 from logchern.symfunc import (
@@ -36,7 +36,7 @@ def roots_character(qs):
     """The character with ch_k = p_k/k! of the roots qs; its c_k are their sigma_k."""
     ring = qs[0].ring
     comps = tuple(power_sum_poly(k, qs) / factorial(k) for k in range(1, ring.truncation + 1))
-    return BundleCharacter(sum(comps, ring.scalar(len(qs))))
+    return sum(comps, ring.scalar(len(qs)))
 
 
 def ssyt_fillings(shape, r):

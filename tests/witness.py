@@ -19,7 +19,7 @@ verifications over the oracle.
 from fractions import Fraction
 from math import factorial
 
-from logchern.characters import BundleCharacter, ch_ring, delta_k, normal_form
+from logchern.characters import ch_ring, delta_k, normal_form
 from logchern.formulas import _delta2_constant, _delta_x_part, sym_power_ch
 from logchern.oracle import (
     Check,
@@ -96,7 +96,7 @@ def roots_to_e_poly(p, r):
 
 def roots_to_ch_basis(total, r):
     """Bundle character over e1..eD from a symmetric root-ring total."""
-    return BundleCharacter(roots_to_e_poly(total, r))
+    return roots_to_e_poly(total, r)
 
 
 def powersums_to_roots(q, r):
@@ -176,7 +176,7 @@ def ssyt_count(alpha, r: int) -> int:
 def verify_sym_power_full(m: int, r: int, D: int) -> Check:
     """Full-degree check of the symmetric-power double sum against the oracle."""
     total = oracle_schur_total((m,), r, D)
-    closed = normal_form(sym_power_ch(m, r, D).total, r)
+    closed = normal_form(sym_power_ch(m, r, D), r)
     return _equality_check(f"S^{m}, r={r}, D={D}", total, closed)
 
 
