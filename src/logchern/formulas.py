@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -101,7 +100,6 @@ def delta_tilde3(alpha, r: int) -> Fraction:
     return Fraction(delta3_dot(alpha, r), (r - 2) * (r - 1) * (r + 1) * (r + 2))
 
 
-@dataclass(frozen=True)
 class SchurCoefficients:
     """The scaling data of a Schur functor: dimension and f-coefficients.
 
@@ -111,14 +109,27 @@ class SchurCoefficients:
     the identical vanishing of Delta_3.
     """
 
-    alpha: Partition
-    r: int
-    r_alpha: int
-    delta2_tilde: Fraction
-    delta3_tilde: Fraction | None
-    f1: Fraction
-    f2: Fraction
-    f3: Fraction | None
+    __slots__ = ("alpha", "r", "r_alpha", "delta2_tilde", "delta3_tilde", "f1", "f2", "f3")
+
+    def __init__(
+        self,
+        alpha: Partition,
+        r: int,
+        r_alpha: int,
+        delta2_tilde: Fraction,
+        delta3_tilde: Fraction | None,
+        f1: Fraction,
+        f2: Fraction,
+        f3: Fraction | None,
+    ):
+        self.alpha = alpha
+        self.r = r
+        self.r_alpha = r_alpha
+        self.delta2_tilde = delta2_tilde
+        self.delta3_tilde = delta3_tilde
+        self.f1 = f1
+        self.f2 = f2
+        self.f3 = f3
 
     def table(self, up_to: int) -> GradedPoly:
         """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table."""
@@ -311,13 +322,15 @@ _SHIFTS = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(7, 3))
 _AXIS = range(-3, 4)
 
 
-@dataclass(frozen=True)
 class HCShiftReport:
-    k: int
-    r: int
-    points: int
-    passed: bool
-    failures: tuple[str, ...]
+    __slots__ = ("k", "r", "points", "passed", "failures")
+
+    def __init__(self, k: int, r: int, points: int, passed: bool, failures: tuple[str, ...]):
+        self.k = k
+        self.r = r
+        self.points = points
+        self.passed = passed
+        self.failures = failures
 
     @property
     def sampled(self) -> bool:

@@ -13,7 +13,6 @@ where dt2 is the normalized quadratic eigenvalue and r_a the Schur rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -21,21 +20,32 @@ from logchern.formulas import schur_coefficients
 from logchern.ring import rat
 
 
-@dataclass(frozen=True)
 class MukaiVector:
-    """(rank, c, s) on a K3 with Pic = Z*H and H^2 = 2d; s integral for sheaves."""
+    """(rank, c, s) on a K3 with Pic = Z*H and H^2 = 2d; s integral for sheaves.
 
-    r: int
-    c: int
-    s: Fraction
-    d: int
+    Instances are never mutated; ``==`` and ``hash`` compare all four fields.
+    """
 
-    def __post_init__(self):
-        if self.r <= 0:
+    __slots__ = ("r", "c", "s", "d")
+
+    def __init__(self, r: int, c: int, s: Fraction, d: int):
+        if r <= 0:
             raise ValueError("rank must be positive")
-        if self.d <= 0:
+        if d <= 0:
             raise ValueError("need H^2 = 2d with d positive")
-        object.__setattr__(self, "s", rat(self.s))
+        self.r = r
+        self.c = c
+        self.s = rat(s)
+        self.d = d
+
+    def _key(self) -> tuple:
+        return (self.r, self.c, self.s, self.d)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MukaiVector) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __str__(self) -> str:
         s = self.s if self.s.denominator != 1 else self.s.numerator

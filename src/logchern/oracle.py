@@ -30,7 +30,6 @@ witness the tests compare the oracle against; no production path calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -139,20 +138,27 @@ def char_to_roots(a: GradedPoly, r: int) -> GradedPoly:
 # -- verification records -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    passed: bool
-    lhs: str = ""
-    rhs: str = ""
+    __slots__ = ("name", "passed", "lhs", "rhs")
+
+    def __init__(self, name: str, passed: bool, lhs: str = "", rhs: str = ""):
+        self.name = name
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __repr__(self) -> str:
+        return f"Check({self.name!r}, {self.passed}, {self.lhs!r}, {self.rhs!r})"
 
 
-@dataclass(frozen=True)
 class VerificationRecord:
-    alpha: Partition
-    r: int
-    D: int
-    checks: tuple[Check, ...]
+    __slots__ = ("alpha", "r", "D", "checks")
+
+    def __init__(self, alpha: Partition, r: int, D: int, checks: tuple[Check, ...]):
+        self.alpha = alpha
+        self.r = r
+        self.D = D
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -258,14 +264,18 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 # -- degree-4 proportionality -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Delta4Result:
-    m: int
-    r: int
-    t: Fraction
-    is_proportional: bool
-    lam: Fraction | None
-    printed: Fraction
+    __slots__ = ("m", "r", "t", "is_proportional", "lam", "printed")
+
+    def __init__(
+        self, m: int, r: int, t: Fraction, is_proportional: bool, lam: Fraction | None, printed: Fraction
+    ):
+        self.m = m
+        self.r = r
+        self.t = t
+        self.is_proportional = is_proportional
+        self.lam = lam
+        self.printed = printed
 
 
 def schur_factor(alpha, r: int, D: int, cls) -> tuple[bool, Fraction | None]:
@@ -295,9 +305,11 @@ def verify_nonproportional_hook(alpha, r: int, t) -> bool:
 # -- the sweep ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SweepReport:
-    records: tuple[VerificationRecord, ...]
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[VerificationRecord, ...]):
+        self.records = records
 
     @property
     def cases(self) -> int:

@@ -12,9 +12,8 @@ pinned row whose values drift, that no longer appears, or that now agrees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from importlib import resources
 from itertools import product
 
 from logchern.characters import base_bundle, d_k, delta_k, generic_bundle
@@ -33,13 +32,17 @@ CONFIRMED = "confirmed"
 TYPO_SUSPECTED = "typo-suspected"
 
 
-@dataclass(frozen=True)
 class Discrepancy:
-    claim: str
-    paper_location: str
-    printed_value: str
-    measured_value: str
-    status: str
+    __slots__ = ("claim", "paper_location", "printed_value", "measured_value", "status")
+
+    def __init__(
+        self, claim: str, paper_location: str, printed_value: str, measured_value: str, status: str
+    ):
+        self.claim = claim
+        self.paper_location = paper_location
+        self.printed_value = printed_value
+        self.measured_value = measured_value
+        self.status = status
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,8 +258,8 @@ def build_report() -> list[Discrepancy]:
 
 def load_whitelist() -> dict[tuple[str, str], tuple[str, str]]:
     """The adjudicated rows: (claim, paper_location) -> (printed_value, measured_value)."""
-    text = resources.files("logchern").joinpath("whitelist.json").read_text()
-    data = json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "whitelist.json"), encoding="utf-8") as f:
+        data = json.load(f)
     return {
         (entry["claim"], row["paper_location"]): (row["printed_value"], row["measured_value"])
         for entry in data["expected"]

@@ -21,10 +21,10 @@ compute, so polynomials can be shared freely between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, Mapping
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _GEN_RE = re.compile(r"([A-Za-z_]\w*?)(?:\^(\d+))?$")

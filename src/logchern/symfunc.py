@@ -23,7 +23,6 @@ is safe and deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -36,19 +35,30 @@ from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generato
 INT_RE = re.compile(r"\s*-?\d+\s*")
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing tuple of positive parts (trailing zeros normalized away)."""
+    """Weakly decreasing tuple of positive parts (trailing zeros normalized away).
 
-    parts: tuple[int, ...]
+    Instances are never mutated; ``==`` and ``hash`` compare ``parts``.
+    """
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be non-negative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", tuple(p for p in parts if p))
+        self.parts = tuple(p for p in parts if p)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition({self.parts})"
 
     @classmethod
     def of(cls, obj) -> Partition:

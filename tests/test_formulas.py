@@ -236,6 +236,11 @@ class TestHCShift:
         report = hc_shift_check(2, 4, max_points=100, seed=5)
         assert report.passed and report.points == 100
 
+    def test_sampled_means_fewer_points_than_the_grid(self):
+        assert not hc_shift_check(2, 3).sampled
+        assert not hc_shift_check(2, 3, max_points=7**3).sampled
+        assert hc_shift_check(2, 3, max_points=7**3 - 1).sampled
+
     @pytest.mark.parametrize("r, n", [(2, 48), (4, 2000), (5, 2000), (16, 2000)])
     def test_sample_draws_distinct_grid_points(self, r, n):
         # with replacement, 2000 draws from 7^4 points hit only about 1,360

@@ -47,6 +47,13 @@ class TestMukaiSchur:
                     got = mukai_schur(MukaiVector(r, 3, 1, 2), alpha)
                     assert got.c == 3 * f1
 
+    def test_s_is_a_fraction_and_values_compare(self):
+        v = MukaiVector(2, 1, 2, 3)
+        assert type(v.s) is Fraction and v.s == 2
+        w = MukaiVector(2, 1, Fraction(4, 2), 3)
+        assert v == w and hash(v) == hash(w)
+        assert v != MukaiVector(2, 1, 3, 3)
+
     def test_str_form(self):
         assert str(MukaiVector(3, 3, Fraction(8), 5)) == "(3, 3*H, 8)"
 
@@ -66,7 +73,6 @@ class TestPrimitivity:
             is_primitive(v)
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            MukaiVector(0, 1, 1, 1)
-        with pytest.raises(ValueError):
-            MukaiVector(2, 1, 1, 0)
+        for r, d in ((0, 1), (-2, 1), (2, 0), (2, -3)):
+            with pytest.raises(ValueError):
+                MukaiVector(r, 1, 1, d)

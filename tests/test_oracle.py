@@ -16,6 +16,9 @@ from logchern.characters import (
 )
 from logchern.cli import main
 from logchern.oracle import (
+    Check,
+    SweepReport,
+    VerificationRecord,
     _adams_family,
     _adams_power_sum,
     base_in_roots,
@@ -39,6 +42,7 @@ from logchern.symfunc import (
 )
 from witness import (
     plain_delta4_witnesses,
+    replace,
     roots_to_ch_basis,
     ssyt_count,
     verify_sym_power_full,
@@ -331,6 +335,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(2, 9)
 
+    def test_counts_with_a_failing_record(self):
+        ok = VerificationRecord(Partition((1,)), 2, 2, (Check("a", True),))
+        bad = VerificationRecord(Partition((2,)), 2, 2, (Check("a", True), Check("b", False, "1", "2")))
+        rep = SweepReport((ok, bad, ok))
+        assert (rep.cases, rep.passed, rep.failed) == (3, 2, 1)
+        assert rep.to_json_dict() == {"cases": 3, "passed": 2, "failed": 1}
+        assert [c.name for c in bad.failures()] == ["b"]
+
+    def test_passing_check_has_empty_sides(self):
+        chk = Check("a", True)
+        assert (chk.lhs, chk.rhs) == ("", "")
+
     def test_json_schema(self):
         data = sweep(2, 2, 2).to_json_dict()
         assert list(data) == ["cases", "passed", "failed"]
@@ -368,8 +384,6 @@ class TestReport:
             assert pins[row.claim, row.paper_location] == (row.printed_value, row.measured_value)
 
     def test_stale_and_missing_pins_are_unexpected(self):
-        from dataclasses import replace
-
         from logchern.report import CONFIRMED, build_report, unexpected_discrepancies
 
         rows = build_report()
@@ -439,15 +453,13 @@ class TestWhitelistMutations:
         # the labels of a row differ on the two sides; its status must come
         # from the values, so a printed coefficient equal to the measured
         # ratio reads confirmed and its whitelist pin fails
-        import dataclasses
-
         import logchern.report
 
         original = logchern.report.verify_delta4_proportionality
 
         def printed_is_measured(m, r, t=None):
             res = original(m, r, t)
-            return dataclasses.replace(res, printed=res.lam)
+            return replace(res, printed=res.lam)
 
         monkeypatch.setattr(
             logchern.report, "verify_delta4_proportionality", printed_is_measured
@@ -470,8 +482,6 @@ class TestSchurCoefficientMutations:
     """The sweep reads every expected Delta_k factor off ``SchurCoefficients``."""
 
     def test_doubled_f2_fails_verify(self, capsys, monkeypatch):
-        import dataclasses
-
         import logchern.formulas
         import logchern.oracle
 
@@ -479,7 +489,7 @@ class TestSchurCoefficientMutations:
 
         def doubled_f2(alpha, r):
             sc = original(alpha, r)
-            return dataclasses.replace(sc, f2=2 * sc.f2)
+            return replace(sc, f2=2 * sc.f2)
 
         for module in (logchern.formulas, logchern.oracle):
             monkeypatch.setattr(module, "schur_coefficients", doubled_f2)

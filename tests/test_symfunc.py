@@ -79,6 +79,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(parts)
 
+    def test_rejects_a_negative_part(self):
+        with pytest.raises(ValueError):
+            Partition((2, -1))
+
+    def test_trailing_zeros_are_the_same_key(self):
+        padded, plain = Partition((2, 1, 0)), Partition((2, 1))
+        assert padded == plain and hash(padded) == hash(plain)
+        assert {plain: "found"}[padded] == "found"
+        assert padded != Partition((2,)) and padded != (2, 1)
+
     def test_parse_and_str(self):
         assert Partition.parse("2,1").parts == (2, 1)
         assert Partition.parse("").parts == ()

@@ -12,8 +12,8 @@ over index pairs and triples; the library evaluates them through power sums.
 It keeps the ring's former product and sum too, Fraction loops with one
 multiply or add per term, as the references for the integer arithmetic.
 The rest are helpers only the tests use: the shifted-variable polynomials at
-rational points, an independent tableau count of the Schur rank, and two
-verifications over the oracle.
+rational points, an independent tableau count of the Schur rank, two
+verifications over the oracle, and ``replace`` for the library's value classes.
 """
 
 from fractions import Fraction
@@ -189,3 +189,13 @@ def plain_delta4_witnesses() -> list[tuple[int, int]]:
         for m in range(2, 5)
         if not schur_factor((m,), r, 4, lambda a: delta_k(a, 4))[0]
     ]
+
+
+def replace(obj, **changes):
+    """A new instance of ``obj``'s slotted value class with some fields changed.
+
+    Every field is a slot and an ``__init__`` parameter of the same name, so
+    the copy goes through ``__init__`` and its checks.
+    """
+    fields = {name: getattr(obj, name) for name in type(obj).__slots__}
+    return type(obj)(**{**fields, **changes})
