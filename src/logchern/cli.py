@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,11 @@ MAX_SIZE = 64
 # hc-check's sample size at rank >= 5, where the full grid has 7^r points,
 # and the largest --samples: every sampled point is held in memory.
 MAX_SAMPLES = 2000
+# delta4 --t is an integer or p/q with at most this many digits in p and in q.
+# Fraction() alone would also read decimals and exponents, and build a
+# million-digit integer from "1e1000000".
+MAX_T_DIGITS = 50
+_RATIONAL_RE = re.compile(r"\s*-?(\d+)(?:/(\d+))?\s*")
 # Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
 # reports a process that SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
@@ -80,11 +86,13 @@ def _partition(text: str, r: int) -> Partition:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for an exact rational such as 3 or 7/2."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+    """argparse type for an exact rational: an integer or p/q, such as 3 or 7/2."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is not None and max(len(digits) for digits in match.groups("")) > MAX_T_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_T_DIGITS} digits: {text!r}")
+    if match is None or match[2] is not None and int(match[2]) == 0:
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    return Fraction(text)
 
 
 def _character_lines(ch: GradedPoly) -> list[str]:

@@ -19,7 +19,6 @@ the eigenvalue polynomials.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from math import factorial
 
@@ -349,6 +348,9 @@ def grid_points(r: int, max_points: int | None = None, seed: int = 0) -> list[tu
     size = len(_AXIS) ** r
     if max_points is None or max_points >= size:
         return list(itertools.product(_AXIS, repeat=r))
+    # only a sample needs random, and its import costs every command start-up
+    import random
+
     points = []
     for index in random.Random(seed).sample(range(size), max_points):
         digits = []

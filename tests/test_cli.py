@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.cli import MAX_RANK, MAX_SAMPLES, MAX_SIZE, main
+from logchern.cli import MAX_RANK, MAX_SAMPLES, MAX_SIZE, MAX_T_DIGITS, main
 from logchern.oracle import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -347,7 +347,9 @@ class TestInputBounds:
         parts = ", ".join(text.split(","))
         assert err == f"error: parts not weakly decreasing: ({parts})\n"
 
-    @pytest.mark.parametrize("t", ["1/0", "abc"])
+    # Fraction() reads exponents: 1e1000000 would build a million-digit
+    # integer, and 1e5000 fails in int() past Python's digit limit
+    @pytest.mark.parametrize("t", ["1/0", "abc", "3.5", "1e1000000", "1e5000"])
     def test_delta4_bad_t_is_a_usage_error(self, capsys, t):
         with pytest.raises(SystemExit) as exc:
             main(["delta4", "--rank", "3", "--m", "2", "--t", t])
@@ -355,6 +357,15 @@ class TestInputBounds:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"not an exact rational: {t!r}" in err
+
+    @pytest.mark.parametrize("t", ["1" * (MAX_T_DIGITS + 1), "1/" + "7" * (MAX_T_DIGITS + 1)])
+    def test_delta4_t_digit_bound(self, capsys, t):
+        with pytest.raises(SystemExit) as exc:
+            main(["delta4", "--rank", "3", "--m", "2", "--t", t])
+        assert exc.value.code == 2
+        assert f"more than {MAX_T_DIGITS} digits: {t!r}" in capsys.readouterr().err
+        code, out = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", t[:-1])
+        assert code == 0
 
     def test_delta4_rational_t(self, capsys):
         code, out = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", "7/2")
@@ -463,8 +474,9 @@ def test_readme_quotes_the_cli_bounds():
         "MAX_RANK": MAX_RANK,
         "MAX_SIZE": MAX_SIZE,
         "MAX_SAMPLES": MAX_SAMPLES,
+        "MAX_T_DIGITS": MAX_T_DIGITS,
     }
-    assert len(quoted) == 3
+    assert len(quoted) == 4
 
 
 # Option values per subcommand: small in-range values, out-of-range ones and
@@ -494,7 +506,7 @@ CLI_OPTIONS = {
     "delta4": (
         ("--rank", RANKS),
         ("--m", ("-1", "0", "1", "2", str(MAX_SIZE + 1), "x")),
-        ("--t", ("0", "-3", "7/2", "1/0", "x")),
+        ("--t", ("0", "-3", "7/2", "1/0", "x", "1e1000000")),
     ),
     "lowrank": (
         ("--k", ("3", "4", "5")),

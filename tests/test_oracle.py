@@ -1,4 +1,5 @@
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from logchern.characters import (
     power_sum_character,
 )
 from logchern.cli import main
+from logchern.formulas import SchurCoefficients, schur_coefficients
 from logchern.oracle import (
     Check,
     SweepReport,
@@ -479,7 +481,11 @@ class TestWhitelistMutations:
 
 
 class TestSchurCoefficientMutations:
-    """The sweep reads every expected Delta_k factor off ``SchurCoefficients``."""
+    """A broken closed formula, or a wrong oracle rank, fails ``verify``.
+
+    The sweep reads every expected Delta_k factor and the Schur table off
+    ``SchurCoefficients``.
+    """
 
     def test_doubled_f2_fails_verify(self, capsys, monkeypatch):
         import logchern.formulas
@@ -499,6 +505,67 @@ class TestSchurCoefficientMutations:
         code, out = _verify_small(capsys, "--format", "json")
         assert code == 1
         assert json.loads(out)["failed"] > 0
+
+    def test_wrong_ch2_table_coefficient_fails_verify(self, capsys, monkeypatch):
+        original = SchurCoefficients.table
+
+        def wrong_ch2(self, up_to):
+            table = original(self, up_to)
+            return table + table.ring.gen("e2") if up_to >= 2 else table
+
+        monkeypatch.setattr(SchurCoefficients, "table", wrong_ch2)
+        code, out = _verify_small(capsys)
+        assert code == 1
+        # the whole characters over e1, e2 go to the lhs and rhs lines
+        oracle = oracle_schur_total((1,), 2, 2).text()
+        table = schur_coefficients((1,), 2).table(2).text()
+        assert "e2" in table
+        assert (
+            f"  FAIL alpha=(1) r=2: ch vs Schur table\n"
+            f"       lhs: {oracle}\n       rhs: {table}\n"
+        ) in out
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["failed"] > 0
+
+    def test_scaled_exterior_table_fails_verify(self, capsys, monkeypatch):
+        import logchern.oracle
+
+        original = logchern.oracle.ext_power_ch3
+        monkeypatch.setattr(
+            logchern.oracle, "ext_power_ch3", lambda n, r, up_to=None: original(n, r, up_to).scale(2)
+        )
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert ": ch vs exterior table\n" in out
+        assert ": ch vs Schur table\n" not in out
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["failed"] > 0
+
+    def test_oracle_rank_off_by_one_fails_verify(self, capsys, monkeypatch):
+        # the table's degree-0 term is the Weyl dimension, so the table check
+        # also catches a wrong oracle rank
+        import logchern.oracle
+
+        original = logchern.oracle.oracle_schur_total
+
+        def rank_off_by_one(alpha, r, D):
+            total = original(alpha, r, D)
+            return total + total.ring.one()
+
+        # only the sweep sees the mutant: the claim table reads the oracle
+        # through oracle_schur_ch, whose own rank guard would raise (exit 2)
+        sweep_globals = {**vars(logchern.oracle), "oracle_schur_total": rank_off_by_one}
+        mutant = types.FunctionType(verify_schur.__code__, sweep_globals)
+        monkeypatch.setattr(logchern.oracle, "verify_schur", mutant)
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert ": ch vs Schur table\n" in out
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["failed"] == report["cases"] > 0
 
 
 class TestSharedFamilies:

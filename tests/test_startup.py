@@ -3,9 +3,9 @@
 Every command runs in a fresh interpreter, so a module the package imports
 is paid for on every run.  ``dataclasses`` drags in ``inspect`` and its
 ``ast``/``dis``/``tokenize`` chain, and ``importlib.resources`` drags in
-pathlib, tempfile and shutil; the package needs none of them.  The check runs
-under ``-S`` so that modules a site ``.pth`` file preloads cannot hide a
-regression.
+pathlib, tempfile and shutil; the package needs none of them.  ``random``
+is loaded only when ``hc-check`` draws a sample.  The check runs under
+``-S`` so that modules a site ``.pth`` file preloads cannot hide a regression.
 """
 
 import os
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = ("dataclasses", "inspect", "typing", "importlib.resources")
+UNWANTED = ("dataclasses", "inspect", "typing", "importlib.resources", "random")
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
