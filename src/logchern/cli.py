@@ -9,7 +9,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -139,6 +138,9 @@ def cmd_ch(args) -> int:
     if args.method == "both":
         out["match"] = out["closed"] == out["oracle"]
     if args.format == "json":
+        # only JSON output needs json, and its import costs every command start-up
+        import json
+
         doc = {
             key: (_character_json(val) if isinstance(val, GradedPoly) else val)
             for key, val in out.items()
@@ -182,6 +184,8 @@ def cmd_verify(args) -> int:
     unexpected = unexpected_discrepancies(rows)
     failed = report.failed > 0 or bool(unexpected)
     if args.format == "json":
+        import json
+
         doc = {
             **report.to_json_dict(),
             "discrepancies": [row.to_json_dict() for row in rows],
@@ -273,6 +277,13 @@ def cmd_hc_check(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option unless
+        # it looks like a negative number, which it takes to be -7 or -3.5;
+        # also accept -7/2, so that "delta4 --t -7/2" works like "--t=-7/2"
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+
     def print_help(self, file=None):
         # argparse's own writer drops a write error; let a closed stdout raise
         # BrokenPipeError, as every other command's output does

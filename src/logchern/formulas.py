@@ -337,16 +337,22 @@ class HCShiftReport:
         return self.points < len(_AXIS) ** self.r
 
 
+def _grid_size(r: int, max_points: int | None) -> int:
+    """How many points grid_points(r, max_points) returns, refusing an empty sample."""
+    if max_points is not None and max_points < 1:
+        raise ValueError(f"need at least one sample point, got {max_points}")
+    size = len(_AXIS) ** r
+    return size if max_points is None else min(size, max_points)
+
+
 def grid_points(r: int, max_points: int | None = None, seed: int = 0) -> list[tuple[int, ...]]:
     """The grid {-3..3}^r, or max_points distinct points of it drawn with the seed.
 
     A sample is drawn as distinct indices into the grid's lexicographic order,
     each decoded in base 7, so no point is checked twice.
     """
-    if max_points is not None and max_points < 1:
-        raise ValueError(f"need at least one sample point, got {max_points}")
     size = len(_AXIS) ** r
-    if max_points is None or max_points >= size:
+    if _grid_size(r, max_points) == size:
         return list(itertools.product(_AXIS, repeat=r))
     # only a sample needs random, and its import costs every command start-up
     import random
@@ -361,25 +367,20 @@ def grid_points(r: int, max_points: int | None = None, seed: int = 0) -> list[tu
     return points
 
 
-def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0) -> HCShiftReport:
-    """Check the change of variables x_i = a_i - i + 1 and translation invariance.
+def _simplex_points(k: int, r: int):
+    """The C(r+k, k) points x in Z_{>=0}^r with sum(x) <= k, one per multiset of axes."""
+    for m in range(k + 1):
+        for axes in itertools.combinations_with_replacement(range(r), m):
+            x = [0] * r
+            for i in axes:
+                x[i] += 1
+            yield tuple(x)
 
-    On integer points x of the grid {-3..3}^r (or a seeded random
-    sample of max_points distinct ones) this verifies, exactly:
 
-      (a) delta_x(x) == delta_dot(a) for a_i = x_i + i - 1;
-      (b) delta_x(x - a*1) == delta_x(x) for a fixed list of rational shifts.
-
-    Both are polynomial identities, so grid agreement in every variable up to
-    degree 3 per variable proves them; witnesses are reported on failure.
-    """
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if r < 2:
-        raise ValueError("need r >= 2")
+def _shift_failures(k: int, r: int, points) -> list[str]:
+    """Check both identities at each point; stop once more than five have failed."""
     ddot = _DELTA_DOT[k]
     const = _delta2_constant(r) if k == 2 else 0
-    points = grid_points(r, max_points, seed)
     failures = []
     for x in points:
         part = _delta_x_part(k, x, r)
@@ -398,4 +399,40 @@ def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0)
                 failures.append(f"translation by {a} broken at x={x}")
         if len(failures) > 5:
             break
-    return HCShiftReport(k, r, len(points), not failures, tuple(failures))
+    return failures
+
+
+def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0) -> HCShiftReport:
+    """Decide the change of variables x_i = a_i - i + 1 and translation invariance.
+
+    The identities, exact in integer arithmetic, are
+
+      (a) delta_x(x) == delta_dot(a) for a_i = x_i + i - 1;
+      (b) delta_x(x - a*1) == delta_x(x) for a fixed list of rational shifts.
+
+    The decision rests on one precondition: for (a), and for (b) at each fixed
+    shift, both sides are polynomials of total degree <= k in x.  Their
+    difference is then decided on the simplex S_k^r = {x in Z_{>=0}^r :
+    sum(x) <= k}, which is unisolvent for degree <= k.  If a polynomial P of
+    degree <= k vanishes on S_k^r, then P with x_r = 0 vanishes on S_k^{r-1},
+    so P = x_r Q by induction on r; Q has degree <= k - 1 and vanishes on the
+    points with x_r >= 1, which after x_r -> x_r + 1 are S_{k-1}^r, so Q = 0
+    by induction on k.  Agreement on the C(r+k, k) simplex points therefore
+    proves both identities everywhere, so they hold on every point of the grid
+    {-3..3}^r, or of a seeded sample of max_points distinct ones, which the
+    report counts.  The grid or sample is walked only when the proof fails, to
+    name witnesses there; a sample that misses every failure reports the
+    simplex's own.
+    """
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
+    if r < 2:
+        raise ValueError("need r >= 2")
+    points = _grid_size(r, max_points)
+    proof = _shift_failures(k, r, _simplex_points(k, r))
+    if not proof:
+        return HCShiftReport(k, r, points, True, ())
+    # the simplex lies in {0..3}^r, inside the grid, so a full grid walk always
+    # finds a witness; a sample may not
+    failures = _shift_failures(k, r, grid_points(r, max_points, seed)) or proof
+    return HCShiftReport(k, r, points, False, tuple(failures))

@@ -11,7 +11,6 @@ pinned row whose values drift, that no longer appears, or that now agrees.
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 from itertools import product
@@ -258,6 +257,9 @@ def build_report() -> list[Discrepancy]:
 
 def load_whitelist() -> dict[tuple[str, str], tuple[str, str]]:
     """The adjudicated rows: (claim, paper_location) -> (printed_value, measured_value)."""
+    # only verify reads the whitelist; the json import would cost every command start-up
+    import json
+
     with open(os.path.join(os.path.dirname(__file__), "whitelist.json"), encoding="utf-8") as f:
         data = json.load(f)
     return {

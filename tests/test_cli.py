@@ -372,6 +372,15 @@ class TestInputBounds:
         assert code == 0
         assert out.startswith("Delta_(4,7/2)(S^2 V)")
 
+    def test_delta4_negative_t_as_a_separate_argument(self, capsys):
+        # argparse takes only -7 and -3.5 for negative numbers by default, so
+        # "--t -7/2" was read as --t without a value followed by an option
+        spaced = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", "-7/2")
+        joined = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t=-7/2")
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert "ratio -224" in spaced[1]
+
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_hc_check_refuses_empty_sample(self, capsys, samples):
         code, err = run_error(

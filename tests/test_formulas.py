@@ -1,8 +1,9 @@
 import itertools
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logchern import formulas
 from logchern.characters import base_bundle, ch_ring
@@ -312,3 +313,96 @@ class TestHCShift:
         assert report.failures[0] == "translation by 1 broken at x=(-3, -3, -3)"
         assert all(f.startswith("translation by ") for f in report.failures)
         assert {f.split()[2] for f in report.failures} == {"1", "-2", "1/2", "7/3"}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_simplex_is_the_degree_k_unisolvent_set(self, k):
+        for r in range(1, 17):
+            points = list(formulas._simplex_points(k, r))
+            assert len(points) == len(set(points)) == comb(r + k, k)
+            assert all(len(x) == r and min(x) >= 0 and sum(x) <= k for x in points)
+            # so every simplex point lies in the grid {-3..3}^r
+            assert all(max(x) <= 3 for x in points)
+
+    def test_passing_check_evaluates_only_the_simplex(self, monkeypatch):
+        part, calls = formulas._delta_x_part, []
+
+        def counted(k, xs, r):
+            calls.append(xs)
+            return part(k, xs, r)
+
+        def no_grid(*args):
+            raise AssertionError("a passing check walked the grid")
+
+        monkeypatch.setattr(formulas, "_delta_x_part", counted)
+        monkeypatch.setattr(formulas, "grid_points", no_grid)
+        report = hc_shift_check(3, 4)
+        assert report.passed and report.failures == ()
+        assert report.points == 7**4
+        # one evaluation for the shift, four for the translations, per point
+        assert len(calls) == 5 * comb(4 + 3, 3)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_failure_the_sample_misses_still_fails(self, monkeypatch, k):
+        # a linear form vanishing at the one sampled alpha breaks the printed
+        # polynomial everywhere off a hyperplane, but not at the sample
+        (x,) = grid_points(5, 1, seed=0)
+        alpha = tuple(x[i] + i for i in range(5))
+        printed = formulas._DELTA_DOT[k]
+        monkeypatch.setitem(
+            formulas._DELTA_DOT, k, lambda a, r: printed(a, r) + a[0] - alpha[0] + a[4] - alpha[4]
+        )
+        report = hc_shift_check(k, 5, max_points=1, seed=0)
+        assert not report.passed and report.points == 1 and report.sampled
+        # the witnesses are the simplex's own, not the sampled point
+        simplex = set(formulas._simplex_points(k, 5)) - {x}
+        assert report.failures
+        assert all(
+            any(f.startswith(f"shift mismatch at x={p}: ") for p in simplex)
+            for f in report.failures
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]).flatmap(
+            lambda kr: st.tuples(
+                st.just(kr[0]),
+                st.just(kr[1]),
+                st.dictionaries(
+                    st.sampled_from(
+                        [e for e in itertools.product(range(4), repeat=kr[1]) if sum(e) <= kr[0]]
+                    ),
+                    st.integers(-3, 3),
+                ),
+            )
+        )
+    )
+    # x_1(x_1 - 1)...(x_1 - k + 1) vanishes on the degree-(k-1) simplex but
+    # not on the degree-k one, so these need every point of the latter
+    @example((2, 2, {(2, 0): 1, (1, 0): -1}))
+    @example((3, 3, {(3, 0, 0): 1, (2, 0, 0): -3, (1, 0, 0): 2}))
+    def test_proof_fails_exactly_when_the_printed_polynomial_is_perturbed(self, case):
+        # poly maps exponent vectors to coefficients: an integer polynomial of
+        # degree <= k in alpha, added to the printed delta_dot
+        k, r, poly = case
+
+        def perturbation(a):
+            return sum(c * prod(ai**e for ai, e in zip(a, exps)) for exps, c in poly.items())
+
+        printed = formulas._DELTA_DOT[k]
+        expected = []
+        for x in itertools.product(range(-3, 4), repeat=r):
+            alpha = tuple(x[i] + i for i in range(r))
+            extra = perturbation(alpha)
+            if extra and len(expected) < 6:
+                val = printed(alpha, r)
+                expected.append(f"shift mismatch at x={x}: {val} != {val + extra}")
+        original = dict(formulas._DELTA_DOT)
+        formulas._DELTA_DOT[k] = lambda a, r: printed(a, r) + perturbation(a)
+        try:
+            report = hc_shift_check(k, r)
+        finally:
+            formulas._DELTA_DOT.update(original)
+        nonzero = any(poly.values())
+        assert report.passed is not nonzero
+        assert report.failures == tuple(expected)
+        assert bool(expected) is nonzero

@@ -4,8 +4,10 @@ Every command runs in a fresh interpreter, so a module the package imports
 is paid for on every run.  ``dataclasses`` drags in ``inspect`` and its
 ``ast``/``dis``/``tokenize`` chain, and ``importlib.resources`` drags in
 pathlib, tempfile and shutil; the package needs none of them.  ``random``
-is loaded only when ``hc-check`` draws a sample.  The check runs under
-``-S`` so that modules a site ``.pth`` file preloads cannot hide a regression.
+is loaded only when a failing ``hc-check`` names witnesses in a sample, and
+``json`` only for JSON output and for the whitelist ``verify`` reads.  The
+check runs under ``-S`` so that modules a site ``.pth`` file preloads cannot
+hide a regression.
 """
 
 import os
@@ -14,7 +16,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = ("dataclasses", "inspect", "typing", "importlib.resources", "random")
+UNWANTED = ("dataclasses", "inspect", "typing", "importlib.resources", "random", "json")
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
