@@ -72,11 +72,11 @@ def discriminants(a: GradedPoly, up_to: int) -> tuple[GradedPoly, ...]:
     if rank == 0:
         raise ZeroDivisionError("discriminants need nonzero rank")
     log = log_character(a)
-    out = []
-    for k in range(1, up_to + 1):
-        sign = Fraction((-1) ** (k + 1))
-        out.append(log.component(k).scale(sign * k * rank**k))
-    return tuple(out)
+    num, den = rank.numerator, rank.denominator
+    return tuple(
+        log.component(k)._times((-1) ** (k + 1) * k * num**k, den**k)
+        for k in range(1, up_to + 1)
+    )
 
 
 def delta_k(a: GradedPoly, k: int) -> GradedPoly:
@@ -94,13 +94,15 @@ def delta4t(a: GradedPoly, t) -> GradedPoly:
     if a.ring.truncation < 4:
         raise ValueError("need D >= 4")
     t = rat(t)
-    r = a.ring.scalar(a.constant())
-    c = a.component
+    r = a.constant()
+    c1, c2, c3, c4 = (a.component(k) for k in range(1, 5))
+    c1_sq = c1 * c1
     return (
-        c(1) ** 4 * t
-        - 4 * t * r * c(1) ** 2 * c(2)
-        + 2 * r**2 * (c(2) ** 2 * (t + 1) + 2 * (t - 1) * c(1) * c(3))
-        - 4 * (t - 1) * r**3 * c(4)
+        (c1_sq * c1_sq).scale(t)
+        - (c1_sq * c2).scale(4 * t * r)
+        + (c2 * c2).scale(2 * r**2 * (t + 1))
+        + (c1 * c3).scale(4 * r**2 * (t - 1))
+        - c4.scale(4 * (t - 1) * r**3)
     )
 
 

@@ -55,35 +55,31 @@ def delta3_dot(alpha, r: int) -> int:
     + 24 sum_{i<j<k} a_i a_j a_k + 3r(r-2) sum (r+1-2i) a_i^2
     - 12r sum_{i<j} (r+1-i-j) a_i a_j
     + r^2 sum (6i^2 - 6i(r+1) + r^2 + 3r + 2) a_i.
+
+    Evaluated in O(r), without division, through the power sums p_1, p_2,
+    p_3 and the weighted sums s1 = sum i a_i, s2 = sum i a_i^2 and
+    t1 = sum i^2 a_i: the double sums are p1 p2 - p3 and
+    (r+1)(p1^2 - p2)/2 - (p1 s1 - s2), and the triple sum is
+    (p1^3 - 3 p1 p2 + 2 p3)/6.
     """
     a = _as_vector(alpha, r)
-    cubes = sum(x**3 for x in a)
-    sq_lin = sum(
-        a[i] ** 2 * a[j] for i in range(r) for j in range(r) if i != j
-    )
-    triple = sum(
-        a[i] * a[j] * a[k]
-        for i in range(r)
-        for j in range(i + 1, r)
-        for k in range(j + 1, r)
-    )
-    weighted_sq = sum((r + 1 - 2 * (i + 1)) * a[i] ** 2 for i in range(r))
-    weighted_cross = sum(
-        (r + 1 - (i + 1) - (j + 1)) * a[i] * a[j]
-        for i in range(r)
-        for j in range(i + 1, r)
-    )
-    lin = sum(
-        (6 * (i + 1) ** 2 - 6 * (i + 1) * (r + 1) + r * r + 3 * r + 2) * a[i]
-        for i in range(r)
-    )
+    p1 = p2 = p3 = s1 = s2 = t1 = 0
+    for i, x in enumerate(a, 1):
+        x2 = x * x
+        p1 += x
+        p2 += x2
+        p3 += x2 * x
+        s1 += i * x
+        s2 += i * x2
+        t1 += i * i * x
     return (
-        2 * (r - 2) * (r - 1) * cubes
-        - 6 * (r - 2) * sq_lin
-        + 24 * triple
-        + 3 * r * (r - 2) * weighted_sq
-        - 12 * r * weighted_cross
-        + r * r * lin
+        2 * (r - 2) * (r - 1) * p3
+        - 6 * (r - 2) * (p1 * p2 - p3)
+        + 4 * (p1**3 - 3 * p1 * p2 + 2 * p3)
+        + 3 * r * (r - 2) * ((r + 1) * p2 - 2 * s2)
+        - 6 * r * (r + 1) * (p1 * p1 - p2)
+        + 12 * r * (p1 * s1 - s2)
+        + r * r * (6 * t1 - 6 * (r + 1) * s1 + (r * r + 3 * r + 2) * p1)
     )
 
 
@@ -185,7 +181,7 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
     if m < 0:
         raise ValueError("m must be non-negative")
     ring = ch_ring(D)
-    total = ring.scalar(binomial(m + r - 1, m))
+    terms = {(0,) * D: binomial(m + r - 1, m)}
     for size in range(1, D + 1):
         for alpha in enumerate_partitions(size, size):
             norm = 1
@@ -202,11 +198,11 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
                 coeff += term
             if not coeff:
                 continue
-            mono = ring.one()
+            exps = [0] * D
             for part in alpha.parts:
-                mono = mono * ring.gen(f"e{part}")
-            total = total + mono.scale(coeff / norm)
-    return total
+                exps[part - 1] += 1
+            terms[tuple(exps)] = coeff / norm
+    return ring.from_terms(terms)
 
 
 # -- degree <= 3 character tables ---------------------------------------------
@@ -228,12 +224,11 @@ def _table_character(rank: int, r: int, rows) -> GradedPoly:
     rows[k-1] holds the printed coefficients of the degree-k monomials.
     """
     up_to = len(rows)
-    w = Fraction(rank, r)
     return ch_ring(up_to).from_terms({
-        exps[:up_to]: c * w
+        exps[:up_to]: c
         for monos, coeffs in zip(_TABLE_MONOMIALS, ((r,), *rows))
         for exps, c in zip(monos, coeffs)
-    })
+    })._times(rank, r)
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:

@@ -43,7 +43,7 @@ from logchern.characters import (
     normal_form,
 )
 from logchern.formulas import ext_power_ch3, f4_sym, schur_coefficients, sym_power_ch
-from logchern.ring import GradedPoly, PolyRing, proportion, root_generators
+from logchern.ring import GradedPoly, PolyRing, _reduced, proportion, root_generators
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
@@ -191,8 +191,10 @@ def _over_e(a: GradedPoly, t: int) -> GradedPoly:
 
     Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
     """
+    if t == a.ring.truncation:
+        return a
     wdeg = a.ring.wdeg
-    return ch_ring(t).from_terms({e[:t]: c for e, c in a.items() if wdeg(e) <= t})
+    return _reduced(ch_ring(t), a.den, {e[:t]: n for e, n in a.terms.items() if wdeg(e) <= t})
 
 
 def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:

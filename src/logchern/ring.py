@@ -378,9 +378,8 @@ class GradedPoly:
         if self.constant() != 1:
             raise ValueError("log needs constant term 1")
         q = self - self.ring.one()
-        result = self.ring.zero()
-        power = self.ring.one()
-        for j in range(1, self.ring.truncation + 1):
+        result = power = q
+        for j in range(2, self.ring.truncation + 1):
             power = power * q
             if power.is_zero():
                 break
@@ -440,10 +439,14 @@ def proportion(x: GradedPoly, y: GradedPoly) -> tuple[bool, Fraction | None]:
     x._check(y)
     if not y.terms:
         return (x.is_zero(), None)
+    if not x.terms:
+        return (True, Fraction(0))
     # any stored term of y serves as the pivot: if x == lam*y at all, lam is
-    # the ratio of the two coefficients there
-    exps, n = next(iter(y.terms.items()))
-    lam = Fraction(x.terms.get(exps, 0) * y.den, x.den * n)
-    if x == y.scale(lam):
-        return (True, lam)
-    return (False, None)
+    # the ratio of the two coefficients there, and every other pair of
+    # numerators has the pivot pair's ratio (the denominators cancel)
+    xt, yt = x.terms, y.terms
+    exps, n = next(iter(yt.items()))
+    m = xt.get(exps, 0)
+    if xt.keys() != yt.keys() or any(xt[e] * n != m * v for e, v in yt.items()):
+        return (False, None)
+    return (True, Fraction(m * y.den, x.den * n))

@@ -250,19 +250,31 @@ def schur_in_roots(alpha, r: int, values) -> GradedPoly:
 
 
 def _det(matrix, ring: PolyRing) -> GradedPoly:
-    """Determinant by column-subset expansion (memoized cofactors)."""
+    """Determinant by column-subset expansion (memoized cofactors).
+
+    A zero entry contributes no term, and the 1x1 minors are the last row's
+    entries themselves, so the expansion never multiplies by a zero entry
+    or by the empty minor 1.
+    """
     n = len(matrix)
-    cache: dict[tuple[int, ...], GradedPoly] = {(): ring.one()}
+    if not n:
+        return ring.one()
+    last = matrix[-1]
+    cache: dict[tuple[int, ...], GradedPoly] = {}
 
     def minor(cols: tuple[int, ...]) -> GradedPoly:
+        if len(cols) == 1:
+            return last[cols[0]]
         got = cache.get(cols)
         if got is not None:
             return got
-        i = n - len(cols)
+        row = matrix[n - len(cols)]
         acc = ring.zero()
         for pos, c in enumerate(cols):
-            rest = cols[:pos] + cols[pos + 1 :]
-            term = matrix[i][c] * minor(rest)
+            entry = row[c]
+            if not entry.terms:
+                continue
+            term = entry * minor(cols[:pos] + cols[pos + 1 :])
             acc = acc - term if pos % 2 else acc + term
         cache[cols] = acc
         return acc

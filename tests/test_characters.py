@@ -21,6 +21,7 @@ from logchern.characters import (
 from logchern.cli import _character_json
 from logchern.oracle import base_in_roots
 from logchern.ring import PolyRing, graded_generators
+from witness import delta4t_by_products, discriminants_by_fractions
 
 
 def delta_explicit(a, k):
@@ -198,6 +199,28 @@ class TestDiscriminants:
         v = base_bundle(2, 2)
         s2 = ring.parse("3 + 3*e1 + 1/2*e1^2 + 4*e2")
         assert d_k(s2, 2) == d_k(v, 2).scale(4)
+
+
+class TestFormerForms:
+    """discriminants and delta4t against the forms that made more products and Fractions."""
+
+    @given(st.integers(1, 6), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_discriminants(self, D, seed):
+        rng = random.Random(seed)
+        a = random_character(ch_ring(D), rng)
+        assert discriminants(a, D) == discriminants_by_fractions(a, D)
+
+    @given(
+        st.integers(4, 6),
+        st.integers(0, 2**16),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_delta4t(self, D, seed, t):
+        rng = random.Random(seed)
+        a = random_character(ch_ring(D), rng)
+        assert delta4t(a, t) == delta4t_by_products(a, t)
 
 
 class TestDelta4t:

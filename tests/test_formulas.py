@@ -21,7 +21,7 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.symfunc import binomial, enumerate_partitions
-from witness import delta2_x, delta2_x_sums, delta3_x, delta3_x_sums
+from witness import delta2_x, delta2_x_sums, delta3_dot_sums, delta3_x, delta3_x_sums
 
 
 class TestCasimirPolynomials:
@@ -281,6 +281,28 @@ class TestHCShift:
         assert delta2_x(xs, r) == delta2_x_sums(xs, r)
         assert delta3_x(xs, r) == delta3_x_sums(xs, r)
         assert type(delta2_x(xs, r)) is type(delta3_x(xs, r)) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda r: st.lists(
+                st.one_of(
+                    st.integers(-50, 50),
+                    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                ),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+    def test_delta3_dot_equals_the_literal_sums(self, a):
+        # unordered vectors: the identity is between polynomials, and the
+        # simplex proof of hc-check evaluates delta3_dot off the partitions
+        r = len(a)
+        got = delta3_dot(a, r)
+        assert got == delta3_dot_sums(a, r)
+        if all(type(x) is int for x in a):
+            assert type(got) is int
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_wrong_printed_polynomial_is_a_shift_mismatch(self, monkeypatch, k):

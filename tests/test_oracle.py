@@ -23,6 +23,7 @@ from logchern.oracle import (
     VerificationRecord,
     _adams_family,
     _adams_power_sum,
+    _over_e,
     base_in_roots,
     char_to_roots,
     exp_roots,
@@ -43,6 +44,7 @@ from logchern.symfunc import (
     weyl_dim,
 )
 from witness import (
+    over_e_from_terms,
     plain_delta4_witnesses,
     replace,
     roots_to_ch_basis,
@@ -268,6 +270,20 @@ class TestVerifySchur:
         for alpha in ((3,), (2, 1), (1, 1, 1)):
             rec = verify_schur(alpha, 6, 3)
             assert rec.ok, rec.failures()
+
+    def test_over_e_equals_the_from_terms_route(self):
+        # at D > r the normal form gives the totals a denominator, which the
+        # cut to degrees <= t can reduce
+        for r, D in ((1, 3), (2, 3), (3, 3), (2, 5)):
+            for size in range(1, 5):
+                for alpha in enumerate_partitions(size, r):
+                    total = oracle_schur_total(alpha, r, D)
+                    for t in range(1, D):
+                        assert _over_e(total, t) == over_e_from_terms(total, t)
+                    assert _over_e(total, D) is total
+        total = generic_bundle(1, 5)
+        assert total.den > 1
+        assert _over_e(total, 2) == over_e_from_terms(total, 2)
 
 
 class TestSymPowerFullDegree:
@@ -613,16 +629,18 @@ class TestSharedFamilies:
 
     def test_sweep_product_count(self, monkeypatch):
         # 7998 products without the shared families and discriminants, 3346
-        # with them while each partition still took its own normal form
+        # with them while each partition still took its own normal form, 3074
+        # while the cofactor expansion, log and the double sum still made
+        # products by zero or by one
         report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
         assert report.failed == 0
-        assert count <= 3200
+        assert count <= 1843
 
     @pytest.mark.parametrize(
         "argv, products",
         [
-            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2091),
-            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1154),
+            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2089),
+            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1144),
         ],
         ids=["ch-64", "delta-8x8"],
     )

@@ -11,7 +11,7 @@ from logchern.ring import (
     proportion,
     root_generators,
 )
-from witness import reference_product, reference_sum
+from witness import proportion_by_scaling, reference_product, reference_sum
 
 
 def roots_ring(r, D):
@@ -371,3 +371,43 @@ class TestProportion:
         assert proportion(ring.gen("a1"), z) == (False, None)
         ok, lam = proportion(z, ring.gen("a1"))
         assert ok and lam == 0
+
+
+class TestProportionWitness:
+    """proportion's cross-multiplied numerators against x == y.scale(lam)."""
+
+    @staticmethod
+    def assert_same_decision(x, y):
+        ok, lam = proportion(x, y)
+        assert (ok, lam) == proportion_by_scaling(x, y)
+        assert lam is None or type(lam) is Fraction
+
+    def test_named_cases(self):
+        ring = roots_ring(2, 2)
+        # a1 is the pivot: it is the first term y stores
+        y = ring.from_terms({(1, 0): 1, (0, 1): Fraction(-3, 2)})
+        assert next(iter(y.terms)) == (1, 0)
+        cases = {
+            "x = 0": (ring.zero(), (True, 0)),
+            "zero pivot coefficient, x != 0": (ring.parse("a2"), (False, None)),
+            "zero pivot, x a multiple of y off the pivot": (ring.parse("-3*a2"), (False, None)),
+            "support of x inside that of y": (ring.parse("2*a1"), (False, None)),
+            "support of x beyond that of y": (y.scale(5) + ring.parse("a1*a2"), (False, None)),
+            "same support, not a multiple": (ring.parse("a1 + a2"), (False, None)),
+            "negative lambda": (y.scale(Fraction(-7, 3)), (True, Fraction(-7, 3))),
+            "lambda with a large denominator": (y / 3**40, (True, Fraction(1, 3**40))),
+        }
+        for name, (x, expect) in cases.items():
+            assert proportion(x, y) == expect, name
+            self.assert_same_decision(x, y)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_scaling_decision(self, data):
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        y = data.draw(wide_poly_strategy(ring))
+        c = data.draw(wide_scalar())
+        other = data.draw(wide_poly_strategy(ring))
+        for x in (ring.zero(), y, y.scale(c), -y.scale(c), other, y.scale(c) + other):
+            self.assert_same_decision(x, y)
+            self.assert_same_decision(y, x)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from logchern.characters import chern_classes
 from logchern.oracle import _adams_family, _adams_power_sum
-from logchern.ring import PolyRing, root_generators
+from logchern.ring import PolyRing, graded_generators, root_generators
 from logchern.symfunc import (
     Partition,
     _det,
@@ -24,7 +24,7 @@ from logchern.symfunc import (
     sym_to_power_sums,
     weyl_dim,
 )
-from witness import powersums_to_roots, ssyt_count
+from witness import det_by_permutations, powersums_to_roots, ssyt_count
 
 
 def roots(r, D):
@@ -325,6 +325,39 @@ class TestJacobiTrudiSteps:
                 for n in range(9):
                     assert _adams_family(r, D, dual, n) == full[: n + 1]
                     assert list(full[: n + 1]) == newton_family(sums[: n + 1])
+
+
+class TestDeterminant:
+    """The cofactor expansion, which skips zero entries, against the permutation sum."""
+
+    RING = PolyRing(graded_generators("e", 3), 3)
+    ENTRIES = [
+        RING.zero(),
+        RING.one(),
+        RING.scalar(-2),
+        RING.gen("e1"),
+        RING.parse("e1 - 1/2*e2"),
+        RING.parse("3 + e1^2 - 5/3*e3"),
+        RING.parse("-1/7 + e2 + e1*e2"),
+    ]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_permutation_sum(self, data):
+        n = data.draw(st.integers(0, 4))
+        entry = st.sampled_from(self.ENTRIES)
+        matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        assert _det(matrix, self.RING) == det_by_permutations(matrix, self.RING)
+
+    def test_one_by_one_is_its_entry(self):
+        for a in self.ENTRIES:
+            assert _det([[a]], self.RING) is a
+
+    def test_zero_rows_and_unit_triangles(self):
+        z, one, e1 = self.ENTRIES[0], self.ENTRIES[1], self.ENTRIES[3]
+        assert _det([[e1, one], [z, z]], self.RING).is_zero()
+        assert _det([[one, e1, e1], [z, one, e1], [z, z, one]], self.RING) == one
+        assert _det([[z, one], [one, z]], self.RING) == -one
 
 
 class TestPowerSumConversion:

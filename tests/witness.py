@@ -7,20 +7,25 @@ sums by linear algebra on monomial coefficients, then p_k -> k! e_k.  It shares
 only the Jacobi-Trudi determinant with the library, and its cost grows like
 C(r+D, D), so the tests use it at small r and D.
 
-It also keeps the shifted-variable eigenvalue polynomials as the literal sums
-over index pairs and triples; the library evaluates them through power sums.
-It keeps the ring's former product and sum too, Fraction loops with one
-multiply or add per term, as the references for the integer arithmetic.
+It also keeps the shifted-variable eigenvalue polynomials and delta3_dot as
+the literal sums over index pairs and triples; the library evaluates them
+through power sums.  It keeps the ring's former product and sum too, Fraction
+loops with one multiply or add per term, as the references for the integer
+arithmetic, and the former forms of the sweep's per-case steps (the
+proportionality test, the determinant, the restriction to e1..et, the
+discriminants and Delta_{4,t}), which made the products and Fractions the
+library now skips.
 The rest are helpers only the tests use: the shifted-variable polynomials at
 rational points, an independent tableau count of the Schur rank, two
 verifications over the oracle, and ``replace`` for the library's value classes.
 """
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
-from logchern.characters import ch_ring, delta_k, normal_form
-from logchern.formulas import _delta2_constant, _delta_x_part, sym_power_ch
+from logchern.characters import ch_ring, delta_k, log_character, normal_form
+from logchern.formulas import _as_vector, _delta2_constant, _delta_x_part, sym_power_ch
 from logchern.oracle import (
     Check,
     _equality_check,
@@ -137,6 +142,91 @@ def delta2_x(xs, r: int) -> Fraction:
 def delta3_x(xs, r: int) -> Fraction:
     """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
     return Fraction(_delta_x_part(3, [rat(x) for x in xs], r))
+
+
+def delta3_dot_sums(alpha, r):
+    """delta3_dot as the literal sums over index pairs and triples, O(r^3)."""
+    a = _as_vector(alpha, r)
+    cubes = sum(x**3 for x in a)
+    sq_lin = sum(a[i] ** 2 * a[j] for i in range(r) for j in range(r) if i != j)
+    triple = sum(
+        a[i] * a[j] * a[k]
+        for i in range(r)
+        for j in range(i + 1, r)
+        for k in range(j + 1, r)
+    )
+    weighted_sq = sum((r + 1 - 2 * (i + 1)) * a[i] ** 2 for i in range(r))
+    weighted_cross = sum(
+        (r + 1 - (i + 1) - (j + 1)) * a[i] * a[j]
+        for i in range(r)
+        for j in range(i + 1, r)
+    )
+    lin = sum(
+        (6 * (i + 1) ** 2 - 6 * (i + 1) * (r + 1) + r * r + 3 * r + 2) * a[i]
+        for i in range(r)
+    )
+    return (
+        2 * (r - 2) * (r - 1) * cubes
+        - 6 * (r - 2) * sq_lin
+        + 24 * triple
+        + 3 * r * (r - 2) * weighted_sq
+        - 12 * r * weighted_cross
+        + r * r * lin
+    )
+
+
+def proportion_by_scaling(x, y):
+    """proportion's former decision: pivot on y's first term, then x == y.scale(lam)."""
+    if x.ring != y.ring:
+        raise ValueError("mixed generator sets or truncations")
+    if y.is_zero():
+        return (x.is_zero(), None)
+    exps, n = next(iter(y.terms.items()))
+    lam = Fraction(x.terms.get(exps, 0) * y.den, x.den * n)
+    if x == y.scale(lam):
+        return (True, lam)
+    return (False, None)
+
+
+def det_by_permutations(matrix, ring):
+    """sum over permutations s of sign(s) * prod_i matrix[i][s(i)]."""
+    total = ring.zero()
+    for perm in itertools.permutations(range(len(matrix))):
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def over_e_from_terms(a, t):
+    """ch_0..ch_t of a character over e1..eD, rebuilt over e1..et from its Fractions."""
+    wdeg = a.ring.wdeg
+    return ch_ring(t).from_terms({e[:t]: c for e, c in a.items() if wdeg(e) <= t})
+
+
+def discriminants_by_fractions(a, up_to):
+    """Delta_1..Delta_up_to, each log component scaled by the Fraction (-1)^(k+1) k rank^k."""
+    rank = a.constant()
+    log = log_character(a)
+    return tuple(
+        log.component(k).scale(Fraction((-1) ** (k + 1)) * k * rank**k)
+        for k in range(1, up_to + 1)
+    )
+
+
+def delta4t_by_products(a, t):
+    """Delta_{4,t} as printed, with the rank as a constant polynomial in every product."""
+    t = rat(t)
+    r = a.ring.scalar(a.constant())
+    c = a.component
+    return (
+        c(1) ** 4 * t
+        - 4 * t * r * c(1) ** 2 * c(2)
+        + 2 * r**2 * (c(2) ** 2 * (t + 1) + 2 * (t - 1) * c(1) * c(3))
+        - 4 * (t - 1) * r**3 * c(4)
+    )
 
 
 def ssyt_count(alpha, r: int) -> int:
