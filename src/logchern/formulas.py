@@ -313,53 +313,6 @@ def _delta2_constant(r: int) -> int:
 
 _DELTA_DOT = {2: delta2_dot, 3: delta3_dot}
 _SHIFTS = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(7, 3))
-_AXIS = range(-3, 4)
-
-
-class HCShiftReport:
-    __slots__ = ("k", "r", "points", "passed", "failures")
-
-    def __init__(self, k: int, r: int, points: int, passed: bool, failures: tuple[str, ...]):
-        self.k = k
-        self.r = r
-        self.points = points
-        self.passed = passed
-        self.failures = failures
-
-    @property
-    def sampled(self) -> bool:
-        """Whether a random sample ran rather than the whole grid."""
-        return self.points < len(_AXIS) ** self.r
-
-
-def _grid_size(r: int, max_points: int | None) -> int:
-    """How many points grid_points(r, max_points) returns, refusing an empty sample."""
-    if max_points is not None and max_points < 1:
-        raise ValueError(f"need at least one sample point, got {max_points}")
-    size = len(_AXIS) ** r
-    return size if max_points is None else min(size, max_points)
-
-
-def grid_points(r: int, max_points: int | None = None, seed: int = 0) -> list[tuple[int, ...]]:
-    """The grid {-3..3}^r, or max_points distinct points of it drawn with the seed.
-
-    A sample is drawn as distinct indices into the grid's lexicographic order,
-    each decoded in base 7, so no point is checked twice.
-    """
-    size = len(_AXIS) ** r
-    if _grid_size(r, max_points) == size:
-        return list(itertools.product(_AXIS, repeat=r))
-    # only a sample needs random, and its import costs every command start-up
-    import random
-
-    points = []
-    for index in random.Random(seed).sample(range(size), max_points):
-        digits = []
-        for _ in range(r):
-            index, d = divmod(index, len(_AXIS))
-            digits.append(_AXIS[d])
-        points.append(tuple(reversed(digits)))
-    return points
 
 
 def _simplex_points(k: int, r: int):
@@ -372,12 +325,11 @@ def _simplex_points(k: int, r: int):
             yield tuple(x)
 
 
-def _shift_failures(k: int, r: int, points) -> list[str]:
-    """Check both identities at each point; stop once more than five have failed."""
+def _shift_failures(k: int, r: int):
+    """Each failure of either identity on the simplex, in _simplex_points order."""
     ddot = _DELTA_DOT[k]
     const = _delta2_constant(r) if k == 2 else 0
-    failures = []
-    for x in points:
+    for x in _simplex_points(k, r):
         part = _delta_x_part(k, x, r)
         val = part - const
         # the identity is between polynomials, so it is checked on arbitrary
@@ -385,25 +337,25 @@ def _shift_failures(k: int, r: int, points) -> list[str]:
         alpha_vec = tuple(x[i] + i for i in range(r))
         dot = ddot(alpha_vec, r)
         if val != dot:
-            failures.append(f"shift mismatch at x={x}: {val} != {dot}")
+            yield f"shift mismatch at x={x}: {val} != {dot}"
         for a in _SHIFTS:
             # the degree-k part is homogeneous, so for a = n/q the shift
             # delta_x(x - a) == delta_x(x) reads, scaled by q^k, in integers
             n, q = a.numerator, a.denominator
             if _delta_x_part(k, [q * xi - n for xi in x], r) != q**k * part:
-                failures.append(f"translation by {a} broken at x={x}")
-        if len(failures) > 5:
-            break
-    return failures
+                yield f"translation by {a} broken at x={x}"
 
 
-def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0) -> HCShiftReport:
+def hc_shift_check(k: int, r: int) -> tuple[str, ...]:
     """Decide the change of variables x_i = a_i - i + 1 and translation invariance.
 
     The identities, exact in integer arithmetic, are
 
       (a) delta_x(x) == delta_dot(a) for a_i = x_i + i - 1;
-      (b) delta_x(x - a*1) == delta_x(x) for a fixed list of rational shifts.
+      (b) delta_x(x - a*1) == delta_x(x) for every rational shift a.
+
+    Returns at most six witnesses, in simplex order; an empty tuple means both
+    identities are proved.
 
     The decision rests on one precondition: for (a), and for (b) at each fixed
     shift, both sides are polynomials of total degree <= k in x.  Their
@@ -413,21 +365,16 @@ def hc_shift_check(k: int, r: int, max_points: int | None = None, seed: int = 0)
     so P = x_r Q by induction on r; Q has degree <= k - 1 and vanishes on the
     points with x_r >= 1, which after x_r -> x_r + 1 are S_{k-1}^r, so Q = 0
     by induction on k.  Agreement on the C(r+k, k) simplex points therefore
-    proves both identities everywhere, so they hold on every point of the grid
-    {-3..3}^r, or of a seeded sample of max_points distinct ones, which the
-    report counts.  The grid or sample is walked only when the proof fails, to
-    name witnesses there; a sample that misses every failure reports the
-    simplex's own.
+    proves (a) everywhere.
+
+    (b) is checked at the shifts a_j in _SHIFTS and so holds for every one.
+    At each a_j, delta_x(x - a_j*1) - delta_x(x) has degree <= k in x and
+    vanishes on the simplex, so it is zero for every x.  For each fixed x it
+    is, as a polynomial in a, of degree <= k <= 3 with the len(_SHIFTS) = 4
+    distinct roots a_j, so it is zero for every rational a.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if r < 2:
         raise ValueError("need r >= 2")
-    points = _grid_size(r, max_points)
-    proof = _shift_failures(k, r, _simplex_points(k, r))
-    if not proof:
-        return HCShiftReport(k, r, points, True, ())
-    # the simplex lies in {0..3}^r, inside the grid, so a full grid walk always
-    # finds a witness; a sample may not
-    failures = _shift_failures(k, r, grid_points(r, max_points, seed)) or proof
-    return HCShiftReport(k, r, points, False, tuple(failures))
+    return tuple(itertools.islice(_shift_failures(k, r), 6))

@@ -204,12 +204,8 @@ def test_criterion_06_hook_witness_at_rank_three():
 
 def test_criterion_07_shift_identities():
     for k in (2, 3):
-        for r in (2, 3, 4):
-            rep = hc_shift_check(k, r)
-            assert rep.passed, rep.failures
-            assert rep.points == 7**r
-        rep = hc_shift_check(k, 5, max_points=2000, seed=0)
-        assert rep.passed and rep.points == 2000
+        for r in (2, 3, 4, 5, 16):
+            assert hc_shift_check(k, r) == ()
     print("\nACCEPTANCE 7 (shifted-variable + translation identities): PASS")
 
 

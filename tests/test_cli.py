@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.cli import MAX_RANK, MAX_SAMPLES, MAX_SIZE, MAX_T_DIGITS, main
+from logchern.cli import MAX_RANK, MAX_SIZE, MAX_T_DIGITS, main
 from logchern.oracle import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -201,20 +201,18 @@ class TestOthers:
         assert code == 0
         assert "49 grid points" in out
 
-    def test_hc_check_samples_covering_the_grid(self, capsys):
-        # 500 >= 7^3, so the whole grid runs and the label says so
-        code, out = run(
-            capsys, "hc-check", "--k", "2", "--rank", "3", "--samples", "500"
-        )
-        assert code == 0
-        assert out == "shift and translation identities hold on 343 grid points (k=2, r=3)\n"
+    @pytest.mark.parametrize("rank, points", [(4, 15), (5, 21)])
+    def test_hc_check_failure_names_simplex_witnesses(self, capsys, monkeypatch, rank, points):
+        from logchern import formulas
 
-    def test_hc_check_sampled(self, capsys):
-        code, out = run(
-            capsys, "hc-check", "--k", "3", "--rank", "4", "--samples", "50"
-        )
-        assert code == 0
-        assert "50 sampled points" in out
+        printed = formulas._DELTA_DOT[2]
+        monkeypatch.setitem(formulas._DELTA_DOT, 2, lambda a, r: printed(a, r) + 1)
+        code, out = run(capsys, "hc-check", "--k", "2", "--rank", str(rank))
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == f"FAILED on the {points} points of the degree-2 simplex:"
+        assert lines[1].startswith(f"  shift mismatch at x={(0,) * rank}: ")
+        assert len(lines) == 7
 
 
 def run_error(capsys, *argv):
@@ -381,37 +379,25 @@ class TestInputBounds:
         assert spaced[0] == 0
         assert "ratio -224" in spaced[1]
 
-    @pytest.mark.parametrize("samples", ["-1", "0"])
-    def test_hc_check_refuses_empty_sample(self, capsys, samples):
-        code, err = run_error(
-            capsys, "hc-check", "--k", "2", "--rank", "4", "--samples", samples
-        )
-        assert code == 2
-        assert err == f"error: --samples must be at least 1, got {samples}\n"
-
-
-    def test_hc_check_refuses_oversized_sample(self, capsys):
-        samples = str(MAX_SAMPLES + 1)
-        code, err = run_error(
-            capsys, "hc-check", "--k", "2", "--rank", "4", "--samples", samples
-        )
-        assert code == 2
-        assert err == f"error: --samples must be at most {MAX_SAMPLES}, got {samples}\n"
-
-    def test_hc_check_default_sample_at_rank_five(self, capsys):
-        code, out = run(capsys, "hc-check", "--k", "2", "--rank", "5")
-        assert code == 0
-        assert f"{MAX_SAMPLES} sampled points" in out
+    @pytest.mark.parametrize("option", [("--samples", "50"), ("--seed", "7")])
+    def test_hc_check_has_no_sample_options(self, capsys, option):
+        # the simplex proof needs no sample, so these are unknown options
+        with pytest.raises(SystemExit) as exc:
+            main(["hc-check", "--k", "2", "--rank", "4", *option])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
 
     # The slowest commands inside the bounds: each runs in well under a
-    # second, so a return of the O(r^3) Fraction grid or of the 2^16-subset
+    # second, so a return of a 7^r grid walk or of the 2^16-subset
     # determinant shows up as a stalled suite.
     def test_hc_check_at_max_rank(self, capsys):
         code, out = run(capsys, "hc-check", "--k", "3", "--rank", str(MAX_RANK))
         assert code == 0
         assert out == (
-            f"shift and translation identities hold on {MAX_SAMPLES} sampled points"
-            f" (k=3, r={MAX_RANK})\n"
+            "shift and translation identities hold: proved on the 969 points"
+            f" of the degree-3 simplex (k=3, r={MAX_RANK})\n"
         )
 
     def test_ch_of_max_rank_parts(self, capsys):
@@ -482,15 +468,14 @@ def test_readme_quotes_the_cli_bounds():
     assert {name: int(value) for value, name in quoted} == {
         "MAX_RANK": MAX_RANK,
         "MAX_SIZE": MAX_SIZE,
-        "MAX_SAMPLES": MAX_SAMPLES,
         "MAX_T_DIGITS": MAX_T_DIGITS,
     }
-    assert len(quoted) == 4
+    assert len(quoted) == 3
 
 
 # Option values per subcommand: small in-range values, out-of-range ones and
 # junk.  None leaves the option out.  Each drawn command runs in well under a
-# second (no rank-16 determinant, no full sweep, no rank >= 4 hc-check grid).
+# second (no rank-16 determinant, no full sweep).
 RANKS = ("-1", "0", "1", "2", "3", str(MAX_RANK + 1), "x")
 PARTITIONS = ("", "0", "1", "2", "1,1", "2,1", "3,1", "1,2", "2,-1", str(MAX_SIZE + 1), "a")
 CLI_OPTIONS = {
@@ -531,7 +516,8 @@ CLI_OPTIONS = {
     "hc-check": (
         ("--k", ("1", "2", "3")),
         ("--rank", RANKS),
-        ("--samples", ("-1", "0", "1", "50", str(MAX_SAMPLES + 1))),
+        # no longer options: junk that must be refused as a usage error
+        ("--samples", ("-1", "0", "1", "50", "2001")),
         ("--seed", ("0", "7")),
     ),
 }

@@ -3,11 +3,10 @@
 Every command runs in a fresh interpreter, so a module the package imports
 is paid for on every run.  ``dataclasses`` drags in ``inspect`` and its
 ``ast``/``dis``/``tokenize`` chain, and ``importlib.resources`` drags in
-pathlib, tempfile and shutil; the package needs none of them.  ``random``
-is loaded only when a failing ``hc-check`` names witnesses in a sample, and
-``json`` only for JSON output and for the whitelist ``verify`` reads.  The
-check runs under ``-S`` so that modules a site ``.pth`` file preloads cannot
-hide a regression.
+pathlib, tempfile and shutil; the package needs none of them.  The package
+never imports ``random``, and imports ``json`` only for JSON output and for
+the whitelist ``verify`` reads.  The check runs under ``-S`` so that modules
+a site ``.pth`` file preloads cannot hide a regression.
 """
 
 import os
