@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from logchern.characters import ch_ring
-from logchern.ring import GradedPoly
+from logchern.ring import GradedPoly, _reduced
 from logchern.symfunc import Partition, binomial, enumerate_partitions, stirling2, weyl_dim
 
 
@@ -127,18 +127,34 @@ class SchurCoefficients:
         self.f3 = f3
 
     def table(self, up_to: int) -> GradedPoly:
-        """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table."""
-        r, size, dt2, dt3 = self.r, self.alpha.size, self.delta2_tilde, self.delta3_tilde
-        rows = [(size,)]
+        """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table.
+
+        The printed rows are
+
+            ch1: |a|,  ch2: (|a|^2 - dt2)/(2r), dt2,
+            ch3: (|a|^3 - 3|a| dt2 + 2 dt3)/(6r^2), (|a| dt2 - dt3)/r, dt3,
+
+        built on ints: with dt2 = a2/L and dt3 = a3/L over one common
+        denominator L, every coefficient is an integer over 6 r^2 L.
+        """
+        r, size, dt2 = self.r, self.alpha.size, self.delta2_tilde
+        L = dt2.denominator
+        if up_to >= 3:
+            dt3 = self.delta3_tilde
+            L = lcm(L, dt3.denominator)
+            a3 = dt3.numerator * (L // dt3.denominator)
+        a2 = dt2.numerator * (L // dt2.denominator)
+        den = 6 * r * r * L
+        rows = [(size * den,)]
         if up_to >= 2:
-            rows.append((Fraction(size * size - dt2, 2 * r), dt2))
+            rows.append((3 * r * (size * size * L - a2), 6 * r * r * a2))
         if up_to >= 3:
             rows.append((
-                (size**3 - 3 * size * dt2 + 2 * dt3) / (6 * r * r),
-                (size * dt2 - dt3) / r,
-                dt3,
+                size**3 * L - 3 * size * a2 + 2 * a3,
+                6 * r * (size * a2 - a3),
+                6 * r * r * a3,
             ))
-        return _table_character(self.r_alpha, r, rows)
+        return _table_character(self.r_alpha, r, den, rows)
 
 
 def schur_coefficients(alpha, r: int) -> SchurCoefficients:
@@ -187,7 +203,7 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
             norm = 1
             for _, group in itertools.groupby(alpha.parts):
                 norm *= factorial(sum(1 for _ in group))
-            coeff = Fraction(0)
+            coeff = 0
             for beta in itertools.product(*(range(1, p + 1) for p in alpha.parts)):
                 b = binomial(m + r - 1, m - sum(beta))
                 if not b:
@@ -201,7 +217,7 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
             exps = [0] * D
             for part in alpha.parts:
                 exps[part - 1] += 1
-            terms[tuple(exps)] = coeff / norm
+            terms[tuple(exps)] = Fraction(coeff, norm)
     return ring.from_terms(terms)
 
 
@@ -218,17 +234,20 @@ _TABLE_MONOMIALS = (
 )
 
 
-def _table_character(rank: int, r: int, rows) -> GradedPoly:
+def _table_character(rank: int, r: int, den: int, rows) -> GradedPoly:
     """The table shape through degree len(rows), all times rank/r.
 
-    rows[k-1] holds the printed coefficients of the degree-k monomials.
+    rows[k-1] holds the printed coefficients of the degree-k monomials as
+    integer numerators over den; the degree-0 coefficient is r.
     """
     up_to = len(rows)
-    return ch_ring(up_to).from_terms({
-        exps[:up_to]: c
-        for monos, coeffs in zip(_TABLE_MONOMIALS, ((r,), *rows))
-        for exps, c in zip(monos, coeffs)
-    })._times(rank, r)
+    terms = {
+        exps[:up_to]: n * rank
+        for monos, nums in zip(_TABLE_MONOMIALS, ((r * den,), *rows))
+        for exps, n in zip(monos, nums)
+        if n
+    }
+    return _reduced(ch_ring(up_to), den * r, terms)
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
@@ -248,17 +267,22 @@ def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> GradedPoly:
     if not 0 <= n <= r:
         raise ValueError("need 0 <= n <= r")
     up_to = _resolve_up_to(up_to, r, "the exterior table")
+    # ch2: (n-1)n/(2(r-1)), n(r-n)/(r-1);  ch3: (n-2)(n-1)n/(6(r-2)(r-1)),
+    # (n-1)n(r-n)/((r-2)(r-1)), n(2n^2 - 3rn + r^2)/((r-2)(r-1));  all over
+    # den = 2(r-1)g with g = 3(r-2) when ch3 is built, else 1
+    den = 1
     rows = [(n,)]
     if up_to >= 2:
-        rows.append((Fraction((n - 1) * n, 2 * (r - 1)), Fraction(n * (r - n), r - 1)))
+        g = 3 * (r - 2) if up_to >= 3 else 1
+        den = 2 * (r - 1) * g
+        rows = [(n * den,), ((n - 1) * n * g, 2 * n * (r - n) * g)]
     if up_to >= 3:
-        den = (r - 2) * (r - 1)
         rows.append((
-            Fraction((n - 2) * (n - 1) * n, 6 * den),
-            Fraction((n - 1) * n * (r - n), den),
-            Fraction(n * (2 * n * n - 3 * r * n + r * r), den),
+            (n - 2) * (n - 1) * n,
+            6 * (n - 1) * n * (r - n),
+            6 * n * (2 * n * n - 3 * r * n + r * r),
         ))
-    return _table_character(binomial(r, n), r, rows)
+    return _table_character(binomial(r, n), r, den, rows)
 
 
 def schur_ch3(alpha, r: int, up_to: int | None = None) -> GradedPoly:

@@ -21,7 +21,12 @@ next shorter one by one entry, and ``characters.generic_discriminants`` per
 (r, D).  Sharing them cannot change an answer: each table is an lru_cache of
 a pure function keyed on all of its inputs, and its values are
 ``GradedPoly``s (or tuples of them), which nothing mutates.  Only the
-Jacobi-Trudi determinant runs per partition.
+Jacobi-Trudi determinant runs per partition, and it too shares its work:
+``_adams_minors``, an lru_cache like the others, holds one dict per (r, D,
+dual form) in which ``symfunc.jacobi_trudi`` keeps every minor it expands,
+keyed by the rows and columns the minor reads, so partitions with the same
+leading rows expand those minors once.  The dict only gains entries, each
+the one value any evaluation on that family computes.
 
 ``root_ring``, ``exp_roots``, ``base_in_roots`` and ``char_to_roots`` build
 the same objects in the ring of r Chern roots.  They are the independent
@@ -79,11 +84,18 @@ def _adams_family(r: int, D: int, dual: bool, n: int) -> tuple[GradedPoly, ...]:
     return head + (newton_next(power_sums, head, dual),)
 
 
+@lru_cache(maxsize=None)
+def _adams_minors(r: int, D: int, dual: bool) -> dict:
+    """The Jacobi-Trudi minors on the (r, D, dual) Adams family, filled by ``jacobi_trudi``."""
+    return {}
+
+
 def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     """Total character of S^alpha E over e1..eD, in normal form.
 
     s_alpha evaluated on the power sums p_j = ch(psi^j E) of the generic
-    rank-r bundle: the Jacobi-Trudi determinant on their shared Newton family.
+    rank-r bundle: the Jacobi-Trudi determinant on their shared Newton
+    family, with the minors shared by every partition at (r, D).
     """
     alpha = Partition.of(alpha)
     if r < 1:
@@ -91,7 +103,7 @@ def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     if len(alpha) > r:
         raise ValueError(f"partition {alpha.parts} has more than {r} parts")
     rows, dual, top = jacobi_trudi_form(alpha)
-    return jacobi_trudi(rows, _adams_family(r, D, dual, top))
+    return jacobi_trudi(rows, _adams_family(r, D, dual, top), _adams_minors(r, D, dual))
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:

@@ -9,13 +9,18 @@ point anywhere.  Sums, scalings and products work on the ints alone and
 reduce once at the end; ``fractions.Fraction`` values appear only where a
 coefficient is read or written one at a time (parsing, printing, the
 constant term).  Each ring computes the weighted degree of an exponent vector
-once and keeps it.  Terms are stored unordered: products filter each pair of
-terms by degree and the proportionality test pivots on any term, so only
-``text()`` sorts them, into the canonical printed order.
+once and keeps it, and keeps a product table: for each pair of exponent
+vectors that a product has met, their sum, or ``None`` when the sum lies
+above the truncation.  The table is filled on first use and holds at most one
+entry per pair of the ring's monomials, so a product's inner loop is one dict
+lookup per pair of terms.  Terms are stored unordered: the proportionality
+test pivots on any term, so only ``text()`` sorts them, into the canonical
+printed order.
 
 Values are immutable after construction and all operations are pure; a
-ring's degree memo only gains entries, each the one value any thread would
-compute, so polynomials can be shared freely between threads.
+ring's degree memo and product table only gain entries, each the one value
+any thread would compute, so polynomials can be shared freely between
+threads.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ class PolyRing:
         # weighted degree of each exponent vector seen so far, kept for the
         # monomials of degree <= truncation only, so it stays bounded
         self._wdeg: dict[tuple[int, ...], int] = {}
+        # the product table, one _SumRow per left-hand exponent vector
+        self._sums: dict[tuple[int, ...], _SumRow] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -177,6 +184,23 @@ class PolyRing:
         return self.from_terms(terms)
 
 
+class _SumRow(dict):
+    """One row of a ring's product table: eb -> ea + eb, or None when that
+    sum has weighted degree above the truncation; filled on first lookup."""
+
+    __slots__ = ("ea", "limit", "wdeg")
+
+    def __init__(self, ring: PolyRing, ea: tuple[int, ...]):
+        self.ea = ea
+        self.limit = ring.truncation - ring.wdeg(ea)
+        self.wdeg = ring.wdeg
+
+    def __missing__(self, eb: tuple[int, ...]) -> tuple[int, ...] | None:
+        s = tuple(map(add, self.ea, eb)) if self.wdeg(eb) <= self.limit else None
+        self[eb] = s
+        return s
+
+
 def _reduced(ring: PolyRing, den: int, terms: dict[tuple[int, ...], int]) -> GradedPoly:
     """The element sum(terms) / den, with den > 0 and no zero numerator,
     brought to canonical form by dividing out the common factor."""
@@ -245,17 +269,19 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.scale(other)
         self._check(other)
-        D = self.ring.truncation
-        wdeg = self.ring.wdeg
-        b = [(wdeg(e), e, n) for e, n in other.terms.items()]
+        ring = self.ring
+        sums = ring._sums
+        b = other.terms.items()
         out: dict[tuple[int, ...], int] = {}
         for ea, na in self.terms.items():
-            limit = D - wdeg(ea)
-            for db, eb, nb in b:
-                if db <= limit:
-                    key = tuple(map(add, ea, eb))
+            row = sums.get(ea)
+            if row is None:
+                row = sums.setdefault(ea, _SumRow(ring, ea))
+            for eb, nb in b:
+                key = row[eb]
+                if key is not None:
                     out[key] = out.get(key, 0) + na * nb
-        return _reduced(self.ring, self.den * other.den, {e: n for e, n in out.items() if n})
+        return _reduced(ring, self.den * other.den, {e: n for e, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -339,21 +365,24 @@ class GradedPoly:
         for img in images.values():
             if img.ring != target:
                 raise ValueError("substitution images live in the wrong ring")
+        # powers[i][e - 1] is the image of generator i to the power e
         powers: dict[int, list[GradedPoly]] = {}
         names = self.ring.names
         result = target.zero()
-        for exps, c in self.items():
-            term = target.scalar(c)
+        for exps, n in self.terms.items():
+            term = None
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
                 if names[i] not in images:
                     raise ValueError(f"no image for generator {names[i]}")
-                cache = powers.setdefault(i, [target.one()])
-                while len(cache) <= e:
-                    cache.append(cache[-1] * images[names[i]])
-                term = term * cache[e]
-            result = result + term
+                cache = powers.setdefault(i, [images[names[i]]])
+                while len(cache) < e:
+                    cache.append(cache[-1] * cache[0])
+                term = cache[e - 1] if term is None else term * cache[e - 1]
+            if term is None:
+                term = target.one()
+            result = result + term._times(n, self.den)
         return result
 
     # -- analytic series ---------------------------------------------------

@@ -8,7 +8,10 @@ on a list of power sums.  That evaluation is two steps: the family step
 (``jacobi_trudi``), with ``jacobi_trudi_form`` the one place that picks the
 h-form or the dual e-form for a partition.  The family depends only on the
 power sums, not on the partition, so the oracle computes it once per bundle
-and runs only the determinant step per partition.
+and runs only the determinant step per partition.  The determinant step keeps
+its minors in a dict keyed by the rows and columns they read, so partitions
+that share their leading rows share those minors when the caller passes the
+same dict.
 
 The evaluation at explicit roots (``schur_in_roots``) and the change of basis
 from symmetric polynomials in degree-1 roots to power sums
@@ -209,15 +212,49 @@ def jacobi_trudi_form(alpha) -> tuple[tuple[int, ...], bool, int]:
     return parts, False, top
 
 
-def jacobi_trudi(rows, fam) -> GradedPoly:
-    """det( fam[rows_i - i + j] ), with fam[k] = 0 for k < 0: the determinant step."""
+def jacobi_trudi(rows, fam, minors=None) -> GradedPoly:
+    """det( fam[rows_i - i + j] ), with fam[k] = 0 for k < 0: the determinant step.
+
+    Expanded along the last row.  The minor on the top k rows and a set of
+    columns reads only rows[:k] and those columns, so it is stored in
+    ``minors`` under the key (rows[:k], cols), and every partition whose rows
+    start with rows[:k] reads it from there.  One ``minors`` dict may serve
+    every call on the same family, in any order; without one, a fresh dict
+    is used.  A zero entry or a zero minor contributes no term, an entry
+    fam[0] = 1 contributes its minor without a product, and the 1x1 minors
+    are the first row's entries themselves.
+    """
+    rows = tuple(rows)
+    if minors is None:
+        minors = {}
     ring = fam[0].ring
+    zero = ring.zero()
 
-    def entry(k):
-        return ring.zero() if k < 0 else fam[k]
+    def minor(k: int, cols: tuple[int, ...]) -> GradedPoly:
+        if k == 1:
+            idx = rows[0] + cols[0]
+            return fam[idx] if idx >= 0 else zero
+        key = (rows[:k], cols)
+        got = minors.get(key)
+        if got is not None:
+            return got
+        i = k - 1
+        shift = rows[i] - i
+        acc = zero
+        for pos, c in enumerate(cols):
+            idx = shift + c
+            if idx < 0 or not fam[idx].terms:
+                continue
+            sub = minor(i, cols[:pos] + cols[pos + 1 :])
+            if not sub.terms:
+                continue
+            term = sub if idx == 0 else fam[idx] * sub
+            # the cofactor sign of entry (i, pos) in a k x k minor
+            acc = acc - term if (i + pos) % 2 else acc + term
+        minors[key] = acc
+        return acc
 
-    n = len(rows)
-    return _det([[entry(rows[i] - i + j) for j in range(n)] for i in range(n)], ring)
+    return minor(len(rows), tuple(range(len(rows)))) if rows else ring.one()
 
 
 def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
@@ -247,39 +284,6 @@ def schur_in_roots(alpha, r: int, values) -> GradedPoly:
     if len(alpha) > r:
         raise ValueError(f"partition {alpha.parts} has more than {r} parts")
     return schur_from_power_sums(alpha, [power_sum_poly(k, values) for k in range(alpha.size + 1)])
-
-
-def _det(matrix, ring: PolyRing) -> GradedPoly:
-    """Determinant by column-subset expansion (memoized cofactors).
-
-    A zero entry contributes no term, and the 1x1 minors are the last row's
-    entries themselves, so the expansion never multiplies by a zero entry
-    or by the empty minor 1.
-    """
-    n = len(matrix)
-    if not n:
-        return ring.one()
-    last = matrix[-1]
-    cache: dict[tuple[int, ...], GradedPoly] = {}
-
-    def minor(cols: tuple[int, ...]) -> GradedPoly:
-        if len(cols) == 1:
-            return last[cols[0]]
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        row = matrix[n - len(cols)]
-        acc = ring.zero()
-        for pos, c in enumerate(cols):
-            entry = row[c]
-            if not entry.terms:
-                continue
-            term = entry * minor(cols[:pos] + cols[pos + 1 :])
-            acc = acc - term if pos % 2 else acc + term
-        cache[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
 
 
 # -- power-sum basis conversion ---------------------------------------------

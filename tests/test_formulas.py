@@ -20,7 +20,15 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.symfunc import binomial, enumerate_partitions
-from witness import delta2_x, delta2_x_sums, delta3_dot_sums, delta3_x, delta3_x_sums
+from witness import (
+    delta2_x,
+    delta2_x_sums,
+    delta3_dot_sums,
+    delta3_x,
+    delta3_x_sums,
+    exterior_table_by_fractions,
+    table_by_fractions,
+)
 
 
 class TestCasimirPolynomials:
@@ -195,6 +203,16 @@ class TestTables:
         for r in (3, 4, 5):
             for n in range(1, r + 1):
                 assert schur_ch3((1,) * n, r) == ext_power_ch3(n, r)
+
+    def test_integer_tables_equal_the_fraction_rows(self):
+        for r in range(1, 9):
+            alphas = [a for size in range(9) for a in enumerate_partitions(size, r)]
+            for up_to in range(1, min(r, 3) + 1):
+                for alpha in alphas:
+                    sc = schur_coefficients(alpha, r)
+                    assert sc.table(up_to) == table_by_fractions(sc, up_to)
+                for n in range(r + 1):
+                    assert ext_power_ch3(n, r, up_to) == exterior_table_by_fractions(n, r, up_to)
 
     def test_schur_rank_two_truncates_at_two(self):
         ch = schur_ch3((2,), 2)

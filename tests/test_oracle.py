@@ -22,6 +22,7 @@ from logchern.oracle import (
     SweepReport,
     VerificationRecord,
     _adams_family,
+    _adams_minors,
     _adams_power_sum,
     _over_e,
     base_in_roots,
@@ -613,7 +614,8 @@ class TestSharedFamilies:
     @staticmethod
     def _count_cold_products(monkeypatch, run):
         """run()'s value and the GradedPoly products it made, per-(r, D) tables empty."""
-        for cached in (_adams_family, _adams_power_sum, generic_discriminants, generic_bundle):
+        tables = (_adams_family, _adams_minors, _adams_power_sum, generic_discriminants, generic_bundle)
+        for cached in tables:
             cached.cache_clear()
         count = 0
         product = GradedPoly.__mul__
@@ -631,10 +633,11 @@ class TestSharedFamilies:
         # 7998 products without the shared families and discriminants, 3346
         # with them while each partition still took its own normal form, 3074
         # while the cofactor expansion, log and the double sum still made
-        # products by zero or by one
+        # products by zero or by one, 1843 while each partition expanded its
+        # own Jacobi-Trudi minors and substitution multiplied by constants
         report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
         assert report.failed == 0
-        assert count <= 1843
+        assert count <= 1178
 
     @pytest.mark.parametrize(
         "argv, products",

@@ -11,7 +11,7 @@ from logchern.ring import (
     proportion,
     root_generators,
 )
-from witness import proportion_by_scaling, reference_product, reference_sum
+from witness import proportion_by_scaling, reference_product, reference_sum, substitute_by_products
 
 
 def roots_ring(r, D):
@@ -145,12 +145,25 @@ def assert_same_value(got, ref):
     assert (got.den, got.terms) == (ref.den, ref.terms)
 
 
+def fresh_copy(p):
+    """p in a new ring equal to p's, whose product table is still empty."""
+    ring = p.ring
+    return PolyRing(zip(ring.names, ring.degrees), ring.truncation).from_terms(dict(p.items()))
+
+
 def assert_kernel_matches(x, y):
-    assert_same_value(x * y, reference_product(x, y))
+    """x * y on a cold ring, then twice on x's ring, whose table is warm the second time."""
+    ref = reference_product(x, y)
+    cold_x = fresh_copy(x)
+    assert not cold_x.ring._sums
+    assert_same_value(cold_x * cold_x.ring.from_terms(dict(y.items())), ref)
+    assert_same_value(x * y, ref)
+    assert_same_value(x * y, ref)
 
 
 class TestProductKernel:
-    """The integer kernel of GradedPoly.__mul__ against the Fraction double loop."""
+    """The integer kernel of GradedPoly.__mul__ and its product table against
+    the Fraction double loop."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -180,6 +193,26 @@ class TestProductKernel:
             "-9/14*x*z + 2/5*x*z^2 + 6/7*y^2 - 45/28*x^3 - 9/2*z^6"
         )
         assert_kernel_matches(top, low)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_table_holds_sums_or_the_marker(self, data):
+        # every entry is ea + eb when that has degree <= D and None otherwise,
+        # and rows and columns are exponent vectors of stored terms
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        a = fresh_copy(data.draw(wide_poly_strategy(ring)))
+        b = a.ring.from_terms(dict(data.draw(wide_poly_strategy(ring)).items()))
+        for x, y in ((a, b), (b, a), (a * b, a)):
+            x * y
+        table = a.ring._sums
+        D, wdeg = ring.truncation, ring.wdeg
+        for ea, row in table.items():
+            assert wdeg(ea) <= D
+            for eb, s in row.items():
+                total = tuple(i + j for i, j in zip(ea, eb))
+                assert s == (total if wdeg(total) <= D else None)
+        pairs = sum(len(row) for row in table.values())
+        assert pairs <= len({*a.terms, *b.terms, *(a * b).terms}) ** 2
 
 
 @st.composite
@@ -225,6 +258,19 @@ class TestIntegerSum:
         assert_same_value(total, reference_sum(a, b))
         half = ring.parse("1/2*x + 1/2*z")
         assert (half + half).den == 1
+
+
+class TestSubstitute:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_product_per_factor(self, data):
+        # the powers start at the image and the coefficient scales the
+        # product of powers, where the former loop multiplied by constants
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        target = data.draw(st.sampled_from(KERNEL_RINGS))
+        p = data.draw(wide_poly_strategy(ring))
+        images = {name: data.draw(wide_poly_strategy(target)) for name in ring.names}
+        assert_same_value(p.substitute(target, images), substitute_by_products(p, target, images))
 
 
 class TestSeries:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
@@ -10,7 +11,6 @@ from logchern.oracle import _adams_family, _adams_power_sum
 from logchern.ring import PolyRing, graded_generators, root_generators
 from logchern.symfunc import (
     Partition,
-    _det,
     enumerate_partitions,
     is_symmetric,
     jacobi_trudi,
@@ -24,7 +24,7 @@ from logchern.symfunc import (
     sym_to_power_sums,
     weyl_dim,
 )
-from witness import det_by_permutations, powersums_to_roots, ssyt_count
+from witness import det_by_cofactors, det_by_permutations, powersums_to_roots, ssyt_count
 
 
 def roots(r, D):
@@ -287,7 +287,7 @@ class TestSchur:
             ]
             for i in range(ell)
         ]
-        assert schur_from_power_sums(alpha, ps) == _det(matrix, ring)
+        assert schur_from_power_sums(alpha, ps) == det_by_cofactors(matrix, ring)
 
 
 def conjugate(alpha):
@@ -326,9 +326,33 @@ class TestJacobiTrudiSteps:
                     assert _adams_family(r, D, dual, n) == full[: n + 1]
                     assert list(full[: n + 1]) == newton_family(sums[: n + 1])
 
+    @pytest.mark.parametrize("dual", [False, True], ids=["h-form", "e-form"])
+    def test_one_minor_table_serves_every_partition(self, dual):
+        # one table per rank and form, filled by the partitions of size <= 8
+        # in a shuffled order: each value is the determinant of that
+        # partition's own matrix, and the value with no sharing
+        rng = random.Random(8)
+        for r in range(1, 7):
+            fam = _adams_family(r, 3, dual, 8)
+            zero = fam[0].ring.zero()
+            alphas = [a for n in range(9) for a in enumerate_partitions(n, r)]
+            rng.shuffle(alphas)
+            minors = {}
+            for alpha in alphas:
+                rows = conjugate(alpha) if dual else alpha.parts
+                n = len(rows)
+                matrix = [
+                    [fam[k] if (k := rows[i] - i + j) >= 0 else zero for j in range(n)]
+                    for i in range(n)
+                ]
+                shared = jacobi_trudi(rows, fam, minors)
+                assert shared == det_by_cofactors(matrix, fam[0].ring)
+                assert shared == jacobi_trudi(rows, fam)
+            assert minors or (r == 1 and not dual)
+
 
 class TestDeterminant:
-    """The cofactor expansion, which skips zero entries, against the permutation sum."""
+    """The witness cofactor expansion, which skips zero entries, against the permutation sum."""
 
     RING = PolyRing(graded_generators("e", 3), 3)
     ENTRIES = [
@@ -347,17 +371,17 @@ class TestDeterminant:
         n = data.draw(st.integers(0, 4))
         entry = st.sampled_from(self.ENTRIES)
         matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-        assert _det(matrix, self.RING) == det_by_permutations(matrix, self.RING)
+        assert det_by_cofactors(matrix, self.RING) == det_by_permutations(matrix, self.RING)
 
     def test_one_by_one_is_its_entry(self):
         for a in self.ENTRIES:
-            assert _det([[a]], self.RING) is a
+            assert det_by_cofactors([[a]], self.RING) is a
 
     def test_zero_rows_and_unit_triangles(self):
         z, one, e1 = self.ENTRIES[0], self.ENTRIES[1], self.ENTRIES[3]
-        assert _det([[e1, one], [z, z]], self.RING).is_zero()
-        assert _det([[one, e1, e1], [z, one, e1], [z, z, one]], self.RING) == one
-        assert _det([[z, one], [one, z]], self.RING) == -one
+        assert det_by_cofactors([[e1, one], [z, z]], self.RING).is_zero()
+        assert det_by_cofactors([[one, e1, e1], [z, one, e1], [z, z, one]], self.RING) == one
+        assert det_by_cofactors([[z, one], [one, z]], self.RING) == -one
 
 
 class TestPowerSumConversion:

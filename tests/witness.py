@@ -12,9 +12,10 @@ the literal sums over index pairs and triples; the library evaluates them
 through power sums.  It keeps the ring's former product and sum too, Fraction
 loops with one multiply or add per term, as the references for the integer
 arithmetic, and the former forms of the sweep's per-case steps (the
-proportionality test, the determinant, the restriction to e1..et, the
-discriminants and Delta_{4,t}), which made the products and Fractions the
-library now skips.
+proportionality test, the determinant by cofactors of one matrix, the
+restriction to e1..et, the discriminants, Delta_{4,t}, substitution and the
+Schur and exterior tables), which made the products and Fractions the library
+now skips or shares.
 The rest are helpers only the tests use: the shifted-variable polynomials at
 rational points, an independent tableau count of the Schur rank, two
 verifications over the oracle, and ``replace`` for the library's value classes.
@@ -22,10 +23,16 @@ verifications over the oracle, and ``replace`` for the library's value classes.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from logchern.characters import ch_ring, delta_k, log_character, normal_form
-from logchern.formulas import _as_vector, _delta2_constant, _delta_x_part, sym_power_ch
+from logchern.formulas import (
+    _TABLE_MONOMIALS,
+    _as_vector,
+    _delta2_constant,
+    _delta_x_part,
+    sym_power_ch,
+)
 from logchern.oracle import (
     Check,
     _equality_check,
@@ -198,6 +205,97 @@ def det_by_permutations(matrix, ring):
         inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def det_by_cofactors(matrix, ring):
+    """Determinant of one matrix by column-subset expansion along the first row.
+
+    The cofactors are memoized for this matrix only.  A zero entry
+    contributes no term, and the 1x1 minors are the last row's entries
+    themselves.
+    """
+    n = len(matrix)
+    if not n:
+        return ring.one()
+    last = matrix[-1]
+    cache = {}
+
+    def minor(cols):
+        if len(cols) == 1:
+            return last[cols[0]]
+        got = cache.get(cols)
+        if got is not None:
+            return got
+        row = matrix[n - len(cols)]
+        acc = ring.zero()
+        for pos, c in enumerate(cols):
+            entry = row[c]
+            if not entry.terms:
+                continue
+            term = entry * minor(cols[:pos] + cols[pos + 1 :])
+            acc = acc - term if pos % 2 else acc + term
+        cache[cols] = acc
+        return acc
+
+    return minor(tuple(range(n)))
+
+
+def substitute_by_products(p, target, images):
+    """p.substitute(target, images) as a product per factor, starting from the coefficient."""
+    powers = {}
+    names = p.ring.names
+    result = target.zero()
+    for exps, c in p.items():
+        term = target.scalar(c)
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            cache = powers.setdefault(i, [target.one()])
+            while len(cache) <= e:
+                cache.append(cache[-1] * images[names[i]])
+            term = term * cache[e]
+        result = result + term
+    return result
+
+
+def _fraction_table(rank, r, rows):
+    """The degree <= len(rows) table shape from Fraction rows, all times rank/r."""
+    up_to = len(rows)
+    return ch_ring(up_to).from_terms({
+        exps[:up_to]: c
+        for monos, coeffs in zip(_TABLE_MONOMIALS, ((r,), *rows))
+        for exps, c in zip(monos, coeffs)
+    })._times(rank, r)
+
+
+def table_by_fractions(sc, up_to):
+    """SchurCoefficients.table(up_to) with one Fraction per printed coefficient."""
+    r, size, dt2, dt3 = sc.r, sc.alpha.size, sc.delta2_tilde, sc.delta3_tilde
+    rows = [(size,)]
+    if up_to >= 2:
+        rows.append((Fraction(size * size - dt2, 2 * r), dt2))
+    if up_to >= 3:
+        rows.append((
+            (size**3 - 3 * size * dt2 + 2 * dt3) / (6 * r * r),
+            (size * dt2 - dt3) / r,
+            dt3,
+        ))
+    return _fraction_table(sc.r_alpha, r, rows)
+
+
+def exterior_table_by_fractions(n, r, up_to):
+    """ext_power_ch3(n, r, up_to) with one Fraction per printed coefficient."""
+    rows = [(n,)]
+    if up_to >= 2:
+        rows.append((Fraction((n - 1) * n, 2 * (r - 1)), Fraction(n * (r - n), r - 1)))
+    if up_to >= 3:
+        den = (r - 2) * (r - 1)
+        rows.append((
+            Fraction((n - 2) * (n - 1) * n, 6 * den),
+            Fraction((n - 1) * n * (r - n), den),
+            Fraction(n * (2 * n * n - 3 * r * n + r * r), den),
+        ))
+    return _fraction_table(comb(r, n), r, rows)
 
 
 def over_e_from_terms(a, t):
