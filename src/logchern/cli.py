@@ -1,19 +1,30 @@
 """Command-line surface: compute characters and discriminants, verify, report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
-SIGPIPE) when the reader of stdout goes away before the output is written.
-Rationals are always printed exactly as num/den; there is no floating point
-output.
+The command line is read against one table, ``COMMANDS``: each command's
+help line, handler and options, each option with its converter and its
+default or ``_REQUIRED``.  An option is ``--opt value`` or ``--opt=value``;
+the token after a flag is its value even when it starts with ``-`` (so
+``--t -7/2`` works), but never when it starts with ``--``.  A unique prefix
+of a flag stands for it, and a repeated option keeps its last value.
+``-h``/``--help`` prints the program's or one command's help from the same
+table.  Every command runs in a fresh interpreter, which is why the parser is
+not ``argparse``: importing and building that cost more than most commands'
+own work.
+
+Exit codes: 0 success, 1 verification failure, 2 usage error (one line,
+``error: <reason>``, on stderr), 141 (128 + SIGPIPE) when the reader of
+stdout goes away before the output is written.  Rationals are always
+printed exactly as num/den; there is no floating point output.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 from logchern.characters import (
     delta_k,
@@ -52,7 +63,8 @@ MAX_SIZE = 64
 # Fraction() alone would also read decimals and exponents, and build a
 # million-digit integer from "1e1000000".
 MAX_T_DIGITS = 50
-_RATIONAL_RE = re.compile(r"\s*-?(\d+)(?:/(\d+))?\s*")
+# compiled on first use, by re's own cache: only delta4 --t reads it
+_RATIONAL = r"\s*-?(\d+)(?:/(\d+))?\s*"
 # Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
 # reports a process that SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
@@ -83,12 +95,12 @@ def _partition(text: str, r: int) -> Partition:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for an exact rational: an integer or p/q, such as 3 or 7/2."""
-    match = _RATIONAL_RE.fullmatch(text)
+    """Option converter for an exact rational: an integer or p/q, such as 3 or 7/2."""
+    match = re.fullmatch(_RATIONAL, text)
     if match is not None and max(len(digits) for digits in match.groups("")) > MAX_T_DIGITS:
-        raise argparse.ArgumentTypeError(f"more than {MAX_T_DIGITS} digits: {text!r}")
+        raise ValueError(f"more than {MAX_T_DIGITS} digits: {text!r}")
     if match is None or match[2] is not None and int(match[2]) == 0:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+        raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(text)
 
 
@@ -274,85 +286,175 @@ def cmd_hc_check(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse reads an argument that starts with "-" as an option unless
-        # it looks like a negative number, which it takes to be -7 or -3.5;
-        # also accept -7/2, so that "delta4 --t -7/2" works like "--t=-7/2"
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+# The command table: name -> (help line, handler, options).  An option is
+# (flag, converter, default, note): the converter is int, str or _fraction,
+# or the tuple or range of the values the option accepts, each converted
+# like the first; the default _REQUIRED makes the option mandatory.
+_REQUIRED = object()
+_RANK = ("--rank", int, _REQUIRED, f"1 to {MAX_RANK}")
+COMMANDS = {
+    "ch": ("Chern character of a Schur functor", cmd_ch, (
+        _RANK,
+        ("--partition", str, _REQUIRED, "e.g. 2,1 (empty or 0 for the trivial functor)"),
+        ("--max-degree", range(1, MAX_DEGREE + 1), 3, ""),
+        ("--method", ("closed", "oracle", "both"), "both", ""),
+        ("--format", ("text", "json"), "text", ""),
+    )),
+    "delta": ("discriminant of a Schur functor and its scaling factor", cmd_delta, (
+        _RANK,
+        ("--partition", str, _REQUIRED, ""),
+        ("--k", range(1, MAX_DEGREE + 1), 2, ""),
+    )),
+    "verify": ("oracle-vs-closed sweep plus the measured claim table", cmd_verify, (
+        ("--max-rank", int, 5, f"1 to {MAX_SWEEP_RANK}"),
+        ("--max-size", int, 6, f"1 to {MAX_SWEEP_SIZE}"),
+        ("--max-degree", (1, 2, 3), 3, ""),
+        ("--format", ("text", "json"), "text", ""),
+    )),
+    "delta4": ("degree-4 proportionality for a symmetric power", cmd_delta4, (
+        _RANK,
+        ("--m", int, _REQUIRED, ""),
+        ("--t", _fraction, None, "parameter t, an integer or p/q (default: rank)"),
+    )),
+    "lowrank": ("modified degree-4/5 class of a generic low-rank bundle", cmd_lowrank, (
+        ("--k", (4, 5), _REQUIRED, ""),
+        _RANK,
+    )),
+    "mukai": ("Mukai vector of a Schur bundle on a K3 surface", cmd_mukai, (
+        ("--v", str, _REQUIRED, "input vector r,c,s"),
+        ("--d", int, _REQUIRED, "H^2 = 2d"),
+        ("--partition", str, _REQUIRED, ""),
+    )),
+    "hc-check": ("shifted-variable and translation identities", cmd_hc_check, (
+        ("--k", (2, 3), _REQUIRED, ""),
+        _RANK,
+    )),
+}
 
-    def print_help(self, file=None):
-        # argparse's own writer drops a write error; let a closed stdout raise
-        # BrokenPipeError, as every other command's output does
-        (file or sys.stdout).write(self.format_help())
+
+class _UsageError(Exception):
+    """A malformed command line; main prints it as one line and exits 2."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="logchern",
-        description="Exact Chern characters and discriminants of Schur functors, "
-        "with brute-force verification.",
+def _help(command: str | None) -> str:
+    """The help text of one command, or of the program when command is None."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        return "\n".join([
+            "usage: logchern <command> [--option value | --option=value ...]",
+            "",
+            "Exact Chern characters and discriminants of Schur functors,",
+            "with brute-force verification.",
+            "",
+            "commands:",
+            *(f"  {name:<{width}}  {summary}" for name, (summary, _, _) in COMMANDS.items()),
+            "",
+            "Run 'logchern <command> --help' for the options of a command.",
+            "",
+        ])
+    summary, _, options = COMMANDS[command]
+    width = max(len(flag) for flag, *_ in options)
+    rows = []
+    for flag, convert, default, note in options:
+        about = [note] if note else []
+        if isinstance(convert, (tuple, range)):
+            about.append(f"one of {', '.join(map(str, convert))}")
+        if default is _REQUIRED:
+            about.append("required")
+        elif default is not None:
+            about.append(f"default {default}")
+        rows.append(f"  {flag:<{width}}  {'; '.join(about)}")
+    return "\n".join(
+        [f"usage: logchern {command} [--option value ...]", "", summary, "", "options:", *rows, ""]
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ch", help="Chern character of a Schur functor")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--partition", required=True, help="e.g. 2,1 (empty or 0 for the trivial functor)")
-    p.add_argument("--max-degree", type=int, default=3, choices=range(1, MAX_DEGREE + 1))
-    p.add_argument("--method", choices=("closed", "oracle", "both"), default="both")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_ch)
 
-    p = sub.add_parser("delta", help="discriminant of a Schur functor and its scaling factor")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--k", type=int, default=2, choices=range(1, MAX_DEGREE + 1))
-    p.set_defaults(func=cmd_delta)
+def _print(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
 
-    p = sub.add_parser("verify", help="oracle-vs-closed sweep plus the measured claim table")
-    p.add_argument("--max-rank", type=int, default=5)
-    p.add_argument("--max-size", type=int, default=6)
-    p.add_argument("--max-degree", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("delta4", help="degree-4 proportionality for a symmetric power")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=_fraction, default=None, help="parameter t (default: rank)")
-    p.set_defaults(func=cmd_delta4)
+def _flag(token: str, flags) -> str:
+    """The flag or --help that token's name before any '=' is, or uniquely begins."""
+    name = token.partition("=")[0]
+    if name == "-h":
+        return "--help"
+    if name.startswith("--") and name != "--":
+        if name in flags:
+            return name
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) == 1:
+            return matches[0]
+        if matches:
+            raise _UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    raise _UsageError(f"unrecognized arguments: {token}")
 
-    p = sub.add_parser("lowrank", help="modified degree-4/5 class of a generic low-rank bundle")
-    p.add_argument("--k", type=int, required=True, choices=(4, 5))
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(func=cmd_lowrank)
 
-    p = sub.add_parser("mukai", help="Mukai vector of a Schur bundle on a K3 surface")
-    p.add_argument("--v", required=True, help="input vector r,c,s")
-    p.add_argument("--d", type=int, required=True, help="H^2 = 2d")
-    p.add_argument("--partition", required=True)
-    p.set_defaults(func=cmd_mukai)
+def _value(flag: str, convert, text: str):
+    """text converted for flag's option; a usage error when it does not fit."""
+    choices = convert if isinstance(convert, (tuple, range)) else None
+    if choices is not None:
+        convert = type(choices[0])
+    try:
+        value = convert(text)
+    except ValueError as exc:
+        # int's own message names int() and its base; _fraction's is for users
+        reason = f"invalid int value: {text!r}" if convert is int else exc
+        raise _UsageError(f"argument {flag}: {reason}") from None
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(str, choices))
+        raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {listed})")
+    return value
 
-    p = sub.add_parser("hc-check", help="shifted-variable and translation identities")
-    p.add_argument("--k", type=int, required=True, choices=(2, 3))
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(func=cmd_hc_check)
-    return parser
+
+def _parse(argv: list[str]):
+    """(handler, argument) for argv: a command's handler and its options as
+    attributes, or _print and a help text."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        if command.startswith("-"):
+            _flag(command, ("--help",))  # a usage error unless it asks for help
+            return _print, _help(None)
+        got = f", got {command!r}" if argv else ""
+        raise _UsageError(f"expected a command, one of {', '.join(COMMANDS)}{got}")
+    tokens = iter(argv[1:])
+    _, handler, options = COMMANDS[command]
+    spec = {flag: (convert, default) for flag, convert, default, _ in options}
+    values = {}
+    for token in tokens:
+        flag = _flag(token, (*spec, "--help"))
+        if flag == "--help":
+            return _print, _help(command)
+        _, joined, text = token.partition("=")
+        if not joined:
+            # the next token is the value even when it starts with "-", as
+            # "--t -7/2" does, but no flag is ever taken as one
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise _UsageError(f"argument {flag}: expected one value")
+        values[flag] = _value(flag, spec[flag][0], text)
+    missing = [flag for flag, (_, default) in spec.items() if default is _REQUIRED and flag not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(
+        **{flag[2:].replace("-", "_"): values.get(flag, default) for flag, (_, default) in spec.items()}
+    )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
-            code = args.func(args)
+            handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+            code = handler(args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
         finally:
-            # also when --help or a usage error leaves by SystemExit, so that
-            # buffered help text into a closed stdout fails here, not at exit
+            # also when a usage error leaves by SystemExit, so that buffered
+            # output into a closed stdout fails here, not at exit
             sys.stdout.flush()
     except BrokenPipeError:
         # stdout's reader went away: send what is still buffered to devnull,

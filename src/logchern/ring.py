@@ -11,8 +11,9 @@ coefficient is read or written one at a time (parsing, printing, the
 constant term).  Each ring computes the weighted degree of an exponent vector
 once and keeps it, and keeps a product table: for each pair of exponent
 vectors that a product has met, their sum, or ``None`` when the sum lies
-above the truncation.  The table is filled on first use and holds at most one
-entry per pair of the ring's monomials, so a product's inner loop is one dict
+above the truncation.  The table is filled on first use, a new row at once
+for every term of the operand that creates it, and holds at most one entry
+per pair of the ring's monomials, so a product's inner loop is one dict
 lookup per pair of terms.  Terms are stored unordered: the proportionality
 test pivots on any term, so only ``text()`` sorts them, into the canonical
 printed order.
@@ -31,9 +32,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-_GEN_RE = re.compile(r"([A-Za-z_]\w*?)(?:\^(\d+))?$")
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+# Patterns of PolyRing.parse, which only the claim table uses: re
+# compiles each on its first use and keeps it in its own cache, so a command
+# that parses no polynomial pays nothing for them.
+_NUM = r"\d+(?:/\d+)?"
+_GEN = r"([A-Za-z_]\w*?)(?:\^(\d+))?$"
+_TERM = r"[+-]?[^+-]+"
 
 
 def rat(x) -> Fraction:
@@ -161,7 +165,7 @@ class PolyRing:
             return self.zero()
         terms: dict[tuple[int, ...], Fraction] = {}
         consumed = 0
-        for m in _TERM_RE.finditer(s):
+        for m in re.finditer(_TERM, s):
             consumed += len(m.group(0))
             piece = m.group(0)
             sign = -1 if piece.startswith("-") else 1
@@ -169,10 +173,10 @@ class PolyRing:
             coeff = Fraction(sign)
             exps = [0] * len(self.names)
             for factor in piece.split("*"):
-                if _NUM_RE.fullmatch(factor):
+                if re.fullmatch(_NUM, factor):
                     coeff *= Fraction(factor)
                     continue
-                gm = _GEN_RE.fullmatch(factor)
+                gm = re.fullmatch(_GEN, factor)
                 if not gm or gm.group(1) not in self._index:
                     raise ValueError(f"cannot parse term factor {factor!r}")
                 e = int(gm.group(2)) if gm.group(2) else 1
@@ -186,14 +190,18 @@ class PolyRing:
 
 class _SumRow(dict):
     """One row of a ring's product table: eb -> ea + eb, or None when that
-    sum has weighted degree above the truncation; filled on first lookup."""
+    sum has weighted degree above the truncation.  The row starts filled for
+    the (eb, weighted degree) pairs of the operand that created it, and a key
+    it has not met is filled on first lookup."""
 
     __slots__ = ("ea", "limit", "wdeg")
 
-    def __init__(self, ring: PolyRing, ea: tuple[int, ...]):
+    def __init__(self, ring: PolyRing, ea: tuple[int, ...], b_wdeg: list[tuple[tuple[int, ...], int]]):
         self.ea = ea
-        self.limit = ring.truncation - ring.wdeg(ea)
+        self.limit = limit = ring.truncation - ring.wdeg(ea)
         self.wdeg = ring.wdeg
+        for eb, d in b_wdeg:
+            self[eb] = tuple(map(add, ea, eb)) if d <= limit else None
 
     def __missing__(self, eb: tuple[int, ...]) -> tuple[int, ...] | None:
         s = tuple(map(add, self.ea, eb)) if self.wdeg(eb) <= self.limit else None
@@ -272,11 +280,16 @@ class GradedPoly:
         ring = self.ring
         sums = ring._sums
         b = other.terms.items()
+        # other's exponent vectors with their weighted degrees, taken once
+        # when the first new row needs them
+        b_wdeg = None
         out: dict[tuple[int, ...], int] = {}
         for ea, na in self.terms.items():
             row = sums.get(ea)
             if row is None:
-                row = sums.setdefault(ea, _SumRow(ring, ea))
+                if b_wdeg is None:
+                    b_wdeg = [(eb, ring.wdeg(eb)) for eb in other.terms]
+                row = sums.setdefault(ea, _SumRow(ring, ea, b_wdeg))
             for eb, nb in b:
                 key = row[eb]
                 if key is not None:

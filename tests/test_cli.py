@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.cli import MAX_RANK, MAX_SIZE, MAX_T_DIGITS, main
+from logchern.cli import _REQUIRED, COMMANDS, MAX_RANK, MAX_SIZE, MAX_T_DIGITS, main
 from logchern.oracle import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,6 +221,90 @@ def run_error(capsys, *argv):
     return code, err
 
 
+def usage_error(capsys, *argv):
+    """The one stderr line of a usage error, which exits 2 with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+class TestParser:
+    DELTA = ("delta", "--rank", "3", "--partition", "2", "--k", "2")
+
+    def test_unique_prefix_of_a_flag(self, capsys):
+        full = run(capsys, "verify", "--max-rank", "2", "--max-size", "2", "--max-degree", "2")
+        short = run(capsys, "verify", "--max-r", "2", "--max-s=2", "--max-d", "2")
+        assert short == full
+        assert short[0] == 0
+
+    def test_ambiguous_prefix(self, capsys):
+        err = usage_error(capsys, "verify", "--max", "3")
+        assert err == "error: ambiguous option: --max could match --max-rank, --max-size, --max-degree\n"
+
+    def test_value_joined_by_equals(self, capsys):
+        assert run(capsys, "delta", "--rank=3", "--partition=2", "--k=2") == run(capsys, *self.DELTA)
+
+    def test_repeated_option_takes_its_last_value(self, capsys):
+        assert run(capsys, "delta", "--rank", "9", "--partition", "1", *self.DELTA[1:]) == run(
+            capsys, *self.DELTA
+        )
+        assert run(capsys, *self.DELTA, "--rank", "2")[1].startswith("Delta_2(S^(2) E) = 6*e1^2 - 24*e2\n")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("delta", "--rank", "3", "--partition"), "argument --partition: expected one value"),
+            (("delta", "--rank", "--partition", "2"), "argument --rank: expected one value"),
+            (("delta", "--partition", "2"), "the following arguments are required: --rank"),
+            (("mukai",), "the following arguments are required: --v, --d, --partition"),
+            (("delta", "--rank", "3", "--partition", "2", "2"), "unrecognized arguments: 2"),
+            (("delta", "--rank", "3", "--partition", "2", "--"), "unrecognized arguments: --"),
+            (("delta", "--rank", "3", "--partition", "2", "--kk", "2"), "unrecognized arguments: --kk"),
+            (("delta", "--rank", "x", "--partition", "2"), "argument --rank: invalid int value: 'x'"),
+            (
+                ("delta", "--rank", "3", "--partition", "2", "--k", "6"),
+                "argument --k: invalid choice: '6' (choose from 1, 2, 3, 4, 5)",
+            ),
+            (("deltas",), "expected a command, one of " + ", ".join(COMMANDS) + ", got 'deltas'"),
+            ((), "expected a command, one of " + ", ".join(COMMANDS)),
+            (("--rank", "3"), "unrecognized arguments: --rank"),
+        ],
+        ids=[
+            "missing-value", "flag-as-value", "missing-required", "all-missing", "stray-word",
+            "double-dash", "unknown-flag", "bad-int", "bad-choice", "unknown-command",
+            "no-command", "option-before-command",
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, reason):
+        assert usage_error(capsys, *argv) == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_program_help_names_every_command(self, capsys, flag):
+        code, out = run(capsys, flag)
+        assert code == 0
+        listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0].splitlines()]
+        assert listed == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_names_every_option(self, capsys, command):
+        # help wins over the required options that are missing
+        code, out = run(capsys, command, "--help")
+        assert code == 0
+        options = COMMANDS[command][2]
+        rows = out.split("options:\n")[1].splitlines()
+        assert [row.split()[0] for row in rows] == [flag for flag, *_ in options]
+        for (_, convert, default, _), row in zip(options, rows):
+            if isinstance(convert, (tuple, range)):
+                assert f"one of {', '.join(map(str, convert))}" in row
+            if default is _REQUIRED:
+                assert row.endswith("required")
+            elif default is not None:
+                assert row.endswith(f"default {default}")
+
+
 class TestInputBounds:
     @pytest.mark.parametrize("rank", ["0", "-2", str(MAX_RANK + 1)])
     @pytest.mark.parametrize(
@@ -371,8 +455,7 @@ class TestInputBounds:
         assert out.startswith("Delta_(4,7/2)(S^2 V)")
 
     def test_delta4_negative_t_as_a_separate_argument(self, capsys):
-        # argparse takes only -7 and -3.5 for negative numbers by default, so
-        # "--t -7/2" was read as --t without a value followed by an option
+        # the token after a flag is its value, also when it starts with "-"
         spaced = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", "-7/2")
         joined = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t=-7/2")
         assert spaced == joined
@@ -545,3 +628,5 @@ def test_every_argv_exits_0_1_or_2(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from logchern.ring import (
     PolyRing,
+    _SumRow,
     graded_generators,
     proportion,
     root_generators,
@@ -193,6 +194,24 @@ class TestProductKernel:
             "-9/14*x*z + 2/5*x*z^2 + 6/7*y^2 - 45/28*x^3 - 9/2*z^6"
         )
         assert_kernel_matches(top, low)
+
+    def test_row_made_by_one_operand_serves_another(self, monkeypatch):
+        # p * q creates p's rows already filled for q's terms, so the cold
+        # product misses no lookup; p * s then reads them with s's terms, of
+        # which only the two not in q are new to each row
+        misses = []
+        fill = _SumRow.__missing__
+        monkeypatch.setattr(_SumRow, "__missing__", lambda row, eb: misses.append(eb) or fill(row, eb))
+        ring = PolyRing((("x", 2), ("y", 3), ("z", 1)), 6)
+        p = ring.parse("2 + 3/7*x - y + z^2")
+        q = ring.parse("5*z - 1/2*x*z + x^2")
+        s = ring.parse("-4/3*y + x^2 + 7*z^4 + 5*z")
+        assert_same_value(p * q, reference_product(p, q))
+        assert misses == []
+        assert all(ring._sums[ea].keys() == q.terms.keys() for ea in p.terms)
+        assert_same_value(p * s, reference_product(p, s))
+        assert len(misses) == 2 * len(p.terms)
+        assert all(ring._sums[ea].keys() == q.terms.keys() | s.terms.keys() for ea in p.terms)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)

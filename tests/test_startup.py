@@ -5,7 +5,9 @@ is paid for on every run.  ``dataclasses`` drags in ``inspect`` and its
 ``ast``/``dis``/``tokenize`` chain, and ``importlib.resources`` drags in
 pathlib, tempfile and shutil; the package needs none of them.  The package
 never imports ``random``, and imports ``json`` only for JSON output and for
-the whitelist ``verify`` reads.  The check runs under ``-S`` so that modules
+the whitelist ``verify`` reads.  The command line is read by the CLI's own
+table-driven parser, not by ``argparse``, which with the ``gettext`` it
+imports cost more start-up time than most commands' own work.  The check runs under ``-S`` so that modules
 a site ``.pth`` file preloads cannot hide a regression.
 """
 
@@ -15,7 +17,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = ("dataclasses", "inspect", "typing", "importlib.resources", "random", "json")
+UNWANTED = (
+    "dataclasses", "inspect", "typing", "importlib.resources", "random", "json", "argparse", "gettext",
+)
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
