@@ -42,7 +42,7 @@ from logchern.oracle import (
     sweep,
     verify_delta4_proportionality,
 )
-from logchern.report import build_report, format_table, unexpected_discrepancies
+from logchern.report import build_report, judge
 from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
 from logchern.symfunc import INT_RE, Partition
 
@@ -64,7 +64,7 @@ MAX_SIZE = 64
 # million-digit integer from "1e1000000".
 MAX_T_DIGITS = 50
 # compiled on first use, by re's own cache: only delta4 --t reads it
-_RATIONAL = r"\s*-?(\d+)(?:/(\d+))?\s*"
+_RATIONAL = r"\s*-?([0-9]+)(?:/([0-9]+))?\s*"
 # Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
 # reports a process that SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
@@ -191,14 +191,15 @@ def cmd_verify(args) -> int:
         args.max_degree,
     )
     rows = build_report()
-    unexpected = unexpected_discrepancies(rows)
+    flags, unexpected = judge(rows)
     failed = report.failed > 0 or bool(unexpected)
     if args.format == "json":
         import json
 
+        fields = ("claim", "paper_location", "printed_value", "measured_value", "status")
         doc = {
             **report.to_json_dict(),
-            "discrepancies": [row.to_json_dict() for row in rows],
+            "discrepancies": [{name: getattr(row, name) for name in fields} for row in rows],
         }
         if unexpected:
             doc["unexpected"] = unexpected
@@ -208,15 +209,18 @@ def cmd_verify(args) -> int:
         f"sweep: {report.cases} cases, {report.passed} passed, {report.failed} failed"
     )
     for rec in report.records:
-        if not rec.ok:
-            for chk in rec.failures():
-                print(
-                    f"  FAIL alpha=({rec.alpha}) r={rec.r}: {chk.name}\n"
-                    f"       lhs: {chk.lhs}\n       rhs: {chk.rhs}"
-                )
+        for chk in rec.failures():
+            print(
+                f"  FAIL alpha=({rec.alpha}) r={rec.r}: {chk.claim}\n"
+                f"       lhs: {chk.measured_value}\n       rhs: {chk.printed_value}"
+            )
     print()
     print("claim table (printed vs measured):")
-    print(format_table(rows))
+    for row, flag in zip(rows, flags):
+        print(
+            f"[{flag}] {row.claim}\n    where:    {row.paper_location}\n"
+            f"    printed:  {row.printed_value}\n    measured: {row.measured_value}"
+        )
     if unexpected:
         print()
         print(f"{len(unexpected)} discrepancies the whitelist does not account for -- failing")
@@ -395,12 +399,13 @@ def _value(flag: str, convert, text: str):
     choices = convert if isinstance(convert, (tuple, range)) else None
     if choices is not None:
         convert = type(choices[0])
+    if convert is int and not INT_RE.fullmatch(text):
+        # int() alone would also read "1_0", "+3" and non-ASCII digits
+        raise _UsageError(f"argument {flag}: invalid int value: {text!r}")
     try:
         value = convert(text)
     except ValueError as exc:
-        # int's own message names int() and its base; _fraction's is for users
-        reason = f"invalid int value: {text!r}" if convert is int else exc
-        raise _UsageError(f"argument {flag}: {reason}") from None
+        raise _UsageError(f"argument {flag}: {exc}") from None
     if choices is not None and value not in choices:
         listed = ", ".join(map(str, choices))
         raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {listed})")

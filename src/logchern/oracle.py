@@ -150,23 +150,34 @@ def char_to_roots(a: GradedPoly, r: int) -> GradedPoly:
 # -- verification records -----------------------------------------------------
 
 
-class Check:
-    __slots__ = ("name", "passed", "lhs", "rhs")
+class Claim:
+    """One comparison ``verify`` makes: a sweep check or a claim-table row.
 
-    def __init__(self, name: str, passed: bool, lhs: str = "", rhs: str = ""):
-        self.name = name
-        self.passed = passed
-        self.lhs = lhs
-        self.rhs = rhs
+    ``holds`` is decided on the exact values; the texts are what the table,
+    the JSON and the whitelist show.  A sweep check has no paper location (its
+    record names the case) and writes its texts only when it fails.
+    """
 
-    def __repr__(self) -> str:
-        return f"Check({self.name!r}, {self.passed}, {self.lhs!r}, {self.rhs!r})"
+    __slots__ = ("claim", "paper_location", "printed_value", "measured_value", "holds")
+
+    def __init__(
+        self, claim: str, paper_location: str, printed_value: str, measured_value: str, holds: bool
+    ):
+        self.claim = claim
+        self.paper_location = paper_location
+        self.printed_value = printed_value
+        self.measured_value = measured_value
+        self.holds = holds
+
+    @property
+    def status(self) -> str:
+        return "confirmed" if self.holds else "typo-suspected"
 
 
 class VerificationRecord:
     __slots__ = ("alpha", "r", "D", "checks")
 
-    def __init__(self, alpha: Partition, r: int, D: int, checks: tuple[Check, ...]):
+    def __init__(self, alpha: Partition, r: int, D: int, checks: tuple[Claim, ...]):
         self.alpha = alpha
         self.r = r
         self.D = D
@@ -174,28 +185,28 @@ class VerificationRecord:
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.holds for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
-
-def _equality_check(name: str, lhs: GradedPoly, rhs: GradedPoly) -> Check:
-    if lhs == rhs:
-        return Check(name, True)
-    return Check(name, False, lhs.text(), rhs.text())
+    def failures(self) -> list[Claim]:
+        return [c for c in self.checks if not c.holds]
 
 
-def _factor_check(name: str, lhs: GradedPoly, rhs: GradedPoly, expected) -> Check:
-    """lhs == expected * rhs, with 0 == lam*0 handled as the vanishing regime."""
-    if rhs.is_zero():
-        if lhs.is_zero():
-            return Check(name + " (vanishing regime)", True)
-        return Check(name, False, lhs.text(), "0")
-    ok, lam = proportion(lhs, rhs)
+def _equality_check(name: str, measured: GradedPoly, printed: GradedPoly) -> Claim:
+    if measured == printed:
+        return Claim(name, "", "", "", True)
+    return Claim(name, "", printed.text(), measured.text(), False)
+
+
+def _factor_check(name: str, measured: GradedPoly, base: GradedPoly, expected) -> Claim:
+    """measured == expected * base, with 0 == lam*0 handled as the vanishing regime."""
+    if base.is_zero():
+        if measured.is_zero():
+            return Claim(name + " (vanishing regime)", "", "", "", True)
+        return Claim(name, "", "0", measured.text(), False)
+    ok, lam = proportion(measured, base)
     if ok and lam == expected:
-        return Check(name, True)
-    return Check(name, False, f"factor {lam if ok else 'none'}", f"factor {expected}")
+        return Claim(name, "", "", "", True)
+    return Claim(name, "", f"factor {expected}", f"factor {lam if ok else 'none'}", False)
 
 
 def _over_e(a: GradedPoly, t: int) -> GradedPoly:

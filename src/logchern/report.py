@@ -1,12 +1,16 @@
 """Measured claim table: printed values versus what the oracle computes.
 
-Every row is measured at run time -- nothing is hard-coded as true or false.
-A row whose printed and measured values agree is ``confirmed``; otherwise it
-is ``typo-suspected``.  The shipped whitelist pins every row that is
-expected to disagree, by claim and paper location, with the printed and
-measured values the oracle adjudicated, so the verify command can pass while
-still reporting them.  Any other disagreement is a real failure, and so is a
-pinned row whose values drift, that no longer appears, or that now agrees.
+Every row is an ``oracle.Claim``, the record the sweep's checks use too,
+measured at run time -- nothing is hard-coded as true or false.  A row holds
+when its printed value is true of the measured one, decided on the exact
+values; it then reads ``confirmed``, otherwise ``typo-suspected``.  The
+shipped whitelist pins every row that is expected not to hold, by claim and
+paper location, with the printed and measured texts the oracle adjudicated,
+so the verify command can pass while still reporting them.  ``judge`` reads
+the whitelist once and gives each row its flag in the table and the lines
+for what the whitelist does not account for: any other row that does not
+hold, and a pinned row whose texts drift, that no longer appears, or that
+now holds.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from logchern.characters import base_bundle, d_k, delta_k, generic_bundle
 from logchern.formulas import sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
 from logchern.oracle import (
+    Claim,
     oracle_schur_ch,
     schur_factor,
     verify_delta4_proportionality,
@@ -27,55 +32,20 @@ from logchern.oracle import (
 from logchern.ring import proportion
 from logchern.symfunc import binomial
 
-CONFIRMED = "confirmed"
-TYPO_SUSPECTED = "typo-suspected"
 
-
-class Discrepancy:
-    __slots__ = ("claim", "paper_location", "printed_value", "measured_value", "status")
-
-    def __init__(
-        self, claim: str, paper_location: str, printed_value: str, measured_value: str, status: str
-    ):
-        self.claim = claim
-        self.paper_location = paper_location
-        self.printed_value = printed_value
-        self.measured_value = measured_value
-        self.status = status
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "paper_location": self.paper_location,
-            "printed_value": self.printed_value,
-            "measured_value": self.measured_value,
-            "status": self.status,
-        }
-
-
-def _row(claim, location, printed: str, measured: str, holds: bool) -> Discrepancy:
-    """A row labelled by its printed and measured strings.
-
-    ``holds`` is whether the printed claim is true of the measured values,
-    decided on the exact values, never on the labels.
-    """
-    status = CONFIRMED if holds else TYPO_SUSPECTED
-    return Discrepancy(claim, location, printed, measured, status)
-
-
-def build_report() -> list[Discrepancy]:
+def build_report() -> list[Claim]:
     """Assemble the full measured claim table."""
-    rows: list[Discrepancy] = []
+    rows: list[Claim] = []
 
     # golden symmetric-square character at r = 2
-    got = sym_power_ch(2, 2, 2)
+    s2 = sym_power_ch(2, 2, 2)
     rows.append(
-        _row(
+        Claim(
             "sym-square-character-r2",
             "counterexample to additivity, displayed ch(S^2 V)",
             "(3, 3*e1, 1/2*e1^2+4*e2)",
-            f"({got.constant()}, {got.component(1).compact()}, {got.component(2).compact()})",
-            got == got.ring.parse("3+3*e1+1/2*e1^2+4*e2"),
+            f"({s2.constant()}, {s2.component(1).compact()}, {s2.component(2).compact()})",
+            s2 == s2.ring.parse("3+3*e1+1/2*e1^2+4*e2"),
         )
     )
 
@@ -84,7 +54,7 @@ def build_report() -> list[Discrepancy]:
     wedge_factor = schur_factor((1, 1), 4, 2, lambda a: delta_k(a, 2))[1]
     sym_factor = schur_factor((2,), 3, 2, lambda a: delta_k(a, 2))[1]
     rows.append(
-        _row(
+        Claim(
             "sym-square-delta2-factor",
             "slope/discriminant examples, Delta_2(S^2 V) line",
             "(r+1)(r+2)/2 at r=3: 10",
@@ -93,7 +63,7 @@ def build_report() -> list[Discrepancy]:
         )
     )
     rows.append(
-        _row(
+        Claim(
             "wedge-square-delta2-factor",
             "slope/discriminant examples, Delta_2(wedge^2 V) line",
             "(r-1)(r-2)/2 at r=4: 3",
@@ -107,7 +77,7 @@ def build_report() -> list[Discrepancy]:
     n, r = 2, 4
     printed2 = Fraction(n * (r - n), r - 1) * Fraction(binomial(r, n), r)
     rows.append(
-        _row(
+        Claim(
             "ext-delta2-factor-power",
             "exterior-power table, Delta_2 line",
             f"n(r-n)/(r-1) * (r_n/r) at (n,r)=(2,4): {printed2}",
@@ -121,7 +91,7 @@ def build_report() -> list[Discrepancy]:
     )
     wedge3_factor = schur_factor((1, 1), 5, 3, lambda a: delta_k(a, 3))[1]
     rows.append(
-        _row(
+        Claim(
             "ext-delta3-factor-power",
             "exterior-power table, Delta_3 line",
             f"n(2n^2-3rn+r^2)/((r-2)(r-1)) * (r_n/r) at (n,r)=(2,5): {printed3}",
@@ -140,7 +110,7 @@ def build_report() -> list[Discrepancy]:
         f"multiple of Delta_3(E) (factor {lam3})" if ok3 and not ok2 else "unexpected"
     )
     rows.append(
-        _row(
+        Claim(
             "schur-delta3-proportionality-target",
             "main scaling theorem display, Delta_3 line",
             "multiple of Delta_2(E)",
@@ -154,7 +124,7 @@ def build_report() -> list[Discrepancy]:
     e = base_bundle(r, 5)
     ch5_coeff = delta_k(e, 5).coefficient((0, 0, 0, 0, 1))
     rows.append(
-        _row(
+        Claim(
             "delta5-ch5-coefficient",
             "degree-5 log expansion display",
             f"5*r^8 at r=3: {5 * r**8}",
@@ -170,7 +140,7 @@ def build_report() -> list[Discrepancy]:
     )
     measured_mid = sym_power_ch(m, r, 3).component(3).coefficient((1, 1, 0))
     rows.append(
-        _row(
+        Claim(
             "sym-ch3-middle-coefficient",
             "symmetric-power table, ch_3 line, c1*ch2 coefficient",
             f"(m-1)m(m+1)/((r+1)(r+2)) (r_m/r) at (2,3): {printed_mid}",
@@ -180,11 +150,9 @@ def build_report() -> list[Discrepancy]:
     )
 
     # counterexample sum: the displayed value of d2(V) + d2(S^2 V)
-    v = base_bundle(2, 2)
-    s2 = sym_power_ch(2, 2, 2)
-    measured_sum = d_k(v, 2) + d_k(s2, 2)
+    measured_sum = d_k(base_bundle(2, 2), 2) + d_k(s2, 2)
     rows.append(
-        _row(
+        Claim(
             "d2-sum-counterexample-value",
             "counterexample to additivity, sum value",
             "8*e2-2*e1^2",
@@ -200,7 +168,7 @@ def build_report() -> list[Discrepancy]:
     ]
     proportional = all(x.is_proportional for x in results)
     rows.append(
-        _row(
+        Claim(
             "sym-delta4r-proportionality",
             "degree-4 symmetric-power lemma, qualitative claim",
             "Delta_{4,r}(S^m V) proportional to Delta_{4,r}(V)",
@@ -213,7 +181,7 @@ def build_report() -> list[Discrepancy]:
     )
     for x in results:
         rows.append(
-            _row(
+            Claim(
                 "sym-delta4-coefficient",
                 f"degree-4 symmetric-power lemma at (m={x.m}, r={x.r})",
                 f"f4*(r_m/r)^4 = {x.printed}",
@@ -228,7 +196,7 @@ def build_report() -> list[Discrepancy]:
     r3 = verify_nonproportional_hook((2, 1), 3, 3)
     r4 = verify_nonproportional_hook((2, 1), 4, 4)
     rows.append(
-        _row(
+        Claim(
             "hook-delta4t-nonproportionality",
             "degree-4 closing remark, hook partitions",
             "not a multiple for alpha=(m,1,0,...)",
@@ -244,7 +212,7 @@ def build_report() -> list[Discrepancy]:
     printed_v = MukaiVector(3, 3, d + 3, d)
     got_v = mukai_schur(MukaiVector(2, 1, 2, d), (2,))
     rows.append(
-        _row(
+        Claim(
             "mukai-sym-square",
             "K3 Mukai-vector example",
             str(printed_v),
@@ -269,53 +237,38 @@ def load_whitelist() -> dict[tuple[str, str], tuple[str, str]]:
     }
 
 
-def unexpected_discrepancies(rows: list[Discrepancy]) -> list[str]:
-    """One line for each row the whitelist does not account for.
+def judge(rows: list[Claim]) -> tuple[list[str], list[str]]:
+    """Each row's flag in the claim table, and one line per row the whitelist
+    does not account for.
 
-    A non-confirmed row must be pinned with exactly its printed and measured
-    values, and every pinned row must still appear and still disagree.
+    A row that does not hold must be pinned with exactly its printed and
+    measured values, and every pinned row must still appear and still fail to
+    hold.  Rows and pins are keyed by (claim, paper_location), each key once.
     """
     pins = load_whitelist()
-    out = []
+    flags, unexpected = [], []
     for row in rows:
-        pin = pins.get((row.claim, row.paper_location))
+        pin = pins.pop((row.claim, row.paper_location), None)
         got = (row.printed_value, row.measured_value)
         values = f"printed {got[0]!r}, measured {got[1]!r}"
-        if row.status == CONFIRMED:
-            if pin is None:
-                continue
-            reason = f"whitelisted but now confirmed; {values}"
+        flag = row.status
+        if row.holds:
+            reason = None if pin is None else f"whitelisted but now confirmed; {values}"
         elif pin is None:
             reason = f"not whitelisted; {values}"
         elif pin == got:
-            continue
+            flag += ", whitelisted"
+            reason = None
         else:
             reason = "drifted; " + ", ".join(
                 f"{name} {new!r}, whitelisted {old!r}"
                 for name, new, old in zip(("printed", "measured"), got, pin)
                 if new != old
             )
-        out.append(f"{row.claim} ({row.paper_location}): {reason}")
-    present = {(row.claim, row.paper_location) for row in rows}
-    out.extend(
-        f"{claim} ({location}): whitelisted row no longer appears"
-        for claim, location in pins
-        if (claim, location) not in present
+        flags.append(flag)
+        if reason is not None:
+            unexpected.append(f"{row.claim} ({row.paper_location}): {reason}")
+    unexpected.extend(
+        f"{claim} ({location}): whitelisted row no longer appears" for claim, location in pins
     )
-    return out
-
-
-def format_table(rows: list[Discrepancy]) -> str:
-    """Human-readable claim table."""
-    pins = load_whitelist()
-    lines = []
-    for row in rows:
-        flag = row.status
-        pin = pins.get((row.claim, row.paper_location))
-        if row.status != CONFIRMED and pin == (row.printed_value, row.measured_value):
-            flag += ", whitelisted"
-        lines.append(f"[{flag}] {row.claim}")
-        lines.append(f"    where:    {row.paper_location}")
-        lines.append(f"    printed:  {row.printed_value}")
-        lines.append(f"    measured: {row.measured_value}")
-    return "\n".join(lines)
+    return flags, unexpected

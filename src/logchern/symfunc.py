@@ -32,10 +32,10 @@ from math import comb
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generators
 
-# One integer of a comma-separated list (a partition's parts, a Mukai vector):
-# an optional minus sign and a run of digits.  int() alone would also read
-# "1_0" as 10 and "+2" as 2.
-INT_RE = re.compile(r"\s*-?\d+\s*")
+# One integer as the command line writes it (an int option, a partition's
+# parts, a Mukai vector's entries): an optional minus sign and a run of ASCII
+# digits.  int() alone would also read "1_0" as 10, "+2" as 2 and "\u0663" as 3.
+INT_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
 class Partition:

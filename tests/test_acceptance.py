@@ -89,7 +89,7 @@ def test_criterion_01_oracle_vs_closed_sweep():
     elapsed = time.time() - t0
     assert report.cases == 91
     assert report.failed == 0, [
-        (str(rec.alpha), rec.r, [c.name for c in rec.failures()])
+        (str(rec.alpha), rec.r, [c.claim for c in rec.failures()])
         for rec in report.records
         if not rec.ok
     ]
@@ -104,7 +104,7 @@ def test_criterion_02_symmetric_power_full_degree():
     for r in range(2, 5):
         for m in range(6):
             chk = verify_sym_power_full(m, r, 5)
-            assert chk.passed, (m, r, chk.lhs, chk.rhs)
+            assert chk.holds, (m, r, chk.measured_value, chk.printed_value)
     print("\nACCEPTANCE 2 (symmetric-power sum vs oracle, all degrees <= 5): PASS")
 
 

@@ -155,6 +155,13 @@ class TestVerify:
             ]
             assert row["status"] in ("confirmed", "typo-suspected")
 
+    def test_json_golden(self, capsys):
+        code, out = run(
+            capsys, "verify", "--max-rank", "2", "--max-size", "2", "--format", "json"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "verify_r2_s2.json").read_bytes()
+
 
 class TestOthers:
     def test_lowrank_vanishes(self, capsys):
@@ -264,6 +271,24 @@ class TestParser:
             (("delta", "--rank", "3", "--partition", "2", "--"), "unrecognized arguments: --"),
             (("delta", "--rank", "3", "--partition", "2", "--kk", "2"), "unrecognized arguments: --kk"),
             (("delta", "--rank", "x", "--partition", "2"), "argument --rank: invalid int value: 'x'"),
+            # int() alone would read "1_0" as 10, "+3" as 3 and the
+            # Arabic-Indic digits "\u0662" and "\u0663" as 2 and 3
+            (("ch", "--rank", "1_0", "--partition", "1"), "argument --rank: invalid int value: '1_0'"),
+            (("ch", "--rank", "+3", "--partition", "1"), "argument --rank: invalid int value: '+3'"),
+            (
+                ("ch", "--rank", "\u0663", "--partition", "2", "--max-degree", "1", "--method", "oracle"),
+                "argument --rank: invalid int value: '\u0663'",
+            ),
+            (
+                ("ch", "--rank", "3", "--partition", "1", "--max-degree", "\u0662"),
+                "argument --max-degree: invalid int value: '\u0662'",
+            ),
+            (
+                ("mukai", "--v", "2,1,2", "--d", "1_0", "--partition", "2"),
+                "argument --d: invalid int value: '1_0'",
+            ),
+            (("delta4", "--rank", "3", "--m", "+2"), "argument --m: invalid int value: '+2'"),
+            (("verify", "--max-rank", "\u0662"), "argument --max-rank: invalid int value: '\u0662'"),
             (
                 ("delta", "--rank", "3", "--partition", "2", "--k", "6"),
                 "argument --k: invalid choice: '6' (choose from 1, 2, 3, 4, 5)",
@@ -274,7 +299,9 @@ class TestParser:
         ],
         ids=[
             "missing-value", "flag-as-value", "missing-required", "all-missing", "stray-word",
-            "double-dash", "unknown-flag", "bad-int", "bad-choice", "unknown-command",
+            "double-dash", "unknown-flag", "bad-int", "int-underscore", "int-plus", "int-arabic",
+            "int-choice-arabic", "int-mukai-d", "int-delta4-m", "int-verify-max-rank", "bad-choice",
+            "unknown-command",
             "no-command", "option-before-command",
         ],
     )
@@ -323,7 +350,7 @@ class TestInputBounds:
         assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
 
     @pytest.mark.parametrize(
-        "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2"]
+        "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2", "\u0662,1,2"]
     )
     def test_mukai_vector_needs_three_plain_integers(self, capsys, vector):
         # int() alone would read "1_0" as 10 and "+2" as 2
@@ -412,6 +439,7 @@ class TestInputBounds:
             (("ch", "--rank", "2", "--partition", "1_0"), "1_0"),
             (("delta", "--rank", "2", "--partition", "+2"), "+2"),
             (("mukai", "--v", "2,1,2", "--d", "3", "--partition", "x"), "x"),
+            (("ch", "--rank", "3", "--partition", "\u0662", "--method", "oracle"), "\u0662"),
         ],
     )
     def test_unparsable_partition(self, capsys, command, text):
@@ -431,7 +459,7 @@ class TestInputBounds:
 
     # Fraction() reads exponents: 1e1000000 would build a million-digit
     # integer, and 1e5000 fails in int() past Python's digit limit
-    @pytest.mark.parametrize("t", ["1/0", "abc", "3.5", "1e1000000", "1e5000"])
+    @pytest.mark.parametrize("t", ["1/0", "abc", "3.5", "1e1000000", "1e5000", "\u0663"])
     def test_delta4_bad_t_is_a_usage_error(self, capsys, t):
         with pytest.raises(SystemExit) as exc:
             main(["delta4", "--rank", "3", "--m", "2", "--t", t])

@@ -1,6 +1,7 @@
 import json
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,12 +19,13 @@ from logchern.characters import (
 from logchern.cli import main
 from logchern.formulas import SchurCoefficients, schur_coefficients
 from logchern.oracle import (
-    Check,
+    Claim,
     SweepReport,
     VerificationRecord,
     _adams_family,
     _adams_minors,
     _adams_power_sum,
+    _equality_check,
     _over_e,
     base_in_roots,
     char_to_roots,
@@ -247,21 +249,19 @@ class TestVerifySchur:
         rec = verify_schur((1, 1, 1), 3, 2)
         assert rec.ok
         # Delta_2 of the determinant line vanishes on both sides
-        names = [c.name for c in rec.checks]
+        names = [c.claim for c in rec.checks]
         assert any("Delta_2" in n for n in names)
 
     def test_rank_two_delta3_vanishing_regime(self):
         rec = verify_schur((2,), 2, 3)
         assert rec.ok
-        assert any("vanishing" in c.name for c in rec.checks)
+        assert any("vanishing" in c.claim for c in rec.checks)
 
     def test_failure_stores_both_sides(self):
-        from logchern.oracle import _equality_check
-
         ring = ch_ring(2)
         chk = _equality_check("demo", ring.parse("e1"), ring.parse("2*e1"))
-        assert not chk.passed
-        assert chk.lhs == "e1" and chk.rhs == "2*e1"
+        assert not chk.holds
+        assert chk.measured_value == "e1" and chk.printed_value == "2*e1"
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -292,12 +292,12 @@ class TestSymPowerFullDegree:
         for r in (2, 3):
             for m in range(5):
                 chk = verify_sym_power_full(m, r, 5)
-                assert chk.passed, (m, r, chk)
+                assert chk.holds, (m, r, chk.measured_value, chk.printed_value)
 
     def test_rank_five(self):
         for m in range(6):
             chk = verify_sym_power_full(m, 5, 5)
-            assert chk.passed, (m, chk)
+            assert chk.holds, (m, chk.measured_value, chk.printed_value)
 
 
 class TestDelta4:
@@ -355,16 +355,20 @@ class TestSweep:
             sweep(2, 9)
 
     def test_counts_with_a_failing_record(self):
-        ok = VerificationRecord(Partition((1,)), 2, 2, (Check("a", True),))
-        bad = VerificationRecord(Partition((2,)), 2, 2, (Check("a", True), Check("b", False, "1", "2")))
+        ok = VerificationRecord(Partition((1,)), 2, 2, (Claim("a", "", "", "", True),))
+        bad = VerificationRecord(
+            Partition((2,)), 2, 2, (Claim("a", "", "", "", True), Claim("b", "", "2", "1", False))
+        )
         rep = SweepReport((ok, bad, ok))
         assert (rep.cases, rep.passed, rep.failed) == (3, 2, 1)
         assert rep.to_json_dict() == {"cases": 3, "passed": 2, "failed": 1}
-        assert [c.name for c in bad.failures()] == ["b"]
+        assert [c.claim for c in bad.failures()] == ["b"]
 
     def test_passing_check_has_empty_sides(self):
-        chk = Check("a", True)
-        assert (chk.lhs, chk.rhs) == ("", "")
+        ring = ch_ring(2)
+        chk = _equality_check("a", ring.parse("e1"), ring.parse("e1"))
+        assert chk.holds and chk.status == "confirmed"
+        assert (chk.paper_location, chk.printed_value, chk.measured_value) == ("", "", "")
 
     def test_json_schema(self):
         data = sweep(2, 2, 2).to_json_dict()
@@ -374,10 +378,12 @@ class TestSweep:
 
 class TestReport:
     def test_all_discrepancies_whitelisted(self):
-        from logchern.report import build_report, unexpected_discrepancies
+        from logchern.report import build_report, judge
 
         rows = build_report()
-        assert unexpected_discrepancies(rows) == []
+        flags, unexpected = judge(rows)
+        assert unexpected == []
+        assert flags == [row.status + ("" if row.holds else ", whitelisted") for row in rows]
         statuses = {row.claim: row.status for row in rows}
         assert statuses["sym-square-character-r2"] == "confirmed"
         assert statuses["mukai-sym-square"] == "confirmed"
@@ -385,34 +391,58 @@ class TestReport:
         assert statuses["ext-delta2-factor-power"] == "typo-suspected"
 
     def test_unknown_mismatch_is_not_whitelisted(self):
-        from logchern.report import Discrepancy, build_report, unexpected_discrepancies
+        from logchern.report import build_report, judge
 
-        rogue = Discrepancy("new-claim", "somewhere", "1", "2", "typo-suspected")
-        fine = Discrepancy("new-claim-2", "somewhere", "1", "1", "confirmed")
-        assert unexpected_discrepancies(build_report() + [rogue, fine]) == [
-            "new-claim (somewhere): not whitelisted; printed '1', measured '2'"
-        ]
+        rogue = Claim("new-claim", "somewhere", "1", "2", False)
+        fine = Claim("new-claim-2", "somewhere", "1", "1", True)
+        flags, unexpected = judge(build_report() + [rogue, fine])
+        assert flags[-2:] == ["typo-suspected", "confirmed"]
+        assert unexpected == ["new-claim (somewhere): not whitelisted; printed '1', measured '2'"]
 
     def test_every_whitelisted_row_is_pinned(self):
-        from logchern.report import CONFIRMED, build_report, load_whitelist
+        from logchern.report import build_report, load_whitelist
 
         pins = load_whitelist()
-        rows = [row for row in build_report() if row.status != CONFIRMED]
+        rows = [row for row in build_report() if not row.holds]
         assert len(pins) == len(rows) == 19
         for row in rows:
             assert pins[row.claim, row.paper_location] == (row.printed_value, row.measured_value)
 
+    def test_rows_and_pins_have_unique_keys(self):
+        # judge matches each row to its pin by (claim, paper_location)
+        import logchern.report
+        from logchern.report import build_report
+
+        rows = [(row.claim, row.paper_location) for row in build_report()]
+        path = Path(logchern.report.__file__).with_name("whitelist.json")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        pins = [(e["claim"], row["paper_location"]) for e in data["expected"] for row in e["rows"]]
+        assert len(set(rows)) == len(rows)
+        assert len(set(pins)) == len(pins)
+
+    def test_verify_loads_the_whitelist_once(self, capsys, monkeypatch):
+        import logchern.report
+
+        calls = []
+        original = logchern.report.load_whitelist
+        monkeypatch.setattr(logchern.report, "load_whitelist", lambda: calls.append(1) or original())
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert main(["verify", "--max-rank", "2", "--max-size", "2", "--format", fmt]) == 0
+            assert len(calls) == 1
+        capsys.readouterr()
+
     def test_stale_and_missing_pins_are_unexpected(self):
-        from logchern.report import CONFIRMED, build_report, unexpected_discrepancies
+        from logchern.report import build_report, judge
 
         rows = build_report()
         i = next(i for i, row in enumerate(rows) if row.claim == "delta5-ch5-coefficient")
-        agreed = replace(rows[i], printed_value=rows[i].measured_value, status=CONFIRMED)
-        assert unexpected_discrepancies(rows[:i] + [agreed] + rows[i + 1 :]) == [
+        agreed = replace(rows[i], printed_value=rows[i].measured_value, holds=True)
+        assert judge(rows[:i] + [agreed] + rows[i + 1 :])[1] == [
             "delta5-ch5-coefficient (degree-5 log expansion display): whitelisted but now "
             "confirmed; printed '5*r^4 at r=3: 405', measured '5*r^4 at r=3: 405'"
         ]
-        assert unexpected_discrepancies(rows[:i] + rows[i + 1 :]) == [
+        assert judge(rows[:i] + rows[i + 1 :])[1] == [
             "delta5-ch5-coefficient (degree-5 log expansion display): "
             "whitelisted row no longer appears"
         ]

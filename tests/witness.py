@@ -34,7 +34,7 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.oracle import (
-    Check,
+    Claim,
     _equality_check,
     exp_roots,
     oracle_schur_total,
@@ -361,7 +361,7 @@ def ssyt_count(alpha, r: int) -> int:
     return count
 
 
-def verify_sym_power_full(m: int, r: int, D: int) -> Check:
+def verify_sym_power_full(m: int, r: int, D: int) -> Claim:
     """Full-degree check of the symmetric-power double sum against the oracle."""
     total = oracle_schur_total((m,), r, D)
     closed = normal_form(sym_power_ch(m, r, D), r)
