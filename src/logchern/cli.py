@@ -47,13 +47,17 @@ from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
 from logchern.symfunc import INT_RE, Partition
 
 MAX_DEGREE = 5
-# Largest rank ch, delta, delta4, mukai and hc-check accept.  The oracle's
-# cost does not grow with the rank, but a partition may have up to rank parts,
-# and the Jacobi-Trudi determinant's cofactor expansion doubles with each row
-# (it takes the shorter of the partition and its conjugate, so at most 8 rows
-# within MAX_SIZE).  The Weyl dimension product grows like a superfactorial of
-# the rank, and hc-check evaluates its O(r) polynomials at each of the
-# C(r+k, k) simplex points.  Rank 16 is the largest any documented command uses.
+# Largest rank ch, delta, delta4, lowrank, mukai and hc-check accept.  The
+# oracle's cost does not grow with the rank, but a partition may have up to
+# rank parts, and the Jacobi-Trudi determinant's expansion grows with its
+# rows.  It takes the shorter of the partition and its conjugate, which can
+# still have as many rows as the rank: 12,11,9,8,6,5,4,3,2,2,1,1 (size 64)
+# takes 12 and the hook 16,1^15 takes 16.  The costliest pinned command,
+# delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5, makes 4,062
+# products (about 0.5 s of CPU in a fresh process, Python 3.11 on a 2-CPU
+# VM).  The Weyl dimension product grows like a superfactorial of the rank,
+# and hc-check evaluates its O(r) polynomials at each of the C(r+k, k)
+# simplex points.  Rank 16 is the largest any documented command uses.
 MAX_RANK = 16
 # Largest partition size ch and delta accept, and largest m for delta4:
 # Newton's recurrence takes O(|alpha|^2) products of growing fractions
@@ -242,7 +246,7 @@ def cmd_delta4(args) -> int:
 
 
 def cmd_lowrank(args) -> int:
-    k, r = args.k, args.rank
+    k, r = args.k, _rank(args.rank)
     ring = PolyRing(graded_generators("c", k), k)
     classes = [ring.gen(f"c{i}") for i in range(1, min(r, k) + 1)]
     bundle = from_chern_classes(r, classes, ring)

@@ -1,16 +1,17 @@
 """Measured claim table: printed values versus what the oracle computes.
 
 Every row is an ``oracle.Claim``, the record the sweep's checks use too,
-measured at run time -- nothing is hard-coded as true or false.  A row holds
-when its printed value is true of the measured one, decided on the exact
-values; it then reads ``confirmed``, otherwise ``typo-suspected``.  The
-shipped whitelist pins every row that is expected not to hold, by claim and
-paper location, with the printed and measured texts the oracle adjudicated,
-so the verify command can pass while still reporting them.  ``judge`` reads
-the whitelist once and gives each row its flag in the table and the lines
-for what the whitelist does not account for: any other row that does not
-hold, and a pinned row whose texts drift, that no longer appears, or that
-now holds.
+measured at run time -- nothing is hard-coded as true or false.  An equality
+row is one ``_compare`` entry, which renders the printed and the measured
+exact value after their labels and holds when the two are equal; four rows
+whose claim is not such an equality are built by hand.  A row that holds reads
+``confirmed``, otherwise ``typo-suspected``.  The shipped whitelist pins every
+row that is expected not to hold, by claim and paper location, with the
+printed and measured texts the oracle adjudicated, so the verify command can
+pass while still reporting them.  ``judge`` reads the whitelist once and gives
+each row its flag in the table and the lines for what the whitelist does not
+account for: any other row that does not hold, and a pinned row whose texts
+drift, that no longer appears, or that now holds.
 """
 
 from __future__ import annotations
@@ -33,79 +34,69 @@ from logchern.ring import proportion
 from logchern.symfunc import binomial
 
 
+def _compare(claim, location, printed, measured, label, measured_label=None, show=str) -> Claim:
+    """The row claiming printed == measured, each value shown after its label."""
+    measured_text = (measured_label or label) + show(measured)
+    return Claim(claim, location, label + show(printed), measured_text, printed == measured)
+
+
+def _rank_ch1_ch2(ch) -> str:
+    return f"({ch.constant()}, {ch.component(1).compact()}, {ch.component(2).compact()})"
+
+
 def build_report() -> list[Claim]:
-    """Assemble the full measured claim table."""
+    """Assemble the full measured claim table.
+
+    Each ``_compare`` call reads: claim and paper location, printed and
+    measured value, their labels.
+    """
     rows: list[Claim] = []
 
     # golden symmetric-square character at r = 2
     s2 = sym_power_ch(2, 2, 2)
-    rows.append(
-        Claim(
-            "sym-square-character-r2",
-            "counterexample to additivity, displayed ch(S^2 V)",
-            "(3, 3*e1, 1/2*e1^2+4*e2)",
-            f"({s2.constant()}, {s2.component(1).compact()}, {s2.component(2).compact()})",
-            s2 == s2.ring.parse("3+3*e1+1/2*e1^2+4*e2"),
-        )
-    )
+    rows.append(_compare(
+        "sym-square-character-r2", "counterexample to additivity, displayed ch(S^2 V)",
+        s2.ring.parse("3+3*e1+1/2*e1^2+4*e2"), s2,
+        "", show=_rank_ch1_ch2,
+    ))
 
     # the two headline quadratic scaling factors; the wedge factor is also
     # the exterior table's Delta_2 line below
     wedge_factor = schur_factor((1, 1), 4, 2, lambda a: delta_k(a, 2))[1]
-    sym_factor = schur_factor((2,), 3, 2, lambda a: delta_k(a, 2))[1]
-    rows.append(
-        Claim(
-            "sym-square-delta2-factor",
-            "slope/discriminant examples, Delta_2(S^2 V) line",
-            "(r+1)(r+2)/2 at r=3: 10",
-            f"(r+1)(r+2)/2 at r=3: {sym_factor}",
-            sym_factor == 10,
-        )
-    )
-    rows.append(
-        Claim(
-            "wedge-square-delta2-factor",
-            "slope/discriminant examples, Delta_2(wedge^2 V) line",
-            "(r-1)(r-2)/2 at r=4: 3",
-            f"(r-1)(r-2)/2 at r=4: {wedge_factor}",
-            wedge_factor == 3,
-        )
-    )
+    rows.append(_compare(
+        "sym-square-delta2-factor", "slope/discriminant examples, Delta_2(S^2 V) line",
+        10, schur_factor((2,), 3, 2, lambda a: delta_k(a, 2))[1],
+        "(r+1)(r+2)/2 at r=3: ",
+    ))
+    rows.append(_compare(
+        "wedge-square-delta2-factor", "slope/discriminant examples, Delta_2(wedge^2 V) line",
+        3, wedge_factor,
+        "(r-1)(r-2)/2 at r=4: ",
+    ))
 
     # exterior table: printed proportionality factors carry a single power of
     # r_n/r where the scaling theorem requires the k-th power
     n, r = 2, 4
-    printed2 = Fraction(n * (r - n), r - 1) * Fraction(binomial(r, n), r)
-    rows.append(
-        Claim(
-            "ext-delta2-factor-power",
-            "exterior-power table, Delta_2 line",
-            f"n(r-n)/(r-1) * (r_n/r) at (n,r)=(2,4): {printed2}",
-            f"measured factor: {wedge_factor}",
-            printed2 == wedge_factor,
-        )
-    )
+    rows.append(_compare(
+        "ext-delta2-factor-power", "exterior-power table, Delta_2 line",
+        Fraction(n * (r - n), r - 1) * Fraction(binomial(r, n), r), wedge_factor,
+        f"n(r-n)/(r-1) * (r_n/r) at (n,r)=({n},{r}): ", "measured factor: ",
+    ))
     n, r = 2, 5
-    printed3 = Fraction(n * (2 * n * n - 3 * r * n + r * r), (r - 2) * (r - 1)) * Fraction(
-        binomial(r, n), r
-    )
-    wedge3_factor = schur_factor((1, 1), 5, 3, lambda a: delta_k(a, 3))[1]
-    rows.append(
-        Claim(
-            "ext-delta3-factor-power",
-            "exterior-power table, Delta_3 line",
-            f"n(2n^2-3rn+r^2)/((r-2)(r-1)) * (r_n/r) at (n,r)=(2,5): {printed3}",
-            f"measured factor: {wedge3_factor}",
-            printed3 == wedge3_factor,
-        )
-    )
+    rows.append(_compare(
+        "ext-delta3-factor-power", "exterior-power table, Delta_3 line",
+        Fraction(n * (2 * n * n - 3 * r * n + r * r), (r - 2) * (r - 1))
+        * Fraction(binomial(r, n), r),
+        schur_factor((1, 1), r, 3, lambda a: delta_k(a, 3))[1],
+        f"n(2n^2-3rn+r^2)/((r-2)(r-1)) * (r_n/r) at (n,r)=({n},{r}): ", "measured factor: ",
+    ))
 
     # the theorem display ends its Delta_3 line in Delta_2(E); measured, the
     # class is a multiple of Delta_3(E) and of nothing in degree 2
-    sym = oracle_schur_ch((2, 1), 4, 3)
+    d3 = delta_k(oracle_schur_ch((2, 1), 4, 3), 3)
     base = generic_bundle(4, 3)
-    ok3, lam3 = proportion(delta_k(sym, 3), delta_k(base, 3))
-    ok2, _ = proportion(delta_k(sym, 3), delta_k(base, 2))
+    ok3, lam3 = proportion(d3, delta_k(base, 3))
+    ok2, _ = proportion(d3, delta_k(base, 2))
     measured = (
         f"multiple of Delta_3(E) (factor {lam3})" if ok3 and not ok2 else "unexpected"
     )
@@ -121,35 +112,24 @@ def build_report() -> list[Claim]:
 
     # degree-5 expansion: the displayed top coefficient reads 5 r^4 ch5 r^4
     r = 3
-    e = base_bundle(r, 5)
-    ch5_coeff = delta_k(e, 5).coefficient((0, 0, 0, 0, 1))
-    rows.append(
-        Claim(
-            "delta5-ch5-coefficient",
-            "degree-5 log expansion display",
-            f"5*r^8 at r=3: {5 * r**8}",
-            f"5*r^4 at r=3: {ch5_coeff}",
-            ch5_coeff == 5 * r**8,
-        )
-    )
+    rows.append(_compare(
+        "delta5-ch5-coefficient", "degree-5 log expansion display",
+        5 * r**8, delta_k(base_bundle(r, 5), 5).coefficient((0, 0, 0, 0, 1)),
+        f"5*r^8 at r={r}: ", f"5*r^4 at r={r}: ",
+    ))
 
     # symmetric-power table, degree 3, middle coefficient: (m+1) vs (m+r)
     m, r = 2, 3
-    printed_mid = Fraction((m - 1) * m * (m + 1), (r + 1) * (r + 2)) * Fraction(
-        binomial(m + r - 1, r - 1), r
-    )
-    measured_mid = sym_power_ch(m, r, 3).component(3).coefficient((1, 1, 0))
-    rows.append(
-        Claim(
-            "sym-ch3-middle-coefficient",
-            "symmetric-power table, ch_3 line, c1*ch2 coefficient",
-            f"(m-1)m(m+1)/((r+1)(r+2)) (r_m/r) at (2,3): {printed_mid}",
-            f"measured: {measured_mid}",
-            printed_mid == measured_mid,
-        )
-    )
+    rows.append(_compare(
+        "sym-ch3-middle-coefficient", "symmetric-power table, ch_3 line, c1*ch2 coefficient",
+        Fraction((m - 1) * m * (m + 1), (r + 1) * (r + 2))
+        * Fraction(binomial(m + r - 1, r - 1), r),
+        sym_power_ch(m, r, 3).component(3).coefficient((1, 1, 0)),
+        f"(m-1)m(m+1)/((r+1)(r+2)) (r_m/r) at ({m},{r}): ", "measured: ",
+    ))
 
-    # counterexample sum: the displayed value of d2(V) + d2(S^2 V)
+    # counterexample sum: the displayed value of d2(V) + d2(S^2 V), in the
+    # paper's order of terms, which is not the canonical one
     measured_sum = d_k(base_bundle(2, 2), 2) + d_k(s2, 2)
     rows.append(
         Claim(
@@ -179,16 +159,11 @@ def build_report() -> list[Claim]:
             proportional,
         )
     )
-    for x in results:
-        rows.append(
-            Claim(
-                "sym-delta4-coefficient",
-                f"degree-4 symmetric-power lemma at (m={x.m}, r={x.r})",
-                f"f4*(r_m/r)^4 = {x.printed}",
-                f"measured ratio: {x.lam}",
-                x.lam == x.printed,
-            )
-        )
+    rows += [_compare(
+        "sym-delta4-coefficient", f"degree-4 symmetric-power lemma at (m={x.m}, r={x.r})",
+        x.printed, x.lam,
+        "f4*(r_m/r)^4 = ", "measured ratio: ",
+    ) for x in results]
 
     # hooks: the closing remark claims Delta_{4,t}(S^(m,1) V) is never a
     # multiple of Delta_{4,t}(V); measured, rank 3 is an accidental
@@ -209,17 +184,11 @@ def build_report() -> list[Claim]:
 
     # K3 example: v(S^2 E) = (3, 3H, d+3) from v(E) = (2, H, 2)
     d = 5
-    printed_v = MukaiVector(3, 3, d + 3, d)
-    got_v = mukai_schur(MukaiVector(2, 1, 2, d), (2,))
-    rows.append(
-        Claim(
-            "mukai-sym-square",
-            "K3 Mukai-vector example",
-            str(printed_v),
-            str(got_v),
-            got_v == printed_v,
-        )
-    )
+    rows.append(_compare(
+        "mukai-sym-square", "K3 Mukai-vector example",
+        MukaiVector(3, 3, d + 3, d), mukai_schur(MukaiVector(2, 1, 2, d), (2,)),
+        "",
+    ))
     return rows
 
 

@@ -333,7 +333,7 @@ class TestParser:
 
 
 class TestInputBounds:
-    @pytest.mark.parametrize("rank", ["0", "-2", str(MAX_RANK + 1)])
+    @pytest.mark.parametrize("rank", ["0", "-2", str(MAX_RANK + 1), "99999999999999999999"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -341,6 +341,7 @@ class TestInputBounds:
             ("ch", "--partition", "1"),
             ("delta", "--partition", "1"),
             ("delta4", "--m", "2"),
+            ("lowrank", "--k", "4"),
             ("hc-check", "--k", "3"),
         ],
     )
@@ -348,6 +349,21 @@ class TestInputBounds:
         code, err = run_error(capsys, *command, "--rank", rank)
         assert code == 2
         assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [name for name, (_, _, options) in COMMANDS.items() if any(o[0] == "--rank" for o in options)],
+    )
+    def test_every_rank_option_is_bounded(self, capsys, command):
+        # every other required option takes a valid value, so only the rank is refused
+        valid = {"--partition": "1", "--m": "2"}
+        argv = [command, "--rank", str(MAX_RANK + 1)]
+        for flag, convert, default, _ in COMMANDS[command][2]:
+            if default is _REQUIRED and flag != "--rank":
+                argv += [flag, str(convert[0]) if isinstance(convert, (tuple, range)) else valid[flag]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: rank must lie in 1..{MAX_RANK}, got {MAX_RANK + 1}\n")
 
     @pytest.mark.parametrize(
         "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2", "\u0662,1,2"]

@@ -18,6 +18,7 @@ from logchern.characters import (
 )
 from logchern.cli import main
 from logchern.formulas import SchurCoefficients, schur_coefficients
+from logchern.mukai import MukaiVector
 from logchern.oracle import (
     Claim,
     SweepReport,
@@ -526,6 +527,34 @@ class TestWhitelistMutations:
             for line in unexpected
         )
 
+    def test_wrong_mukai_vector_fails_verify(self, capsys, monkeypatch):
+        # a confirmed row turns false when its measured value changes, and
+        # nothing in the whitelist covers it
+        import logchern.report
+
+        monkeypatch.setattr(
+            logchern.report, "mukai_schur", lambda v, alpha: MukaiVector(3, 3, 9, v.d)
+        )
+        reason = (
+            "mukai-sym-square (K3 Mukai-vector example): not whitelisted; "
+            "printed '(3, 3*H, 8)', measured '(3, 3*H, 9)'"
+        )
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert "[typo-suspected] mukai-sym-square\n" in out
+        assert out.endswith(f"1 discrepancies the whitelist does not account for -- failing\n  {reason}\n")
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["unexpected"] == [reason]
+        assert doc["discrepancies"][-1] == {
+            "claim": "mukai-sym-square",
+            "paper_location": "K3 Mukai-vector example",
+            "printed_value": "(3, 3*H, 8)",
+            "measured_value": "(3, 3*H, 9)",
+            "status": "typo-suspected",
+        }
+
 
 class TestSchurCoefficientMutations:
     """A broken closed formula, or a wrong oracle rank, fails ``verify``.
@@ -674,11 +703,15 @@ class TestSharedFamilies:
         [
             ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2089),
             ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1144),
+            ("delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", 4062),
         ],
-        ids=["ch-64", "delta-8x8"],
+        ids=["ch-64", "delta-8x8", "delta-12-rows"],
     )
     def test_slowest_command_product_count(self, monkeypatch, argv, products):
-        # every product of the two slowest in-bounds commands goes through
-        # GradedPoly.__mul__, where the benchmark counts it
+        # every product of these costly in-bounds commands goes through
+        # GradedPoly.__mul__, where the benchmark counts it; the last one,
+        # whose partition and conjugate both have 12 rows, is the costliest
+        # known (about 0.5 s of CPU in a fresh process, Python 3.11 on a
+        # 2-CPU VM)
         code, count = self._count_cold_products(monkeypatch, lambda: main(argv.split()))
         assert (code, count) == (0, products)
