@@ -89,21 +89,16 @@ def delta4t(a: GradedPoly, t) -> GradedPoly:
 
     Delta_{4,t} = t ch1^4 - 4t ch0 ch1^2 ch2
                   + 2 ch0^2 ((t+1) ch2^2 + 2(t-1) ch1 ch3)
-                  - 4(t-1) ch0^3 ch4.
+                  - 4(t-1) ch0^3 ch4
+                = (t-1) Delta_4 + Delta_2^2,
+
+    so it is read off the logarithm and, like ``discriminants``, needs a
+    nonzero rank.
     """
     if a.ring.truncation < 4:
         raise ValueError("need D >= 4")
-    t = rat(t)
-    r = a.constant()
-    c1, c2, c3, c4 = (a.component(k) for k in range(1, 5))
-    c1_sq = c1 * c1
-    return (
-        (c1_sq * c1_sq).scale(t)
-        - (c1_sq * c2).scale(4 * t * r)
-        + (c2 * c2).scale(2 * r**2 * (t + 1))
-        + (c1 * c3).scale(4 * r**2 * (t - 1))
-        - c4.scale(4 * (t - 1) * r**3)
-    )
+    ds = discriminants(a, 4)
+    return ds[3].scale(rat(t) - 1) + ds[1] * ds[1]
 
 
 def modified_delta(a: GradedPoly, k: int) -> GradedPoly:

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from logchern.characters import (
     delta_k,
     from_chern_classes,
-    generic_bundle,
+    generic_discriminants,
     modified_delta,
     normal_form,
 )
@@ -175,7 +175,7 @@ def cmd_delta(args) -> int:
     r, k = _rank(args.rank), args.k
     alpha = _partition(args.partition, r)
     d_schur = delta_k(oracle_schur_ch(alpha, r, k), k)
-    d_base = delta_k(generic_bundle(r, k), k)
+    d_base = generic_discriminants(r, k)[k - 1]
     print(f"Delta_{k}(S^({alpha}) E) = {d_schur.text()}")
     print(f"Delta_{k}(E) = {d_base.text()}")
     ok, lam = proportion(d_schur, d_base)
@@ -227,7 +227,8 @@ def cmd_verify(args) -> int:
         )
     if unexpected:
         print()
-        print(f"{len(unexpected)} discrepancies the whitelist does not account for -- failing")
+        noun = "discrepancy" if len(unexpected) == 1 else "discrepancies"
+        print(f"{len(unexpected)} {noun} the whitelist does not account for -- failing")
         for line in unexpected:
             print(f"  {line}")
     return 1 if failed else 0

@@ -1,14 +1,12 @@
 """Mukai vectors of Schur bundles on a K3 surface with Picard group Z*H.
 
-Only the arithmetic of the displayed vector is implemented: for v(E) =
-(r, c, s) with c_1(E) = c*H and H^2 = 2d,
+Only the arithmetic of the displayed vector is implemented.  On a K3 the
+Mukai vector of E is v(E) = (r, c_1, ch_2 + r).  For v(E) = (r, c, s) with
+c_1(E) = c*H and H^2 = 2d, v(S^alpha E) = (r_a, ch_1, ch_2 + r_a), where
+r_a, ch_1 and ch_2 are the Schur table's rows (``SchurCoefficients.table``)
+under
 
-    v(S^alpha E) = ( r_a,
-                     |alpha| (r_a/r) c,
-                     ((|alpha|^2 - dt2)/r) (r_a/r) c^2 d
-                       + dt2 (s - r) (r_a/r) + r_a )
-
-where dt2 is the normalized quadratic eigenvalue and r_a the Schur rank.
+    e1 -> c*H,   e1^2 -> 2d c^2,   e2 -> s - r.
 """
 
 from __future__ import annotations
@@ -53,18 +51,16 @@ class MukaiVector:
 
 
 def mukai_schur(v: MukaiVector, alpha) -> MukaiVector:
-    """Mukai vector of S^alpha E from v(E); c^2/2 is read as c^2 * d."""
-    sc = schur_coefficients(alpha, v.r)
-    r, ra, dt2 = v.r, sc.r_alpha, sc.delta2_tilde
-    weight = Fraction(ra, r)
-    size = sc.alpha.size
+    """Mukai vector of S^alpha E from v(E), read off the Schur table's ch_1, ch_2."""
+    ch = schur_coefficients(alpha, v.r).table(2)
+    ra = int(ch.constant())
     s_new = (
-        Fraction(size * size - dt2, r) * weight * v.c**2 * v.d
-        + dt2 * (v.s - r) * weight
+        ch.coefficient((2, 0)) * 2 * v.d * v.c**2
+        + ch.coefficient((0, 1)) * (v.s - v.r)
         + ra
     )
-    # f1 = |alpha| r_a/r is c_1(S^alpha E)/c_1(E), an integer
-    return MukaiVector(ra, int(sc.f1) * v.c, s_new, v.d)
+    # the e1 coefficient |alpha| r_a/r is c_1(S^alpha E)/c_1(E), an integer
+    return MukaiVector(ra, int(ch.coefficient((1, 0))) * v.c, s_new, v.d)
 
 
 def is_primitive(v: MukaiVector) -> bool:

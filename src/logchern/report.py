@@ -20,7 +20,7 @@ import os
 from fractions import Fraction
 from itertools import product
 
-from logchern.characters import base_bundle, d_k, delta_k, generic_bundle
+from logchern.characters import base_bundle, d_k, delta_k, generic_discriminants
 from logchern.formulas import sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
 from logchern.oracle import (
@@ -94,9 +94,9 @@ def build_report() -> list[Claim]:
     # the theorem display ends its Delta_3 line in Delta_2(E); measured, the
     # class is a multiple of Delta_3(E) and of nothing in degree 2
     d3 = delta_k(oracle_schur_ch((2, 1), 4, 3), 3)
-    base = generic_bundle(4, 3)
-    ok3, lam3 = proportion(d3, delta_k(base, 3))
-    ok2, _ = proportion(d3, delta_k(base, 2))
+    _, base2, base3 = generic_discriminants(4, 3)
+    ok3, lam3 = proportion(d3, base3)
+    ok2, _ = proportion(d3, base2)
     measured = (
         f"multiple of Delta_3(E) (factor {lam3})" if ok3 and not ok2 else "unexpected"
     )

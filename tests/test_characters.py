@@ -252,6 +252,29 @@ class TestDelta4t:
         c = a.component
         assert diff == 2 * r**2 * (c(2) ** 2 - 2 * c(1) * c(3)) + 4 * r**3 * c(4)
 
+    def test_identity_with_delta4_and_delta2(self):
+        """(t-1) Delta_4 + Delta_2^2 is the printed expansion for every nonzero rank and t.
+
+        On base_bundle(rho, 4) the ch_1..ch_4 are free symbols, and every
+        coefficient of either side is a polynomial in (rho, t) of degree <= 3
+        in rho and <= 1 in t: the expansion's top term is ch0^3 ch4, Delta_4
+        is rho^4 times a log coefficient whose powers of rho run from rho^-1
+        to rho^-4, and Delta_2 has degree 1.  Two such polynomials that agree
+        at four distinct ranks times two distinct t agree everywhere, so
+        these eight cases prove the identity.
+        """
+        for rho in (1, 2, -3, Fraction(7, 2)):
+            a = base_bundle(rho, 4)
+            for t in (0, 1):
+                assert delta4t(a, t) == delta4t_by_products(a, t)
+
+    def test_rank_zero_raises_like_the_discriminants(self):
+        a = base_bundle(0, 4)
+        with pytest.raises(ZeroDivisionError):
+            discriminants(a, 4)
+        with pytest.raises(ZeroDivisionError):
+            delta4t(a, 2)
+
 
 class TestChernClasses:
     def test_c1_is_ch1(self):

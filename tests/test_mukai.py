@@ -1,8 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from logchern.cli import main
+from logchern.formulas import SchurCoefficients
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
+from logchern.oracle import oracle_schur_ch
+from logchern.symfunc import enumerate_partitions
+from witness import mukai_schur_by_eigenvalue
 
 
 class TestMukaiSchur:
@@ -76,3 +82,44 @@ class TestPrimitivity:
         for r, d in ((0, 1), (-2, 1), (2, 0), (2, -3)):
             with pytest.raises(ValueError):
                 MukaiVector(r, 1, 1, d)
+
+
+def _on_k3(ch, v):
+    """The Mukai vector of a character over e1, e2 under e1 -> c*H, e1^2 -> 2d c^2, e2 -> s - r."""
+    ra = ch.constant()
+    s = ch.coefficient((2, 0)) * 2 * v.d * v.c**2 + ch.coefficient((0, 1)) * (v.s - v.r) + ra
+    return MukaiVector(int(ra), int(ch.coefficient((1, 0)) * v.c), s, v.d)
+
+
+class TestMukaiAgainstOracle:
+    """mukai_schur against the oracle's degree-2 character and the former closed form."""
+
+    GRID = [
+        (MukaiVector(r, c, s, d), alpha)
+        for r in range(1, 7)
+        for c, s, d in ((1, 2, 3), (-2, 5, 1), (3, -4, 7))
+        for size in range(5)
+        for alpha in enumerate_partitions(size, r)
+    ]
+
+    def test_equals_the_oracle_on_a_k3(self):
+        for v, alpha in self.GRID:
+            assert mukai_schur(v, alpha) == _on_k3(oracle_schur_ch(alpha, v.r, 2), v), (v, alpha)
+
+    def test_equals_the_former_closed_form(self):
+        for v, alpha in self.GRID:
+            assert mukai_schur(v, alpha) == mukai_schur_by_eigenvalue(v, alpha), (v, alpha)
+
+    def test_a_wrong_ch2_row_changes_the_printed_vector(self, capsys, monkeypatch):
+        # one more e1^2 in ch_2 adds 2d c^2 = 6 to the last entry
+        original = SchurCoefficients.table
+
+        def wrong_ch2(self, up_to):
+            table = original(self, up_to)
+            return table + table.ring.parse("e1^2") if up_to >= 2 else table
+
+        monkeypatch.setattr(SchurCoefficients, "table", wrong_ch2)
+        assert main(["mukai", "--v", "2,1,2", "--d", "3", "--partition", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1] == "v(S^(2) E) = (3, 3*H, 12)"
+        assert out != (Path(__file__).parent / "golden" / "mukai_sym2_d3.txt").read_text()

@@ -542,7 +542,7 @@ class TestWhitelistMutations:
         code, out = _verify_small(capsys)
         assert code == 1
         assert "[typo-suspected] mukai-sym-square\n" in out
-        assert out.endswith(f"1 discrepancies the whitelist does not account for -- failing\n  {reason}\n")
+        assert out.endswith(f"1 discrepancy the whitelist does not account for -- failing\n  {reason}\n")
         code, out = _verify_small(capsys, "--format", "json")
         assert code == 1
         doc = json.loads(out)
@@ -554,6 +554,25 @@ class TestWhitelistMutations:
             "measured_value": "(3, 3*H, 9)",
             "status": "typo-suspected",
         }
+
+
+class TestUnaccountedCount:
+    def test_two_unpinned_rows_read_plural(self, capsys, monkeypatch):
+        # two rows that do not hold lose their whitelist pins
+        import logchern.report
+
+        pins = logchern.report.load_whitelist()
+        dropped = sorted(pins)[:2]
+        monkeypatch.setattr(
+            logchern.report,
+            "load_whitelist",
+            lambda: {key: pin for key, pin in pins.items() if key not in dropped},
+        )
+        code, out = _verify_small(capsys)
+        assert code == 1
+        tail = out.split("\n\n")[-1].splitlines()
+        assert tail[0] == "2 discrepancies the whitelist does not account for -- failing"
+        assert sorted(line.split(" (")[0] for line in tail[1:]) == [f"  {claim}" for claim, _ in dropped]
 
 
 class TestSchurCoefficientMutations:

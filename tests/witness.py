@@ -15,7 +15,8 @@ arithmetic, and the former forms of the sweep's per-case steps (the
 proportionality test, the determinant by cofactors of one matrix, the
 restriction to e1..et, the discriminants, Delta_{4,t}, substitution and the
 Schur and exterior tables), which made the products and Fractions the library
-now skips or shares.
+now skips or shares, and the Mukai vector's closed form in the quadratic
+eigenvalue, which the library now reads off the Schur table.
 The rest are helpers only the tests use: the shifted-variable polynomials at
 rational points, an independent tableau count of the Schur rank, two
 verifications over the oracle, and ``replace`` for the library's value classes.
@@ -31,8 +32,10 @@ from logchern.formulas import (
     _as_vector,
     _delta2_constant,
     _delta_x_part,
+    schur_coefficients,
     sym_power_ch,
 )
+from logchern.mukai import MukaiVector
 from logchern.oracle import (
     Claim,
     _equality_check,
@@ -325,6 +328,26 @@ def delta4t_by_products(a, t):
         + 2 * r**2 * (c(2) ** 2 * (t + 1) + 2 * (t - 1) * c(1) * c(3))
         - 4 * (t - 1) * r**3 * c(4)
     )
+
+
+def mukai_schur_by_eigenvalue(v, alpha):
+    """mukai_schur's former closed form, from dt2 and the Schur rank r_a:
+
+        v(S^alpha E) = ( r_a,
+                         |alpha| (r_a/r) c,
+                         ((|alpha|^2 - dt2)/r) (r_a/r) c^2 d
+                           + dt2 (s - r) (r_a/r) + r_a )
+    """
+    sc = schur_coefficients(alpha, v.r)
+    r, ra, dt2 = v.r, sc.r_alpha, sc.delta2_tilde
+    weight = Fraction(ra, r)
+    size = sc.alpha.size
+    s_new = (
+        Fraction(size * size - dt2, r) * weight * v.c**2 * v.d
+        + dt2 * (v.s - r) * weight
+        + ra
+    )
+    return MukaiVector(ra, int(sc.f1) * v.c, s_new, v.d)
 
 
 def ssyt_count(alpha, r: int) -> int:
