@@ -27,7 +27,6 @@ from logchern.formulas import (
     f4_sym,
     hc_shift_check,
     schur_ch3,
-    schur_coefficients,
     sym_power_ch,
 )
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
@@ -74,7 +73,6 @@ __all__ = [
     "power_sum_character",
     "proportion",
     "schur_ch3",
-    "schur_coefficients",
     "stirling2",
     "sym_power_ch",
     "sweep",

@@ -8,6 +8,9 @@ how the discriminants of a bundle scale under Schur functors:
     Delta_3(S^a E) = dt3 (r_a/r)^3 Delta_3(E)
 
 with dt2 = d2dot/((r-1)(r+1)) and dt3 = d3dot/((r-2)(r-1)(r+1)(r+2)).
+The Schur table ``schur_ch3`` is the one reader of these eigenvalues: its
+e_k coefficient is dt_k r_a/r (dt1 = |a|), so each factor above is that
+coefficient times (r_a/r)^(k-1).
 
 Also here: the symmetric-power Chern character as an explicit double sum over
 partitions (Stirling numbers and binomials), the degree-<=3 character tables
@@ -95,88 +98,6 @@ def delta_tilde3(alpha, r: int) -> Fraction:
     return Fraction(delta3_dot(alpha, r), (r - 2) * (r - 1) * (r + 1) * (r + 2))
 
 
-class SchurCoefficients:
-    """The scaling data of a Schur functor: dimension and f-coefficients.
-
-    f_k is the ratio d_k(S^alpha V)/d_k(V); f1 = |alpha| r_alpha / r,
-    f2 = dt2 * r_alpha/r, f3 = dt3 * r_alpha/r.  dt3/f3 are None in the
-    degenerate ranks r <= 2 where the degree-3 claims are instead carried by
-    the identical vanishing of Delta_3.
-    """
-
-    __slots__ = ("alpha", "r", "r_alpha", "delta2_tilde", "delta3_tilde", "f1", "f2", "f3")
-
-    def __init__(
-        self,
-        alpha: Partition,
-        r: int,
-        r_alpha: int,
-        delta2_tilde: Fraction,
-        delta3_tilde: Fraction | None,
-        f1: Fraction,
-        f2: Fraction,
-        f3: Fraction | None,
-    ):
-        self.alpha = alpha
-        self.r = r
-        self.r_alpha = r_alpha
-        self.delta2_tilde = delta2_tilde
-        self.delta3_tilde = delta3_tilde
-        self.f1 = f1
-        self.f2 = f2
-        self.f3 = f3
-
-    def table(self, up_to: int) -> GradedPoly:
-        """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table.
-
-        The printed rows are
-
-            ch1: |a|,  ch2: (|a|^2 - dt2)/(2r), dt2,
-            ch3: (|a|^3 - 3|a| dt2 + 2 dt3)/(6r^2), (|a| dt2 - dt3)/r, dt3,
-
-        built on ints: with dt2 = a2/L and dt3 = a3/L over one common
-        denominator L, every coefficient is an integer over 6 r^2 L.
-        """
-        r, size, dt2 = self.r, self.alpha.size, self.delta2_tilde
-        L = dt2.denominator
-        if up_to >= 3:
-            dt3 = self.delta3_tilde
-            L = lcm(L, dt3.denominator)
-            a3 = dt3.numerator * (L // dt3.denominator)
-        a2 = dt2.numerator * (L // dt2.denominator)
-        den = 6 * r * r * L
-        rows = [(size * den,)]
-        if up_to >= 2:
-            rows.append((3 * r * (size * size * L - a2), 6 * r * r * a2))
-        if up_to >= 3:
-            rows.append((
-                size**3 * L - 3 * size * a2 + 2 * a3,
-                6 * r * (size * a2 - a3),
-                6 * r * r * a3,
-            ))
-        return _table_character(self.r_alpha, r, den, rows)
-
-
-def schur_coefficients(alpha, r: int) -> SchurCoefficients:
-    if r < 1:
-        raise ValueError("rank must be positive")
-    alpha = Partition.of(alpha)
-    ra = weyl_dim(alpha, r)
-    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
-    dt3 = delta_tilde3(alpha, r) if r >= 3 else None
-    weight = Fraction(ra, r)
-    return SchurCoefficients(
-        alpha=alpha,
-        r=r,
-        r_alpha=ra,
-        delta2_tilde=dt2,
-        delta3_tilde=dt3,
-        f1=alpha.size * weight,
-        f2=dt2 * weight,
-        f3=dt3 * weight if dt3 is not None else None,
-    )
-
-
 # -- symmetric powers: the double-sum character ------------------------------
 
 
@@ -251,12 +172,12 @@ def _table_character(rank: int, r: int, den: int, rows) -> GradedPoly:
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
+    if r < 1:
+        raise ValueError("rank must be positive")
     if up_to is None:
         up_to = min(r, 3)
     if up_to >= 3 and r < 3:
         raise ValueError(f"the ch3 line of {what} degenerates for r <= 2 (factor r-2)")
-    if up_to >= 2 and r < 2:
-        raise ValueError(f"the ch2 line of {what} degenerates for r = 1 (factor r-1)")
     if not 1 <= up_to <= 3:
         raise ValueError("tables cover degrees 1..3")
     return up_to
@@ -267,6 +188,8 @@ def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> GradedPoly:
     if not 0 <= n <= r:
         raise ValueError("need 0 <= n <= r")
     up_to = _resolve_up_to(up_to, r, "the exterior table")
+    if up_to >= 2 and r < 2:
+        raise ValueError("the ch2 line of the exterior table degenerates for r = 1 (factor r-1)")
     # ch2: (n-1)n/(2(r-1)), n(r-n)/(r-1);  ch3: (n-2)(n-1)n/(6(r-2)(r-1)),
     # (n-1)n(r-n)/((r-2)(r-1)), n(2n^2 - 3rn + r^2)/((r-2)(r-1));  all over
     # den = 2(r-1)g with g = 3(r-2) when ch3 is built, else 1
@@ -286,10 +209,37 @@ def ext_power_ch3(n: int, r: int, up_to: int | None = None) -> GradedPoly:
 
 
 def schur_ch3(alpha, r: int, up_to: int | None = None) -> GradedPoly:
-    """ch(S^alpha E) through degree <= 3 from the eigenvalue coefficients."""
+    """ch(S^alpha E) through degree up_to (1..min(r, 3)) from the Schur table.
+
+    The printed rows, all times r_a/r, are
+
+        ch1: |a|,  ch2: (|a|^2 - dt2)/(2r), dt2,
+        ch3: (|a|^3 - 3|a| dt2 + 2 dt3)/(6r^2), (|a| dt2 - dt3)/r, dt3,
+
+    with dt2 = 0 at r = 1.  Built on ints: with dt2 = a2/L and dt3 = a3/L over
+    one common denominator L, every coefficient is an integer over 6 r^2 L.
+    """
     alpha = Partition.of(alpha)
     up_to = _resolve_up_to(up_to, r, "the Schur table")
-    return schur_coefficients(alpha, r).table(up_to)
+    ra, size = weyl_dim(alpha, r), alpha.size
+    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
+    L = dt2.denominator
+    if up_to >= 3:
+        dt3 = delta_tilde3(alpha, r)
+        L = lcm(L, dt3.denominator)
+        a3 = dt3.numerator * (L // dt3.denominator)
+    a2 = dt2.numerator * (L // dt2.denominator)
+    den = 6 * r * r * L
+    rows = [(size * den,)]
+    if up_to >= 2:
+        rows.append((3 * r * (size * size * L - a2), 6 * r * r * a2))
+    if up_to >= 3:
+        rows.append((
+            size**3 * L - 3 * size * a2 + 2 * a3,
+            6 * r * (size * a2 - a3),
+            6 * r * r * a3,
+        ))
+    return _table_character(ra, r, den, rows)
 
 
 def f4_sym(m: int, r: int) -> Fraction:

@@ -3,8 +3,8 @@
 Only the arithmetic of the displayed vector is implemented.  On a K3 the
 Mukai vector of E is v(E) = (r, c_1, ch_2 + r).  For v(E) = (r, c, s) with
 c_1(E) = c*H and H^2 = 2d, v(S^alpha E) = (r_a, ch_1, ch_2 + r_a), where
-r_a, ch_1 and ch_2 are the Schur table's rows (``SchurCoefficients.table``)
-under
+r_a, ch_1 and ch_2 are the Schur table's rows (``schur_ch3`` through degree
+2, which at r = 1 has dt2 = 0) under
 
     e1 -> c*H,   e1^2 -> 2d c^2,   e2 -> s - r.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from logchern.formulas import schur_coefficients
+from logchern.formulas import schur_ch3
 from logchern.ring import rat
 
 
@@ -52,7 +52,7 @@ class MukaiVector:
 
 def mukai_schur(v: MukaiVector, alpha) -> MukaiVector:
     """Mukai vector of S^alpha E from v(E), read off the Schur table's ch_1, ch_2."""
-    ch = schur_coefficients(alpha, v.r).table(2)
+    ch = schur_ch3(alpha, v.r, 2)
     ra = int(ch.constant())
     s_new = (
         ch.coefficient((2, 0)) * 2 * v.d * v.c**2

@@ -47,7 +47,7 @@ from logchern.characters import (
     generic_discriminants,
     normal_form,
 )
-from logchern.formulas import ext_power_ch3, f4_sym, schur_coefficients, sym_power_ch
+from logchern.formulas import ext_power_ch3, f4_sym, schur_ch3, sym_power_ch
 from logchern.ring import GradedPoly, PolyRing, _reduced, proportion, root_generators
 from logchern.symfunc import (
     Partition,
@@ -224,21 +224,23 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     """Compare the oracle against every applicable closed formula.
 
     One check per formula, each an equality of whole characters over e1..et
-    with t = min(D, r): the Schur table (its rank is the Weyl dimension, so
-    this also checks the oracle's rank), the symmetric-power double sum for
-    rows (over e1..eD) and the exterior table for columns.  Then one check
-    per Delta_k, k <= D, that Delta_k(S^alpha E) = f_k (r_alpha/r)^(k-1)
-    Delta_k(E); at r <= 2, Delta_3 of E vanishes identically and its check
-    is the vanishing regime.  Failures are recorded, not raised.
+    with t = min(D, r): the Schur table ``schur_ch3`` (its rank is the Weyl
+    dimension, so this also checks the oracle's rank), the symmetric-power
+    double sum for rows (over e1..eD) and the exterior table for columns.
+    Then one check per Delta_k, k <= D, that Delta_k(S^alpha E) =
+    f_k (r_alpha/r)^(k-1) Delta_k(E), with f_k the e_k coefficient of that
+    same table.  Above t the table has no e_k: there k > r, Delta_k of E
+    vanishes identically and its check is the vanishing regime.  Failures
+    are recorded, not raised.
     """
     if D > 3:
         raise ValueError("verify_schur compares the degree <= 3 tables")
     alpha = Partition.of(alpha)
     total = oracle_schur_total(alpha, r, D)
-    sc = schur_coefficients(alpha, r)
     t = min(D, r)
     oracle_t = _over_e(total, t)
-    checks = [_equality_check("ch vs Schur table", oracle_t, sc.table(t))]
+    table = schur_ch3(alpha, r, t)
+    checks = [_equality_check("ch vs Schur table", oracle_t, table)]
     if len(alpha) <= 1:
         row = sym_power_ch(alpha.size, r, D)
         checks.append(
@@ -250,8 +252,9 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
         col = ext_power_ch3(len(alpha), r, up_to=t)
         checks.append(_equality_check("ch vs exterior table", oracle_t, col))
 
-    w = Fraction(sc.r_alpha, r)
-    factors = (sc.f1, sc.f2 * w, None if sc.f3 is None else sc.f3 * w * w)
+    w = table.constant() / r
+    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # e1, e2, e3
+    factors = [table.coefficient(gens[k][:t]) * w**k if k < t else None for k in range(D)]
     deltas = zip(discriminants(total, D), generic_discriminants(r, D), factors)
     for k, (d_schur, d_base, factor) in enumerate(deltas, 1):
         checks.append(_factor_check(f"Delta_{k} scaling", d_schur, d_base, factor))

@@ -67,6 +67,17 @@ class TestCh:
         assert code == 2
         assert "degree <= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    def test_closed_refuses_degree_three_at_rank_two(self, capsys, method):
+        code = main(
+            ["ch", "--rank", "2", "--partition", "1,1", "--max-degree", "3",
+             "--method", method]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "degenerates for rank <= 2" in err
+
     def test_single_row_closed_full_degree(self, capsys):
         code, out = run(
             capsys, "ch", "--rank", "3", "--partition", "4",

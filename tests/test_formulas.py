@@ -16,9 +16,9 @@ from logchern.formulas import (
     f4_sym,
     hc_shift_check,
     schur_ch3,
-    schur_coefficients,
     sym_power_ch,
 )
+from logchern.oracle import oracle_schur_ch
 from logchern.symfunc import binomial, enumerate_partitions
 from witness import (
     delta2_x,
@@ -59,11 +59,10 @@ class TestCasimirPolynomials:
         # f3 for (1^n) must be n(2n^2-3rn+r^2)/((r-2)(r-1)) * r_n/r
         for r in (3, 4, 5):
             for n in range(1, r + 1):
-                sc = schur_coefficients((1,) * n, r)
                 expect = Fraction(
                     n * (2 * n * n - 3 * r * n + r * r), (r - 2) * (r - 1)
                 ) * Fraction(binomial(r, n), r)
-                assert sc.f3 == expect
+                assert table_f((1,) * n, r, 3) == expect
 
     def test_quadratic_nonnegative_on_partitions(self):
         for r in range(2, 6):
@@ -78,40 +77,47 @@ class TestCasimirPolynomials:
             delta_tilde3((1,), 2)
 
 
+def table_f(alpha, r, k):
+    """f_k = dt_k r_a/r (dt_1 = |alpha|), the e_k coefficient of the Schur table."""
+    return schur_ch3(alpha, r, k).coefficient(tuple(int(i == k - 1) for i in range(k)))
+
+
 class TestSchurCoefficients:
+    """The printed f_k, read off the Schur table ``schur_ch3``."""
+
     def test_identity_functor(self):
         for r in (3, 4, 5):
-            sc = schur_coefficients((1,), r)
-            assert sc.f1 == sc.f2 == sc.f3 == 1
+            assert table_f((1,), r, 1) == table_f((1,), r, 2) == table_f((1,), r, 3) == 1
 
     def test_sym_square_rank_two(self):
-        sc = schur_coefficients((2,), 2)
-        # Delta_2 factor dt2 * (r_a/r)^2 = (r+1)(r+2)/2 = 6 at r = 2
-        assert sc.delta2_tilde * Fraction(sc.r_alpha, 2) ** 2 == 6
-        assert sc.delta3_tilde is None and sc.f3 is None
+        table = schur_ch3((2,), 2)
+        # Delta_2 factor f2 * r_a/r = (r+1)(r+2)/2 = 6 at r = 2
+        assert table.coefficient((0, 1)) * table.constant() / 2 == 6
+        # there is no e3 coefficient at r = 2
+        assert table.ring.truncation == 2
+        with pytest.raises(ValueError):
+            schur_ch3((2,), 2, 3)
 
     def test_wedge_square_rank_four(self):
-        sc = schur_coefficients((1, 1), 4)
-        assert sc.delta2_tilde * Fraction(sc.r_alpha, 4) ** 2 == 3
+        table = schur_ch3((1, 1), 4, 2)
+        assert table.coefficient((0, 1)) * table.constant() / 4 == 3
 
     def test_f2_matches_sym_power_formula(self):
         for r in (2, 3, 4):
             for m in range(7):
-                sc = schur_coefficients((m,), r)
                 rm = binomial(m + r - 1, r - 1)
-                assert sc.f2 == Fraction(m * (m + r), r + 1) * Fraction(rm, r)
+                assert table_f((m,), r, 2) == Fraction(m * (m + r), r + 1) * Fraction(rm, r)
 
     def test_f3_matches_sym_power_formula(self):
         for r in (3, 4, 5):
             for m in range(7):
-                sc = schur_coefficients((m,), r)
                 rm = binomial(m + r - 1, r - 1)
                 expect = Fraction(m * (m + r) * (2 * m + r), (r + 1) * (r + 2))
-                assert sc.f3 == expect * Fraction(rm, r)
+                assert table_f((m,), r, 3) == expect * Fraction(rm, r)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
-            schur_coefficients((1,), 0)
+            schur_ch3((1,), 0)
 
 
 class TestSymPowerSum:
@@ -209,10 +215,22 @@ class TestTables:
             alphas = [a for size in range(9) for a in enumerate_partitions(size, r)]
             for up_to in range(1, min(r, 3) + 1):
                 for alpha in alphas:
-                    sc = schur_coefficients(alpha, r)
-                    assert sc.table(up_to) == table_by_fractions(sc, up_to)
+                    assert schur_ch3(alpha, r, up_to) == table_by_fractions(alpha, r, up_to)
                 for n in range(r + 1):
                     assert ext_power_ch3(n, r, up_to) == exterior_table_by_fractions(n, r, up_to)
+
+    def test_tables_refuse_a_rank_below_one(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            ext_power_ch3(0, 0, 1)
+        with pytest.raises(ValueError, match="rank must be positive"):
+            schur_ch3((), 0, 1)
+
+    def test_schur_ch2_line_at_rank_one(self):
+        # dt2 = 0 at r = 1, where the exterior table's 2(r-1) has no inverse
+        for m in range(7):
+            assert schur_ch3((m,), 1, 2) == oracle_schur_ch((m,), 1, 2)
+        with pytest.raises(ValueError, match="degenerates for r = 1"):
+            ext_power_ch3(1, 1, 2)
 
     def test_schur_rank_two_truncates_at_two(self):
         ch = schur_ch3((2,), 2)

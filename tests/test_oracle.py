@@ -17,7 +17,7 @@ from logchern.characters import (
     power_sum_character,
 )
 from logchern.cli import main
-from logchern.formulas import SchurCoefficients, schur_coefficients
+from logchern.formulas import schur_ch3
 from logchern.mukai import MukaiVector
 from logchern.oracle import (
     Claim,
@@ -578,22 +578,16 @@ class TestUnaccountedCount:
 class TestSchurCoefficientMutations:
     """A broken closed formula, or a wrong oracle rank, fails ``verify``.
 
-    The sweep reads every expected Delta_k factor and the Schur table off
-    ``SchurCoefficients``.
+    The sweep reads every expected Delta_k factor off the Schur table
+    ``schur_ch3``, the table it also compares with the oracle.
     """
 
     def test_doubled_f2_fails_verify(self, capsys, monkeypatch):
+        # f2 = dt2 r_a/r, so doubling dt2 doubles the expected Delta_2 factor
         import logchern.formulas
-        import logchern.oracle
 
-        original = logchern.formulas.schur_coefficients
-
-        def doubled_f2(alpha, r):
-            sc = original(alpha, r)
-            return replace(sc, f2=2 * sc.f2)
-
-        for module in (logchern.formulas, logchern.oracle):
-            monkeypatch.setattr(module, "schur_coefficients", doubled_f2)
+        original = logchern.formulas.delta_tilde2
+        monkeypatch.setattr(logchern.formulas, "delta_tilde2", lambda alpha, r: 2 * original(alpha, r))
         code, out = _verify_small(capsys)
         assert code == 1
         assert ": Delta_2 scaling\n" in out
@@ -602,18 +596,18 @@ class TestSchurCoefficientMutations:
         assert json.loads(out)["failed"] > 0
 
     def test_wrong_ch2_table_coefficient_fails_verify(self, capsys, monkeypatch):
-        original = SchurCoefficients.table
+        import logchern.oracle
 
-        def wrong_ch2(self, up_to):
-            table = original(self, up_to)
-            return table + table.ring.gen("e2") if up_to >= 2 else table
+        def wrong_ch2(alpha, r, up_to=None):
+            table = schur_ch3(alpha, r, up_to)
+            return table + table.ring.gen("e2") if table.ring.truncation >= 2 else table
 
-        monkeypatch.setattr(SchurCoefficients, "table", wrong_ch2)
+        monkeypatch.setattr(logchern.oracle, "schur_ch3", wrong_ch2)
         code, out = _verify_small(capsys)
         assert code == 1
         # the whole characters over e1, e2 go to the lhs and rhs lines
         oracle = oracle_schur_total((1,), 2, 2).text()
-        table = schur_coefficients((1,), 2).table(2).text()
+        table = wrong_ch2((1,), 2, 2).text()
         assert "e2" in table
         assert (
             f"  FAIL alpha=(1) r=2: ch vs Schur table\n"

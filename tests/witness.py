@@ -32,7 +32,8 @@ from logchern.formulas import (
     _as_vector,
     _delta2_constant,
     _delta_x_part,
-    schur_coefficients,
+    delta_tilde2,
+    delta_tilde3,
     sym_power_ch,
 )
 from logchern.mukai import MukaiVector
@@ -45,7 +46,7 @@ from logchern.oracle import (
     schur_factor,
 )
 from logchern.ring import rat
-from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums
+from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums, weyl_dim
 
 
 def reference_product(a, b):
@@ -271,9 +272,12 @@ def _fraction_table(rank, r, rows):
     })._times(rank, r)
 
 
-def table_by_fractions(sc, up_to):
-    """SchurCoefficients.table(up_to) with one Fraction per printed coefficient."""
-    r, size, dt2, dt3 = sc.r, sc.alpha.size, sc.delta2_tilde, sc.delta3_tilde
+def table_by_fractions(alpha, r, up_to):
+    """schur_ch3(alpha, r, up_to) with one Fraction per printed coefficient."""
+    alpha = Partition.of(alpha)
+    size = alpha.size
+    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
+    dt3 = delta_tilde3(alpha, r) if up_to >= 3 else None
     rows = [(size,)]
     if up_to >= 2:
         rows.append((Fraction(size * size - dt2, 2 * r), dt2))
@@ -283,7 +287,7 @@ def table_by_fractions(sc, up_to):
             (size * dt2 - dt3) / r,
             dt3,
         ))
-    return _fraction_table(sc.r_alpha, r, rows)
+    return _fraction_table(weyl_dim(alpha, r), r, rows)
 
 
 def exterior_table_by_fractions(n, r, up_to):
@@ -338,16 +342,17 @@ def mukai_schur_by_eigenvalue(v, alpha):
                          ((|alpha|^2 - dt2)/r) (r_a/r) c^2 d
                            + dt2 (s - r) (r_a/r) + r_a )
     """
-    sc = schur_coefficients(alpha, v.r)
-    r, ra, dt2 = v.r, sc.r_alpha, sc.delta2_tilde
+    alpha = Partition.of(alpha)
+    r, size = v.r, alpha.size
+    ra = weyl_dim(alpha, r)
+    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
     weight = Fraction(ra, r)
-    size = sc.alpha.size
     s_new = (
         Fraction(size * size - dt2, r) * weight * v.c**2 * v.d
         + dt2 * (v.s - r) * weight
         + ra
     )
-    return MukaiVector(ra, int(sc.f1) * v.c, s_new, v.d)
+    return MukaiVector(ra, int(size * weight) * v.c, s_new, v.d)
 
 
 def ssyt_count(alpha, r: int) -> int:
