@@ -21,6 +21,7 @@ from logchern.characters import (
     power_sum_character,
 )
 from logchern.formulas import (
+    closed_ch,
     delta2_dot,
     delta3_dot,
     ext_power_ch3,
@@ -52,6 +53,7 @@ __all__ = [
     "PolyRing",
     "base_bundle",
     "chern_classes",
+    "closed_ch",
     "d_k",
     "delta2_dot",
     "delta3_dot",

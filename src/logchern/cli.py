@@ -26,14 +26,8 @@ from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
-from logchern.characters import (
-    delta_k,
-    from_chern_classes,
-    generic_discriminants,
-    modified_delta,
-    normal_form,
-)
-from logchern.formulas import hc_shift_check, schur_ch3, sym_power_ch
+from logchern.characters import delta_k, from_chern_classes, generic_discriminants, modified_delta
+from logchern.formulas import closed_ch, hc_shift_check
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
 from logchern.oracle import (
     MAX_SWEEP_RANK,
@@ -123,30 +117,13 @@ def _character_json(ch: GradedPoly) -> dict:
     return {"rank": str(ch.constant()), "D": ch.ring.truncation, "ch": ch_k}
 
 
-def _closed_character(alpha: Partition, r: int, degree: int) -> GradedPoly:
-    """The closed formula's character, in normal form like the oracle's."""
-    if len(alpha) <= 1:
-        return normal_form(sym_power_ch(alpha.size, r, degree), r)
-    if degree > 3:
-        raise ValueError(
-            "closed formulas for general partitions cover degree <= 3 only "
-            "(single rows go through the symmetric-power sum); use --method oracle"
-        )
-    if degree > 2 and r < 3:
-        raise ValueError(
-            "the degree-3 closed table degenerates for rank <= 2 (factor r-2); "
-            "use --method oracle or --max-degree 2"
-        )
-    return schur_ch3(alpha, r, up_to=degree)
-
-
 def cmd_ch(args) -> int:
     r = _rank(args.rank)
     alpha = _partition(args.partition, r)
     degree = args.max_degree
     out: dict = {}
     if args.method in ("closed", "both"):
-        out["closed"] = _closed_character(alpha, r, degree)
+        out["closed"] = closed_ch(alpha, r, degree)
     if args.method in ("oracle", "both"):
         out["oracle"] = oracle_schur_ch(alpha, r, degree)
     if args.method == "both":

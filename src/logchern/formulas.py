@@ -14,7 +14,8 @@ coefficient times (r_a/r)^(k-1).
 
 Also here: the symmetric-power Chern character as an explicit double sum over
 partitions (Stirling numbers and binomials), the degree-<=3 character tables
-for exterior powers and general Schur functors, the degree-4 symmetric-power
+for exterior powers and general Schur functors, ``closed_ch``, which picks
+the closed formula that answers each input, the degree-4 symmetric-power
 coefficient, and the shifted-variable identities relating the two forms of
 the eigenvalue polynomials.
 """
@@ -25,7 +26,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm
 
-from logchern.characters import ch_ring
+from logchern.characters import ch_ring, normal_form
 from logchern.ring import GradedPoly, _reduced
 from logchern.symfunc import Partition, binomial, enumerate_partitions, stirling2, weyl_dim
 
@@ -176,10 +177,14 @@ def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
         raise ValueError("rank must be positive")
     if up_to is None:
         up_to = min(r, 3)
-    if up_to >= 3 and r < 3:
-        raise ValueError(f"the ch3 line of {what} degenerates for r <= 2 (factor r-2)")
     if not 1 <= up_to <= 3:
-        raise ValueError("tables cover degrees 1..3")
+        raise ValueError(
+            f"{what} covers degree <= 3 only, not degree {up_to}; the oracle covers every degree"
+        )
+    if up_to == 3 and r < 3:
+        raise ValueError(
+            f"the ch3 line of {what} degenerates for rank <= 2 (factor r-2); the oracle covers it"
+        )
     return up_to
 
 
@@ -240,6 +245,19 @@ def schur_ch3(alpha, r: int, up_to: int | None = None) -> GradedPoly:
             6 * r * r * a3,
         ))
     return _table_character(ra, r, den, rows)
+
+
+def closed_ch(alpha, r: int, D: int) -> GradedPoly:
+    """ch(S^alpha E) over e1..eD from a closed formula, in normal form.
+
+    A single row (or the empty partition) goes through the symmetric-power
+    double sum in every degree, any other partition through the Schur table,
+    which covers D <= min(r, 3) and raises ValueError beyond it.
+    """
+    alpha = Partition.of(alpha)
+    if len(alpha) <= 1:
+        return normal_form(sym_power_ch(alpha.size, r, D), r)
+    return schur_ch3(alpha, r, D)
 
 
 def f4_sym(m: int, r: int) -> Fraction:

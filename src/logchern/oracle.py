@@ -45,9 +45,8 @@ from logchern.characters import (
     discriminants,
     generic_bundle,
     generic_discriminants,
-    normal_form,
 )
-from logchern.formulas import ext_power_ch3, f4_sym, schur_ch3, sym_power_ch
+from logchern.formulas import closed_ch, ext_power_ch3, f4_sym, schur_ch3
 from logchern.ring import GradedPoly, PolyRing, _reduced, proportion, root_generators
 from logchern.symfunc import (
     Partition,
@@ -225,9 +224,9 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 
     One check per formula, each an equality of whole characters over e1..et
     with t = min(D, r): the Schur table ``schur_ch3`` (its rank is the Weyl
-    dimension, so this also checks the oracle's rank), the symmetric-power
-    double sum for rows (over e1..eD) and the exterior table for columns.
-    Then one check per Delta_k, k <= D, that Delta_k(S^alpha E) =
+    dimension, so this also checks the oracle's rank), ``closed_ch`` for rows
+    (the symmetric-power double sum, over e1..eD) and the exterior table for
+    columns.  Then one check per Delta_k, k <= D, that Delta_k(S^alpha E) =
     f_k (r_alpha/r)^(k-1) Delta_k(E), with f_k the e_k coefficient of that
     same table.  Above t the table has no e_k: there k > r, Delta_k of E
     vanishes identically and its check is the vanishing regime.  Failures
@@ -242,12 +241,8 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     table = schur_ch3(alpha, r, t)
     checks = [_equality_check("ch vs Schur table", oracle_t, table)]
     if len(alpha) <= 1:
-        row = sym_power_ch(alpha.size, r, D)
-        checks.append(
-            _equality_check(
-                "total vs symmetric double sum", total, normal_form(row, r)
-            )
-        )
+        row = closed_ch(alpha, r, D)
+        checks.append(_equality_check("total vs symmetric double sum", total, row))
     if alpha.parts and all(p == 1 for p in alpha.parts):
         col = ext_power_ch3(len(alpha), r, up_to=t)
         checks.append(_equality_check("ch vs exterior table", oracle_t, col))

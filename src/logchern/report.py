@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from logchern.characters import base_bundle, d_k, delta_k, generic_discriminants
-from logchern.formulas import sym_power_ch
+from logchern.formulas import ext_power_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
 from logchern.oracle import (
     Claim,
@@ -74,21 +74,19 @@ def build_report() -> list[Claim]:
         "(r-1)(r-2)/2 at r=4: ",
     ))
 
-    # exterior table: printed proportionality factors carry a single power of
-    # r_n/r where the scaling theorem requires the k-th power
-    n, r = 2, 4
+    # exterior table: the printed factor of Delta_k is the e_k coefficient of
+    # ch_k, which carries a single power of r_n/r where the scaling theorem
+    # requires the k-th power
     rows.append(_compare(
         "ext-delta2-factor-power", "exterior-power table, Delta_2 line",
-        Fraction(n * (r - n), r - 1) * Fraction(binomial(r, n), r), wedge_factor,
-        f"n(r-n)/(r-1) * (r_n/r) at (n,r)=({n},{r}): ", "measured factor: ",
+        ext_power_ch3(2, 4, 2).coefficient((0, 1)), wedge_factor,
+        "n(r-n)/(r-1) * (r_n/r) at (n,r)=(2,4): ", "measured factor: ",
     ))
-    n, r = 2, 5
     rows.append(_compare(
         "ext-delta3-factor-power", "exterior-power table, Delta_3 line",
-        Fraction(n * (2 * n * n - 3 * r * n + r * r), (r - 2) * (r - 1))
-        * Fraction(binomial(r, n), r),
-        schur_factor((1, 1), r, 3, lambda a: delta_k(a, 3))[1],
-        f"n(2n^2-3rn+r^2)/((r-2)(r-1)) * (r_n/r) at (n,r)=({n},{r}): ", "measured factor: ",
+        ext_power_ch3(2, 5, 3).coefficient((0, 0, 1)),
+        schur_factor((1, 1), 5, 3, lambda a: delta_k(a, 3))[1],
+        "n(2n^2-3rn+r^2)/((r-2)(r-1)) * (r_n/r) at (n,r)=(2,5): ", "measured factor: ",
     ))
 
     # the theorem display ends its Delta_3 line in Delta_2(E); measured, the

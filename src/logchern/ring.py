@@ -11,12 +11,11 @@ coefficient is read or written one at a time (parsing, printing, the
 constant term).  Each ring computes the weighted degree of an exponent vector
 once and keeps it, and keeps a product table: for each pair of exponent
 vectors that a product has met, their sum, or ``None`` when the sum lies
-above the truncation.  The table is filled on first use, a new row at once
-for every term of the operand that creates it, and holds at most one entry
-per pair of the ring's monomials, so a product's inner loop is one dict
-lookup per pair of terms.  Terms are stored unordered: the proportionality
-test pivots on any term, so only ``text()`` sorts them, into the canonical
-printed order.
+above the truncation.  Each entry is filled on its first lookup, and the
+table holds at most one entry per pair of the ring's monomials, so a
+product's inner loop is one dict lookup per pair of terms.  Terms are stored
+unordered: the proportionality test pivots on any term, so only ``text()``
+sorts them, into the canonical printed order.
 
 Values are immutable after construction and all operations are pure; a
 ring's degree memo and product table only gain entries, each the one value
@@ -190,18 +189,14 @@ class PolyRing:
 
 class _SumRow(dict):
     """One row of a ring's product table: eb -> ea + eb, or None when that
-    sum has weighted degree above the truncation.  The row starts filled for
-    the (eb, weighted degree) pairs of the operand that created it, and a key
-    it has not met is filled on first lookup."""
+    sum has weighted degree above the truncation, filled on first lookup."""
 
     __slots__ = ("ea", "limit", "wdeg")
 
-    def __init__(self, ring: PolyRing, ea: tuple[int, ...], b_wdeg: list[tuple[tuple[int, ...], int]]):
+    def __init__(self, ring: PolyRing, ea: tuple[int, ...]):
         self.ea = ea
-        self.limit = limit = ring.truncation - ring.wdeg(ea)
+        self.limit = ring.truncation - ring.wdeg(ea)
         self.wdeg = ring.wdeg
-        for eb, d in b_wdeg:
-            self[eb] = tuple(map(add, ea, eb)) if d <= limit else None
 
     def __missing__(self, eb: tuple[int, ...]) -> tuple[int, ...] | None:
         s = tuple(map(add, self.ea, eb)) if self.wdeg(eb) <= self.limit else None
@@ -280,16 +275,11 @@ class GradedPoly:
         ring = self.ring
         sums = ring._sums
         b = other.terms.items()
-        # other's exponent vectors with their weighted degrees, taken once
-        # when the first new row needs them
-        b_wdeg = None
         out: dict[tuple[int, ...], int] = {}
         for ea, na in self.terms.items():
             row = sums.get(ea)
             if row is None:
-                if b_wdeg is None:
-                    b_wdeg = [(eb, ring.wdeg(eb)) for eb in other.terms]
-                row = sums.setdefault(ea, _SumRow(ring, ea, b_wdeg))
+                row = sums.setdefault(ea, _SumRow(ring, ea))
             for eb, nb in b:
                 key = row[eb]
                 if key is not None:

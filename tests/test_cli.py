@@ -67,6 +67,16 @@ class TestCh:
         assert code == 2
         assert "degree <= 3" in capsys.readouterr().err
 
+    def test_closed_names_the_degree_before_the_rank_two_rule(self, capsys):
+        code = main(
+            ["ch", "--rank", "2", "--partition", "1,1", "--max-degree", "4",
+             "--method", "closed"]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "degree <= 3" in err and "oracle" in err
+
     @pytest.mark.parametrize("method", ["closed", "both"])
     def test_closed_refuses_degree_three_at_rank_two(self, capsys, method):
         code = main(
@@ -106,10 +116,8 @@ class TestCh:
     def test_mismatch_exits_one(self, capsys, monkeypatch, fmt):
         import logchern.cli
 
-        closed = logchern.cli._closed_character
-        monkeypatch.setattr(
-            logchern.cli, "_closed_character", lambda *args: closed(*args).scale(2)
-        )
+        closed = logchern.cli.closed_ch
+        monkeypatch.setattr(logchern.cli, "closed_ch", lambda *args: closed(*args).scale(2))
         code, out = run(
             capsys, "ch", "--rank", "3", "--partition", "2,1",
             "--max-degree", "3", "--method", "both", "--format", fmt,

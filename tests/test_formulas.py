@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from logchern import formulas
 from logchern.characters import base_bundle, ch_ring
 from logchern.formulas import (
+    closed_ch,
     delta2_dot,
     delta3_dot,
     delta_tilde2,
@@ -18,7 +19,7 @@ from logchern.formulas import (
     schur_ch3,
     sym_power_ch,
 )
-from logchern.oracle import oracle_schur_ch
+from logchern.oracle import oracle_schur_ch, oracle_schur_total
 from logchern.symfunc import binomial, enumerate_partitions
 from witness import (
     delta2_x,
@@ -236,6 +237,23 @@ class TestTables:
         ch = schur_ch3((2,), 2)
         assert ch.ring.truncation == 2
         assert ch.constant() == 3
+
+
+class TestClosedCh:
+    def test_equals_the_oracle_or_refuses_over_its_domain(self):
+        # r <= 6, |alpha| <= 6, D <= 5: a single row answers in every degree,
+        # two or more rows answer exactly through degree min(r, 3)
+        answered = 0
+        for r in range(1, 7):
+            for alpha in (a for size in range(7) for a in enumerate_partitions(size, r)):
+                for D in range(1, 6):
+                    if len(alpha) >= 2 and (D > 3 or D == 3 and r <= 2):
+                        with pytest.raises(ValueError):
+                            closed_ch(alpha, r, D)
+                        continue
+                    assert closed_ch(alpha, r, D) == oracle_schur_total(alpha, r, D)
+                    answered += 1
+        assert answered == 471  # of 660 cases
 
 
 class TestF4:

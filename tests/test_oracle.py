@@ -499,6 +499,32 @@ class TestWhitelistMutations:
             "measured 'measured factor: 8', whitelisted 'measured factor: 4'\n"
         ) in out
 
+    def test_wrong_exterior_ch2_numerator_drifts_the_printed_factor(self, capsys, monkeypatch):
+        # the claim row reads its printed factor off the exterior table, so a
+        # sign slip n(r+n) for n(r-n) in the table's ch2 line is caught there
+        import inspect
+
+        import logchern.formulas
+        import logchern.report
+
+        source = inspect.getsource(logchern.formulas.ext_power_ch3)
+        right = "2 * n * (r - n) * g"
+        assert source.count(right) == 1
+        namespace = dict(vars(logchern.formulas))
+        exec(source.replace(right, "2 * n * (r + n) * g"), namespace)
+        monkeypatch.setattr(logchern.report, "ext_power_ch3", namespace["ext_power_ch3"])
+        reason = (
+            "ext-delta2-factor-power (exterior-power table, Delta_2 line): drifted; "
+            "printed 'n(r-n)/(r-1) * (r_n/r) at (n,r)=(2,4): 6', "
+            "whitelisted 'n(r-n)/(r-1) * (r_n/r) at (n,r)=(2,4): 2'"
+        )
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert f"  {reason}\n" in out
+        code, out = _verify_small(capsys, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["unexpected"] == [reason]
+
     def test_agreeing_delta4_coefficients_are_now_confirmed(self, capsys, monkeypatch):
         # the labels of a row differ on the two sides; its status must come
         # from the values, so a printed coefficient equal to the measured

@@ -26,15 +26,15 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from logchern.characters import ch_ring, delta_k, log_character, normal_form
+from logchern.characters import ch_ring, delta_k, log_character
 from logchern.formulas import (
     _TABLE_MONOMIALS,
     _as_vector,
     _delta2_constant,
     _delta_x_part,
+    closed_ch,
     delta_tilde2,
     delta_tilde3,
-    sym_power_ch,
 )
 from logchern.mukai import MukaiVector
 from logchern.oracle import (
@@ -392,8 +392,7 @@ def ssyt_count(alpha, r: int) -> int:
 def verify_sym_power_full(m: int, r: int, D: int) -> Claim:
     """Full-degree check of the symmetric-power double sum against the oracle."""
     total = oracle_schur_total((m,), r, D)
-    closed = normal_form(sym_power_ch(m, r, D), r)
-    return _equality_check(f"S^{m}, r={r}, D={D}", total, closed)
+    return _equality_check(f"S^{m}, r={r}, D={D}", total, closed_ch((m,), r, D))
 
 
 def plain_delta4_witnesses() -> list[tuple[int, int]]:
