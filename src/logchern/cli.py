@@ -46,10 +46,11 @@ MAX_DEGREE = 5
 # rank parts, and the Jacobi-Trudi determinant's expansion grows with its
 # rows.  It takes the shorter of the partition and its conjugate, which can
 # still have as many rows as the rank: 12,11,9,8,6,5,4,3,2,2,1,1 (size 64)
-# takes 12 and the hook 16,1^15 takes 16.  The costliest pinned command,
-# delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5, makes 4,062
-# products (about 0.5 s of CPU in a fresh process, Python 3.11 on a 2-CPU
-# VM).  The Weyl dimension product grows like a superfactorial of the rank,
+# takes 12 and the hook 16,1^15 takes 16.  The costliest known command,
+# delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5 (14 rows
+# either way), makes 17,286 products, about 1.2 s of CPU in a fresh process
+# (Python 3.11, 2-CPU VM), 4.3 times the 4,062 of the 12-row one (0.45 s).
+# The Weyl dimension product grows like a superfactorial of the rank,
 # and hc-check evaluates its O(r) polynomials at each of the C(r+k, k)
 # simplex points.  Rank 16 is the largest any documented command uses.
 MAX_RANK = 16

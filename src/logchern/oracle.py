@@ -35,6 +35,7 @@ witness the tests compare the oracle against; no production path calls them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -147,9 +148,11 @@ def char_to_roots(a: GradedPoly, r: int) -> GradedPoly:
 
 
 # -- verification records -----------------------------------------------------
+# Each record is an immutable namedtuple: its fields cannot be reassigned, it
+# compares equal to a record with the same fields, and ``_replace`` copies it.
 
 
-class Claim:
+class Claim(namedtuple("Claim", "claim paper_location printed_value measured_value holds")):
     """One comparison ``verify`` makes: a sweep check or a claim-table row.
 
     ``holds`` is decided on the exact values; the texts are what the table,
@@ -157,30 +160,15 @@ class Claim:
     record names the case) and writes its texts only when it fails.
     """
 
-    __slots__ = ("claim", "paper_location", "printed_value", "measured_value", "holds")
-
-    def __init__(
-        self, claim: str, paper_location: str, printed_value: str, measured_value: str, holds: bool
-    ):
-        self.claim = claim
-        self.paper_location = paper_location
-        self.printed_value = printed_value
-        self.measured_value = measured_value
-        self.holds = holds
+    __slots__ = ()
 
     @property
     def status(self) -> str:
         return "confirmed" if self.holds else "typo-suspected"
 
 
-class VerificationRecord:
-    __slots__ = ("alpha", "r", "D", "checks")
-
-    def __init__(self, alpha: Partition, r: int, D: int, checks: tuple[Claim, ...]):
-        self.alpha = alpha
-        self.r = r
-        self.D = D
-        self.checks = checks
+class VerificationRecord(namedtuple("VerificationRecord", "alpha r D checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -259,18 +247,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 # -- degree-4 proportionality -------------------------------------------------
 
 
-class Delta4Result:
-    __slots__ = ("m", "r", "t", "is_proportional", "lam", "printed")
-
-    def __init__(
-        self, m: int, r: int, t: Fraction, is_proportional: bool, lam: Fraction | None, printed: Fraction
-    ):
-        self.m = m
-        self.r = r
-        self.t = t
-        self.is_proportional = is_proportional
-        self.lam = lam
-        self.printed = printed
+Delta4Result = namedtuple("Delta4Result", "m r t is_proportional lam printed")
 
 
 def schur_factor(alpha, r: int, D: int, cls) -> tuple[bool, Fraction | None]:
@@ -300,11 +277,8 @@ def verify_nonproportional_hook(alpha, r: int, t) -> bool:
 # -- the sweep ----------------------------------------------------------------
 
 
-class SweepReport:
-    __slots__ = ("records",)
-
-    def __init__(self, records: tuple[VerificationRecord, ...]):
-        self.records = records
+class SweepReport(namedtuple("SweepReport", "records")):
+    __slots__ = ()
 
     @property
     def cases(self) -> int:

@@ -535,7 +535,7 @@ class TestInputBounds:
         assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
-    # The slowest commands inside the bounds: each runs in well under a
+    # Costly commands inside the bounds: each runs in well under a
     # second, so a return of a 7^r grid walk or of the 2^16-subset
     # determinant shows up as a stalled suite.
     def test_hc_check_at_max_rank(self, capsys):

@@ -18,8 +18,9 @@ Schur and exterior tables), which made the products and Fractions the library
 now skips or shares, and the Mukai vector's closed form in the quadratic
 eigenvalue, which the library now reads off the Schur table.
 The rest are helpers only the tests use: the shifted-variable polynomials at
-rational points, an independent tableau count of the Schur rank, two
-verifications over the oracle, and ``replace`` for the library's value classes.
+rational points, an independent tableau count of the Schur rank, and two
+verifications over the oracle.  The library's records are namedtuples, so a
+test that needs a changed copy calls their ``_replace``.
 """
 
 import itertools
@@ -404,13 +405,3 @@ def plain_delta4_witnesses() -> list[tuple[int, int]]:
         for m in range(2, 5)
         if not schur_factor((m,), r, 4, lambda a: delta_k(a, 4))[0]
     ]
-
-
-def replace(obj, **changes):
-    """A new instance of ``obj``'s slotted value class with some fields changed.
-
-    Every field is a slot and an ``__init__`` parameter of the same name, so
-    the copy goes through ``__init__`` and its checks.
-    """
-    fields = {name: getattr(obj, name) for name in type(obj).__slots__}
-    return type(obj)(**{**fields, **changes})
