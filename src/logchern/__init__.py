@@ -31,8 +31,8 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
-from logchern.oracle import (
-    oracle_schur_ch,
+from logchern.oracle import oracle_schur_ch
+from logchern.report import (
     sweep,
     verify_delta4_proportionality,
     verify_nonproportional_hook,

@@ -29,14 +29,15 @@ from types import SimpleNamespace
 from logchern.characters import delta_k, from_chern_classes, generic_discriminants, modified_delta
 from logchern.formulas import closed_ch, hc_shift_check
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
-from logchern.oracle import (
+from logchern.oracle import oracle_schur_ch
+from logchern.report import (
     MAX_SWEEP_RANK,
     MAX_SWEEP_SIZE,
-    oracle_schur_ch,
+    build_report,
+    judge,
     sweep,
     verify_delta4_proportionality,
 )
-from logchern.report import build_report, judge
 from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
 from logchern.symfunc import INT_RE, Partition
 
@@ -69,25 +70,20 @@ _RATIONAL = r"\s*-?([0-9]+)(?:/([0-9]+))?\s*"
 EXIT_BROKEN_PIPE = 141
 
 
-def _in_range(name: str, value: int, top: int) -> int:
-    if not 1 <= value <= top:
-        raise ValueError(f"{name} must lie in 1..{top}, got {value}")
+def _in_range(name: str, value: int, low: int, high: int) -> int:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
     return value
 
 
-def _rank(r: int) -> int:
-    return _in_range("rank", r, MAX_RANK)
-
-
-def _size(n: int) -> int:
-    if n > MAX_SIZE:
-        raise ValueError(f"partition size must be at most {MAX_SIZE}, got {n}")
-    return n
+def _rank(r: int, low: int = 1) -> int:
+    return _in_range("rank", r, low, MAX_RANK)
 
 
 def _partition(text: str, r: int) -> Partition:
     alpha = Partition.parse(text)
-    _size(alpha.size)
+    if alpha.size > MAX_SIZE:
+        raise ValueError(f"partition size must be at most {MAX_SIZE}, got {alpha.size}")
     if len(alpha) > r:
         raise ValueError(f"partition {alpha} has {len(alpha)} parts, more than the rank {r}")
     return alpha
@@ -168,8 +164,8 @@ def cmd_delta(args) -> int:
 
 def cmd_verify(args) -> int:
     report = sweep(
-        _in_range("--max-rank", args.max_rank, MAX_SWEEP_RANK),
-        _in_range("--max-size", args.max_size, MAX_SWEEP_SIZE),
+        _in_range("--max-rank", args.max_rank, 1, MAX_SWEEP_RANK),
+        _in_range("--max-size", args.max_size, 1, MAX_SWEEP_SIZE),
         args.max_degree,
     )
     rows = build_report()
@@ -213,8 +209,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_delta4(args) -> int:
-    r = _rank(args.rank)
-    res = verify_delta4_proportionality(_size(args.m), r, args.t)
+    r = _rank(args.rank, 2)
+    res = verify_delta4_proportionality(_in_range("--m", args.m, 0, MAX_SIZE), r, args.t)
     print(f"Delta_(4,{res.t})(S^{args.m} V) vs Delta_(4,{res.t})(V) at rank {args.rank}:")
     if res.is_proportional:
         print(f"proportional: yes, ratio {res.lam}")
@@ -256,7 +252,7 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_hc_check(args) -> int:
-    k, r = args.k, _rank(args.rank)
+    k, r = args.k, _rank(args.rank, 2)
     failures = hc_shift_check(k, r)
     simplex = f"{comb(r + k, k)} points of the degree-{k} simplex"
     if failures:
@@ -279,6 +275,7 @@ def cmd_hc_check(args) -> int:
 # like the first; the default _REQUIRED makes the option mandatory.
 _REQUIRED = object()
 _RANK = ("--rank", int, _REQUIRED, f"1 to {MAX_RANK}")
+_RANK_FROM_2 = ("--rank", int, _REQUIRED, f"2 to {MAX_RANK}")
 COMMANDS = {
     "ch": ("Chern character of a Schur functor", cmd_ch, (
         _RANK,
@@ -299,8 +296,8 @@ COMMANDS = {
         ("--format", ("text", "json"), "text", ""),
     )),
     "delta4": ("degree-4 proportionality for a symmetric power", cmd_delta4, (
-        _RANK,
-        ("--m", int, _REQUIRED, ""),
+        _RANK_FROM_2,
+        ("--m", int, _REQUIRED, f"0 to {MAX_SIZE}"),
         ("--t", _fraction, None, "parameter t, an integer or p/q (default: rank)"),
     )),
     "lowrank": ("modified degree-4/5 class of a generic low-rank bundle", cmd_lowrank, (
@@ -314,7 +311,7 @@ COMMANDS = {
     )),
     "hc-check": ("shifted-variable and translation identities", cmd_hc_check, (
         ("--k", (2, 3), _REQUIRED, ""),
-        _RANK,
+        _RANK_FROM_2,
     )),
 }
 

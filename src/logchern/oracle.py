@@ -10,15 +10,17 @@ normal form, so s_alpha is too (``normal_form`` is a ring map fixing
 e1..er) and equality above the rank is plain ``==``.  Like every character
 in the package, the result is one ``GradedPoly``, the total ch_0 + ... +
 ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with its rank checked
-against the Weyl dimension.  The closed formulas elsewhere in the package
-are verified against these values; nothing is compared with a tolerance.
+against the Weyl dimension.  ``report`` verifies the closed formulas
+against these values, and nothing is compared with a tolerance.  This module
+imports no closed formula: from the package it reads only ``characters``,
+``ring`` and ``symfunc``, so nothing it computes can agree with a formula by
+calling it.
 
-The Adams power sums, their Newton family and the discriminants of the
-generic bundle depend only on (r, D), so they are computed once per process
-and shared by every partition: ``_adams_power_sum`` per (r, D, j),
-``_adams_family`` per (r, D, dual form, top index), each family extending the
-next shorter one by one entry, and ``characters.generic_discriminants`` per
-(r, D).  Sharing them cannot change an answer: each table is an lru_cache of
+The Adams power sums and their Newton family depend only on (r, D), so they
+are computed once per process and shared by every partition:
+``_adams_power_sum`` per (r, D, j) and ``_adams_family`` per (r, D, dual
+form, top index), each family extending the next shorter one by one entry.
+Sharing them cannot change an answer: each table is an lru_cache of
 a pure function keyed on all of its inputs, and its values are
 ``GradedPoly``s (or tuples of them), which nothing mutates.  Only the
 Jacobi-Trudi determinant runs per partition, and it too shares its work:
@@ -35,32 +37,19 @@ witness the tests compare the oracle against; no production path calls them.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from logchern.characters import (
-    ch_ring,
-    delta4t,
-    discriminants,
-    generic_bundle,
-    generic_discriminants,
-)
-from logchern.formulas import closed_ch, ext_power_ch3, f4_sym, schur_ch3
-from logchern.ring import GradedPoly, PolyRing, _reduced, proportion, root_generators
+from logchern.characters import ch_ring, generic_bundle
+from logchern.ring import GradedPoly, PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
-    enumerate_partitions,
     jacobi_trudi,
     jacobi_trudi_form,
     newton_next,
     power_sum_poly,
     weyl_dim,
 )
-
-MAX_SWEEP_RANK = 6
-MAX_SWEEP_SIZE = 8
 
 
 @lru_cache(maxsize=None)
@@ -145,174 +134,3 @@ def char_to_roots(a: GradedPoly, r: int) -> GradedPoly:
         f"e{k}": power_sum_poly(k, roots) / factorial(k) for k in range(1, D + 1)
     }
     return a.substitute(ring, images)
-
-
-# -- verification records -----------------------------------------------------
-# Each record is an immutable namedtuple: its fields cannot be reassigned, it
-# compares equal to a record with the same fields, and ``_replace`` copies it.
-
-
-class Claim(namedtuple("Claim", "claim paper_location printed_value measured_value holds")):
-    """One comparison ``verify`` makes: a sweep check or a claim-table row.
-
-    ``holds`` is decided on the exact values; the texts are what the table,
-    the JSON and the whitelist show.  A sweep check has no paper location (its
-    record names the case) and writes its texts only when it fails.
-    """
-
-    __slots__ = ()
-
-    @property
-    def status(self) -> str:
-        return "confirmed" if self.holds else "typo-suspected"
-
-
-class VerificationRecord(namedtuple("VerificationRecord", "alpha r D checks")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def failures(self) -> list[Claim]:
-        return [c for c in self.checks if not c.holds]
-
-
-def _equality_check(name: str, measured: GradedPoly, printed: GradedPoly) -> Claim:
-    if measured == printed:
-        return Claim(name, "", "", "", True)
-    return Claim(name, "", printed.text(), measured.text(), False)
-
-
-def _factor_check(name: str, measured: GradedPoly, base: GradedPoly, expected) -> Claim:
-    """measured == expected * base, with 0 == lam*0 handled as the vanishing regime."""
-    if base.is_zero():
-        if measured.is_zero():
-            return Claim(name + " (vanishing regime)", "", "", "", True)
-        return Claim(name, "", "0", measured.text(), False)
-    ok, lam = proportion(measured, base)
-    if ok and lam == expected:
-        return Claim(name, "", "", "", True)
-    return Claim(name, "", f"factor {expected}", f"factor {lam if ok else 'none'}", False)
-
-
-def _over_e(a: GradedPoly, t: int) -> GradedPoly:
-    """ch_0..ch_t of a character over e1..eD, read over e1..et.
-
-    Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
-    """
-    if t == a.ring.truncation:
-        return a
-    wdeg = a.ring.wdeg
-    return _reduced(ch_ring(t), a.den, {e[:t]: n for e, n in a.terms.items() if wdeg(e) <= t})
-
-
-def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
-    """Compare the oracle against every applicable closed formula.
-
-    One check per formula, each an equality of whole characters over e1..et
-    with t = min(D, r): the Schur table ``schur_ch3`` (its rank is the Weyl
-    dimension, so this also checks the oracle's rank), ``closed_ch`` for rows
-    (the symmetric-power double sum, over e1..eD) and the exterior table for
-    columns.  Then one check per Delta_k, k <= D, that Delta_k(S^alpha E) =
-    f_k (r_alpha/r)^(k-1) Delta_k(E), with f_k the e_k coefficient of that
-    same table.  Above t the table has no e_k: there k > r, Delta_k of E
-    vanishes identically and its check is the vanishing regime.  Failures
-    are recorded, not raised.
-    """
-    if D > 3:
-        raise ValueError("verify_schur compares the degree <= 3 tables")
-    alpha = Partition.of(alpha)
-    total = oracle_schur_total(alpha, r, D)
-    t = min(D, r)
-    oracle_t = _over_e(total, t)
-    table = schur_ch3(alpha, r, t)
-    checks = [_equality_check("ch vs Schur table", oracle_t, table)]
-    if len(alpha) <= 1:
-        row = closed_ch(alpha, r, D)
-        checks.append(_equality_check("total vs symmetric double sum", total, row))
-    if alpha.parts and all(p == 1 for p in alpha.parts):
-        col = ext_power_ch3(len(alpha), r, up_to=t)
-        checks.append(_equality_check("ch vs exterior table", oracle_t, col))
-
-    w = table.constant() / r
-    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # e1, e2, e3
-    factors = [table.coefficient(gens[k][:t]) * w**k if k < t else None for k in range(D)]
-    deltas = zip(discriminants(total, D), generic_discriminants(r, D), factors)
-    for k, (d_schur, d_base, factor) in enumerate(deltas, 1):
-        checks.append(_factor_check(f"Delta_{k} scaling", d_schur, d_base, factor))
-    return VerificationRecord(alpha, r, D, tuple(checks))
-
-
-# -- degree-4 proportionality -------------------------------------------------
-
-
-Delta4Result = namedtuple("Delta4Result", "m r t is_proportional lam printed")
-
-
-def schur_factor(alpha, r: int, D: int, cls) -> tuple[bool, Fraction | None]:
-    """``proportion(cls(S^alpha E), cls(E))`` on the generic rank-r bundle over e1..eD."""
-    return proportion(cls(oracle_schur_ch(alpha, r, D)), cls(generic_bundle(r, D)))
-
-
-def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
-    """Is Delta_{4,t}(S^m V) an exact multiple of Delta_{4,t}(V)?  (t defaults to r.)
-
-    Returns the measured ratio next to the printed coefficient
-    f4 * (r_m/r)^4 without deciding which normalization was intended.
-    """
-    if r < 2:
-        raise ValueError("need r >= 2")
-    t = Fraction(r) if t is None else Fraction(t)
-    ok, lam = schur_factor((m,), r, 4, lambda a: delta4t(a, t))
-    printed = f4_sym(m, r) * Fraction(weyl_dim((m,), r), r) ** 4
-    return Delta4Result(m, r, t, ok, lam, printed)
-
-
-def verify_nonproportional_hook(alpha, r: int, t) -> bool:
-    """True when Delta_{4,t}(S^alpha V) is confirmed NOT a multiple of Delta_{4,t}(V)."""
-    return not schur_factor(alpha, r, 4, lambda a: delta4t(a, Fraction(t)))[0]
-
-
-# -- the sweep ----------------------------------------------------------------
-
-
-class SweepReport(namedtuple("SweepReport", "records")):
-    __slots__ = ()
-
-    @property
-    def cases(self) -> int:
-        return len(self.records)
-
-    @property
-    def passed(self) -> int:
-        return sum(rec.ok for rec in self.records)
-
-    @property
-    def failed(self) -> int:
-        return self.cases - self.passed
-
-    def to_json_dict(self) -> dict:
-        return {"cases": self.cases, "passed": self.passed, "failed": self.failed}
-
-
-def sweep(max_r: int, max_size: int, D: int = 3) -> SweepReport:
-    """verify_schur over every (r <= max_r, 1 <= |alpha| <= max_size, <= r parts).
-
-    Rank 1 (where every Schur functor is a power of a line and every table
-    degenerates) is included only when it is the only rank in range.
-    Deterministic case order (rank, then size, then decreasing-lex
-    partitions).
-    """
-    if not 1 <= max_r <= MAX_SWEEP_RANK:
-        raise ValueError(f"max_r must lie in 1..{MAX_SWEEP_RANK}")
-    if not 1 <= max_size <= MAX_SWEEP_SIZE:
-        raise ValueError(f"max_size must lie in 1..{MAX_SWEEP_SIZE}")
-    return SweepReport(
-        tuple(
-            verify_schur(alpha, r, D)
-            for r in range(1 if max_r == 1 else 2, max_r + 1)
-            for size in range(1, max_size + 1)
-            for alpha in enumerate_partitions(size, r)
-        )
-    )

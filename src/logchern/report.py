@@ -1,37 +1,217 @@
-"""Measured claim table: printed values versus what the oracle computes.
+"""Every judgement ``verify`` makes: the sweep, the claim table and the whitelist.
 
-Every row is an ``oracle.Claim``, the record the sweep's checks use too,
-measured at run time -- nothing is hard-coded as true or false.  An equality
-row is one ``_compare`` entry, which renders the printed and the measured
-exact value after their labels and holds when the two are equal; four rows
-whose claim is not such an equality are built by hand.  A row that holds reads
-``confirmed``, otherwise ``typo-suspected``.  The shipped whitelist pins every
-row that is expected not to hold, by claim and paper location, with the
-printed and measured texts the oracle adjudicated, so the verify command can
-pass while still reporting them.  ``judge`` reads the whitelist once and gives
-each row its flag in the table and the lines for what the whitelist does not
-account for: any other row that does not hold, and a pinned row whose texts
-drift, that no longer appears, or that now holds.
+The oracle computes from the splitting principle alone; here its values
+meet the closed formulas and the printed claims.  Each comparison is a
+``Claim`` decided on exact values, measured at run time -- nothing is
+hard-coded as true or false: a sweep check (``verify_schur``, one record per
+case of ``sweep``) or a row of the claim table (``build_report``).  An
+equality row is one ``_compare`` entry, which renders the printed and the
+measured exact value after their labels and holds when the two are equal;
+four rows whose claim is not such an equality are built by hand.  A row
+that holds reads ``confirmed``, otherwise ``typo-suspected``.  The shipped
+whitelist pins every row that is expected not to hold, by claim and paper
+location, with the printed and measured texts the oracle adjudicated, so
+the verify command can pass while still reporting them.  ``judge`` reads
+the whitelist once and gives each row its flag in the table and the lines
+for what the whitelist does not account for: any other row that does not
+hold, and a pinned row whose texts drift, that no longer appears, or that
+now holds.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from logchern.characters import base_bundle, d_k, delta_k, generic_discriminants
-from logchern.formulas import ext_power_ch3, sym_power_ch
-from logchern.mukai import MukaiVector, mukai_schur
-from logchern.oracle import (
-    Claim,
-    oracle_schur_ch,
-    schur_factor,
-    verify_delta4_proportionality,
-    verify_nonproportional_hook,
+from logchern.characters import (
+    base_bundle,
+    ch_ring,
+    d_k,
+    delta4t,
+    delta_k,
+    discriminants,
+    generic_bundle,
+    generic_discriminants,
 )
-from logchern.ring import proportion
-from logchern.symfunc import binomial
+from logchern.formulas import closed_ch, ext_power_ch3, f4_sym, schur_ch3, sym_power_ch
+from logchern.mukai import MukaiVector, mukai_schur
+from logchern.oracle import oracle_schur_ch, oracle_schur_total
+from logchern.ring import GradedPoly, _reduced, proportion
+from logchern.symfunc import Partition, binomial, enumerate_partitions, weyl_dim
+
+MAX_SWEEP_RANK = 6
+MAX_SWEEP_SIZE = 8
+
+
+class Claim(namedtuple("Claim", "claim paper_location printed_value measured_value holds")):
+    """One comparison ``verify`` makes: a sweep check or a claim-table row.
+
+    ``holds`` is decided on the exact values; the texts are what the table,
+    the JSON and the whitelist show.  A sweep check has no paper location (its
+    record names the case) and writes its texts only when it fails.
+    """
+
+    __slots__ = ()
+
+    @property
+    def status(self) -> str:
+        return "confirmed" if self.holds else "typo-suspected"
+
+
+class VerificationRecord(namedtuple("VerificationRecord", "alpha r D checks")):
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return all(c.holds for c in self.checks)
+
+    def failures(self) -> list[Claim]:
+        return [c for c in self.checks if not c.holds]
+
+
+def _equality_check(name: str, measured: GradedPoly, printed: GradedPoly) -> Claim:
+    if measured == printed:
+        return Claim(name, "", "", "", True)
+    return Claim(name, "", printed.text(), measured.text(), False)
+
+
+def _factor_check(name: str, measured: GradedPoly, base: GradedPoly, expected) -> Claim:
+    """measured == expected * base, with 0 == lam*0 handled as the vanishing regime."""
+    if base.is_zero():
+        if measured.is_zero():
+            return Claim(name + " (vanishing regime)", "", "", "", True)
+        return Claim(name, "", "0", measured.text(), False)
+    ok, lam = proportion(measured, base)
+    if ok and lam == expected:
+        return Claim(name, "", "", "", True)
+    return Claim(name, "", f"factor {expected}", f"factor {lam if ok else 'none'}", False)
+
+
+def _over_e(a: GradedPoly, t: int) -> GradedPoly:
+    """ch_0..ch_t of a character over e1..eD, read over e1..et.
+
+    Component k involves e_1..e_k only, so dropping e_(t+1)..e_D loses nothing.
+    """
+    if t == a.ring.truncation:
+        return a
+    wdeg = a.ring.wdeg
+    return _reduced(ch_ring(t), a.den, {e[:t]: n for e, n in a.terms.items() if wdeg(e) <= t})
+
+
+def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
+    """Compare the oracle against every applicable closed formula.
+
+    One check per formula, each an equality of whole characters over e1..et
+    with t = min(D, r): the Schur table ``schur_ch3`` (its rank is the Weyl
+    dimension, so this also checks the oracle's rank), ``closed_ch`` for rows
+    (the symmetric-power double sum, over e1..eD) and the exterior table for
+    columns.  Then one check per Delta_k, k <= D, that Delta_k(S^alpha E) =
+    f_k (r_alpha/r)^(k-1) Delta_k(E), with f_k the e_k coefficient of that
+    same table.  Above t the table has no e_k: there k > r, Delta_k of E
+    vanishes identically and its check is the vanishing regime.  Failures
+    are recorded, not raised.
+    """
+    if D > 3:
+        raise ValueError("verify_schur compares the degree <= 3 tables")
+    alpha = Partition.of(alpha)
+    total = oracle_schur_total(alpha, r, D)
+    t = min(D, r)
+    oracle_t = _over_e(total, t)
+    table = schur_ch3(alpha, r, t)
+    checks = [_equality_check("ch vs Schur table", oracle_t, table)]
+    if len(alpha) <= 1:
+        row = closed_ch(alpha, r, D)
+        checks.append(_equality_check("total vs symmetric double sum", total, row))
+    if alpha.parts and all(p == 1 for p in alpha.parts):
+        col = ext_power_ch3(len(alpha), r, up_to=t)
+        checks.append(_equality_check("ch vs exterior table", oracle_t, col))
+
+    w = table.constant() / r
+    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # e1, e2, e3
+    factors = [table.coefficient(gens[k][:t]) * w**k if k < t else None for k in range(D)]
+    deltas = zip(discriminants(total, D), generic_discriminants(r, D), factors)
+    for k, (d_schur, d_base, factor) in enumerate(deltas, 1):
+        checks.append(_factor_check(f"Delta_{k} scaling", d_schur, d_base, factor))
+    return VerificationRecord(alpha, r, D, tuple(checks))
+
+
+# -- degree-4 proportionality -------------------------------------------------
+
+
+Delta4Result = namedtuple("Delta4Result", "m r t is_proportional lam printed")
+
+
+def schur_factor(alpha, r: int, D: int, cls) -> tuple[bool, Fraction | None]:
+    """``proportion(cls(S^alpha E), cls(E))`` on the generic rank-r bundle over e1..eD."""
+    return proportion(cls(oracle_schur_ch(alpha, r, D)), cls(generic_bundle(r, D)))
+
+
+def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
+    """Is Delta_{4,t}(S^m V) an exact multiple of Delta_{4,t}(V)?  (t defaults to r.)
+
+    Returns the measured ratio next to the printed coefficient
+    f4 * (r_m/r)^4 without deciding which normalization was intended.
+    """
+    if r < 2:
+        raise ValueError("need r >= 2")
+    t = Fraction(r) if t is None else Fraction(t)
+    ok, lam = schur_factor((m,), r, 4, lambda a: delta4t(a, t))
+    printed = f4_sym(m, r) * Fraction(weyl_dim((m,), r), r) ** 4
+    return Delta4Result(m, r, t, ok, lam, printed)
+
+
+def verify_nonproportional_hook(alpha, r: int, t) -> bool:
+    """True when Delta_{4,t}(S^alpha V) is confirmed NOT a multiple of Delta_{4,t}(V)."""
+    return not schur_factor(alpha, r, 4, lambda a: delta4t(a, Fraction(t)))[0]
+
+
+# -- the sweep ----------------------------------------------------------------
+
+
+class SweepReport(namedtuple("SweepReport", "records")):
+    __slots__ = ()
+
+    @property
+    def cases(self) -> int:
+        return len(self.records)
+
+    @property
+    def passed(self) -> int:
+        return sum(rec.ok for rec in self.records)
+
+    @property
+    def failed(self) -> int:
+        return self.cases - self.passed
+
+    def to_json_dict(self) -> dict:
+        return {"cases": self.cases, "passed": self.passed, "failed": self.failed}
+
+
+def sweep(max_r: int, max_size: int, D: int = 3) -> SweepReport:
+    """verify_schur over every (r <= max_r, 1 <= |alpha| <= max_size, <= r parts).
+
+    Rank 1 (where every Schur functor is a power of a line and every table
+    degenerates) is included only when it is the only rank in range.
+    Deterministic case order (rank, then size, then decreasing-lex
+    partitions).
+    """
+    if not 1 <= max_r <= MAX_SWEEP_RANK:
+        raise ValueError(f"max_r must lie in 1..{MAX_SWEEP_RANK}")
+    if not 1 <= max_size <= MAX_SWEEP_SIZE:
+        raise ValueError(f"max_size must lie in 1..{MAX_SWEEP_SIZE}")
+    return SweepReport(
+        tuple(
+            verify_schur(alpha, r, D)
+            for r in range(1 if max_r == 1 else 2, max_r + 1)
+            for size in range(1, max_size + 1)
+            for alpha in enumerate_partitions(size, r)
+        )
+    )
+
+
+# -- the claim table ----------------------------------------------------------
 
 
 def _compare(claim, location, printed, measured, label, measured_label=None, show=str) -> Claim:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from logchern import sweep, verify_delta4_proportionality, verify_nonproportional_hook
 from logchern.characters import (
     base_bundle,
     ch_ring,
@@ -26,15 +27,7 @@ from logchern.characters import (
 )
 from logchern.formulas import hc_shift_check, sym_power_ch
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
-from logchern.oracle import (
-    base_in_roots,
-    exp_roots,
-    oracle_schur_ch,
-    root_ring,
-    sweep,
-    verify_delta4_proportionality,
-    verify_nonproportional_hook,
-)
+from logchern.oracle import base_in_roots, exp_roots, oracle_schur_ch, root_ring
 from logchern.report import build_report
 from logchern.ring import PolyRing, graded_generators, proportion
 from logchern.symfunc import (

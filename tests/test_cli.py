@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logchern.cli import _REQUIRED, COMMANDS, MAX_RANK, MAX_SIZE, MAX_T_DIGITS, main
-from logchern.oracle import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
+from logchern.report import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,6 +20,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def lowest_rank(command):
+    """The least rank that command's help states, as "low to high"."""
+    note = next(note for flag, _, _, note in COMMANDS[command][2] if flag == "--rank")
+    return int(note.split(" to ")[0])
 
 
 def check_golden(name, text):
@@ -367,7 +373,7 @@ class TestInputBounds:
     def test_rank_out_of_range(self, capsys, command, rank):
         code, err = run_error(capsys, *command, "--rank", rank)
         assert code == 2
-        assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+        assert err == f"error: rank must lie in {lowest_rank(command[0])}..{MAX_RANK}, got {rank}\n"
 
     @pytest.mark.parametrize(
         "command",
@@ -382,7 +388,8 @@ class TestInputBounds:
                 argv += [flag, str(convert[0]) if isinstance(convert, (tuple, range)) else valid[flag]]
         code = main(argv)
         out, err = capsys.readouterr()
-        assert (code, out, err) == (2, "", f"error: rank must lie in 1..{MAX_RANK}, got {MAX_RANK + 1}\n")
+        low = lowest_rank(command)
+        assert (code, out, err) == (2, "", f"error: rank must lie in {low}..{MAX_RANK}, got {MAX_RANK + 1}\n")
 
     @pytest.mark.parametrize(
         "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2", "\u0662,1,2"]
@@ -414,7 +421,6 @@ class TestInputBounds:
             ("ch", "--rank", "2", "--partition", str(MAX_SIZE + 1)),
             ("ch", "--rank", "2", "--partition", f"{MAX_SIZE},1", "--method", "oracle"),
             ("delta", "--rank", "3", "--partition", str(MAX_SIZE + 1)),
-            ("delta4", "--rank", "3", "--m", str(MAX_SIZE + 1)),
             ("mukai", "--v", "2,1,2", "--d", "3", "--partition", str(MAX_SIZE + 1)),
         ],
     )
@@ -422,6 +428,24 @@ class TestInputBounds:
         code, err = run_error(capsys, *command)
         assert code == 2
         assert err == f"error: partition size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
+
+    @pytest.mark.parametrize(
+        "command, argv, flag, low, high",
+        [
+            ("delta4", ("--rank", "3", "--m", "-1"), "--m", 0, MAX_SIZE),
+            ("delta4", ("--rank", "3", "--m", str(MAX_SIZE + 1)), "--m", 0, MAX_SIZE),
+            ("delta4", ("--rank", "1", "--m", "2"), "--rank", 2, MAX_RANK),
+            ("hc-check", ("--k", "2", "--rank", "1"), "--rank", 2, MAX_RANK),
+        ],
+    )
+    def test_refusal_names_the_option_and_its_stated_range(self, capsys, command, argv, flag, low, high):
+        code, err = run_error(capsys, command, *argv)
+        name = "rank" if flag == "--rank" else flag
+        value = argv[argv.index(flag) + 1]
+        assert (code, err) == (2, f"error: {name} must lie in {low}..{high}, got {value}\n")
+        _, out = run(capsys, command, "--help")
+        row = next(line.split(None, 1) for line in out.splitlines() if line.startswith(f"  {flag} "))
+        assert row[1].startswith(f"{low} to {high};")
 
     @pytest.mark.parametrize(
         "flag, value, top",

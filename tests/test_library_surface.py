@@ -1,4 +1,4 @@
-"""The library's public surface is what the library itself uses.
+"""The library's public surface, and the oracle's independence.
 
 Every public module-level function and class in ``src/logchern`` must be
 referenced somewhere in the package outside its own definition; a helper
@@ -6,7 +6,11 @@ that only the tests call belongs in ``tests/``.  Imports and ``__all__``
 entries are not references.  The functions the benchmark's tracer wraps
 (``TRACED`` in ``perfbench/trace_op.py``) are exempt: the root-ring witness
 is test-only, but the benchmark looks it up by name.  The sources are
-parsed, never imported.
+parsed, never imported, except to check ``__all__`` against the package.
+
+The oracle is the side of every ``verify`` check that knows only the
+definitions, so no chain of the package's imports may lead from
+``oracle.py`` to a closed formula or to the code that compares against one.
 """
 
 import ast
@@ -44,3 +48,43 @@ def test_every_public_definition_is_used_by_the_library():
     exempt = set(traced_names())
     unused = [q for q in unreferenced_definitions() if q not in exempt]
     assert unused == [], f"public but unused by the library: {unused}"
+
+
+def test_all_is_what_a_star_import_binds():
+    import logchern
+
+    assert [name for name in logchern.__all__ if not hasattr(logchern, name)] == []
+    namespace = {}
+    exec("from logchern import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(logchern.__all__)
+
+
+def package_imports(module):
+    """The modules of the package that ``<module>.py`` imports anywhere in its source.
+
+    The package itself counts as its ``__init__``.
+    """
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is one of the package's own: from . import x, from .x import y
+            names = [".".join(filter(None, ("logchern", node.module))) if node.level else node.module]
+        else:
+            continue
+        for name in names:
+            top, _, rest = name.partition(".")
+            if top == "logchern":
+                found.add(rest.partition(".")[0] or "__init__")
+    return found
+
+
+def test_oracle_imports_reach_no_closed_formula():
+    reached, todo = set(), ["oracle"]
+    while todo:
+        new = package_imports(todo.pop()) - reached
+        reached |= new
+        todo += new
+    assert sorted(reached & {"formulas", "mukai", "report", "cli"}) == []

@@ -20,18 +20,20 @@ from logchern.cli import main
 from logchern.formulas import schur_ch3
 from logchern.mukai import MukaiVector
 from logchern.oracle import (
-    Claim,
-    SweepReport,
-    VerificationRecord,
     _adams_power_sum,
-    _equality_check,
-    _over_e,
     base_in_roots,
     char_to_roots,
     exp_roots,
     oracle_schur_ch,
     oracle_schur_total,
     root_ring,
+)
+from logchern.report import (
+    Claim,
+    SweepReport,
+    VerificationRecord,
+    _equality_check,
+    _over_e,
     sweep,
     verify_delta4_proportionality,
     verify_nonproportional_hook,
@@ -642,13 +644,13 @@ class TestSchurCoefficientMutations:
         assert json.loads(out)["failed"] > 0
 
     def test_wrong_ch2_table_coefficient_fails_verify(self, capsys, monkeypatch):
-        import logchern.oracle
+        import logchern.report
 
         def wrong_ch2(alpha, r, up_to=None):
             table = schur_ch3(alpha, r, up_to)
             return table + table.ring.gen("e2") if table.ring.truncation >= 2 else table
 
-        monkeypatch.setattr(logchern.oracle, "schur_ch3", wrong_ch2)
+        monkeypatch.setattr(logchern.report, "schur_ch3", wrong_ch2)
         code, out = _verify_small(capsys)
         assert code == 1
         # the whole characters over e1, e2 go to the lhs and rhs lines
@@ -664,11 +666,11 @@ class TestSchurCoefficientMutations:
         assert json.loads(out)["failed"] > 0
 
     def test_scaled_exterior_table_fails_verify(self, capsys, monkeypatch):
-        import logchern.oracle
+        import logchern.report
 
-        original = logchern.oracle.ext_power_ch3
+        original = logchern.report.ext_power_ch3
         monkeypatch.setattr(
-            logchern.oracle, "ext_power_ch3", lambda n, r, up_to=None: original(n, r, up_to).scale(2)
+            logchern.report, "ext_power_ch3", lambda n, r, up_to=None: original(n, r, up_to).scale(2)
         )
         code, out = _verify_small(capsys)
         assert code == 1
@@ -681,19 +683,20 @@ class TestSchurCoefficientMutations:
     def test_oracle_rank_off_by_one_fails_verify(self, capsys, monkeypatch):
         # the table's degree-0 term is the Weyl dimension, so the table check
         # also catches a wrong oracle rank
-        import logchern.oracle
+        import logchern.report
 
-        original = logchern.oracle.oracle_schur_total
+        original = logchern.report.oracle_schur_total
 
         def rank_off_by_one(alpha, r, D):
             total = original(alpha, r, D)
             return total + total.ring.one()
 
-        # only the sweep sees the mutant: the claim table reads the oracle
-        # through oracle_schur_ch, whose own rank guard would raise (exit 2)
-        sweep_globals = {**vars(logchern.oracle), "oracle_schur_total": rank_off_by_one}
+        # only the sweep sees the mutant: verify_schur runs on a copy of the
+        # report's globals, while the claim table reads the oracle through
+        # oracle_schur_ch, whose own rank guard would raise (exit 2)
+        sweep_globals = {**vars(logchern.report), "oracle_schur_total": rank_off_by_one}
         mutant = types.FunctionType(verify_schur.__code__, sweep_globals)
-        monkeypatch.setattr(logchern.oracle, "verify_schur", mutant)
+        monkeypatch.setattr(logchern.report, "verify_schur", mutant)
         code, out = _verify_small(capsys)
         assert code == 1
         assert ": ch vs Schur table\n" in out

@@ -38,14 +38,8 @@ from logchern.formulas import (
     delta_tilde3,
 )
 from logchern.mukai import MukaiVector
-from logchern.oracle import (
-    Claim,
-    _equality_check,
-    exp_roots,
-    oracle_schur_total,
-    root_ring,
-    schur_factor,
-)
+from logchern.oracle import exp_roots, oracle_schur_total, root_ring
+from logchern.report import Claim, _equality_check, schur_factor
 from logchern.ring import rat
 from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums, weyl_dim
 
