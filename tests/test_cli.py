@@ -421,6 +421,7 @@ class TestInputBounds:
             ("ch", "--rank", "2", "--partition", str(MAX_SIZE + 1)),
             ("ch", "--rank", "2", "--partition", f"{MAX_SIZE},1", "--method", "oracle"),
             ("delta", "--rank", "3", "--partition", str(MAX_SIZE + 1)),
+            ("delta", "--rank", "3", "--partition", f"{MAX_SIZE},1"),
             ("mukai", "--v", "2,1,2", "--d", "3", "--partition", str(MAX_SIZE + 1)),
         ],
     )
