@@ -2,10 +2,13 @@
 
 The command line is read against one table, ``COMMANDS``: each command's
 help line, handler and options, each option with its converter and its
-default or ``_REQUIRED``.  An option is ``--opt value`` or ``--opt=value``;
-the token after a flag is its value even when it starts with ``-`` (so
-``--t -7/2`` works), but never when it starts with ``--``.  A unique prefix
-of a flag stands for it, and a repeated option keeps its last value.
+default or ``_REQUIRED``.  A converter that is a tuple gives the option's
+choices and a ``range`` gives its bounds: ``--help`` prints them and the
+parser enforces them, from the table alone.  An option is ``--opt value``
+or ``--opt=value``; the token after a flag is its value even when it
+starts with ``-`` (so ``--t -7/2`` works), but never when it starts with
+``--``.  A unique prefix of a flag stands for it, and a repeated option
+keeps its last value.
 ``-h``/``--help`` prints the program's or one command's help from the same
 table.  Every command runs in a fresh interpreter, which is why the parser is
 not ``argparse``: importing and building that cost more than most commands'
@@ -39,7 +42,7 @@ from logchern.report import (
     verify_delta4_proportionality,
 )
 from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
-from logchern.symfunc import INT_RE, Partition
+from logchern.symfunc import INT_RE, MAX_DIGITS, Partition
 
 MAX_DEGREE = 5
 # Largest rank ch, delta, delta4, lowrank, mukai and hc-check accept.  The
@@ -59,25 +62,19 @@ MAX_RANK = 16
 # Newton's recurrence takes O(|alpha|^2) products of growing fractions
 # (size 300 takes about 4 s at degree 5 on one core of a 2-CPU VM).
 MAX_SIZE = 64
-# delta4 --t is an integer or p/q with at most this many digits in p and in q.
+# compiled on first use, by re's own cache: only delta4 --t reads it.
 # Fraction() alone would also read decimals and exponents, and build a
 # million-digit integer from "1e1000000".
-MAX_T_DIGITS = 50
-# compiled on first use, by re's own cache: only delta4 --t reads it
 _RATIONAL = r"\s*-?([0-9]+)(?:/([0-9]+))?\s*"
 # Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
 # reports a process that SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
 
 
-def _in_range(name: str, value: int, low: int, high: int) -> int:
-    if not low <= value <= high:
-        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
+def _in_range(name: str, value: int, bounds: range) -> int:
+    if value not in bounds:
+        raise ValueError(f"{name} must lie in {bounds[0]}..{bounds[-1]}, got {value}")
     return value
-
-
-def _rank(r: int, low: int = 1) -> int:
-    return _in_range("rank", r, low, MAX_RANK)
 
 
 def _partition(text: str, r: int) -> Partition:
@@ -92,8 +89,8 @@ def _partition(text: str, r: int) -> Partition:
 def _fraction(text: str) -> Fraction:
     """Option converter for an exact rational: an integer or p/q, such as 3 or 7/2."""
     match = re.fullmatch(_RATIONAL, text)
-    if match is not None and max(len(digits) for digits in match.groups("")) > MAX_T_DIGITS:
-        raise ValueError(f"more than {MAX_T_DIGITS} digits: {text!r}")
+    if match is not None and max(len(digits) for digits in match.groups("")) > MAX_DIGITS:
+        raise ValueError(f"more than {MAX_DIGITS} digits: {text!r}")
     if match is None or match[2] is not None and int(match[2]) == 0:
         raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(text)
@@ -115,7 +112,7 @@ def _character_json(ch: GradedPoly) -> dict:
 
 
 def cmd_ch(args) -> int:
-    r = _rank(args.rank)
+    r = args.rank
     alpha = _partition(args.partition, r)
     degree = args.max_degree
     out: dict = {}
@@ -146,7 +143,7 @@ def cmd_ch(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    r, k = _rank(args.rank), args.k
+    r, k = args.rank, args.k
     alpha = _partition(args.partition, r)
     d_schur = delta_k(oracle_schur_ch(alpha, r, k), k)
     d_base = generic_discriminants(r, k)[k - 1]
@@ -163,11 +160,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = sweep(
-        _in_range("--max-rank", args.max_rank, 1, MAX_SWEEP_RANK),
-        _in_range("--max-size", args.max_size, 1, MAX_SWEEP_SIZE),
-        args.max_degree,
-    )
+    report = sweep(args.max_rank, args.max_size, args.max_degree)
     rows = build_report()
     flags, unexpected = judge(rows)
     failed = report.failed > 0 or bool(unexpected)
@@ -209,8 +202,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_delta4(args) -> int:
-    r = _rank(args.rank, 2)
-    res = verify_delta4_proportionality(_in_range("--m", args.m, 0, MAX_SIZE), r, args.t)
+    res = verify_delta4_proportionality(args.m, args.rank, args.t)
     print(f"Delta_(4,{res.t})(S^{args.m} V) vs Delta_(4,{res.t})(V) at rank {args.rank}:")
     if res.is_proportional:
         print(f"proportional: yes, ratio {res.lam}")
@@ -221,7 +213,7 @@ def cmd_delta4(args) -> int:
 
 
 def cmd_lowrank(args) -> int:
-    k, r = args.k, _rank(args.rank)
+    k, r = args.k, args.rank
     ring = PolyRing(graded_generators("c", k), k)
     classes = [ring.gen(f"c{i}") for i in range(1, min(r, k) + 1)]
     bundle = from_chern_classes(r, classes, ring)
@@ -239,7 +231,7 @@ def cmd_mukai(args) -> int:
     if len(parts) != 3 or not all(INT_RE.fullmatch(x) for x in parts):
         raise ValueError(f"cannot parse Mukai vector {args.v!r}; expected r,c,s")
     r, c, s = (int(x) for x in parts)
-    v = MukaiVector(_rank(r), c, Fraction(s), args.d)
+    v = MukaiVector(_in_range("rank", r, range(1, MAX_RANK + 1)), c, Fraction(s), args.d)
     alpha = _partition(args.partition, r)
     out = mukai_schur(v, alpha)
     print(f"v(E) = {v}, H^2 = {2 * args.d}")
@@ -252,7 +244,7 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_hc_check(args) -> int:
-    k, r = args.k, _rank(args.rank, 2)
+    k, r = args.k, args.rank
     failures = hc_shift_check(k, r)
     simplex = f"{comb(r + k, k)} points of the degree-{k} simplex"
     if failures:
@@ -271,33 +263,34 @@ def cmd_hc_check(args) -> int:
 
 # The command table: name -> (help line, handler, options).  An option is
 # (flag, converter, default, note): the converter is int, str or _fraction,
-# or the tuple or range of the values the option accepts, each converted
-# like the first; the default _REQUIRED makes the option mandatory.
+# a tuple of the option's choices, each converted like the first, or a range
+# of the integers it accepts, its bounds; the default _REQUIRED makes the
+# option mandatory.
 _REQUIRED = object()
-_RANK = ("--rank", int, _REQUIRED, f"1 to {MAX_RANK}")
-_RANK_FROM_2 = ("--rank", int, _REQUIRED, f"2 to {MAX_RANK}")
+_RANK = ("--rank", range(1, MAX_RANK + 1), _REQUIRED, "")
+_RANK_FROM_2 = ("--rank", range(2, MAX_RANK + 1), _REQUIRED, "")
 COMMANDS = {
     "ch": ("Chern character of a Schur functor", cmd_ch, (
         _RANK,
         ("--partition", str, _REQUIRED, "e.g. 2,1 (empty or 0 for the trivial functor)"),
-        ("--max-degree", range(1, MAX_DEGREE + 1), 3, ""),
+        ("--max-degree", tuple(range(1, MAX_DEGREE + 1)), 3, ""),
         ("--method", ("closed", "oracle", "both"), "both", ""),
         ("--format", ("text", "json"), "text", ""),
     )),
     "delta": ("discriminant of a Schur functor and its scaling factor", cmd_delta, (
         _RANK,
         ("--partition", str, _REQUIRED, ""),
-        ("--k", range(1, MAX_DEGREE + 1), 2, ""),
+        ("--k", tuple(range(1, MAX_DEGREE + 1)), 2, ""),
     )),
     "verify": ("oracle-vs-closed sweep plus the measured claim table", cmd_verify, (
-        ("--max-rank", int, 5, f"1 to {MAX_SWEEP_RANK}"),
-        ("--max-size", int, 6, f"1 to {MAX_SWEEP_SIZE}"),
+        ("--max-rank", range(1, MAX_SWEEP_RANK + 1), 5, ""),
+        ("--max-size", range(1, MAX_SWEEP_SIZE + 1), 6, ""),
         ("--max-degree", (1, 2, 3), 3, ""),
         ("--format", ("text", "json"), "text", ""),
     )),
     "delta4": ("degree-4 proportionality for a symmetric power", cmd_delta4, (
         _RANK_FROM_2,
-        ("--m", int, _REQUIRED, f"0 to {MAX_SIZE}"),
+        ("--m", range(MAX_SIZE + 1), _REQUIRED, ""),
         ("--t", _fraction, None, "parameter t, an integer or p/q (default: rank)"),
     )),
     "lowrank": ("modified degree-4/5 class of a generic low-rank bundle", cmd_lowrank, (
@@ -341,7 +334,9 @@ def _help(command: str | None) -> str:
     rows = []
     for flag, convert, default, note in options:
         about = [note] if note else []
-        if isinstance(convert, (tuple, range)):
+        if isinstance(convert, range):
+            about.append(f"{convert[0]} to {convert[-1]}")
+        elif isinstance(convert, tuple):
             about.append(f"one of {', '.join(map(str, convert))}")
         if default is _REQUIRED:
             about.append("required")
@@ -376,9 +371,9 @@ def _flag(token: str, flags) -> str:
 
 def _value(flag: str, convert, text: str):
     """text converted for flag's option; a usage error when it does not fit."""
-    choices = convert if isinstance(convert, (tuple, range)) else None
-    if choices is not None:
-        convert = type(choices[0])
+    choices = convert if isinstance(convert, tuple) else None
+    if isinstance(convert, (tuple, range)):
+        convert = type(convert[0])
     if convert is int and not INT_RE.fullmatch(text):
         # int() alone would also read "1_0", "+3" and non-ASCII digits
         raise _UsageError(f"argument {flag}: invalid int value: {text!r}")
@@ -421,9 +416,11 @@ def _parse(argv: list[str]):
     missing = [flag for flag, (_, default) in spec.items() if default is _REQUIRED and flag not in values]
     if missing:
         raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    return handler, SimpleNamespace(
-        **{flag[2:].replace("-", "_"): values.get(flag, default) for flag, (_, default) in spec.items()}
-    )
+    args = {flag: values.get(flag, default) for flag, (_, default) in spec.items()}
+    for flag, (convert, _) in spec.items():
+        if isinstance(convert, range):
+            _in_range(flag, args[flag], convert)
+    return handler, SimpleNamespace(**{flag[2:].replace("-", "_"): value for flag, value in args.items()})
 
 
 def main(argv=None) -> int:

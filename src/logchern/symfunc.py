@@ -32,10 +32,14 @@ from math import comb
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generators
 
+# Most digits the command line reads in one integer, and in delta4 --t's p
+# and q.  Far past every bound the commands state, and far below the
+# interpreter's own 4300-digit limit on int(), whose error would leak.
+MAX_DIGITS = 50
 # One integer as the command line writes it (an int option, a partition's
 # parts, a Mukai vector's entries): an optional minus sign and a run of ASCII
 # digits.  int() alone would also read "1_0" as 10, "+2" as 2 and "\u0663" as 3.
-INT_RE = re.compile(r"\s*-?[0-9]+\s*")
+INT_RE = re.compile(rf"\s*-?[0-9]{{1,{MAX_DIGITS}}}\s*")
 
 
 class Partition:

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.cli import _REQUIRED, COMMANDS, MAX_RANK, MAX_SIZE, MAX_T_DIGITS, main
+from logchern.cli import _REQUIRED, COMMANDS, MAX_RANK, MAX_SIZE, main
 from logchern.report import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
+from logchern.symfunc import MAX_DIGITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,10 +23,14 @@ def run(capsys, *argv):
     return code, out.out
 
 
+def ranged_options(command):
+    """(flag, range) of each option of command whose table entry gives its bounds."""
+    return [(flag, convert) for flag, convert, *_ in COMMANDS[command][2] if isinstance(convert, range)]
+
+
 def lowest_rank(command):
-    """The least rank that command's help states, as "low to high"."""
-    note = next(note for flag, _, _, note in COMMANDS[command][2] if flag == "--rank")
-    return int(note.split(" to ")[0])
+    """The least rank that command's table entry accepts."""
+    return dict(ranged_options(command))["--rank"][0]
 
 
 def check_golden(name, text):
@@ -349,7 +354,9 @@ class TestParser:
         rows = out.split("options:\n")[1].splitlines()
         assert [row.split()[0] for row in rows] == [flag for flag, *_ in options]
         for (_, convert, default, _), row in zip(options, rows):
-            if isinstance(convert, (tuple, range)):
+            if isinstance(convert, range):
+                assert f"{convert[0]} to {convert[-1]}" in row
+            elif isinstance(convert, tuple):
                 assert f"one of {', '.join(map(str, convert))}" in row
             if default is _REQUIRED:
                 assert row.endswith("required")
@@ -373,23 +380,29 @@ class TestInputBounds:
     def test_rank_out_of_range(self, capsys, command, rank):
         code, err = run_error(capsys, *command, "--rank", rank)
         assert code == 2
-        assert err == f"error: rank must lie in {lowest_rank(command[0])}..{MAX_RANK}, got {rank}\n"
+        assert err == f"error: --rank must lie in {lowest_rank(command[0])}..{MAX_RANK}, got {rank}\n"
 
-    @pytest.mark.parametrize(
-        "command",
-        [name for name, (_, _, options) in COMMANDS.items() if any(o[0] == "--rank" for o in options)],
-    )
+    @pytest.mark.parametrize("command", [name for name in COMMANDS if ranged_options(name)])
     def test_every_rank_option_is_bounded(self, capsys, command):
-        # every other required option takes a valid value, so only the rank is refused
-        valid = {"--partition": "1", "--m": "2"}
-        argv = [command, "--rank", str(MAX_RANK + 1)]
-        for flag, convert, default, _ in COMMANDS[command][2]:
-            if default is _REQUIRED and flag != "--rank":
-                argv += [flag, str(convert[0]) if isinstance(convert, (tuple, range)) else valid[flag]]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        low = lowest_rank(command)
-        assert (code, out, err) == (2, "", f"error: rank must lie in {low}..{MAX_RANK}, got {MAX_RANK + 1}\n")
+        # every other option takes a valid value, so only the one under test is refused
+        valid = {"--partition": "1"}
+        required = [
+            (flag, str(convert[0]) if isinstance(convert, (tuple, range)) else valid[flag])
+            for flag, convert, default, _ in COMMANDS[command][2]
+            if default is _REQUIRED
+        ]
+        for flag, bounds in ranged_options(command):
+            for value in (bounds[0] - 1, bounds[-1] + 1):
+                argv = [command, *(token for pair in required for token in pair), flag, str(value)]
+                code = main(argv)
+                out, err = capsys.readouterr()
+                expected = f"error: {flag} must lie in {bounds[0]}..{bounds[-1]}, got {value}\n"
+                assert (code, out, err) == (2, "", expected), argv
+
+    def test_help_wins_over_an_out_of_range_value(self, capsys):
+        code, out = run(capsys, "ch", "--rank", str(MAX_RANK + 1), "--help")
+        assert code == 0
+        assert out == run(capsys, "ch", "--help")[1]
 
     @pytest.mark.parametrize(
         "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2", "\u0662,1,2"]
@@ -414,6 +427,21 @@ class TestInputBounds:
         )
         assert code == 2
         assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+
+    @pytest.mark.parametrize("d", ["3", "9" * 4000], ids=["d-3", "d-4000-digits"])
+    def test_long_integer_refusal_prints_nothing_on_stdout(self, capsys, d):
+        # with a 4000-digit c, v(S^(2,1) E) holds integers past the
+        # interpreter's 4300-digit limit on str(int), so an answer would fail
+        # only after v(E) had reached stdout
+        argv = ["mukai", "--v", f"2,{'9' * 4000},2", "--d", d, "--partition", "2,1"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize(
         "command",
@@ -441,9 +469,8 @@ class TestInputBounds:
     )
     def test_refusal_names_the_option_and_its_stated_range(self, capsys, command, argv, flag, low, high):
         code, err = run_error(capsys, command, *argv)
-        name = "rank" if flag == "--rank" else flag
         value = argv[argv.index(flag) + 1]
-        assert (code, err) == (2, f"error: {name} must lie in {low}..{high}, got {value}\n")
+        assert (code, err) == (2, f"error: {flag} must lie in {low}..{high}, got {value}\n")
         _, out = run(capsys, command, "--help")
         row = next(line.split(None, 1) for line in out.splitlines() if line.startswith(f"  {flag} "))
         assert row[1].startswith(f"{low} to {high};")
@@ -528,12 +555,12 @@ class TestInputBounds:
         assert "Traceback" not in err
         assert f"not an exact rational: {t!r}" in err
 
-    @pytest.mark.parametrize("t", ["1" * (MAX_T_DIGITS + 1), "1/" + "7" * (MAX_T_DIGITS + 1)])
+    @pytest.mark.parametrize("t", ["1" * (MAX_DIGITS + 1), "1/" + "7" * (MAX_DIGITS + 1)])
     def test_delta4_t_digit_bound(self, capsys, t):
         with pytest.raises(SystemExit) as exc:
             main(["delta4", "--rank", "3", "--m", "2", "--t", t])
         assert exc.value.code == 2
-        assert f"more than {MAX_T_DIGITS} digits: {t!r}" in capsys.readouterr().err
+        assert f"more than {MAX_DIGITS} digits: {t!r}" in capsys.readouterr().err
         code, out = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", t[:-1])
         assert code == 0
 
@@ -635,11 +662,11 @@ def test_readme_library_example_runs():
 
 
 def test_readme_quotes_the_cli_bounds():
-    quoted = re.findall(r"(\d+)\s+\(`logchern\.cli\.(MAX_\w+)`\)", readme_section("Command line"))
+    quoted = re.findall(r"(\d+)\s+\(`logchern\.(?:cli|symfunc)\.(MAX_\w+)`\)", readme_section("Command line"))
     assert {name: int(value) for value, name in quoted} == {
         "MAX_RANK": MAX_RANK,
         "MAX_SIZE": MAX_SIZE,
-        "MAX_T_DIGITS": MAX_T_DIGITS,
+        "MAX_DIGITS": MAX_DIGITS,
     }
     assert len(quoted) == 3
 
@@ -647,8 +674,11 @@ def test_readme_quotes_the_cli_bounds():
 # Option values per subcommand: small in-range values, out-of-range ones and
 # junk.  None leaves the option out.  Each drawn command runs in well under a
 # second (no rank-16 determinant, no full sweep).
-RANKS = ("-1", "0", "1", "2", "3", str(MAX_RANK + 1), "x")
-PARTITIONS = ("", "0", "1", "2", "1,1", "2,1", "3,1", "1,2", "2,-1", str(MAX_SIZE + 1), "a")
+# 60 digits pass the digit bound and 5000 pass the interpreter's own limit on
+# int(), whose message must not leak.
+LONG = ("9" * 60, "9" * 5000)
+RANKS = ("-1", "0", "1", "2", "3", str(MAX_RANK + 1), "x", *LONG)
+PARTITIONS = ("", "0", "1", "2", "1,1", "2,1", "3,1", "1,2", "2,-1", str(MAX_SIZE + 1), "a", *LONG)
 CLI_OPTIONS = {
     "ch": (
         ("--rank", RANKS),
@@ -670,7 +700,7 @@ CLI_OPTIONS = {
     ),
     "delta4": (
         ("--rank", RANKS),
-        ("--m", ("-1", "0", "1", "2", str(MAX_SIZE + 1), "x")),
+        ("--m", ("-1", "0", "1", "2", str(MAX_SIZE + 1), "x", *LONG)),
         ("--t", ("0", "-3", "7/2", "1/0", "x", "1e1000000")),
     ),
     "lowrank": (
@@ -680,8 +710,9 @@ CLI_OPTIONS = {
     "mukai": (
         ("--v", (
             "2,1,2", "3,-1,0", "0,1,2", f"{MAX_RANK + 1},1,2", "2;1;2", "2,1", "2,1_0,2", "+2,1,2",
+            *(f"2,{digits},2" for digits in LONG),
         )),
-        ("--d", ("-1", "0", "3")),
+        ("--d", ("-1", "0", "3", *LONG)),
         ("--partition", PARTITIONS),
     ),
     "hc-check": (
@@ -708,8 +739,8 @@ def cli_argv(draw):
 @given(cli_argv())
 @settings(max_examples=300, deadline=None)
 def test_every_argv_exits_0_1_or_2(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -718,3 +749,4 @@ def test_every_argv_exits_0_1_or_2(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert out.getvalue() == "", argv
