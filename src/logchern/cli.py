@@ -3,21 +3,23 @@
 The command line is read against one table, ``COMMANDS``: each command's
 help line, handler and options, each option with its converter and its
 default or ``_REQUIRED``.  A converter that is a tuple gives the option's
-choices and a ``range`` gives its bounds: ``--help`` prints them and the
-parser enforces them, from the table alone.  An option is ``--opt value``
-or ``--opt=value``; the token after a flag is its value even when it
-starts with ``-`` (so ``--t -7/2`` works), but never when it starts with
-``--``.  A unique prefix of a flag stands for it, and a repeated option
-keeps its last value.
-``-h``/``--help`` prints the program's or one command's help from the same
-table.  Every command runs in a fresh interpreter, which is why the parser is
-not ``argparse``: importing and building that cost more than most commands'
-own work.
+choices, a ``range`` its bounds, and a function reads a text format (a
+partition, a Mukai vector, a rational), which the package reads nowhere
+else.  ``--help`` prints the choices and bounds from the table alone.  An
+option is ``--opt value`` or ``--opt=value``; the token after a flag is its
+value even when it starts with ``-`` (so ``--t -7/2`` works), but never when
+it starts with ``--``.  A unique prefix of a flag stands for it.  One pass
+keeps each option's last text and stops at ``-h``/``--help``, whatever else
+the line holds; then the missing options are named, and then each given
+text is converted once, in table order.  Every command runs in a fresh
+interpreter, which is why the parser is not ``argparse``: importing and
+building that cost more than most commands' own work.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (one line,
-``error: <reason>``, on stderr), 141 (128 + SIGPIPE) when the reader of
-stdout goes away before the output is written.  Rationals are always
-printed exactly as num/den; there is no floating point output.
+Exit codes: 0 success, 1 verification failure, 2 for every refusal (one
+line, ``error: <reason>``, on stderr; ``main`` returns 2 and never raises
+``SystemExit``), 141 (128 + SIGPIPE) when the reader of stdout goes away
+before the output is written.  Rationals are always printed exactly as
+num/den; there is no floating point output.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from logchern.report import (
     verify_delta4_proportionality,
 )
 from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
-from logchern.symfunc import INT_RE, MAX_DIGITS, Partition
+from logchern.symfunc import Partition
 
 MAX_DEGREE = 5
 # Largest rank ch, delta, delta4, lowrank, mukai and hc-check accept.  The
@@ -62,6 +64,13 @@ MAX_RANK = 16
 # Newton's recurrence takes O(|alpha|^2) products of growing fractions
 # (size 300 takes about 4 s at degree 5 on one core of a 2-CPU VM).
 MAX_SIZE = 64
+# One integer as the command line writes it (an int option, a partition's
+# parts, a Mukai vector's entries, delta4 --t's p and q): an optional minus
+# sign and at most MAX_DIGITS ASCII digits, far past every stated bound and
+# far below the interpreter's 4300-digit limit on int(), whose error would
+# leak.  int() alone would also read "1_0" as 10, "+2" as 2 and "\u0663" as 3.
+MAX_DIGITS = 50
+INT_RE = re.compile(rf"\s*-?[0-9]{{1,{MAX_DIGITS}}}\s*")
 # compiled on first use, by re's own cache: only delta4 --t reads it.
 # Fraction() alone would also read decimals and exponents, and build a
 # million-digit integer from "1e1000000".
@@ -71,28 +80,50 @@ _RATIONAL = r"\s*-?([0-9]+)(?:/([0-9]+))?\s*"
 EXIT_BROKEN_PIPE = 141
 
 
-def _in_range(name: str, value: int, bounds: range) -> int:
-    if value not in bounds:
-        raise ValueError(f"{name} must lie in {bounds[0]}..{bounds[-1]}, got {value}")
-    return value
+def _shown(text: str) -> str:
+    """text as a refusal quotes it: its first 60 characters, then ... if it goes on."""
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
-def _partition(text: str, r: int) -> Partition:
-    alpha = Partition.parse(text)
+def _partition(text: str) -> Partition:
+    """Option converter for a partition of size at most MAX_SIZE: 2,1, say, or empty or 0."""
+    text = text.strip()
+    fields = text.split(",") if text not in ("", "0") else []
+    if not all(INT_RE.fullmatch(field) for field in fields):
+        raise ValueError(f"cannot parse partition {_shown(text)!r}")
+    try:
+        alpha = Partition(tuple(map(int, fields)))
+    except ValueError as exc:  # a negative part, or a part after a smaller one
+        raise ValueError(_shown(str(exc))) from None
     if alpha.size > MAX_SIZE:
         raise ValueError(f"partition size must be at most {MAX_SIZE}, got {alpha.size}")
+    return alpha
+
+
+def _within_rank(alpha: Partition, r: int) -> Partition:
     if len(alpha) > r:
         raise ValueError(f"partition {alpha} has {len(alpha)} parts, more than the rank {r}")
     return alpha
+
+
+def _mukai_vector(text: str) -> tuple[int, int, int]:
+    """Option converter for a Mukai vector r,c,s of integers, the rank r in 1..MAX_RANK."""
+    fields = text.split(",")
+    if len(fields) != 3 or not all(INT_RE.fullmatch(field) for field in fields):
+        raise ValueError(f"cannot parse Mukai vector {_shown(text)!r}; expected r,c,s")
+    r, c, s = map(int, fields)
+    if not 1 <= r <= MAX_RANK:
+        raise ValueError(f"rank must lie in 1..{MAX_RANK}, got {r}")
+    return r, c, s
 
 
 def _fraction(text: str) -> Fraction:
     """Option converter for an exact rational: an integer or p/q, such as 3 or 7/2."""
     match = re.fullmatch(_RATIONAL, text)
     if match is not None and max(len(digits) for digits in match.groups("")) > MAX_DIGITS:
-        raise ValueError(f"more than {MAX_DIGITS} digits: {text!r}")
+        raise ValueError(f"more than {MAX_DIGITS} digits: {_shown(text)!r}")
     if match is None or match[2] is not None and int(match[2]) == 0:
-        raise ValueError(f"not an exact rational: {text!r}")
+        raise ValueError(f"not an exact rational: {_shown(text)!r}")
     return Fraction(text)
 
 
@@ -112,9 +143,8 @@ def _character_json(ch: GradedPoly) -> dict:
 
 
 def cmd_ch(args) -> int:
-    r = args.rank
-    alpha = _partition(args.partition, r)
-    degree = args.max_degree
+    r, degree = args.rank, args.max_degree
+    alpha = _within_rank(args.partition, r)
     out: dict = {}
     if args.method in ("closed", "both"):
         out["closed"] = closed_ch(alpha, r, degree)
@@ -144,7 +174,7 @@ def cmd_ch(args) -> int:
 
 def cmd_delta(args) -> int:
     r, k = args.rank, args.k
-    alpha = _partition(args.partition, r)
+    alpha = _within_rank(args.partition, r)
     d_schur = delta_k(oracle_schur_ch(alpha, r, k), k)
     d_base = generic_discriminants(r, k)[k - 1]
     print(f"Delta_{k}(S^({alpha}) E) = {d_schur.text()}")
@@ -227,12 +257,9 @@ def cmd_lowrank(args) -> int:
 
 
 def cmd_mukai(args) -> int:
-    parts = args.v.split(",")
-    if len(parts) != 3 or not all(INT_RE.fullmatch(x) for x in parts):
-        raise ValueError(f"cannot parse Mukai vector {args.v!r}; expected r,c,s")
-    r, c, s = (int(x) for x in parts)
-    v = MukaiVector(_in_range("rank", r, range(1, MAX_RANK + 1)), c, Fraction(s), args.d)
-    alpha = _partition(args.partition, r)
+    r, c, s = args.v
+    v = MukaiVector(r, c, Fraction(s), args.d)
+    alpha = _within_rank(args.partition, r)
     out = mukai_schur(v, alpha)
     print(f"v(E) = {v}, H^2 = {2 * args.d}")
     print(f"v(S^({alpha}) E) = {out}")
@@ -262,24 +289,24 @@ def cmd_hc_check(args) -> int:
 
 
 # The command table: name -> (help line, handler, options).  An option is
-# (flag, converter, default, note): the converter is int, str or _fraction,
-# a tuple of the option's choices, each converted like the first, or a range
-# of the integers it accepts, its bounds; the default _REQUIRED makes the
-# option mandatory.
+# (flag, converter, default, note): the converter is int or a function from
+# the text to the value, a tuple of the option's choices, each converted like
+# the first, or a range of the integers it accepts, its bounds; the default
+# _REQUIRED makes the option mandatory.
 _REQUIRED = object()
 _RANK = ("--rank", range(1, MAX_RANK + 1), _REQUIRED, "")
 _RANK_FROM_2 = ("--rank", range(2, MAX_RANK + 1), _REQUIRED, "")
 COMMANDS = {
     "ch": ("Chern character of a Schur functor", cmd_ch, (
         _RANK,
-        ("--partition", str, _REQUIRED, "e.g. 2,1 (empty or 0 for the trivial functor)"),
+        ("--partition", _partition, _REQUIRED, "e.g. 2,1 (empty or 0 for the trivial functor)"),
         ("--max-degree", tuple(range(1, MAX_DEGREE + 1)), 3, ""),
         ("--method", ("closed", "oracle", "both"), "both", ""),
         ("--format", ("text", "json"), "text", ""),
     )),
     "delta": ("discriminant of a Schur functor and its scaling factor", cmd_delta, (
         _RANK,
-        ("--partition", str, _REQUIRED, ""),
+        ("--partition", _partition, _REQUIRED, ""),
         ("--k", tuple(range(1, MAX_DEGREE + 1)), 2, ""),
     )),
     "verify": ("oracle-vs-closed sweep plus the measured claim table", cmd_verify, (
@@ -298,19 +325,15 @@ COMMANDS = {
         _RANK,
     )),
     "mukai": ("Mukai vector of a Schur bundle on a K3 surface", cmd_mukai, (
-        ("--v", str, _REQUIRED, "input vector r,c,s"),
+        ("--v", _mukai_vector, _REQUIRED, "input vector r,c,s"),
         ("--d", int, _REQUIRED, "H^2 = 2d"),
-        ("--partition", str, _REQUIRED, ""),
+        ("--partition", _partition, _REQUIRED, ""),
     )),
     "hc-check": ("shifted-variable and translation identities", cmd_hc_check, (
         ("--k", (2, 3), _REQUIRED, ""),
         _RANK_FROM_2,
     )),
 }
-
-
-class _UsageError(Exception):
-    """A malformed command line; main prints it as one line and exits 2."""
 
 
 def _help(command: str | None) -> str:
@@ -365,26 +388,26 @@ def _flag(token: str, flags) -> str:
         if len(matches) == 1:
             return matches[0]
         if matches:
-            raise _UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
-    raise _UsageError(f"unrecognized arguments: {token}")
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    raise ValueError(f"unrecognized arguments: {_shown(token)}")
 
 
 def _value(flag: str, convert, text: str):
-    """text converted for flag's option; a usage error when it does not fit."""
-    choices = convert if isinstance(convert, tuple) else None
-    if isinstance(convert, (tuple, range)):
-        convert = type(convert[0])
+    """text converted for flag's option; a ValueError naming flag when it does not fit."""
+    allowed = convert if isinstance(convert, (tuple, range)) else None
+    convert = type(allowed[0]) if allowed else convert
     if convert is int and not INT_RE.fullmatch(text):
-        # int() alone would also read "1_0", "+3" and non-ASCII digits
-        raise _UsageError(f"argument {flag}: invalid int value: {text!r}")
+        raise ValueError(f"argument {flag}: invalid int value: {_shown(text)!r}")
     try:
         value = convert(text)
     except ValueError as exc:
-        raise _UsageError(f"argument {flag}: {exc}") from None
-    if choices is not None and value not in choices:
-        listed = ", ".join(map(str, choices))
-        raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {listed})")
-    return value
+        raise ValueError(f"argument {flag}: {exc}") from None
+    if allowed is None or value in allowed:
+        return value
+    if isinstance(allowed, range):
+        raise ValueError(f"{flag} must lie in {allowed[0]}..{allowed[-1]}, got {value}")
+    listed = ", ".join(map(str, allowed))
+    raise ValueError(f"argument {flag}: invalid choice: {_shown(text)!r} (choose from {listed})")
 
 
 def _parse(argv: list[str]):
@@ -395,14 +418,14 @@ def _parse(argv: list[str]):
         if command.startswith("-"):
             _flag(command, ("--help",))  # a usage error unless it asks for help
             return _print, _help(None)
-        got = f", got {command!r}" if argv else ""
-        raise _UsageError(f"expected a command, one of {', '.join(COMMANDS)}{got}")
-    tokens = iter(argv[1:])
+        got = f", got {_shown(command)!r}" if argv else ""
+        raise ValueError(f"expected a command, one of {', '.join(COMMANDS)}{got}")
     _, handler, options = COMMANDS[command]
-    spec = {flag: (convert, default) for flag, convert, default, _ in options}
-    values = {}
+    flags = (*(flag for flag, *_ in options), "--help")
+    texts = {}
+    tokens = iter(argv[1:])
     for token in tokens:
-        flag = _flag(token, (*spec, "--help"))
+        flag = _flag(token, flags)
         if flag == "--help":
             return _print, _help(command)
         _, joined, text = token.partition("=")
@@ -411,16 +434,15 @@ def _parse(argv: list[str]):
             # "--t -7/2" does, but no flag is ever taken as one
             text = next(tokens, None)
             if text is None or text.startswith("--"):
-                raise _UsageError(f"argument {flag}: expected one value")
-        values[flag] = _value(flag, spec[flag][0], text)
-    missing = [flag for flag, (_, default) in spec.items() if default is _REQUIRED and flag not in values]
+                raise ValueError(f"argument {flag}: expected one value")
+        texts[flag] = text
+    missing = [flag for flag, _, default, _ in options if default is _REQUIRED and flag not in texts]
     if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    args = {flag: values.get(flag, default) for flag, (_, default) in spec.items()}
-    for flag, (convert, _) in spec.items():
-        if isinstance(convert, range):
-            _in_range(flag, args[flag], convert)
-    return handler, SimpleNamespace(**{flag[2:].replace("-", "_"): value for flag, value in args.items()})
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{
+        flag[2:].replace("-", "_"): _value(flag, convert, texts[flag]) if flag in texts else default
+        for flag, convert, default, _ in options
+    })
 
 
 def main(argv=None) -> int:
@@ -428,15 +450,10 @@ def main(argv=None) -> int:
         try:
             handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
             code = handler(args)
-        except _UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
         finally:
-            # also when a usage error leaves by SystemExit, so that buffered
-            # output into a closed stdout fails here, not at exit
             sys.stdout.flush()
     except BrokenPipeError:
         # stdout's reader went away: send what is still buffered to devnull,

@@ -43,13 +43,13 @@ def delta2_dot(alpha, r: int) -> int:
     """(r-1) sum a_i^2 - 2 sum_{i<j} a_i a_j + r sum (r+1-2i) a_i.
 
     A plain polynomial evaluation: partitions are the intended input, but any
-    integer (or rational) coordinate vector is accepted.
+    integer (or rational) coordinate vector is accepted.  Evaluated in O(r)
+    through the power sums: the pair sum is (p1^2 - p2)/2, so the quadratic
+    part is r p2 - p1^2.
     """
     a = _as_vector(alpha, r)
-    sq = sum(x * x for x in a)
-    cross = sum(a[i] * a[j] for i in range(r) for j in range(i + 1, r))
-    lin = sum((r + 1 - 2 * (i + 1)) * a[i] for i in range(r))
-    return (r - 1) * sq - 2 * cross + r * lin
+    lin = sum((r + 1 - 2 * i) * x for i, x in enumerate(a, 1))
+    return r * sum(x * x for x in a) - sum(a) ** 2 + r * lin
 
 
 def delta3_dot(alpha, r: int) -> int:

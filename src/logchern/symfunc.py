@@ -18,6 +18,8 @@ from symmetric polynomials in degree-1 roots to power sums
 (``sym_to_power_sums``) form the root-ring witness: the tests compare the
 oracle against them, and no production path calls them.
 
+It parses no text: the command line reads partitions in ``logchern.cli``.
+
 All functions are pure; the memo tables (Stirling numbers, power-sum
 expansion data) sit behind lru_cache, keyed on every input, so concurrent use
 is safe and deterministic.
@@ -25,21 +27,11 @@ is safe and deterministic.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generators
-
-# Most digits the command line reads in one integer, and in delta4 --t's p
-# and q.  Far past every bound the commands state, and far below the
-# interpreter's own 4300-digit limit on int(), whose error would leak.
-MAX_DIGITS = 50
-# One integer as the command line writes it (an int option, a partition's
-# parts, a Mukai vector's entries): an optional minus sign and a run of ASCII
-# digits.  int() alone would also read "1_0" as 10, "+2" as 2 and "\u0663" as 3.
-INT_RE = re.compile(rf"\s*-?[0-9]{{1,{MAX_DIGITS}}}\s*")
 
 
 class Partition:
@@ -70,16 +62,6 @@ class Partition:
     @classmethod
     def of(cls, obj) -> Partition:
         return obj if isinstance(obj, Partition) else cls(tuple(obj))
-
-    @classmethod
-    def parse(cls, text: str) -> Partition:
-        text = text.strip()
-        if text in ("", "0"):
-            return cls(())
-        parts = text.split(",")
-        if not all(INT_RE.fullmatch(p) for p in parts):
-            raise ValueError(f"cannot parse partition {text!r}")
-        return cls(tuple(int(p) for p in parts))
 
     @property
     def size(self) -> int:

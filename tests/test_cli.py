@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.cli import _REQUIRED, COMMANDS, MAX_RANK, MAX_SIZE, main
+from logchern.cli import _REQUIRED, COMMANDS, MAX_DIGITS, MAX_RANK, MAX_SIZE, main
 from logchern.report import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
-from logchern.symfunc import MAX_DIGITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -140,9 +139,7 @@ class TestCh:
             assert out.endswith("match: NO\n")
 
     def test_usage_error_exit_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["ch", "--rank", "2"])
-        assert exc.value.code == 2
+        assert main(["ch", "--rank", "2"]) == 2
 
 
 class TestDelta:
@@ -205,9 +202,7 @@ class TestOthers:
         assert "vanishes" not in out
 
     def test_lowrank_rejects_other_k(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["lowrank", "--k", "3", "--rank", "2"])
-        assert exc.value.code == 2
+        assert main(["lowrank", "--k", "3", "--rank", "2"]) == 2
 
     def test_mukai_golden(self, capsys):
         code, out = run(
@@ -260,10 +255,9 @@ def run_error(capsys, *argv):
 
 def usage_error(capsys, *argv):
     """The one stderr line of a usage error, which exits 2 with nothing on stdout."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+    code = main(list(argv))
     out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     return err
 
@@ -289,6 +283,10 @@ class TestParser:
             capsys, *self.DELTA
         )
         assert run(capsys, *self.DELTA, "--rank", "2")[1].startswith("Delta_2(S^(2) E) = 6*e1^2 - 24*e2\n")
+        # only the last value is converted, so an earlier malformed one is never read
+        assert run(capsys, "delta", "--rank", "x", "--partition", "1,,1", *self.DELTA[1:]) == run(
+            capsys, *self.DELTA
+        )
 
     @pytest.mark.parametrize(
         "argv, reason",
@@ -296,6 +294,8 @@ class TestParser:
             (("delta", "--rank", "3", "--partition"), "argument --partition: expected one value"),
             (("delta", "--rank", "--partition", "2"), "argument --rank: expected one value"),
             (("delta", "--partition", "2"), "the following arguments are required: --rank"),
+            # the missing options are named before any value is converted
+            (("delta", "--rank", "x"), "the following arguments are required: --partition"),
             (("mukai",), "the following arguments are required: --v, --d, --partition"),
             (("delta", "--rank", "3", "--partition", "2", "2"), "unrecognized arguments: 2"),
             (("delta", "--rank", "3", "--partition", "2", "--"), "unrecognized arguments: --"),
@@ -326,13 +326,17 @@ class TestParser:
             (("deltas",), "expected a command, one of " + ", ".join(COMMANDS) + ", got 'deltas'"),
             ((), "expected a command, one of " + ", ".join(COMMANDS)),
             (("--rank", "3"), "unrecognized arguments: --rank"),
+            # a refusal quotes at most the first 60 characters of a word
+            (("ch", "--" + "x" * 4998), "unrecognized arguments: --" + "x" * 58 + "..."),
+            (("x" * 5000,), "expected a command, one of " + ", ".join(COMMANDS) + f", got {'x' * 60 + '...'!r}"),
         ],
         ids=[
-            "missing-value", "flag-as-value", "missing-required", "all-missing", "stray-word",
+            "missing-value", "flag-as-value", "missing-required", "missing-before-malformed",
+            "all-missing", "stray-word",
             "double-dash", "unknown-flag", "bad-int", "int-underscore", "int-plus", "int-arabic",
             "int-choice-arabic", "int-mukai-d", "int-delta4-m", "int-verify-max-rank", "bad-choice",
             "unknown-command",
-            "no-command", "option-before-command",
+            "no-command", "option-before-command", "long-flag", "long-command",
         ],
     )
     def test_usage_errors(self, capsys, argv, reason):
@@ -399,10 +403,24 @@ class TestInputBounds:
                 expected = f"error: {flag} must lie in {bounds[0]}..{bounds[-1]}, got {value}\n"
                 assert (code, out, err) == (2, "", expected), argv
 
-    def test_help_wins_over_an_out_of_range_value(self, capsys):
-        code, out = run(capsys, "ch", "--rank", str(MAX_RANK + 1), "--help")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ch", "--rank", str(MAX_RANK + 1)),
+            ("ch", "--rank", "x"),
+            ("ch", "--rank", "1" * (MAX_DIGITS + 1)),
+            ("ch", "--rank", "2", "--partition", "2", "--max-degree", "9"),
+            ("ch", "--rank", "2", "--partition", "1,,1"),
+            ("delta4", "--rank", "3", "--m", "2", "--t", "abc"),
+            ("mukai", "--v", "2,1"),
+        ],
+        ids=["rank-17", "rank-x", "rank-51-digits", "max-degree-9", "partition-1,,1", "t-abc", "v-2,1"],
+    )
+    def test_help_wins_over_any_value(self, capsys, argv):
+        code, out = run(capsys, *argv, "--help")
         assert code == 0
-        assert out == run(capsys, "ch", "--help")[1]
+        assert out == run(capsys, argv[0], "--help")[1]
+        assert out.startswith(f"usage: logchern {argv[0]} ")
 
     @pytest.mark.parametrize(
         "vector", ["2,1_0,2", "+2,1,2", "2,+1,2", "2,1,2,3", "2,,2", "2,1.0,2", "\u0662,1,2"]
@@ -413,7 +431,7 @@ class TestInputBounds:
             capsys, "mukai", f"--v={vector}", "--d", "3", "--partition", "2"
         )
         assert code == 2
-        assert err == f"error: cannot parse Mukai vector {vector!r}; expected r,c,s\n"
+        assert err == f"error: argument --v: cannot parse Mukai vector {vector!r}; expected r,c,s\n"
 
     def test_mukai_vector_allows_signs_and_spaces(self, capsys):
         code, out = run(capsys, "mukai", "--v", " 2, -1 ,2", "--d", "3", "--partition", "2")
@@ -426,7 +444,7 @@ class TestInputBounds:
             capsys, "mukai", f"--v={rank},1,2", "--d", "3", "--partition", "2"
         )
         assert code == 2
-        assert err == f"error: rank must lie in 1..{MAX_RANK}, got {rank}\n"
+        assert err == f"error: argument --v: rank must lie in 1..{MAX_RANK}, got {rank}\n"
 
     @pytest.mark.parametrize("d", ["3", "9" * 4000], ids=["d-3", "d-4000-digits"])
     def test_long_integer_refusal_prints_nothing_on_stdout(self, capsys, d):
@@ -434,10 +452,7 @@ class TestInputBounds:
         # interpreter's 4300-digit limit on str(int), so an answer would fail
         # only after v(E) had reached stdout
         argv = ["mukai", "--v", f"2,{'9' * 4000},2", "--d", d, "--partition", "2,1"]
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -456,7 +471,7 @@ class TestInputBounds:
     def test_size_above_max(self, capsys, command):
         code, err = run_error(capsys, *command)
         assert code == 2
-        assert err == f"error: partition size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
+        assert err == f"error: argument --partition: partition size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
 
     @pytest.mark.parametrize(
         "command, argv, flag, low, high",
@@ -532,7 +547,13 @@ class TestInputBounds:
     def test_unparsable_partition(self, capsys, command, text):
         code, err = run_error(capsys, *command)
         assert code == 2
-        assert err == f"error: cannot parse partition {text!r}\n"
+        assert err == f"error: argument --partition: cannot parse partition {text!r}\n"
+
+    @pytest.mark.parametrize("text, shown", [("2,1", "2,1"), (" 2 , 1 ", "2,1"), ("", "0"), ("0", "0")])
+    def test_partition_text(self, capsys, text, shown):
+        code, out = run(capsys, "delta", "--rank", "3", "--partition", text, "--k", "1")
+        assert code == 0
+        assert out.startswith(f"Delta_1(S^({shown}) E) = ")
 
     @pytest.mark.parametrize("text", ["1,0,1", "0,2"])
     def test_zero_before_a_part(self, capsys, text):
@@ -542,24 +563,20 @@ class TestInputBounds:
         )
         assert code == 2
         parts = ", ".join(text.split(","))
-        assert err == f"error: parts not weakly decreasing: ({parts})\n"
+        assert err == f"error: argument --partition: parts not weakly decreasing: ({parts})\n"
 
     # Fraction() reads exponents: 1e1000000 would build a million-digit
     # integer, and 1e5000 fails in int() past Python's digit limit
     @pytest.mark.parametrize("t", ["1/0", "abc", "3.5", "1e1000000", "1e5000", "\u0663"])
     def test_delta4_bad_t_is_a_usage_error(self, capsys, t):
-        with pytest.raises(SystemExit) as exc:
-            main(["delta4", "--rank", "3", "--m", "2", "--t", t])
-        assert exc.value.code == 2
+        assert main(["delta4", "--rank", "3", "--m", "2", "--t", t]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"not an exact rational: {t!r}" in err
 
     @pytest.mark.parametrize("t", ["1" * (MAX_DIGITS + 1), "1/" + "7" * (MAX_DIGITS + 1)])
     def test_delta4_t_digit_bound(self, capsys, t):
-        with pytest.raises(SystemExit) as exc:
-            main(["delta4", "--rank", "3", "--m", "2", "--t", t])
-        assert exc.value.code == 2
+        assert main(["delta4", "--rank", "3", "--m", "2", "--t", t]) == 2
         assert f"more than {MAX_DIGITS} digits: {t!r}" in capsys.readouterr().err
         code, out = run(capsys, "delta4", "--rank", "3", "--m", "2", "--t", t[:-1])
         assert code == 0
@@ -580,10 +597,9 @@ class TestInputBounds:
     @pytest.mark.parametrize("option", [("--samples", "50"), ("--seed", "7")])
     def test_hc_check_has_no_sample_options(self, capsys, option):
         # the simplex proof needs no sample, so these are unknown options
-        with pytest.raises(SystemExit) as exc:
-            main(["hc-check", "--k", "2", "--rank", "4", *option])
+        code = main(["hc-check", "--k", "2", "--rank", "4", *option])
         err = capsys.readouterr().err
-        assert exc.value.code == 2
+        assert code == 2
         assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
@@ -662,7 +678,7 @@ def test_readme_library_example_runs():
 
 
 def test_readme_quotes_the_cli_bounds():
-    quoted = re.findall(r"(\d+)\s+\(`logchern\.(?:cli|symfunc)\.(MAX_\w+)`\)", readme_section("Command line"))
+    quoted = re.findall(r"(\d+)\s+\(`logchern\.cli\.(MAX_\w+)`\)", readme_section("Command line"))
     assert {name: int(value) for value, name in quoted} == {
         "MAX_RANK": MAX_RANK,
         "MAX_SIZE": MAX_SIZE,
@@ -677,6 +693,9 @@ def test_readme_quotes_the_cli_bounds():
 # 60 digits pass the digit bound and 5000 pass the interpreter's own limit on
 # int(), whose message must not leak.
 LONG = ("9" * 60, "9" * 5000)
+# Longest refusal line: a quoted value is cut to 60 characters, and the
+# longest fixed text, the unknown-command one, takes under 100 more.
+MAX_ERROR_LINE = 200
 RANKS = ("-1", "0", "1", "2", "3", str(MAX_RANK + 1), "x", *LONG)
 PARTITIONS = ("", "0", "1", "2", "1,1", "2,1", "3,1", "1,2", "2,-1", str(MAX_SIZE + 1), "a", *LONG)
 CLI_OPTIONS = {
@@ -741,12 +760,11 @@ def cli_argv(draw):
 def test_every_argv_exits_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        # a refusal quotes at most the first 60 characters of a value
+        assert len(err.getvalue()) <= MAX_ERROR_LINE, (argv, err.getvalue())
         assert out.getvalue() == "", argv

@@ -22,6 +22,7 @@ from logchern.formulas import (
 from logchern.oracle import oracle_schur_ch, oracle_schur_total
 from logchern.symfunc import binomial, enumerate_partitions
 from witness import (
+    delta2_dot_sums,
     delta2_x,
     delta2_x_sums,
     delta3_dot_sums,
@@ -328,12 +329,14 @@ class TestHCShift:
     )
     def test_delta3_dot_equals_the_literal_sums(self, a):
         # unordered vectors: the identity is between polynomials, and the
-        # simplex proof of hc-check evaluates delta3_dot off the partitions
+        # simplex proof of hc-check evaluates delta3_dot off the partitions;
+        # delta2_dot is the same kind of power-sum form, checked the same way
         r = len(a)
-        got = delta3_dot(a, r)
-        assert got == delta3_dot_sums(a, r)
-        if all(type(x) is int for x in a):
-            assert type(got) is int
+        for dot, sums in ((delta2_dot, delta2_dot_sums), (delta3_dot, delta3_dot_sums)):
+            got = dot(a, r)
+            assert got == sums(a, r), dot.__name__
+            if all(type(x) is int for x in a):
+                assert type(got) is int
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_wrong_printed_polynomial_is_a_shift_mismatch(self, monkeypatch, k):

@@ -7,14 +7,14 @@ sums by linear algebra on monomial coefficients, then p_k -> k! e_k.  It shares
 only the Jacobi-Trudi determinant with the library, and its cost grows like
 C(r+D, D), so the tests use it at small r and D.
 
-It also keeps the shifted-variable eigenvalue polynomials and delta3_dot as
-the literal sums over index pairs and triples; the library evaluates them
-through power sums.  It keeps the ring's former product and sum too, Fraction
-loops with one multiply or add per term, as the references for the integer
-arithmetic, and the former forms of the sweep's per-case steps (the
-proportionality test, the determinant by cofactors of one matrix, the
-restriction to e1..et, the discriminants, Delta_{4,t}, substitution and the
-Schur and exterior tables), which made the products and Fractions the library
+It also keeps the shifted-variable eigenvalue polynomials, delta2_dot and
+delta3_dot as the literal sums over index pairs and triples; the library
+evaluates them through power sums.  It keeps the ring's former product and
+sum too, Fraction loops with one multiply or add per term, as the references
+for the integer arithmetic, and the former forms of the sweep's per-case
+steps (the proportionality test, the determinant by cofactors of one matrix,
+the restriction to e1..et, the discriminants, Delta_{4,t}, substitution and
+the Schur and exterior tables), which made the products and Fractions the library
 now skips or shares, and the Mukai vector's closed form in the quadratic
 eigenvalue, which the library now reads off the Schur table.
 The rest are helpers only the tests use: the shifted-variable polynomials at
@@ -148,6 +148,15 @@ def delta2_x(xs, r: int) -> Fraction:
 def delta3_x(xs, r: int) -> Fraction:
     """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
     return Fraction(_delta_x_part(3, [rat(x) for x in xs], r))
+
+
+def delta2_dot_sums(alpha, r):
+    """delta2_dot as the literal sum over index pairs, O(r^2)."""
+    a = _as_vector(alpha, r)
+    sq = sum(x * x for x in a)
+    cross = sum(a[i] * a[j] for i in range(r) for j in range(i + 1, r))
+    lin = sum((r + 1 - 2 * (i + 1)) * a[i] for i in range(r))
+    return (r - 1) * sq - 2 * cross + r * lin
 
 
 def delta3_dot_sums(alpha, r):
