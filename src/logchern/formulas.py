@@ -32,8 +32,8 @@ from logchern.symfunc import Partition, binomial, enumerate_partitions, stirling
 
 
 def _as_vector(alpha, r: int) -> tuple:
-    """Pad a partition (or any coordinate vector) with zeros to length r."""
-    vec = alpha.padded(r) if isinstance(alpha, Partition) else tuple(alpha)
+    """Pad a coordinate vector, a partition among them, with zeros to length r."""
+    vec = tuple(alpha)
     if len(vec) > r:
         raise ValueError(f"{vec} has more than {r} coordinates")
     return vec + (0,) * (r - len(vec))
@@ -123,21 +123,21 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
     for size in range(1, D + 1):
         for alpha in enumerate_partitions(size, size):
             norm = 1
-            for _, group in itertools.groupby(alpha.parts):
+            for _, group in itertools.groupby(alpha):
                 norm *= factorial(sum(1 for _ in group))
             coeff = 0
-            for beta in itertools.product(*(range(1, p + 1) for p in alpha.parts)):
+            for beta in itertools.product(*(range(1, p + 1) for p in alpha)):
                 b = binomial(m + r - 1, m - sum(beta))
                 if not b:
                     continue
                 term = b
-                for ai, bi in zip(alpha.parts, beta):
+                for ai, bi in zip(alpha, beta):
                     term *= factorial(bi - 1) * stirling2(ai, bi)
                 coeff += term
             if not coeff:
                 continue
             exps = [0] * D
-            for part in alpha.parts:
+            for part in alpha:
                 exps[part - 1] += 1
             terms[tuple(exps)] = Fraction(coeff, norm)
     return ring.from_terms(terms)
@@ -224,7 +224,7 @@ def schur_ch3(alpha, r: int, up_to: int | None = None) -> GradedPoly:
     with dt2 = 0 at r = 1.  Built on ints: with dt2 = a2/L and dt3 = a3/L over
     one common denominator L, every coefficient is an integer over 6 r^2 L.
     """
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     up_to = _resolve_up_to(up_to, r, "the Schur table")
     ra, size = weyl_dim(alpha, r), alpha.size
     dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
@@ -254,7 +254,7 @@ def closed_ch(alpha, r: int, D: int) -> GradedPoly:
     double sum in every degree, any other partition through the Schur table,
     which covers D <= min(r, 3) and raises ValueError beyond it.
     """
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     if len(alpha) <= 1:
         return normal_form(sym_power_ch(alpha.size, r, D), r)
     return schur_ch3(alpha, r, D)

@@ -7,10 +7,14 @@ r_a, ch_1 and ch_2 are the Schur table's rows (``schur_ch3`` through degree
 2, which at r = 1 has dt2 = 0) under
 
     e1 -> c*H,   e1^2 -> 2d c^2,   e2 -> s - r.
+
+A ``MukaiVector`` is the namedtuple (r, c, s, d), with s a Fraction: immutable
+by type, and equal to (and hashed as) the plain tuple of its four fields.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -18,32 +22,17 @@ from logchern.formulas import schur_ch3
 from logchern.ring import rat
 
 
-class MukaiVector:
-    """(rank, c, s) on a K3 with Pic = Z*H and H^2 = 2d; s integral for sheaves.
+class MukaiVector(namedtuple("MukaiVector", "r c s d")):
+    """(rank, c, s) on a K3 with Pic = Z*H and H^2 = 2d; s integral for sheaves."""
 
-    Instances are never mutated; ``==`` and ``hash`` compare all four fields.
-    """
+    __slots__ = ()
 
-    __slots__ = ("r", "c", "s", "d")
-
-    def __init__(self, r: int, c: int, s: Fraction, d: int):
+    def __new__(cls, r: int, c: int, s: Fraction, d: int):
         if r <= 0:
             raise ValueError("rank must be positive")
         if d <= 0:
             raise ValueError("need H^2 = 2d with d positive")
-        self.r = r
-        self.c = c
-        self.s = rat(s)
-        self.d = d
-
-    def _key(self) -> tuple:
-        return (self.r, self.c, self.s, self.d)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MukaiVector) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return super().__new__(cls, r, c, rat(s), d)
 
     def __str__(self) -> str:
         s = self.s if self.s.denominator != 1 else self.s.numerator

@@ -86,18 +86,18 @@ def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     rank-r bundle: the Jacobi-Trudi determinant on their shared Newton
     family, with the minors shared by every partition at (r, D).
     """
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if len(alpha) > r:
-        raise ValueError(f"partition {alpha.parts} has more than {r} parts")
+        raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
     rows, dual, top = jacobi_trudi_form(alpha)
     return jacobi_trudi(rows, _adams_family(r, D, dual, top), _adams_minors(r, D, dual))
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
     """ch(S^alpha E) over e1..eD, computed purely from the splitting principle."""
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     out = oracle_schur_total(alpha, r, D)
     if out.constant() != weyl_dim(alpha, r):
         raise ArithmeticError("oracle rank disagrees with the Weyl dimension")

@@ -115,7 +115,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     """
     if D > 3:
         raise ValueError("verify_schur compares the degree <= 3 tables")
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     total = oracle_schur_total(alpha, r, D)
     t = min(D, r)
     oracle_t = _over_e(total, t)
@@ -124,7 +124,7 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
     if len(alpha) <= 1:
         row = closed_ch(alpha, r, D)
         checks.append(_equality_check("total vs symmetric double sum", total, row))
-    if alpha.parts and all(p == 1 for p in alpha.parts):
+    if alpha and all(p == 1 for p in alpha):
         col = ext_power_ch3(len(alpha), r, up_to=t)
         checks.append(_equality_check("ch vs exterior table", oracle_t, col))
 

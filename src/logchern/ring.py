@@ -33,9 +33,10 @@ from operator import add, mul
 
 # Patterns of PolyRing.parse, which only the claim table uses: re
 # compiles each on its first use and keeps it in its own cache, so a command
-# that parses no polynomial pays nothing for them.
-_NUM = r"\d+(?:/\d+)?"
-_GEN = r"([A-Za-z_]\w*?)(?:\^(\d+))?$"
+# that parses no polynomial pays nothing for them.  Numbers are ASCII digits
+# only; \d would also read other scripts' digits.
+_NUM = r"[0-9]+(?:/[0-9]+)?"
+_GEN = r"([A-Za-z_]\w*?)(?:\^([0-9]+))?$"
 _TERM = r"[+-]?[^+-]+"
 
 

@@ -34,52 +34,39 @@ from math import comb
 from logchern.ring import GradedPoly, PolyRing, graded_generators, root_generators
 
 
-class Partition:
-    """Weakly decreasing tuple of positive parts (trailing zeros normalized away).
+class Partition(tuple):
+    """Weakly decreasing tuple of positive int parts (trailing zeros normalized away).
 
-    Instances are never mutated; ``==`` and ``hash`` compare ``parts``.
+    A tuple, so immutable by type and equal to (and hashed as) the plain tuple
+    of its parts: ``Partition((2, 1, 0)) == (2, 1)``.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: tuple[int, ...]):
+    def __new__(cls, parts):
         parts = tuple(parts)
+        if not all(isinstance(p, int) for p in parts):
+            raise ValueError(f"partition parts must be integers: {parts}")
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be non-negative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
-        self.parts = tuple(p for p in parts if p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return super().__new__(cls, (p for p in parts if p))
 
     def __repr__(self) -> str:
-        return f"Partition({self.parts})"
-
-    @classmethod
-    def of(cls, obj) -> Partition:
-        return obj if isinstance(obj, Partition) else cls(tuple(obj))
+        return f"Partition({tuple(self)})"
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+        return sum(self)
 
     def padded(self, r: int) -> tuple[int, ...]:
-        if len(self.parts) > r:
-            raise ValueError(f"partition {self.parts} has more than {r} parts")
-        return self.parts + (0,) * (r - len(self.parts))
+        if len(self) > r:
+            raise ValueError(f"partition {tuple(self)} has more than {r} parts")
+        return tuple(self) + (0,) * (r - len(self))
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "0"
+        return ",".join(map(str, self)) if self else "0"
 
 
 def enumerate_partitions(size: int, max_parts: int) -> list[Partition]:
@@ -118,7 +105,7 @@ def stirling2(n: int, k: int) -> int:
 
 def weyl_dim(alpha, r: int) -> int:
     """Dimension of the Schur module: prod over i<j of (a_i-a_j+j-i)/(j-i)."""
-    a = Partition.of(alpha).padded(r)
+    a = Partition(alpha).padded(r)
     num = den = 1
     for i in range(r):
         for j in range(i + 1, r):
@@ -189,7 +176,7 @@ def jacobi_trudi_form(alpha) -> tuple[tuple[int, ...], bool, int]:
     is used instead.  The largest family index read is alpha_1 + len(alpha) - 1
     <= |alpha| either way.
     """
-    parts = Partition.of(alpha).parts
+    parts = Partition(alpha)
     if not parts:
         return (), False, 0
     top = parts[0] + len(parts) - 1
@@ -250,10 +237,10 @@ def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
     followed by the determinant step (``jacobi_trudi``), in the form
     ``jacobi_trudi_form`` picks.  n = |alpha| always suffices.
     """
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     rows, dual, top = jacobi_trudi_form(alpha)
     if len(power_sums) <= top:
-        raise ValueError(f"s_{alpha.parts} needs power sums up to p_{top}")
+        raise ValueError(f"s_{tuple(alpha)} needs power sums up to p_{top}")
     return jacobi_trudi(rows, newton_family(power_sums[: top + 1], dual))
 
 
@@ -263,12 +250,12 @@ def schur_in_roots(alpha, r: int, values) -> GradedPoly:
     The root-ring witness: the oracle evaluates the same determinant on the
     Adams power sums over e1..eD, and tests compare the two.
     """
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     if len(values) != r:
         raise ValueError(f"expected {r} values, got {len(values)}")
     _check_values(values)
     if len(alpha) > r:
-        raise ValueError(f"partition {alpha.parts} has more than {r} parts")
+        raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
     return schur_from_power_sums(alpha, [power_sum_poly(k, values) for k in range(alpha.size + 1)])
 
 
@@ -304,7 +291,7 @@ def _powersum_matrix(r: int, k: int):
     ring = PolyRing(root_generators(r), k)
     roots = [ring.gen(name) for name in ring.names]
     rows = [lam.padded(r) for lam in enumerate_partitions(k, r)]
-    candidates = sorted(p.parts for p in enumerate_partitions(k, k))
+    candidates = sorted(enumerate_partitions(k, k))
     cols = []
     for mu in candidates:
         poly = ring.one()

@@ -7,7 +7,7 @@ from logchern.cli import main
 from logchern.formulas import schur_ch3
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
 from logchern.oracle import oracle_schur_ch
-from logchern.symfunc import enumerate_partitions
+from logchern.symfunc import Partition, enumerate_partitions
 from witness import mukai_schur_by_eigenvalue
 
 
@@ -56,6 +56,19 @@ class TestMukaiSchur:
         w = MukaiVector(2, 1, Fraction(4, 2), 3)
         assert v == w and hash(v) == hash(w)
         assert v != MukaiVector(2, 1, 3, 3)
+
+    def test_values_are_immutable_tuples(self):
+        v = MukaiVector(2, 1, 2, 3)
+        with pytest.raises(AttributeError):
+            v.r = 5
+        p = Partition((2, 1))
+        for name in ("size", "parts", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (3,))
+        with pytest.raises(TypeError):
+            p[0] = 1
+        assert {Partition((2, 1)): 1}[(2, 1)] == 1
+        assert v == (2, 1, 2, 3) and hash(v) == hash((2, 1, 2, 3))
 
     def test_str_form(self):
         assert str(MukaiVector(3, 3, Fraction(8), 5)) == "(3, 3*H, 8)"

@@ -344,8 +344,8 @@ class TestSweep:
     def test_case_order_deterministic(self):
         a = sweep(3, 3, 2)
         b = sweep(3, 3, 2)
-        assert [(r.alpha.parts, r.r) for r in a.records] == [
-            (r.alpha.parts, r.r) for r in b.records
+        assert [(r.alpha, r.r) for r in a.records] == [
+            (r.alpha, r.r) for r in b.records
         ]
 
     def test_bounds_enforced(self):
@@ -508,7 +508,7 @@ class TestWhitelistMutations:
 
         def doubled_wedge_delta3(alpha, r, D, cls):
             ok, lam = original(alpha, r, D, cls)
-            if (Partition.of(alpha).parts, r, D) == ((1, 1), 5, 3):
+            if (Partition(alpha), r, D) == ((1, 1), 5, 3):
                 lam *= 2
             return ok, lam
 

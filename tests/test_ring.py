@@ -394,6 +394,11 @@ class TestCanonicalForm:
             RING23.parse("a1 + q7")
         with pytest.raises(ValueError):
             RING23.parse("a1 ** 2")
+        # numbers are ASCII digits only: an Arabic-Indic 3 and 2 are refused
+        with pytest.raises(ValueError):
+            RING23.parse("\u0663*a1")
+        with pytest.raises(ValueError):
+            RING23.parse("a1^\u0662")
 
 
 class TestProportion:

@@ -278,7 +278,7 @@ def _fraction_table(rank, r, rows):
 
 def table_by_fractions(alpha, r, up_to):
     """schur_ch3(alpha, r, up_to) with one Fraction per printed coefficient."""
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     size = alpha.size
     dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
     dt3 = delta_tilde3(alpha, r) if up_to >= 3 else None
@@ -346,7 +346,7 @@ def mukai_schur_by_eigenvalue(v, alpha):
                          ((|alpha|^2 - dt2)/r) (r_a/r) c^2 d
                            + dt2 (s - r) (r_a/r) + r_a )
     """
-    alpha = Partition.of(alpha)
+    alpha = Partition(alpha)
     r, size = v.r, alpha.size
     ra = weyl_dim(alpha, r)
     dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
@@ -364,7 +364,7 @@ def ssyt_count(alpha, r: int) -> int:
 
     Direct backtracking enumeration; intentionally independent of weyl_dim.
     """
-    shape = Partition.of(alpha).padded(r)
+    shape = Partition(alpha).padded(r)
     rows = [p for p in shape if p]
     if not rows:
         return 1
