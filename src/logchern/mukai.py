@@ -28,6 +28,8 @@ class MukaiVector(namedtuple("MukaiVector", "r c s d")):
     __slots__ = ()
 
     def __new__(cls, r: int, c: int, s: Fraction, d: int):
+        if not all(isinstance(x, int) for x in (r, c, d)):
+            raise ValueError(f"Mukai vector r, c and d must be integers: {(r, c, d)}")
         if r <= 0:
             raise ValueError("rank must be positive")
         if d <= 0:

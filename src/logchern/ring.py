@@ -14,8 +14,8 @@ vectors that a product has met, their sum, or ``None`` when the sum lies
 above the truncation.  Each entry is filled on its first lookup, and the
 table holds at most one entry per pair of the ring's monomials, so a
 product's inner loop is one dict lookup per pair of terms.  Terms are stored
-unordered: the proportionality test pivots on any term, so only ``text()``
-sorts them, into the canonical printed order.
+unordered: the proportionality test pivots on any term, so only
+``_ordered_items()`` sorts them, into the canonical printed order.
 
 Values are immutable after construction and all operations are pure; a
 ring's degree memo and product table only gain entries, each the one value
@@ -243,8 +243,11 @@ class GradedPoly:
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed generator sets or truncations")
 
-    def _combine(self, other: GradedPoly, sign: int) -> GradedPoly:
-        """self + sign * other over the lcm of the two denominators."""
+    def _combine(self, other, sign: int) -> GradedPoly:
+        """self + sign * other over the lcm of the two denominators; an int or
+        Fraction other is a constant, as it is a scalar for ``*``."""
+        if not isinstance(other, GradedPoly):
+            other = self.ring.scalar(other)
         self._check(other)
         if not other.terms:
             return self
@@ -260,11 +263,16 @@ class GradedPoly:
                 del out[e]
         return _reduced(self.ring, den, out)
 
-    def __add__(self, other: GradedPoly) -> GradedPoly:
+    def __add__(self, other) -> GradedPoly:
         return self._combine(other, 1)
 
-    def __sub__(self, other: GradedPoly) -> GradedPoly:
+    __radd__ = __add__
+
+    def __sub__(self, other) -> GradedPoly:
         return self._combine(other, -1)
+
+    def __rsub__(self, other) -> GradedPoly:
+        return -self._combine(other, -1)
 
     def __neg__(self) -> GradedPoly:
         return GradedPoly(self.ring, self.den, {e: -n for e, n in self.terms.items()})
@@ -431,17 +439,19 @@ class GradedPoly:
                 pieces.append(f"{name}^{e}")
         return "*".join(pieces)
 
+    def _ordered_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """items() in the canonical printed order: by weighted degree, then graded-lex."""
+        wdeg = self.ring.wdeg
+        return sorted(self.items(), key=lambda it: (wdeg(it[0]), tuple(-e for e in it[0])))
+
     def text(self, spaces: bool = True) -> str:
-        """Canonical text form, e.g. ``1 - 11/10*c1^2 + 5*ch2``: terms by
-        weighted degree, then graded-lex (the only place terms are ordered)."""
+        """Canonical text form, e.g. ``1 - 11/10*c1^2 + 5*ch2``, terms in the
+        canonical order."""
         if not self.terms:
             return "0"
         plus, minus = (" + ", " - ") if spaces else ("+", "-")
-        wdeg = self.ring.wdeg
         out = []
-        for exps, c in sorted(
-            self.items(), key=lambda it: (wdeg(it[0]), tuple(-e for e in it[0]))
-        ):
+        for exps, c in self._ordered_items():
             mono = self._monomial_str(exps)
             mag = -c if c < 0 else c
             if not mono:

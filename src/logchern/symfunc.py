@@ -44,6 +44,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts):
+        if type(parts) is cls:
+            return parts  # checked when it was built, and immutable since
         parts = tuple(parts)
         if not all(isinstance(p, int) for p in parts):
             raise ValueError(f"partition parts must be integers: {parts}")

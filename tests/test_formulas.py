@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +20,7 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.oracle import oracle_schur_ch, oracle_schur_total
+from logchern.ring import PolyRing
 from logchern.symfunc import binomial, enumerate_partitions
 from witness import (
     delta2_dot_sums,
@@ -56,6 +57,21 @@ class TestCasimirPolynomials:
         for r in (3, 4, 5):
             for m in range(6):
                 assert delta3_dot((m,), r) == (r - 2) * (r - 1) * m * (m + r) * (2 * m + r)
+
+    def test_casimir_reading_in_the_centred_alpha_plus_rho(self):
+        # with rho_i = (r+1)/2 - i and l_i = a_i - |a|/r + rho_i:
+        # d2dot = r (sum l_i^2 - sum rho_i^2) and d3dot = 2 r^2 sum l_i^3
+        cases = 0
+        for r in range(2, 9):
+            rho = [Fraction(r + 1, 2) - i for i in range(1, r + 1)]
+            for size in range(9):
+                for alpha in enumerate_partitions(size, r):
+                    ell = [a - Fraction(size, r) + p for a, p in zip(alpha.padded(r), rho)]
+                    squares = sum(x * x for x in ell) - sum(p * p for p in rho)
+                    assert delta2_dot(alpha, r) == r * squares
+                    assert delta3_dot(alpha, r) == 2 * r * r * sum(x**3 for x in ell)
+                    cases += 1
+        assert cases == 376
 
     def test_column_cubic_reproduces_exterior_factor(self):
         # f3 for (1^n) must be n(2n^2-3rn+r^2)/((r-2)(r-1)) * r_n/r
@@ -286,10 +302,9 @@ class TestHCShift:
                 assert hc_shift_check(k, r) == ()
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_enough_shifts_to_prove_translation_for_every_shift(self, k):
-        # for fixed x, delta_x(x - a*1) - delta_x(x) has degree <= k in a, so
-        # k + 1 distinct roots a_j make it vanish for every a
-        assert len(set(formulas._SHIFTS)) >= k + 1
+    def test_proved_at_every_rank_the_cli_takes(self, k):
+        for r in range(2, 17):
+            assert hc_shift_check(k, r) == (), r
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -328,8 +343,8 @@ class TestHCShift:
         )
     )
     def test_delta3_dot_equals_the_literal_sums(self, a):
-        # unordered vectors: the identity is between polynomials, and the
-        # simplex proof of hc-check evaluates delta3_dot off the partitions;
+        # unordered vectors: the identity is between polynomials, and
+        # hc-check expands delta3_dot over free generators, not partitions;
         # delta2_dot is the same kind of power-sum form, checked the same way
         r = len(a)
         for dot, sums in ((delta2_dot, delta2_dot_sums), (delta3_dot, delta3_dot_sums)):
@@ -342,13 +357,7 @@ class TestHCShift:
     def test_wrong_printed_polynomial_is_a_shift_mismatch(self, monkeypatch, k):
         printed = formulas._DELTA_DOT[k]
         monkeypatch.setitem(formulas._DELTA_DOT, k, lambda a, r: printed(a, r) + 1)
-        failures = hc_shift_check(k, 3)
-        expected = []
-        for x in list(formulas._simplex_points(k, 3))[:6]:
-            val = printed(tuple(x[i] + i for i in range(3)), 3)
-            expected.append(f"shift mismatch at x={x}: {val} != {val + 1}")
-        assert failures[0].startswith("shift mismatch at x=(0, 0, 0): ")
-        assert failures == tuple(expected)
+        assert hc_shift_check(k, 3) == ("shift residual term: -1",)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_translation_variant_part_breaks_translation(self, monkeypatch, k):
@@ -364,36 +373,57 @@ class TestHCShift:
             k,
             lambda a, r: printed(a, r) + (sum(a) - r * (r - 1) // 2) ** k,
         )
-        failures = hc_shift_check(k, 3)
-        # every shift moves p_1 at the origin, and the first two again at
-        # (1, 0, 0), where the list is cut at six
-        assert failures == (
-            "translation by 1 broken at x=(0, 0, 0)",
-            "translation by -2 broken at x=(0, 0, 0)",
-            "translation by 1/2 broken at x=(0, 0, 0)",
-            "translation by 7/3 broken at x=(0, 0, 0)",
-            "translation by 1 broken at x=(1, 0, 0)",
-            "translation by -2 broken at x=(1, 0, 0)",
-        )
+        # the residual is (p_1 - 3a)^k - p_1^k, cut at six terms for k = 3
+        expected = {
+            2: ("-6*x1*a", "-6*x2*a", "-6*x3*a", "9*a^2"),
+            3: ("-9*x1^2*a", "-18*x1*x2*a", "-18*x1*x3*a", "27*x1*a^2", "-9*x2^2*a", "-18*x2*x3*a"),
+        }[k]
+        assert hc_shift_check(k, 3) == tuple(f"translation residual term: {t}" for t in expected)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_simplex_is_the_degree_k_unisolvent_set(self, k):
-        for r in range(1, 17):
-            points = list(formulas._simplex_points(k, r))
-            assert len(points) == len(set(points)) == comb(r + k, k)
-            assert all(len(x) == r and min(x) >= 0 and sum(x) <= k for x in points)
+    def test_term_above_degree_k_is_not_truncated(self, monkeypatch, k):
+        # the ring keeps degree k + 1, so a stray x1^(k+1) in delta_x shows in
+        # both residuals instead of vanishing in the truncation
+        part = formulas._delta_x_part
+        monkeypatch.setattr(
+            formulas, "_delta_x_part", lambda k, xs, r: part(k, xs, r) + xs[0] ** (k + 1)
+        )
+        expected = {
+            2: ("x1^3", "-3*x1^2*a", "3*x1*a^2", "-a^3"),
+            3: ("x1^4", "-4*x1^3*a", "6*x1^2*a^2", "-4*x1*a^3", "a^4"),
+        }[k]
+        names = ["shift"] + ["translation"] * (len(expected) - 1)
+        assert hc_shift_check(k, 3) == tuple(
+            f"{name} residual term: {t}" for name, t in zip(names, expected)
+        )
 
-    def test_passing_check_evaluates_only_the_simplex(self, monkeypatch):
-        part, calls = formulas._delta_x_part, []
-
-        def counted(k, xs, r):
-            calls.append(xs)
-            return part(k, xs, r)
-
-        monkeypatch.setattr(formulas, "_delta_x_part", counted)
+    def test_wrong_constant_is_a_constant_shift_residual(self, monkeypatch):
+        const = formulas._delta2_constant
+        monkeypatch.setattr(formulas, "_delta2_constant", lambda r: const(r) + 1)
+        assert hc_shift_check(2, 4) == ("shift residual term: -1",)
         assert hc_shift_check(3, 4) == ()
-        # one evaluation for the shift, four for the translations, per point
-        assert len(calls) == 5 * comb(4 + 3, 3)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_changed_coefficient_of_delta_x_fails(self, monkeypatch, k):
+        # one more unit of p_k in the degree-k part
+        part = formulas._delta_x_part
+        monkeypatch.setattr(
+            formulas, "_delta_x_part", lambda k, xs, r: part(k, xs, r) + sum(x**k for x in xs)
+        )
+        failures = hc_shift_check(k, 4)
+        assert failures[:4] == tuple(f"shift residual term: x{i}^{k}" for i in range(1, 5))
+        assert failures[4].startswith("translation residual term: ")
+
+    def test_changed_coefficient_of_delta3_dot_fails(self, monkeypatch):
+        # 13 r (p1 s1 - s2) in place of the printed 12 r (p1 s1 - s2)
+        def mutated(a, r):
+            s1 = sum(i * x for i, x in enumerate(a, 1))
+            s2 = sum(i * x * x for i, x in enumerate(a, 1))
+            return delta3_dot(a, r) + r * (sum(a) * s1 - s2)
+
+        monkeypatch.setitem(formulas._DELTA_DOT, 3, mutated)
+        failures = hc_shift_check(3, 4)
+        assert failures and all(f.startswith("shift residual term: ") for f in failures)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -410,8 +440,8 @@ class TestHCShift:
             )
         )
     )
-    # x_1(x_1 - 1)...(x_1 - k + 1) vanishes on the degree-(k-1) simplex but
-    # not on the degree-k one, so these need every point of the latter
+    # a_1(a_1 - 1)...(a_1 - k + 1) vanishes at every integer a_1 in 0..k-1,
+    # and its residual is still not zero
     @example((2, 2, {(2, 0): 1, (1, 0): -1}))
     @example((3, 3, {(3, 0, 0): 1, (2, 0, 0): -3, (1, 0, 0): 2}))
     def test_proof_fails_exactly_when_the_printed_polynomial_is_perturbed(self, case):
@@ -422,19 +452,19 @@ class TestHCShift:
         def perturbation(a):
             return sum(c * prod(ai**e for ai, e in zip(a, exps)) for exps, c in poly.items())
 
+        # the shift residual is minus the perturbation at a_i = x_i + i - 1
+        ring = PolyRing([*((f"x{i}", 1) for i in range(1, r + 1)), ("a", 1)], k + 1)
+        residual = ring.zero() - perturbation([ring.gen(f"x{i + 1}") + i for i in range(r)])
         printed = formulas._DELTA_DOT[k]
-        expected = []
-        for x in formulas._simplex_points(k, r):
-            alpha = tuple(x[i] + i for i in range(r))
-            extra = perturbation(alpha)
-            if extra and len(expected) < 6:
-                val = printed(alpha, r)
-                expected.append(f"shift mismatch at x={x}: {val} != {val + extra}")
         original = dict(formulas._DELTA_DOT)
         formulas._DELTA_DOT[k] = lambda a, r: printed(a, r) + perturbation(a)
         try:
             failures = hc_shift_check(k, r)
         finally:
             formulas._DELTA_DOT.update(original)
-        assert failures == tuple(expected)
+        prefix = "shift residual term: "
+        assert all(f.startswith(prefix) for f in failures)
+        terms = [ring.parse(f[len(prefix):]) for f in failures]
+        assert all(len(t.terms) == 1 and t.items()[0] in residual.items() for t in terms)
+        assert len(set(failures)) == len(failures) == min(6, len(residual.terms))
         assert bool(failures) is any(poly.values())

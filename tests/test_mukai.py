@@ -88,6 +88,14 @@ class TestPrimitivity:
         with pytest.raises(ValueError):
             is_primitive(v)
 
+    @pytest.mark.parametrize("field", [0, 1, 3])
+    def test_refuses_a_field_that_is_not_an_int(self, field):
+        fields = [2, 1, 2, 3]
+        fields[field] = float(fields[field])
+        with pytest.raises(ValueError, match="^Mukai vector r, c and d must be integers: ") as exc:
+            mukai_schur(MukaiVector(*fields), (2,))
+        assert "\n" not in str(exc.value)
+
     def test_bad_inputs(self):
         for r, d in ((0, 1), (-2, 1), (2, 0), (2, -3)):
             with pytest.raises(ValueError):

@@ -52,6 +52,7 @@ from witness import (
     plain_delta4_witnesses,
     roots_to_ch_basis,
     ssyt_count,
+    tableau_schur_total,
     verify_sym_power_full,
     witness_schur_total,
 )
@@ -101,6 +102,18 @@ class TestOracleCharacter:
                         Fraction(size) * got.constant() / r
                     )
                     assert got.component(1) == expect
+
+    def test_oracle_equals_the_tableau_definition(self):
+        # s_alpha as the sum of x^T over semistandard tableaux: the one witness
+        # that shares neither Newton's identities nor Jacobi-Trudi with the oracle
+        cases = 0
+        for r in range(1, 5):
+            for size in range(7):
+                for alpha in enumerate_partitions(size, r):
+                    got = roots_to_ch_basis(tableau_schur_total(alpha, r, 3), r)
+                    assert got == oracle_schur_total(alpha, r, 3), (alpha, r)
+                    cases += 1
+        assert cases == 73
 
     def test_round_trip_through_roots(self):
         # e-basis output evaluated back on the generic bundle returns the total

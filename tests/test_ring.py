@@ -77,6 +77,18 @@ class TestAdd:
         half_sq = ring.monomial((2,), Fraction(1, 2))
         assert half_sq + half_sq == ring.parse("a1^2")
 
+    def test_int_or_fraction_is_a_constant_on_either_side(self):
+        ring = roots_ring(1, 2)
+        x = ring.gen("a1")
+        assert x + 1 == 1 + x == ring.parse("1 + a1")
+        assert x - Fraction(1, 2) == ring.parse("a1 - 1/2")
+        assert 2 - x == ring.parse("2 - a1")
+        assert Fraction(1, 3) - x * x == ring.parse("1/3 - a1^2")
+        # so sum() and accumulators that start at 0 run on ring elements
+        assert sum([x, x * x]) == ring.parse("a1 + a1^2")
+        with pytest.raises(TypeError):
+            x + 0.5
+
     def test_mismatched_rings_rejected(self):
         with pytest.raises(ValueError):
             RING23.gen("a1") + RING35.gen("a1")

@@ -99,6 +99,17 @@ class TestPartition:
             call()
         assert "\n" not in str(exc.value)
 
+    def test_a_partition_is_taken_as_it_is(self):
+        p = Partition((2, 1))
+        assert Partition(p) is p
+        # anything else is checked, however it was made
+        for parts in ((2, 1), [2, 1]):
+            q = Partition(parts)
+            assert type(q) is Partition and q == p and q is not p
+        for parts in ((1, 2), [2.0], (p, 1)):
+            with pytest.raises(ValueError):
+                Partition(parts)
+
     def test_trailing_zeros_are_the_same_key(self):
         padded, plain = Partition((2, 1, 0)), Partition((2, 1))
         assert padded == plain and hash(padded) == hash(plain)

@@ -18,14 +18,17 @@ the Schur and exterior tables), which made the products and Fractions the librar
 now skips or shares, and the Mukai vector's closed form in the quadratic
 eigenvalue, which the library now reads off the Schur table.
 The rest are helpers only the tests use: the shifted-variable polynomials at
-rational points, an independent tableau count of the Schur rank, and two
-verifications over the oracle.  The library's records are namedtuples, so a
-test that needs a changed copy calls their ``_replace``.
+rational points, Schur characters from the tableau definition of s_alpha,
+which shares no Schur identity with the oracle, the tableau count of the
+Schur rank, and two verifications over the oracle.  The library's records
+are namedtuples, so a test that needs a changed copy calls their
+``_replace``.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from logchern.characters import ch_ring, delta_k, log_character
 from logchern.formulas import (
@@ -359,24 +362,22 @@ def mukai_schur_by_eigenvalue(v, alpha):
     return MukaiVector(ra, int(size * weight) * v.c, s_new, v.d)
 
 
-def ssyt_count(alpha, r: int) -> int:
-    """Number of semistandard tableaux of shape alpha, entries in 1..r.
+def ssyt_contents(alpha, r: int) -> Counter:
+    """The Kostka numbers K_{alpha,w}: the semistandard tableaux of shape alpha
+    with entries in 1..r, counted by their content w (w_i entries equal to i).
 
-    Direct backtracking enumeration; intentionally independent of weyl_dim.
+    Direct backtracking enumeration; intentionally independent of weyl_dim
+    and of every symmetric-function identity.
     """
-    shape = Partition(alpha).padded(r)
-    rows = [p for p in shape if p]
-    if not rows:
-        return 1
-
-    count = 0
+    rows = [p for p in Partition(alpha).padded(r) if p]
     cells = [(i, j) for i, row in enumerate(rows) for j in range(row)]
     grid = [[0] * row for row in rows]
+    content = [0] * r
+    kostka = Counter()
 
     def fill(pos):
-        nonlocal count
         if pos == len(cells):
-            count += 1
+            kostka[tuple(content)] += 1
             return
         i, j = cells[pos]
         lo = 1
@@ -386,11 +387,30 @@ def ssyt_count(alpha, r: int) -> int:
             lo = max(lo, grid[i - 1][j] + 1)
         for v in range(lo, r + 1):
             grid[i][j] = v
+            content[v - 1] += 1
             fill(pos + 1)
+            content[v - 1] -= 1
         grid[i][j] = 0
 
     fill(0)
-    return count
+    return kostka
+
+
+def ssyt_count(alpha, r: int) -> int:
+    """Number of semistandard tableaux of shape alpha, entries in 1..r."""
+    return sum(ssyt_contents(alpha, r).values())
+
+
+def tableau_schur_total(alpha, r, D):
+    """s_alpha(exp a_1, ..., exp a_r) in the root ring from the definition of s_alpha:
+    the sum of x^T over the tableaux T, sum_w K_{alpha,w} prod_i exp(a_i)^{w_i}.
+    It uses neither Newton's identities nor the Jacobi-Trudi determinant."""
+    ring = root_ring(r, D)
+    xs = exp_roots(ring)
+    total = ring.zero()
+    for w, kostka in ssyt_contents(alpha, r).items():
+        total = total + kostka * prod((x**wi for x, wi in zip(xs, w)), start=ring.one())
+    return total
 
 
 def verify_sym_power_full(m: int, r: int, D: int) -> Claim:
