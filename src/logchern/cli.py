@@ -47,14 +47,12 @@ from logchern.symfunc import Partition
 
 MAX_DEGREE = 5
 # Largest rank ch, delta, delta4, lowrank, mukai and hc-check accept.  The
-# oracle's cost does not grow with the rank, but a partition may have up to
-# rank parts, and the Jacobi-Trudi determinant's expansion grows with its
-# rows.  It takes the shorter of the partition and its conjugate, which can
-# still have as many rows as the rank: 12,11,9,8,6,5,4,3,2,2,1,1 (size 64)
-# takes 12 and the hook 16,1^15 takes 16.  The costliest known command,
-# delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5 (14 rows
-# either way), makes 17,286 products, about 1.2 s of CPU in a fresh process
-# (Python 3.11, 2-CPU VM), 4.3 times the 4,062 of the 12-row one (0.45 s).
+# oracle's cost does not grow with the rank: a partition may have up to rank
+# parts, but Giambelli's determinant is only as large as its Durfee square,
+# at most 8x8 at size 64.  The costliest known command is
+# ch --rank 2 --partition 64 --max-degree 5 --method oracle, bounded by its
+# Newton family up to h_64: 2,089 products; the 14-row
+# delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5 makes 708.
 # The Weyl dimension product grows like a superfactorial of the rank,
 # and hc-check expands its polynomials over r + 1 free generators, about
 # C(r+k, k) terms each.  Rank 16 is the largest any documented command uses.

@@ -3,8 +3,8 @@
 A Schur functor of the generic rank-r bundle has total character
 s_alpha(exp a_1, ..., exp a_r) -- no formula involved beyond the definition.
 Its power sums are the Adams operations, p_j(exp a) = ch(psi^j E) =
-r + sum_k j^k ch_k(E), so Newton's identities and the Jacobi-Trudi
-determinant give s_alpha directly over e1..eD, in a ring whose size depends
+r + sum_k j^k ch_k(E), so Newton's identities and Giambelli's determinant
+give s_alpha directly over e1..eD, in a ring whose size depends
 on D only.  The ch_k are those of ``characters.generic_bundle``, already in
 normal form, so s_alpha is too (``normal_form`` is a ring map fixing
 e1..er) and equality above the rank is plain ``==``.  Like every character
@@ -16,19 +16,19 @@ imports no closed formula: from the package it reads only ``characters``,
 ``ring`` and ``symfunc``, so nothing it computes can agree with a formula by
 calling it.
 
-The Adams power sums and their Newton family depend only on (r, D), so they
-are computed once per process and shared by every partition:
-``_adams_power_sum`` per (r, D, j) and ``_adams_family`` per (r, D, dual
-form, top index), each family extending the next shorter one by one entry.
+The Adams power sums and their Newton families depend only on (r, D), so
+they are computed once per process and shared by every partition:
+``_adams_power_sum`` per (r, D, j) and ``_adams_family`` per (r, D, h or e
+family, top index), each family extending the next shorter one by one entry.
 Sharing them cannot change an answer: each table is an lru_cache of
 a pure function keyed on all of its inputs, and its values are
-``GradedPoly``s (or tuples of them), which nothing mutates.  Only the
-Jacobi-Trudi determinant runs per partition, and it too shares its work:
-``_adams_minors``, an lru_cache like the others, holds one dict per (r, D,
-dual form) in which ``symfunc.jacobi_trudi`` keeps every minor it expands,
-keyed by the rows and columns the minor reads, so partitions with the same
-leading rows expand those minors once.  The dict only gains entries, each
-the one value any evaluation on that family computes.
+``GradedPoly``s (or tuples of them), which nothing mutates.  Only
+Giambelli's determinant runs per partition, and it too shares its work:
+``_adams_minors``, an lru_cache like the others, holds one dict per (r, D)
+in which ``symfunc.giambelli`` keeps every hook and minor it expands, keyed
+by the arms and legs the minor reads, so partitions with the same leading
+arms expand those minors once.  The dict only gains entries, each the one
+value any evaluation on those families computes.
 
 ``root_ring``, ``exp_roots``, ``base_in_roots`` and ``char_to_roots`` build
 the same objects in the ring of r Chern roots.  They are the independent
@@ -44,8 +44,7 @@ from logchern.characters import ch_ring, generic_bundle
 from logchern.ring import GradedPoly, PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
-    jacobi_trudi,
-    jacobi_trudi_form,
+    giambelli,
     newton_next,
     power_sum_poly,
     weyl_dim,
@@ -74,8 +73,8 @@ def _adams_family(r: int, D: int, dual: bool, n: int) -> tuple[GradedPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _adams_minors(r: int, D: int, dual: bool) -> dict:
-    """The Jacobi-Trudi minors on the (r, D, dual) Adams family, filled by ``jacobi_trudi``."""
+def _adams_minors(r: int, D: int) -> dict:
+    """The hooks and Giambelli minors on the (r, D) Adams families, filled by ``giambelli``."""
     return {}
 
 
@@ -83,16 +82,18 @@ def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     """Total character of S^alpha E over e1..eD, in normal form.
 
     s_alpha evaluated on the power sums p_j = ch(psi^j E) of the generic
-    rank-r bundle: the Jacobi-Trudi determinant on their shared Newton
-    family, with the minors shared by every partition at (r, D).
+    rank-r bundle: Giambelli's determinant on their shared Newton families,
+    with the minors shared by every partition at (r, D).
     """
     alpha = Partition(alpha)
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if len(alpha) > r:
         raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
-    rows, dual, top = jacobi_trudi_form(alpha)
-    return jacobi_trudi(rows, _adams_family(r, D, dual, top), _adams_minors(r, D, dual))
+    if not alpha:
+        return ch_ring(D).one()
+    h = _adams_family(r, D, False, alpha[0] + len(alpha) - 1)
+    return giambelli(alpha, h, _adams_family(r, D, True, len(alpha) - 1), _adams_minors(r, D))
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:

@@ -225,7 +225,8 @@ class GradedPoly:
     no stored numerator is zero, ``gcd(den, *terms.values()) == 1``, and zero
     is ``den == 1, terms == {}``.  So every value has exactly one
     representation, and ``==`` and ``hash`` compare ``(den, terms)`` as they
-    are.  Instances are never mutated; ``items()`` gives the coefficients as
+    are; an int or Fraction equals, and hashes as, its constant polynomial.
+    Instances are never mutated; ``items()`` gives the coefficients as
     Fractions.
     """
 
@@ -326,6 +327,9 @@ class GradedPoly:
         return result
 
     def __eq__(self, other) -> bool:
+        # an int or Fraction is the constant polynomial, as it is for + and *
+        if isinstance(other, (int, Fraction)):
+            other = self.ring.scalar(other)
         return (
             isinstance(other, GradedPoly)
             and self.ring == other.ring
@@ -334,6 +338,8 @@ class GradedPoly:
         )
 
     def __hash__(self):
+        if self.terms.keys() <= {self.ring._zero_exp}:
+            return hash(self.constant())  # equal to its scalar, so hashed alike
         return hash((self.ring, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:

@@ -2,16 +2,15 @@
 
 This is the combinatorial substrate shared by the closed formulas and the
 oracle: partition enumeration, Stirling numbers, the Weyl dimension product,
-Newton's identities and Schur evaluation through the Jacobi-Trudi determinant
-on a list of power sums.  That evaluation is two steps: the family step
-(``newton_family``: h_k, or e_k through omega) and the determinant step
-(``jacobi_trudi``), with ``jacobi_trudi_form`` the one place that picks the
-h-form or the dual e-form for a partition.  The family depends only on the
-power sums, not on the partition, so the oracle computes it once per bundle
-and runs only the determinant step per partition.  The determinant step keeps
-its minors in a dict keyed by the rows and columns they read, so partitions
-that share their leading rows share those minors when the caller passes the
-same dict.
+Newton's identities and Schur evaluation through Giambelli's determinant on
+a list of power sums.  That evaluation is two steps: the family step
+(``newton_family``: h_k, and e_k through omega) and the determinant step
+(``giambelli``, over the Durfee square, with Pieri's rule for its hooks).
+The families depend only on the power sums, not on the partition, so the
+oracle computes them once per bundle and runs only the determinant step per
+partition.  The determinant step keeps its hooks and minors in a dict keyed
+by the arms and legs they read, so partitions that share their leading arms
+share those minors when the caller passes the same dict.
 
 The evaluation at explicit roots (``schur_in_roots``) and the change of basis
 from symmetric polynomials in degree-1 roots to power sums
@@ -169,85 +168,75 @@ def newton_family(power_sums, dual: bool = False) -> list[GradedPoly]:
     return fam
 
 
-def jacobi_trudi_form(alpha) -> tuple[tuple[int, ...], bool, int]:
-    """The Jacobi-Trudi matrix for s_alpha: its rows, whether it is dual, its top index.
+def giambelli(alpha, h, e, minors=None) -> GradedPoly:
+    """s_alpha = det( s_(a_i|b_j) ) over the d x d Durfee square: the determinant step.
 
-    s_alpha = det( h_{alpha_i - i + j} ) over 1 <= i,j <= len(alpha).  The
-    cofactor expansion doubles with each row, so when the conjugate partition
-    alpha' has fewer parts the dual form s_alpha = det( e_{alpha'_i - i + j} )
-    is used instead.  The largest family index read is alpha_1 + len(alpha) - 1
-    <= |alpha| either way.
+    a_i = alpha_i - i and b_j = alpha'_j - j are alpha's Frobenius
+    coordinates (Macdonald, ch. I, Sec. 3, Example 9).  Each hook comes from
+    Pieri's rule, s_(a|b) = h_{a+1} e_b - s_(a+1|b-1) with s_(a|0) = h_{a+1},
+    so h must reach alpha_1 + alpha'_1 - 1 and e must reach alpha'_1 - 1.
+    Expanded along the last row.  The minor on the first k arms and a set of
+    legs reads only those, so it is stored in ``minors`` under the key
+    (arms[:k], legs), and a hook is its own 1x1 minor; one ``minors`` dict
+    may serve every call on the same h and e, in any order.  Without one, a
+    fresh dict is used.  A zero minor contributes no term.
     """
-    parts = Partition(alpha)
-    if not parts:
-        return (), False, 0
-    top = parts[0] + len(parts) - 1
-    if parts[0] < len(parts):
-        return tuple(sum(1 for p in parts if p > j) for j in range(parts[0])), True, top
-    return parts, False, top
-
-
-def jacobi_trudi(rows, fam, minors=None) -> GradedPoly:
-    """det( fam[rows_i - i + j] ), with fam[k] = 0 for k < 0: the determinant step.
-
-    Expanded along the last row.  The minor on the top k rows and a set of
-    columns reads only rows[:k] and those columns, so it is stored in
-    ``minors`` under the key (rows[:k], cols), and every partition whose rows
-    start with rows[:k] reads it from there.  One ``minors`` dict may serve
-    every call on the same family, in any order; without one, a fresh dict
-    is used.  A zero entry or a zero minor contributes no term, an entry
-    fam[0] = 1 contributes its minor without a product, and the 1x1 minors
-    are the first row's entries themselves.
-    """
-    rows = tuple(rows)
+    alpha = Partition(alpha)
+    d = sum(1 for i, p in enumerate(alpha) if p > i)
+    arms = tuple(alpha[i] - i - 1 for i in range(d))
+    legs = tuple(sum(1 for p in alpha if p > j) - j - 1 for j in range(d))
     if minors is None:
         minors = {}
-    ring = fam[0].ring
-    zero = ring.zero()
+
+    def hook(a: int, b: int) -> GradedPoly:
+        if b == 0:
+            return h[a + 1]
+        key = ((a,), (b,))
+        got = minors.get(key)
+        if got is None:
+            got = minors[key] = h[a + 1] * e[b] - hook(a + 1, b - 1)
+        return got
 
     def minor(k: int, cols: tuple[int, ...]) -> GradedPoly:
         if k == 1:
-            idx = rows[0] + cols[0]
-            return fam[idx] if idx >= 0 else zero
-        key = (rows[:k], cols)
+            return hook(arms[0], cols[0])
+        key = (arms[:k], cols)
         got = minors.get(key)
         if got is not None:
             return got
         i = k - 1
-        shift = rows[i] - i
-        acc = zero
-        for pos, c in enumerate(cols):
-            idx = shift + c
-            if idx < 0 or not fam[idx].terms:
-                continue
+        acc = h[0].ring.zero()
+        for pos, b in enumerate(cols):
             sub = minor(i, cols[:pos] + cols[pos + 1 :])
             if not sub.terms:
                 continue
-            term = sub if idx == 0 else fam[idx] * sub
+            term = hook(arms[i], b) * sub
             # the cofactor sign of entry (i, pos) in a k x k minor
             acc = acc - term if (i + pos) % 2 else acc + term
         minors[key] = acc
         return acc
 
-    return minor(len(rows), tuple(range(len(rows)))) if rows else ring.one()
+    return minor(d, legs) if d else h[0].ring.one()
 
 
 def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
-    """Schur polynomial s_alpha from its power sums p_0..p_n (Jacobi-Trudi).
+    """Schur polynomial s_alpha from its power sums p_0..p_n (Giambelli).
 
-    The family step (``newton_family`` of p, or of omega(p) in the dual form)
-    followed by the determinant step (``jacobi_trudi``), in the form
-    ``jacobi_trudi_form`` picks.  n = |alpha| always suffices.
+    The family step (``newton_family`` of p for h, and of omega(p) for e)
+    followed by the determinant step (``giambelli``).  n = |alpha| always
+    suffices.
     """
     alpha = Partition(alpha)
-    rows, dual, top = jacobi_trudi_form(alpha)
+    ell = len(alpha)
+    top = alpha[0] + ell - 1 if alpha else 0
     if len(power_sums) <= top:
         raise ValueError(f"s_{tuple(alpha)} needs power sums up to p_{top}")
-    return jacobi_trudi(rows, newton_family(power_sums[: top + 1], dual))
+    h = newton_family(power_sums[: top + 1])
+    return giambelli(alpha, h, newton_family(power_sums[: max(ell, 1)], dual=True))
 
 
 def schur_in_roots(alpha, r: int, values) -> GradedPoly:
-    """Schur polynomial s_alpha at the given r values (Jacobi-Trudi).
+    """Schur polynomial s_alpha at the given r values (Giambelli).
 
     The root-ring witness: the oracle evaluates the same determinant on the
     Adams power sums over e1..eD, and tests compare the two.

@@ -148,6 +148,18 @@ class TestDelta:
         assert code == 0
         check_golden("delta_sym2_rank2.txt", out)
 
+    @pytest.mark.parametrize(
+        "partition, name",
+        [
+            ("14,5,5,5,5,5,5,5,4,3,3,2,2,1", "delta_14_rows.txt"),
+            ("12,11,9,8,6,5,4,3,2,2,1,1", "delta_12_rows.txt"),
+        ],
+    )
+    def test_many_rows_golden(self, capsys, partition, name):
+        code, out = run(capsys, "delta", "--rank", "16", "--partition", partition, "--k", "5")
+        assert code == 0
+        check_golden(name, out)
+
     def test_wedge_factor(self, capsys):
         code, out = run(capsys, "delta", "--rank", "4", "--partition", "1,1", "--k", "2")
         assert code == 0

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from logchern.characters import delta_k
 from logchern.cli import main
 from logchern.formulas import schur_ch3
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
 from logchern.oracle import oracle_schur_ch
+from logchern.report import schur_factor
 from logchern.symfunc import Partition, enumerate_partitions
 from witness import mukai_schur_by_eigenvalue
 
@@ -141,3 +144,38 @@ class TestMukaiAgainstOracle:
         out = capsys.readouterr().out
         assert out.splitlines()[1] == "v(S^(2) E) = (3, 3*H, 12)"
         assert out != (Path(__file__).parent / "golden" / "mukai_sym2_d3.txt").read_text()
+
+
+def mukai_square(v):
+    """The Mukai pairing v^2 = 2d c^2 - 2r s on a K3 with Pic = Z*H and H^2 = 2d."""
+    return 2 * v.d * v.c**2 - 2 * v.r * v.s
+
+
+class TestMukaiPairing:
+    """v(S^alpha E)^2 = lambda_2 (v(E)^2 + 2r^2) - 2 r_alpha^2.
+
+    Not a claim of the paper: a consequence of the Delta_2 factor that the
+    sweep checks, Delta_2(S^alpha E) = lambda_2 Delta_2(E).  On a K3 the
+    class Delta_2 = 2r c_2 - (r - 1) c_1^2 integrates to v^2 + 2r^2.
+    """
+
+    def test_pairing_scales_with_the_oracle_delta2_factor(self):
+        cases = 0
+        for r in range(2, 6):
+            for alpha in (a for n in range(6) for a in enumerate_partitions(n, r)):
+                ok, lam = schur_factor(alpha, r, 2, lambda a: delta_k(a, 2))
+                assert ok and lam is not None, (alpha, r)
+                for c, s, d in product((-1, 0, 1, 3), (-2, 0, 5), (1, 5)):
+                    v = MukaiVector(r, c, s, d)
+                    w = mukai_schur(v, alpha)
+                    expect = lam * (mukai_square(v) + 2 * r**2) - 2 * w.r**2
+                    assert mukai_square(w) == expect, (v, alpha)
+                    cases += 1
+        assert cases == 1560
+
+    def test_the_worked_example(self):
+        # v(E) = (2, H, 2) with d = 5: v^2 = 2 and lambda_2 = 6 for S^2, so
+        # v(S^2 E)^2 = 6 * (2 + 8) - 2 * 9 = 42, the square of (3, 3H, 8)
+        v = MukaiVector(2, 1, 2, 5)
+        w = mukai_schur(v, (2,))
+        assert (mukai_square(v), w, mukai_square(w)) == (2, (3, 3, 8, 5), 42)

@@ -779,17 +779,18 @@ class TestSharedFamilies:
         "argv, products",
         [
             ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2089),
-            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1144),
-            ("delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", 4062),
-            ("delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5", 17286),
+            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1249),
+            ("delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", 528),
+            ("delta --rank 16 --partition 13,9,7,6,6,5,3,3,3,2,2,2,2 --k 5", 618),
+            ("delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5", 708),
         ],
-        ids=["ch-64", "delta-8x8", "delta-12-rows", "delta-14-rows"],
+        ids=["ch-64", "delta-8x8", "delta-12-rows", "delta-13-rows", "delta-14-rows"],
     )
     def test_slowest_command_product_count(self, monkeypatch, argv, products):
         # every product of these costly in-bounds commands goes through
-        # GradedPoly.__mul__, where the benchmark counts it; the last one,
-        # whose partition and conjugate both have 14 rows, is the costliest
-        # known (17,286 products, about 1.2 s of CPU in a fresh process,
-        # Python 3.11 on a 2-CPU VM), 4.3 times the 12-row one before it
+        # GradedPoly.__mul__, where the benchmark counts it.  Giambelli's
+        # determinant is at most 8x8 (the Durfee square at size <= 64), so
+        # the many-row partitions cost a few hundred products; the costliest
+        # known is ch-64, whose cost is its Newton family up to h_64
         code, count = self._count_cold_products(monkeypatch, lambda: main(argv.split()))
         assert (code, count) == (0, products)

@@ -89,6 +89,20 @@ class TestAdd:
         with pytest.raises(TypeError):
             x + 0.5
 
+    def test_int_or_fraction_compares_as_a_constant(self):
+        # == reads a scalar as + and * do, and equal values hash alike
+        ring = roots_ring(1, 2)
+        x = ring.gen("a1")
+        assert ring.zero() == 0 and 0 == ring.zero()
+        assert ring.one() == 1 and Fraction(1) == ring.one()
+        assert (x + 1 - x) == 1
+        assert ring.scalar(Fraction(-3, 4)) == Fraction(-3, 4)
+        for value in (0, 1, -7, Fraction(-3, 4), Fraction(5, 2)):
+            assert hash(ring.scalar(value)) == hash(value)
+            assert ring.scalar(value) in {value}
+        assert x != 0 and x + 1 != 1 and ring.one() != 2
+        assert ring.one() != 1.0 and ring.zero() != 0.0
+
     def test_mismatched_rings_rejected(self):
         with pytest.raises(ValueError):
             RING23.gen("a1") + RING35.gen("a1")

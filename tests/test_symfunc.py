@@ -13,9 +13,8 @@ from logchern.ring import PolyRing, graded_generators, root_generators
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
+    giambelli,
     is_symmetric,
-    jacobi_trudi,
-    jacobi_trudi_form,
     newton_family,
     power_sum_poly,
     powersum_ring,
@@ -287,31 +286,17 @@ class TestSchur:
             assert is_symmetric(s)
 
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from([
-            alpha
-            for n in range(3, 9)
-            for alpha in enumerate_partitions(n, n)
-            if alpha[0] < len(alpha)
-        ])
-    )
-    def test_dual_form_equals_h_determinant(self, alpha):
-        # schur_from_power_sums takes the e-form det(e_{alpha'_i - i + j})
-        # for these; the h-form det(h_{alpha_i - i + j}) is built here on
-        # free power sums
-        ring = powersum_ring(alpha.size)
-        ps = [ring.one()] + [ring.gen(f"p{k}") for k in range(1, alpha.size + 1)]
-        hs = newton_family(ps)
-        ell = len(alpha)
-        matrix = [
-            [
-                hs[k] if (k := alpha[i] - i + j) >= 0 else ring.zero()
-                for j in range(ell)
-            ]
-            for i in range(ell)
-        ]
-        assert schur_from_power_sums(alpha, ps) == det_by_cofactors(matrix, ring)
+    def test_dual_form_equals_h_determinant(self):
+        # schur_from_power_sums takes Giambelli's determinant over the
+        # Durfee square; the h-form det(h_{alpha_i - i + j}) is built here
+        # on free power sums, for every partition of size <= 8
+        for n in range(9):
+            ring = powersum_ring(max(n, 1))
+            ps = [ring.one()] + [ring.gen(f"p{k}") for k in range(1, n + 1)]
+            hs = newton_family(ps)
+            for alpha in enumerate_partitions(n, n):
+                matrix = jacobi_trudi_matrix(alpha, hs, ring.zero())
+                assert schur_from_power_sums(alpha, ps) == det_by_cofactors(matrix, ring)
 
 
 def conjugate(alpha):
@@ -319,26 +304,30 @@ def conjugate(alpha):
     return tuple(sum(1 for p in alpha if p > j) for j in range(first))
 
 
+def jacobi_trudi_matrix(rows, fam, zero):
+    """The Jacobi-Trudi matrix (fam[rows_i - i + j]), with fam[k] = 0 for k < 0."""
+    n = len(rows)
+    return [[fam[k] if (k := rows[i] - i + j) >= 0 else zero for j in range(n)] for i in range(n)]
+
+
 class TestJacobiTrudiSteps:
+    """Giambelli's determinant and the Newton families against both Jacobi-Trudi matrices."""
+
     def test_both_forms_equal_the_root_ring_witness(self):
-        # the h-form det(h_{alpha_i - i + j}) and the e-form
-        # det(e_{alpha'_i - i + j}), each from the family step and the
-        # determinant step, whichever form schur_in_roots picks
-        forms = set()
+        # giambelli on the family step's h and e equals the h-form
+        # det(h_{alpha_i - i + j}) and the e-form det(e_{alpha'_i - i + j}),
+        # each expanded by the witness cofactor expansion
         for r in range(1, 5):
             for size in range(7):
                 ring, qs = roots(r, max(size, 1))
                 ps = [power_sum_poly(k, qs) for k in range(size + 1)]
                 hs, es = newton_family(ps), newton_family(ps, dual=True)
                 for alpha in enumerate_partitions(size, r):
-                    expect = schur_in_roots(alpha, r, qs)
-                    assert jacobi_trudi(alpha, hs) == expect
-                    assert jacobi_trudi(conjugate(alpha), es) == expect
-                    rows, dual, top = jacobi_trudi_form(alpha)
-                    assert rows == (conjugate(alpha) if dual else alpha)
-                    assert top == (alpha[0] + len(alpha) - 1 if alpha else 0)
-                    forms.add(dual)
-        assert forms == {False, True}
+                    got = giambelli(alpha, hs, es)
+                    h_form = jacobi_trudi_matrix(alpha, hs, ring.zero())
+                    e_form = jacobi_trudi_matrix(conjugate(alpha), es, ring.zero())
+                    assert got == det_by_cofactors(h_form, ring), alpha
+                    assert got == det_by_cofactors(e_form, ring), alpha
 
     def test_cached_family_is_the_newton_family_prefix(self):
         for r, D in ((1, 3), (2, 3), (3, 4), (5, 2)):
@@ -352,27 +341,27 @@ class TestJacobiTrudiSteps:
 
     @pytest.mark.parametrize("dual", [False, True], ids=["h-form", "e-form"])
     def test_one_minor_table_serves_every_partition(self, dual):
-        # one table per rank and form, filled by the partitions of size <= 8
-        # in a shuffled order: each value is the determinant of that
-        # partition's own matrix, and the value with no sharing
+        # one table per rank and truncation, filled by the partitions of
+        # size <= 8 in a shuffled order: each value equals giambelli with no
+        # sharing and the determinant of that partition's own Jacobi-Trudi
+        # matrix, in the h-form or the e-form
         rng = random.Random(8)
         for r in range(1, 7):
-            fam = _adams_family(r, 3, dual, 8)
-            zero = fam[0].ring.zero()
-            alphas = [a for n in range(9) for a in enumerate_partitions(n, r)]
-            rng.shuffle(alphas)
-            minors = {}
-            for alpha in alphas:
-                rows = conjugate(alpha) if dual else alpha
-                n = len(rows)
-                matrix = [
-                    [fam[k] if (k := rows[i] - i + j) >= 0 else zero for j in range(n)]
-                    for i in range(n)
-                ]
-                shared = jacobi_trudi(rows, fam, minors)
-                assert shared == det_by_cofactors(matrix, fam[0].ring)
-                assert shared == jacobi_trudi(rows, fam)
-            assert minors or (r == 1 and not dual)
+            for D in (1, 3, 5):
+                hs, es = _adams_family(r, D, False, 8), _adams_family(r, D, True, 8)
+                ring = hs[0].ring
+                alphas = [a for n in range(9) for a in enumerate_partitions(n, r)]
+                rng.shuffle(alphas)
+                minors = {}
+                for alpha in alphas:
+                    shared = giambelli(alpha, hs, es, minors)
+                    if dual:
+                        matrix = jacobi_trudi_matrix(conjugate(alpha), es, ring.zero())
+                    else:
+                        matrix = jacobi_trudi_matrix(alpha, hs, ring.zero())
+                    assert shared == det_by_cofactors(matrix, ring), (alpha, r, D)
+                    assert shared == giambelli(alpha, hs, es)
+                assert minors or r == 1
 
 
 class TestDeterminant:

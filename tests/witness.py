@@ -4,8 +4,8 @@ The library computes every Schur character over e1..eD through the Adams
 operations and a normal form.  This module recomputes it the long way, in the
 ring of r Chern roots: s_alpha(exp a_1, ..., exp a_r), rewritten in power
 sums by linear algebra on monomial coefficients, then p_k -> k! e_k.  It shares
-only the Jacobi-Trudi determinant with the library, and its cost grows like
-C(r+D, D), so the tests use it at small r and D.
+only Newton's identities and Giambelli's determinant with the library, and its
+cost grows like C(r+D, D), so the tests use it at small r and D.
 
 It also keeps the shifted-variable eigenvalue polynomials, delta2_dot and
 delta3_dot as the literal sums over index pairs and triples; the library
@@ -404,7 +404,7 @@ def ssyt_count(alpha, r: int) -> int:
 def tableau_schur_total(alpha, r, D):
     """s_alpha(exp a_1, ..., exp a_r) in the root ring from the definition of s_alpha:
     the sum of x^T over the tableaux T, sum_w K_{alpha,w} prod_i exp(a_i)^{w_i}.
-    It uses neither Newton's identities nor the Jacobi-Trudi determinant."""
+    It uses neither Newton's identities nor Giambelli's determinant."""
     ring = root_ring(r, D)
     xs = exp_roots(ring)
     total = ring.zero()
