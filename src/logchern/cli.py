@@ -187,7 +187,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = sweep(args.max_rank, args.max_size, args.max_degree)
+    report = sweep(args.max_rank, args.max_size)
     rows = build_report()
     flags, unexpected = judge(rows)
     failed = report.failed > 0 or bool(unexpected)
@@ -308,7 +308,6 @@ COMMANDS = {
     "verify": ("oracle-vs-closed sweep plus the measured claim table", cmd_verify, (
         ("--max-rank", range(1, MAX_SWEEP_RANK + 1), 5, ""),
         ("--max-size", range(1, MAX_SWEEP_SIZE + 1), 6, ""),
-        ("--max-degree", (1, 2, 3), 3, ""),
         ("--format", ("text", "json"), "text", ""),
     )),
     "delta4": ("degree-4 proportionality for a symmetric power", cmd_delta4, (

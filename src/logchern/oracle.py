@@ -4,17 +4,17 @@ A Schur functor of the generic rank-r bundle has total character
 s_alpha(exp a_1, ..., exp a_r) -- no formula involved beyond the definition.
 Its power sums are the Adams operations, p_j(exp a) = ch(psi^j E) =
 r + sum_k j^k ch_k(E), so Newton's identities and Giambelli's determinant
-give s_alpha directly over e1..eD, in a ring whose size depends
-on D only.  The ch_k are those of ``characters.generic_bundle``, already in
-normal form, so s_alpha is too (``normal_form`` is a ring map fixing
-e1..er) and equality above the rank is plain ``==``.  Like every character
-in the package, the result is one ``GradedPoly``, the total ch_0 + ... +
-ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with its rank checked
-against the Weyl dimension.  ``report`` verifies the closed formulas
-against these values, and nothing is compared with a tolerance.  This module
-imports no closed formula: from the package it reads only ``characters``,
-``ring`` and ``symfunc``, so nothing it computes can agree with a formula by
-calling it.
+give s_alpha directly over e1..eD, in a ring whose size depends on D only.
+Each p_j is ``characters.power_sum_character(j, r, D)``, the character of
+psi^j E, in normal form, so s_alpha is in normal form too (``normal_form``
+is a ring map fixing e1..er) and equality above the rank is plain ``==``.
+Like every character in the package, the result is one ``GradedPoly``, the
+total ch_0 + ... + ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with
+its rank checked against the Weyl dimension.  ``report`` verifies the closed
+formulas against these values, and nothing is compared with a tolerance.
+This module imports no closed formula: from the package it reads only
+``characters``, ``ring`` and ``symfunc``, so nothing it computes can agree
+with a formula by calling it.
 
 The Adams power sums and their Newton families depend only on (r, D), so
 they are computed once per process and shared by every partition:
@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from logchern.characters import ch_ring, generic_bundle
+from logchern.characters import ch_ring, normal_form, power_sum_character
 from logchern.ring import GradedPoly, PolyRing, root_generators
 from logchern.symfunc import (
     Partition,
@@ -53,9 +53,8 @@ from logchern.symfunc import (
 
 @lru_cache(maxsize=None)
 def _adams_power_sum(r: int, D: int, j: int) -> GradedPoly:
-    """p_j = ch(psi^j E) = r + sum_k j^k ch_k of ``generic_bundle(r, D)``, in normal form."""
-    bundle = generic_bundle(r, D)
-    return sum((bundle.component(k).scale(j**k) for k in range(1, D + 1)), bundle.ring.scalar(r))
+    """p_j = ch(psi^j E) = r + sum_k j^k e_k, in normal form on the generic rank-r bundle."""
+    return normal_form(power_sum_character(j, r, D), r)
 
 
 @lru_cache(maxsize=None)

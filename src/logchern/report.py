@@ -43,6 +43,7 @@ from logchern.symfunc import Partition, binomial, enumerate_partitions, weyl_dim
 
 MAX_SWEEP_RANK = 6
 MAX_SWEEP_SIZE = 8
+SWEEP_DEGREE = 3  # the closed tables stop at ch_3
 
 
 class Claim(namedtuple("Claim", "claim paper_location printed_value measured_value holds")):
@@ -60,7 +61,7 @@ class Claim(namedtuple("Claim", "claim paper_location printed_value measured_val
         return "confirmed" if self.holds else "typo-suspected"
 
 
-class VerificationRecord(namedtuple("VerificationRecord", "alpha r D checks")):
+class VerificationRecord(namedtuple("VerificationRecord", "alpha r checks")):
     __slots__ = ()
 
     @property
@@ -100,29 +101,27 @@ def _over_e(a: GradedPoly, t: int) -> GradedPoly:
     return _reduced(ch_ring(t), a.den, {e[:t]: n for e, n in a.terms.items() if wdeg(e) <= t})
 
 
-def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
-    """Compare the oracle against every applicable closed formula.
+def verify_schur(alpha, r: int) -> VerificationRecord:
+    """Compare the oracle against every applicable closed formula, through degree 3.
 
     One check per formula, each an equality of whole characters over e1..et
-    with t = min(D, r): the Schur table ``schur_ch3`` (its rank is the Weyl
+    with t = min(3, r): the Schur table ``schur_ch3`` (its rank is the Weyl
     dimension, so this also checks the oracle's rank), ``closed_ch`` for rows
-    (the symmetric-power double sum, over e1..eD) and the exterior table for
-    columns.  Then one check per Delta_k, k <= D, that Delta_k(S^alpha E) =
+    (the symmetric-power double sum, over e1..e3) and the exterior table for
+    columns.  Then one check per Delta_k, k <= 3, that Delta_k(S^alpha E) =
     f_k (r_alpha/r)^(k-1) Delta_k(E), with f_k the e_k coefficient of that
     same table.  Above t the table has no e_k: there k > r, Delta_k of E
     vanishes identically and its check is the vanishing regime.  Failures
     are recorded, not raised.
     """
-    if D > 3:
-        raise ValueError("verify_schur compares the degree <= 3 tables")
     alpha = Partition(alpha)
-    total = oracle_schur_total(alpha, r, D)
-    t = min(D, r)
+    total = oracle_schur_total(alpha, r, SWEEP_DEGREE)
+    t = min(SWEEP_DEGREE, r)
     oracle_t = _over_e(total, t)
     table = schur_ch3(alpha, r, t)
     checks = [_equality_check("ch vs Schur table", oracle_t, table)]
     if len(alpha) <= 1:
-        row = closed_ch(alpha, r, D)
+        row = closed_ch(alpha, r, SWEEP_DEGREE)
         checks.append(_equality_check("total vs symmetric double sum", total, row))
     if alpha and all(p == 1 for p in alpha):
         col = ext_power_ch3(len(alpha), r, up_to=t)
@@ -130,11 +129,13 @@ def verify_schur(alpha, r: int, D: int = 3) -> VerificationRecord:
 
     w = table.constant() / r
     gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # e1, e2, e3
-    factors = [table.coefficient(gens[k][:t]) * w**k if k < t else None for k in range(D)]
-    deltas = zip(discriminants(total, D), generic_discriminants(r, D), factors)
+    factors = [table.coefficient(g[:t]) * w**k if k < t else None for k, g in enumerate(gens)]
+    deltas = zip(
+        discriminants(total, SWEEP_DEGREE), generic_discriminants(r, SWEEP_DEGREE), factors
+    )
     for k, (d_schur, d_base, factor) in enumerate(deltas, 1):
         checks.append(_factor_check(f"Delta_{k} scaling", d_schur, d_base, factor))
-    return VerificationRecord(alpha, r, D, tuple(checks))
+    return VerificationRecord(alpha, r, tuple(checks))
 
 
 # -- degree-4 proportionality -------------------------------------------------
@@ -189,13 +190,13 @@ class SweepReport(namedtuple("SweepReport", "records")):
         return {"cases": self.cases, "passed": self.passed, "failed": self.failed}
 
 
-def sweep(max_r: int, max_size: int, D: int = 3) -> SweepReport:
+def sweep(max_r: int, max_size: int) -> SweepReport:
     """verify_schur over every (r <= max_r, 1 <= |alpha| <= max_size, <= r parts).
 
-    Rank 1 (where every Schur functor is a power of a line and every table
-    degenerates) is included only when it is the only rank in range.
-    Deterministic case order (rank, then size, then decreasing-lex
-    partitions).
+    Each case is checked through degree 3.  Rank 1 (where every Schur functor
+    is a power of a line and every table degenerates) is included only when
+    it is the only rank in range.  Deterministic case order (rank, then size,
+    then decreasing-lex partitions).
     """
     if not 1 <= max_r <= MAX_SWEEP_RANK:
         raise ValueError(f"max_r must lie in 1..{MAX_SWEEP_RANK}")
@@ -203,7 +204,7 @@ def sweep(max_r: int, max_size: int, D: int = 3) -> SweepReport:
         raise ValueError(f"max_size must lie in 1..{MAX_SWEEP_SIZE}")
     return SweepReport(
         tuple(
-            verify_schur(alpha, r, D)
+            verify_schur(alpha, r)
             for r in range(1 if max_r == 1 else 2, max_r + 1)
             for size in range(1, max_size + 1)
             for alpha in enumerate_partitions(size, r)

@@ -78,7 +78,7 @@ def _delta2_factor(alpha, r):
 
 def test_criterion_01_oracle_vs_closed_sweep():
     t0 = time.time()
-    report = sweep(5, 6, 3)
+    report = sweep(5, 6)
     elapsed = time.time() - t0
     assert report.cases == 91
     assert report.failed == 0, [

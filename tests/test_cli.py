@@ -275,14 +275,14 @@ class TestParser:
     DELTA = ("delta", "--rank", "3", "--partition", "2", "--k", "2")
 
     def test_unique_prefix_of_a_flag(self, capsys):
-        full = run(capsys, "verify", "--max-rank", "2", "--max-size", "2", "--max-degree", "2")
-        short = run(capsys, "verify", "--max-r", "2", "--max-s=2", "--max-d", "2")
+        full = run(capsys, "verify", "--max-rank", "2", "--max-size", "2", "--format", "json")
+        short = run(capsys, "verify", "--max-r", "2", "--max-s=2", "--f", "json")
         assert short == full
         assert short[0] == 0
 
     def test_ambiguous_prefix(self, capsys):
         err = usage_error(capsys, "verify", "--max", "3")
-        assert err == "error: ambiguous option: --max could match --max-rank, --max-size, --max-degree\n"
+        assert err == "error: ambiguous option: --max could match --max-rank, --max-size\n"
 
     def test_value_joined_by_equals(self, capsys):
         assert run(capsys, "delta", "--rank=3", "--partition=2", "--k=2") == run(capsys, *self.DELTA)
@@ -309,6 +309,8 @@ class TestParser:
             (("delta", "--rank", "3", "--partition", "2", "2"), "unrecognized arguments: 2"),
             (("delta", "--rank", "3", "--partition", "2", "--"), "unrecognized arguments: --"),
             (("delta", "--rank", "3", "--partition", "2", "--kk", "2"), "unrecognized arguments: --kk"),
+            # verify checks through degree 3 and takes no degree
+            (("verify", "--max-degree", "2"), "unrecognized arguments: --max-degree"),
             (("delta", "--rank", "x", "--partition", "2"), "argument --rank: invalid int value: 'x'"),
             # int() alone would read "1_0" as 10, "+3" as 3 and the
             # Arabic-Indic digits "\u0662" and "\u0663" as 2 and 3
@@ -342,7 +344,8 @@ class TestParser:
         ids=[
             "missing-value", "flag-as-value", "missing-required", "missing-before-malformed",
             "all-missing", "stray-word",
-            "double-dash", "unknown-flag", "bad-int", "int-underscore", "int-plus", "int-arabic",
+            "double-dash", "unknown-flag", "verify-max-degree",
+            "bad-int", "int-underscore", "int-plus", "int-arabic",
             "int-choice-arabic", "int-mukai-d", "int-delta4-m", "int-verify-max-rank", "bad-choice",
             "unknown-command",
             "no-command", "option-before-command", "long-flag", "long-command",
@@ -723,7 +726,6 @@ CLI_OPTIONS = {
     "verify": (
         ("--max-rank", ("-1", "0", "1", "2", "7")),
         ("--max-size", ("0", "1", "2", "9")),
-        ("--max-degree", ("0", "1", "3", "4")),
         ("--format", ("text", "json")),
     ),
     "delta4": (

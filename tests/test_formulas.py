@@ -310,48 +310,43 @@ class TestHCShift:
         with pytest.raises(ValueError):
             hc_shift_check(4, 3)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 8).flatmap(
-            lambda r: st.lists(
-                st.one_of(
-                    st.integers(-50, 50),
-                    st.fractions(max_denominator=12).filter(lambda f: abs(f) <= 50),
-                ),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
-    def test_power_sum_forms_equal_the_literal_sums(self, xs):
-        r = len(xs)
-        assert delta2_x(xs, r) == delta2_x_sums(xs, r)
-        assert delta3_x(xs, r) == delta3_x_sums(xs, r)
-        assert type(delta2_x(xs, r)) is type(delta3_x(xs, r)) is Fraction
+    # one int and one Fraction point, for the types the forms return on numbers
+    POINTS = ((3, -1, 4, 0, 5), (Fraction(7, 2), -2, Fraction(-1, 3)))
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda r: st.lists(
-                st.one_of(
-                    st.integers(-50, 50),
-                    st.fractions(min_value=-50, max_value=50, max_denominator=12),
-                ),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
-    def test_delta3_dot_equals_the_literal_sums(self, a):
-        # unordered vectors: the identity is between polynomials, and
-        # hc-check expands delta3_dot over free generators, not partitions;
-        # delta2_dot is the same kind of power-sum form, checked the same way
-        r = len(a)
-        for dot, sums in ((delta2_dot, delta2_dot_sums), (delta3_dot, delta3_dot_sums)):
-            got = dot(a, r)
-            assert got == sums(a, r), dot.__name__
-            if all(type(x) is int for x in a):
-                assert type(got) is int
+    @staticmethod
+    def free_coordinates(r):
+        """x1..xr, free of degree 1; every form here has degree <= 3."""
+        ring = PolyRing([(f"x{i}", 1) for i in range(1, r + 1)], 3)
+        return [ring.gen(name) for name in ring.names]
+
+    def test_power_sum_forms_equal_the_literal_sums(self):
+        # the identities are between polynomials: each is expanded over free
+        # coordinates, the way hc-check proves its own, at every rank up to 12
+        for r in range(1, 13):
+            xs = self.free_coordinates(r)
+            part2 = formulas._delta_x_part(2, xs, r) - formulas._delta2_constant(r)
+            assert part2 == delta2_x_sums(xs, r), r
+            assert formulas._delta_x_part(3, xs, r) == delta3_x_sums(xs, r), r
+        for xs in self.POINTS:
+            r = len(xs)
+            assert delta2_x(xs, r) == delta2_x_sums(xs, r)
+            assert delta3_x(xs, r) == delta3_x_sums(xs, r)
+            assert type(delta2_x(xs, r)) is type(delta3_x(xs, r)) is Fraction
+
+    def test_delta3_dot_equals_the_literal_sums(self):
+        # unordered coordinates: hc-check expands delta3_dot over free
+        # generators, not partitions; delta2_dot is the same kind of power-sum
+        # form, checked the same way
+        forms = ((delta2_dot, delta2_dot_sums), (delta3_dot, delta3_dot_sums))
+        for r in range(1, 13):
+            a = self.free_coordinates(r)
+            for dot, sums in forms:
+                assert dot(a, r) == sums(a, r), (dot.__name__, r)
+        for a, kind in zip(self.POINTS, (int, Fraction)):
+            for dot, sums in forms:
+                got = dot(a, len(a))
+                assert got == sums(a, len(a)), dot.__name__
+                assert type(got) is kind
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_wrong_printed_polynomial_is_a_shift_mismatch(self, monkeypatch, k):

@@ -105,7 +105,7 @@ class TestOracleCharacter:
 
     def test_oracle_equals_the_tableau_definition(self):
         # s_alpha as the sum of x^T over semistandard tableaux: the one witness
-        # that shares neither Newton's identities nor Jacobi-Trudi with the oracle
+        # that shares neither Newton's identities nor Giambelli's determinant with the oracle
         cases = 0
         for r in range(1, 5):
             for size in range(7):
@@ -255,18 +255,18 @@ class TestOracleConsistency:
 class TestVerifySchur:
     def test_all_equal_record(self):
         for alpha, r in (((3,), 4), ((2, 1), 3), ((2,), 2), ((2, 2), 2)):
-            rec = verify_schur(alpha, r, 3)
+            rec = verify_schur(alpha, r)
             assert rec.ok, rec.failures()
 
     def test_determinant_line_vanishing(self):
-        rec = verify_schur((1, 1, 1), 3, 2)
+        rec = verify_schur((1, 1, 1), 3)
         assert rec.ok
         # Delta_2 of the determinant line vanishes on both sides
         names = [c.claim for c in rec.checks]
         assert any("Delta_2" in n for n in names)
 
     def test_rank_two_delta3_vanishing_regime(self):
-        rec = verify_schur((2,), 2, 3)
+        rec = verify_schur((2,), 2)
         assert rec.ok
         assert any("vanishing" in c.claim for c in rec.checks)
 
@@ -276,13 +276,9 @@ class TestVerifySchur:
         assert not chk.holds
         assert chk.measured_value == "e1" and chk.printed_value == "2*e1"
 
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            verify_schur((1,), 2, 4)
-
     def test_rank_six_beyond_the_sweep_box(self):
         for alpha in ((3,), (2, 1), (1, 1, 1)):
-            rec = verify_schur(alpha, 6, 3)
+            rec = verify_schur(alpha, 6)
             assert rec.ok, rec.failures()
 
     def test_over_e_equals_the_from_terms_route(self):
@@ -345,18 +341,18 @@ class TestDelta4:
 
 class TestSweep:
     def test_tiny_sweep(self):
-        rep = sweep(2, 2, 2)
+        rep = sweep(2, 2)
         assert rep.cases == 3  # (1), (2), (1,1) at r = 2
         assert rep.passed == 3 and rep.failed == 0
 
     def test_single_trivial_case(self):
-        rep = sweep(1, 1, 1)
+        rep = sweep(1, 1)
         assert rep.cases == 1  # just (1) at r = 1
         assert rep.passed == 1
 
     def test_case_order_deterministic(self):
-        a = sweep(3, 3, 2)
-        b = sweep(3, 3, 2)
+        a = sweep(3, 3)
+        b = sweep(3, 3)
         assert [(r.alpha, r.r) for r in a.records] == [
             (r.alpha, r.r) for r in b.records
         ]
@@ -368,9 +364,9 @@ class TestSweep:
             sweep(2, 9)
 
     def test_counts_with_a_failing_record(self):
-        ok = VerificationRecord(Partition((1,)), 2, 2, (Claim("a", "", "", "", True),))
+        ok = VerificationRecord(Partition((1,)), 2, (Claim("a", "", "", "", True),))
         bad = VerificationRecord(
-            Partition((2,)), 2, 2, (Claim("a", "", "", "", True), Claim("b", "", "2", "1", False))
+            Partition((2,)), 2, (Claim("a", "", "", "", True), Claim("b", "", "2", "1", False))
         )
         rep = SweepReport((ok, bad, ok))
         assert (rep.cases, rep.passed, rep.failed) == (3, 2, 1)
@@ -379,7 +375,7 @@ class TestSweep:
 
     def test_records_are_immutable_values(self):
         claim = Claim("a", "here", "1", "2", False)
-        record = VerificationRecord(Partition((2,)), 3, 2, (claim,))
+        record = VerificationRecord(Partition((2,)), 3, (claim,))
         report = SweepReport((record,))
         result = verify_delta4_proportionality(2, 3)
         for value, field, new in (
@@ -407,7 +403,7 @@ class TestSweep:
         assert (chk.paper_location, chk.printed_value, chk.measured_value) == ("", "", "")
 
     def test_json_schema(self):
-        data = sweep(2, 2, 2).to_json_dict()
+        data = sweep(2, 2).to_json_dict()
         assert list(data) == ["cases", "passed", "failed"]
         assert data == {"cases": 3, "passed": 3, "failed": 0}
 
@@ -743,7 +739,10 @@ class TestSharedFamilies:
         p = _adams_power_sum(r, D, j)
         assert all(not any(exps[r:]) for exps in p.terms)
         assert normal_form(p, r) == p
-        assert p == normal_form(power_sum_character(j, r, D), r)
+        # r + sum_k j^k ch_k, read off the generic bundle's own components
+        bundle = generic_bundle(r, D)
+        terms = (bundle.component(k).scale(j**k) for k in range(1, D + 1))
+        assert p == sum(terms, bundle.ring.scalar(r))
 
     @staticmethod
     def _count_cold_products(monkeypatch, run):
@@ -770,10 +769,11 @@ class TestSharedFamilies:
         # with them while each partition still took its own normal form, 3074
         # while the cofactor expansion, log and the double sum still made
         # products by zero or by one, 1843 while each partition expanded its
-        # own Jacobi-Trudi minors and substitution multiplied by constants
+        # own Jacobi-Trudi minors and substitution multiplied by constants,
+        # 1178 while each partition expanded its own Jacobi-Trudi determinant
         report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
         assert report.failed == 0
-        assert count <= 1178
+        assert count == 1037
 
     @pytest.mark.parametrize(
         "argv, products",

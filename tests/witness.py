@@ -122,8 +122,10 @@ def powersums_to_roots(q, r):
 
 
 def delta2_x_sums(xs, r):
-    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12, term by term."""
-    xs = [Fraction(x) for x in xs]
+    """(r-1) sum x_i^2 - 2 sum_{i<j} x_i x_j - r^2(r^2-1)/12, term by term.
+
+    Like the other literal sums here, it takes numbers or ring elements.
+    """
     sq = sum(x * x for x in xs)
     cross = sum(xs[i] * xs[j] for i in range(r) for j in range(i + 1, r))
     return (r - 1) * sq - 2 * cross - Fraction(r * r * (r * r - 1), 12)
@@ -131,7 +133,6 @@ def delta2_x_sums(xs, r):
 
 def delta3_x_sums(xs, r):
     """2(r-2)(r-1) sum x_i^3 - 6(r-2) sum_{i!=j} x_i^2 x_j + 24 sum_{i<j<k} x_i x_j x_k."""
-    xs = [Fraction(x) for x in xs]
     cubes = sum(x**3 for x in xs)
     sq_lin = sum(xs[i] ** 2 * xs[j] for i in range(r) for j in range(r) if i != j)
     triple = sum(
