@@ -43,9 +43,10 @@ def base_bundle(rank, D: int) -> GradedPoly:
 
 def power_sum_character(d: int, rank, D: int) -> GradedPoly:
     """Virtual character with ch_k = d^k * e_k and the given rank."""
-    ring = ch_ring(D)
-    gens = (ring.gen(f"e{k}").scale(d**k) for k in range(1, D + 1))
-    return sum(gens, ring.scalar(rank))
+    terms = {(0,) * D: rank}
+    for k in range(1, D + 1):
+        terms[(0,) * (k - 1) + (1,) + (0,) * (D - k)] = d**k
+    return ch_ring(D).from_terms(terms)
 
 
 def log_character(a: GradedPoly) -> GradedPoly:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from logchern.characters import ch_ring, normal_form
@@ -124,28 +125,41 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
     if m < 0:
         raise ValueError("m must be non-negative")
     ring = ch_ring(D)
-    terms = {(0,) * D: binomial(m + r - 1, m)}
+    n = m + r - 1
+    terms = {(0,) * D: binomial(n, m)}
+    for exps, norm, weights in _sym_power_skeleton(D):
+        coeff = sum(binomial(n, m - size) * w for size, w in weights)
+        if coeff:
+            terms[exps] = Fraction(coeff, norm)
+    return ring.from_terms(terms)
+
+
+@lru_cache(maxsize=None)
+def _sym_power_skeleton(D: int) -> tuple:
+    """The part of ``sym_power_ch``'s double sum that depends on D alone.
+
+    One entry (exponent vector, ||alpha||, ((|beta|, weight), ...)) per
+    partition alpha with 1 <= |alpha| <= D, where weight sums
+    prod_i (beta_i - 1)! S(alpha_i, beta_i) over the beta of that size.
+    """
+    skeleton = []
     for size in range(1, D + 1):
         for alpha in enumerate_partitions(size, size):
             norm = 1
             for _, group in itertools.groupby(alpha):
                 norm *= factorial(sum(1 for _ in group))
-            coeff = 0
+            weights = {}
             for beta in itertools.product(*(range(1, p + 1) for p in alpha)):
-                b = binomial(m + r - 1, m - sum(beta))
-                if not b:
-                    continue
-                term = b
+                term = 1
                 for ai, bi in zip(alpha, beta):
                     term *= factorial(bi - 1) * stirling2(ai, bi)
-                coeff += term
-            if not coeff:
-                continue
+                s = sum(beta)
+                weights[s] = weights.get(s, 0) + term
             exps = [0] * D
             for part in alpha:
                 exps[part - 1] += 1
-            terms[tuple(exps)] = Fraction(coeff, norm)
-    return ring.from_terms(terms)
+            skeleton.append((tuple(exps), norm, tuple(weights.items())))
+    return tuple(skeleton)
 
 
 # -- degree <= 3 character tables ---------------------------------------------

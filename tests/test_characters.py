@@ -21,7 +21,7 @@ from logchern.characters import (
 from logchern.cli import _character_json
 from logchern.oracle import base_in_roots
 from logchern.ring import PolyRing, graded_generators
-from witness import delta4t_by_products, discriminants_by_fractions
+from witness import delta4t_by_products, discriminants_by_fractions, power_sum_character_by_generators
 
 
 def delta_explicit(a, k):
@@ -419,6 +419,14 @@ class TestPowerSumCharacters:
         v = base_bundle(3, 2)
         p2 = power_sum_character(2, 3, 2)
         assert d_k(p2, 2) == d_k(v, 2).scale(4)
+
+    def test_equals_the_sum_of_scaled_generators(self):
+        for D in range(1, 7):
+            for r in range(1, 17):
+                for d in range(12):
+                    assert power_sum_character(d, r, D) == power_sum_character_by_generators(d, r, D)
+        rank = Fraction(-5, 3)
+        assert power_sum_character(3, rank, 4) == power_sum_character_by_generators(3, rank, 4)
 
     def test_power_sum_law_all_k(self):
         r = 3

@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import importlib
 import io
 import json
 import os
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from logchern.cli import _REQUIRED, COMMANDS, MAX_DIGITS, MAX_RANK, MAX_SIZE, main
 from logchern.report import MAX_SWEEP_RANK, MAX_SWEEP_SIZE
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -652,7 +655,7 @@ def test_closed_stdout_exits_141_quietly(argv, unbuffered):
     # mid-command when unbuffered, in the final flush when buffered
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
@@ -666,7 +669,41 @@ def test_closed_stdout_exits_141_quietly(argv, unbuffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-README = Path(__file__).parent.parent / "README.md"
+def python(*argv):
+    """Run the interpreter on argv with the checkout's src first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+
+
+class TestEntryPoint:
+    def test_module_prints_the_golden_text(self):
+        proc = python("-m", "logchern", "ch", "--rank", "2", "--partition", "2", "--max-degree", "2", "--method", "both")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / "ch_sym2_rank2.txt").read_bytes()
+
+    def test_module_usage_error_exits_2_with_one_line(self):
+        proc = python("-m", "logchern", "lowrank", "--k", "4", "--rank", "17")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["ch", "--rank", "2", "--partition", "2"]) == 0
+        assert main(["lowrank", "--k", "4", "--rank", "17"]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_importing_the_entry_module_runs_nothing(self):
+        proc = python("-c", "import logchern.__main__")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
+    def test_script_target_is_callable(self):
+        # read with a regex: tomllib needs Python 3.11 and the package supports 3.10
+        target = re.search(r'^logchern = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+        module, name = target.groups()
+        assert callable(getattr(importlib.import_module(module), name))
+
+
+README = ROOT / "README.md"
 
 
 def readme_section(title):

@@ -30,6 +30,7 @@ from witness import (
     delta3_x,
     delta3_x_sums,
     exterior_table_by_fractions,
+    sym_power_by_double_sum,
     table_by_fractions,
 )
 
@@ -182,6 +183,12 @@ class TestSymPowerSum:
                 e3 = (0, 0, 1)
                 assert ch.component(3).coefficient(e1e2) == mixed
                 assert ch.component(3).coefficient(e3) == pure
+
+    def test_equals_the_double_sum_enumerated_per_call(self):
+        for D in range(1, 7):
+            for r in range(1, 7):
+                for m in range(9):
+                    assert sym_power_ch(m, r, D) == sym_power_by_double_sum(m, r, D), (m, r, D)
 
     def test_rank_is_weyl_dimension(self):
         from logchern.symfunc import weyl_dim

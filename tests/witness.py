@@ -15,8 +15,11 @@ for the integer arithmetic, and the former forms of the sweep's per-case
 steps (the proportionality test, the determinant by cofactors of one matrix,
 the restriction to e1..et, the discriminants, Delta_{4,t}, substitution and
 the Schur and exterior tables), which made the products and Fractions the library
-now skips or shares, and the Mukai vector's closed form in the quadratic
-eigenvalue, which the library now reads off the Schur table.
+now skips or shares, the Mukai vector's closed form in the quadratic
+eigenvalue, which the library now reads off the Schur table, the Adams
+character summed from scaled generators, and the symmetric-power double sum
+enumerated in full on every call, which the library now builds from its terms
+and from a per-degree skeleton.
 The rest are helpers only the tests use: the shifted-variable polynomials at
 rational points, Schur characters from the tableau definition of s_alpha,
 which shares no Schur identity with the oracle, the tableau count of the
@@ -44,7 +47,16 @@ from logchern.mukai import MukaiVector
 from logchern.oracle import exp_roots, oracle_schur_total, root_ring
 from logchern.report import Claim, _equality_check, schur_factor
 from logchern.ring import rat
-from logchern.symfunc import Partition, power_sum_poly, schur_in_roots, sym_to_power_sums, weyl_dim
+from logchern.symfunc import (
+    Partition,
+    binomial,
+    enumerate_partitions,
+    power_sum_poly,
+    schur_in_roots,
+    stirling2,
+    sym_to_power_sums,
+    weyl_dim,
+)
 
 
 def reference_product(a, b):
@@ -268,6 +280,32 @@ def substitute_by_products(p, target, images):
             term = term * cache[e]
         result = result + term
     return result
+
+
+def power_sum_character_by_generators(d, rank, D):
+    """psi^d E as rank + sum_k d^k e_k, summed from scaled generators."""
+    ring = ch_ring(D)
+    gens = (ring.gen(f"e{k}").scale(d**k) for k in range(1, D + 1))
+    return sum(gens, ring.scalar(rank))
+
+
+def sym_power_by_double_sum(m, r, D):
+    """ch(S^m E) from the double sum of ``sym_power_ch``, every partition, beta,
+    factorial and Stirling number enumerated afresh."""
+    terms = {(0,) * D: binomial(m + r - 1, m)}
+    for size in range(1, D + 1):
+        for alpha in enumerate_partitions(size, size):
+            norm = prod(factorial(len(list(group))) for _, group in itertools.groupby(alpha))
+            coeff = 0
+            for beta in itertools.product(*(range(1, p + 1) for p in alpha)):
+                coeff += binomial(m + r - 1, m - sum(beta)) * prod(
+                    factorial(bi - 1) * stirling2(ai, bi) for ai, bi in zip(alpha, beta)
+                )
+            exps = [0] * D
+            for part in alpha:
+                exps[part - 1] += 1
+            terms[tuple(exps)] = Fraction(coeff, norm)
+    return ch_ring(D).from_terms(terms)
 
 
 def _fraction_table(rank, r, rows):
