@@ -122,6 +122,8 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
     multiplicities and S is the Stirling number of the second kind.  The
     empty partition contributes the rank C(m+r-1, m).
     """
+    if r < 1:
+        raise ValueError("rank must be a positive integer")
     if m < 0:
         raise ValueError("m must be non-negative")
     ring = ch_ring(D)

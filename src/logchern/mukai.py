@@ -8,6 +8,10 @@ r_a, ch_1 and ch_2 are the Schur table's rows (``schur_ch3`` through degree
 
     e1 -> c*H,   e1^2 -> 2d c^2,   e2 -> s - r.
 
+At r = 1 the table has no e2 term, so s cannot enter: a rank-1 bundle is a
+line bundle L with c_1(L) = c*H, whose vector is (1, c, c^2 d + 1), and
+``mukai_schur`` refuses any other s there.
+
 A ``MukaiVector`` is the namedtuple (r, c, s, d), with s a Fraction: immutable
 by type, and equal to (and hashed as) the plain tuple of its four fields.
 """
@@ -43,6 +47,8 @@ class MukaiVector(namedtuple("MukaiVector", "r c s d")):
 
 def mukai_schur(v: MukaiVector, alpha) -> MukaiVector:
     """Mukai vector of S^alpha E from v(E), read off the Schur table's ch_1, ch_2."""
+    if v.r == 1 and v.s != v.c**2 * v.d + 1:
+        raise ValueError("a rank-1 Mukai vector (1, c, s) is a line bundle's: s must be c^2 d + 1")
     ch = schur_ch3(alpha, v.r, 2)
     ra = int(ch.constant())
     s_new = (

@@ -1,10 +1,17 @@
-"""Every benchmark op prints exactly its recorded output.
+"""The one table of pinned outputs: every pinned command prints exactly its file.
 
-``perfbench/run.py`` counts an op as failed when its stdout differs from its
-file in ``perfbench/expected`` (or ``tests/golden``).  This test runs the same
-ops through ``cli.main`` in-process, so a text drift fails the test suite
-too, not only the benchmark.  The ops are read from the ``WORKLOADS`` table
-of ``run.py``, which is parsed, never imported.
+Each file in ``tests/golden`` and ``perfbench/expected`` is the recorded
+stdout of one command, and each is compared with that command's stdout here,
+through ``cli.main`` in-process, by exactly one case.  Most cases are the ops
+of the benchmark: ``perfbench/run.py`` counts an op as failed when its stdout
+differs from its file, and its ``WORKLOADS`` table is parsed here, never
+imported, so a text drift fails the test suite too, not only the benchmark.
+The rest are the pinned commands the benchmark does not run.
+
+The table imports ``logchern`` from wherever the interpreter finds it, so it
+also checks an installed package when run from outside the checkout:
+
+    cd /tmp && python3 -m pytest <checkout>/tests/test_benchmark_outputs.py
 """
 
 import ast
@@ -37,11 +44,30 @@ def benchmark_ops():
     return ops
 
 
+def _pin(name, args, golden):
+    return pytest.param(args.split(), GOLDEN / golden, id=name)
+
+
+PINS = benchmark_ops() + [
+    # many-row partitions, whose Giambelli determinant is only as large as the Durfee square
+    _pin("delta-14-rows", "delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5", "delta_14_rows.txt"),
+    _pin("delta-12-rows", "delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", "delta_12_rows.txt"),
+    # the JSON of the claim table, with the whitelist's flags
+    _pin("verify-r2-s2-json", "verify --max-rank 2 --max-size 2 --format json", "verify_r2_s2.json"),
+]
+
+
 def test_the_workloads_are_found():
     assert len(benchmark_ops()) == 12
 
 
-@pytest.mark.parametrize("argv, expected", benchmark_ops())
+def test_every_pinned_file_is_read_by_exactly_one_case():
+    pinned = sorted([*GOLDEN.iterdir(), *EXPECTED.iterdir()])
+    assert len(pinned) == 15
+    assert sorted(pin.values[1] for pin in PINS) == pinned
+
+
+@pytest.mark.parametrize("argv, expected", PINS)
 def test_op_prints_its_expected_output(capsys, argv, expected):
     code = main(argv)
     out = capsys.readouterr().out

@@ -197,6 +197,11 @@ class TestSymPowerSum:
             for r in (2, 3, 4):
                 assert sym_power_ch(m, r, 2).constant() == weyl_dim((m,), r)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_refuses_a_rank_below_one(self, r):
+        with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+            sym_power_ch(2, r, 3)
+
 
 class TestTables:
     def test_ext_n_one_is_base(self):
