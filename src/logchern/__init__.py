@@ -7,6 +7,7 @@ arithmetic, and cross-checks one against the other.
 """
 
 from logchern.characters import (
+    adams,
     base_bundle,
     chern_classes,
     d_k,
@@ -18,7 +19,6 @@ from logchern.characters import (
     log_character,
     modified_delta,
     normal_form,
-    power_sum_character,
 )
 from logchern.formulas import (
     closed_ch,
@@ -31,7 +31,7 @@ from logchern.formulas import (
     sym_power_ch,
 )
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
-from logchern.oracle import oracle_schur_ch
+from logchern.oracle import oracle_schur_ch, schur_of
 from logchern.report import (
     sweep,
     verify_delta4_proportionality,
@@ -51,6 +51,7 @@ __all__ = [
     "MukaiVector",
     "Partition",
     "PolyRing",
+    "adams",
     "base_bundle",
     "chern_classes",
     "closed_ch",
@@ -72,9 +73,9 @@ __all__ = [
     "mukai_schur",
     "normal_form",
     "oracle_schur_ch",
-    "power_sum_character",
     "proportion",
     "schur_ch3",
+    "schur_of",
     "stirling2",
     "sym_power_ch",
     "sweep",

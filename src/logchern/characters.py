@@ -8,8 +8,10 @@ truncation.  The characters of a direct sum and of a product of bundles
 are ``+`` and ``*``, and a Q-multiple is ``scale``.  By default the
 coefficients are the free symbols e1..eD, where e_k stands for ch_k of an
 underlying bundle; the root-ring witness in the tests also builds
-characters over Chern-root rings.  Above the rank, ``normal_form`` picks
-the canonical representative on the generic rank-r bundle.
+characters over Chern-root rings.  The Adams operation ``adams`` is the
+graded scaling ch_k -> j^k ch_k of any character.  Above the rank,
+``normal_form`` picks the canonical representative on the generic rank-r
+bundle.
 
 Discriminants come from the logarithm of the normalized total character:
 
@@ -38,15 +40,21 @@ def ch_ring(D: int) -> PolyRing:
 
 def base_bundle(rank, D: int) -> GradedPoly:
     """The generic bundle E: ch_k is the free symbol e_k."""
-    return power_sum_character(1, rank, D)
-
-
-def power_sum_character(d: int, rank, D: int) -> GradedPoly:
-    """Virtual character with ch_k = d^k * e_k and the given rank."""
     terms = {(0,) * D: rank}
     for k in range(1, D + 1):
-        terms[(0,) * (k - 1) + (1,) + (0,) * (D - k)] = d**k
+        terms[(0,) * (k - 1) + (1,) + (0,) * (D - k)] = 1
     return ch_ring(D).from_terms(terms)
+
+
+def adams(a: GradedPoly, j: int) -> GradedPoly:
+    """The Adams operation psi^j on any character: ch_k -> j^k ch_k.
+
+    On Chern roots it multiplies each root by j, so ch(psi^j A) is the j-th
+    power sum of the exponentiated roots; the rank is kept, and psi^0 A is
+    the rank alone.
+    """
+    wdeg = a.ring.wdeg
+    return a.ring.from_terms({exps: c * j ** wdeg(exps) for exps, c in a.items()})
 
 
 def log_character(a: GradedPoly) -> GradedPoly:

@@ -32,7 +32,7 @@ class MukaiVector(namedtuple("MukaiVector", "r c s d")):
     __slots__ = ()
 
     def __new__(cls, r: int, c: int, s: Fraction, d: int):
-        if not all(isinstance(x, int) for x in (r, c, d)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (r, c, d)):
             raise ValueError(f"Mukai vector r, c and d must be integers: {(r, c, d)}")
         if r <= 0:
             raise ValueError("rank must be positive")

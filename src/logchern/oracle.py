@@ -1,34 +1,25 @@
 """Splitting-principle oracle: the single source of truth.
 
-A Schur functor of the generic rank-r bundle has total character
-s_alpha(exp a_1, ..., exp a_r) -- no formula involved beyond the definition.
-Its power sums are the Adams operations, p_j(exp a) = ch(psi^j E) =
-r + sum_k j^k ch_k(E), so Newton's identities and Giambelli's determinant
-give s_alpha directly over e1..eD, in a ring whose size depends on D only.
-Each p_j is ``characters.power_sum_character(j, r, D)``, the character of
-psi^j E, in normal form, so s_alpha is in normal form too (``normal_form``
-is a ring map fixing e1..er) and equality above the rank is plain ``==``.
-Like every character in the package, the result is one ``GradedPoly``, the
-total ch_0 + ... + ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with
-its rank checked against the Weyl dimension.  ``report`` verifies the closed
+A Schur functor of a bundle A with Chern roots a_i has total character
+s_alpha(exp a_1, exp a_2, ...) -- no formula involved beyond the definition.
+Its power sums are the Adams operations ch(psi^j A), the graded scaling
+``characters.adams``, so ``schur_of`` evaluates s_alpha on them with
+``symfunc.PowerSumSchur``, for any character.  ``oracle_schur_total`` is
+``schur_of`` on the generic rank-r bundle, which is in normal form;
+``normal_form`` is a graded ring map fixing e1..er, so the result is in
+normal form too, and equality above the rank is plain ``==``.  Like every
+character in the package, the result is one ``GradedPoly``, the total
+ch_0 + ... + ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with its
+rank checked against the Weyl dimension.  ``report`` verifies the closed
 formulas against these values, and nothing is compared with a tolerance.
 This module imports no closed formula: from the package it reads only
 ``characters``, ``ring`` and ``symfunc``, so nothing it computes can agree
 with a formula by calling it.
 
-The Adams power sums and their Newton families depend only on (r, D), so
-they are computed once per process and shared by every partition:
-``_adams_power_sum`` per (r, D, j) and ``_adams_family`` per (r, D, h or e
-family, top index), each family extending the next shorter one by one entry.
-Sharing them cannot change an answer: each table is an lru_cache of
-a pure function keyed on all of its inputs, and its values are
-``GradedPoly``s (or tuples of them), which nothing mutates.  Only
-Giambelli's determinant runs per partition, and it too shares its work:
-``_adams_minors``, an lru_cache like the others, holds one dict per (r, D)
-in which ``symfunc.giambelli`` keeps every hook and minor it expands, keyed
-by the arms and legs the minor reads, so partitions with the same leading
-arms expand those minors once.  The dict only gains entries, each the one
-value any evaluation on those families computes.
+``schur_of`` keeps one ``PowerSumSchur`` per character, so every partition
+evaluated on a character shares its Adams power sums, Newton families and
+Giambelli minors.  Sharing cannot change an answer: each table only gains
+entries, each the one value any evaluation computes.
 
 ``root_ring``, ``exp_roots``, ``base_in_roots`` and ``char_to_roots`` build
 the same objects in the ring of r Chern roots.  They are the independent
@@ -40,59 +31,38 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from logchern.characters import ch_ring, normal_form, power_sum_character
+from logchern.characters import adams, generic_bundle
 from logchern.ring import GradedPoly, PolyRing, root_generators
-from logchern.symfunc import (
-    Partition,
-    giambelli,
-    newton_next,
-    power_sum_poly,
-    weyl_dim,
-)
+from logchern.symfunc import Partition, PowerSumSchur, power_sum_poly, weyl_dim
 
 
-@lru_cache(maxsize=None)
-def _adams_power_sum(r: int, D: int, j: int) -> GradedPoly:
-    """p_j = ch(psi^j E) = r + sum_k j^k e_k, in normal form on the generic rank-r bundle."""
-    return normal_form(power_sum_character(j, r, D), r)
+@lru_cache(maxsize=64)  # bounded: any character can be a key
+def _schur_evaluator(a: GradedPoly) -> PowerSumSchur:
+    """s_alpha on the Adams power sums psi^j a, for every alpha, sharing one set of tables."""
+    return PowerSumSchur(lambda j: adams(a, j))
 
 
-@lru_cache(maxsize=None)
-def _adams_family(r: int, D: int, dual: bool, n: int) -> tuple[GradedPoly, ...]:
-    """h_0..h_n (e_0..e_n when ``dual``) of the Adams power sums of ``_adams_power_sum``.
+def schur_of(alpha, a: GradedPoly) -> GradedPoly:
+    """ch(S^alpha A) for the character a of any bundle A: s_alpha on its Adams power sums.
 
-    Entry k reads p_0..p_k only, so each family is the one a step shorter
-    plus one entry.
+    The result lives in a's ring.  When a is a bundle's character in normal
+    form, it is 0 for a partition with more parts than the rank, as s_alpha
+    of that many roots is.
     """
-    if n == 0:
-        return (ch_ring(D).one(),)
-    head = _adams_family(r, D, dual, n - 1)
-    power_sums = [_adams_power_sum(r, D, j) for j in range(n + 1)]
-    return head + (newton_next(power_sums, head, dual),)
-
-
-@lru_cache(maxsize=None)
-def _adams_minors(r: int, D: int) -> dict:
-    """The hooks and Giambelli minors on the (r, D) Adams families, filled by ``giambelli``."""
-    return {}
+    return _schur_evaluator(a)(alpha)
 
 
 def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
     """Total character of S^alpha E over e1..eD, in normal form.
 
-    s_alpha evaluated on the power sums p_j = ch(psi^j E) of the generic
-    rank-r bundle: Giambelli's determinant on their shared Newton families,
-    with the minors shared by every partition at (r, D).
+    ``schur_of`` on the generic rank-r bundle.
     """
     alpha = Partition(alpha)
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if len(alpha) > r:
         raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
-    if not alpha:
-        return ch_ring(D).one()
-    h = _adams_family(r, D, False, alpha[0] + len(alpha) - 1)
-    return giambelli(alpha, h, _adams_family(r, D, True, len(alpha) - 1), _adams_minors(r, D))
+    return schur_of(alpha, generic_bundle(r, D))
 
 
 def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:

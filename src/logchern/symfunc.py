@@ -2,15 +2,9 @@
 
 This is the combinatorial substrate shared by the closed formulas and the
 oracle: partition enumeration, Stirling numbers, the Weyl dimension product,
-Newton's identities and Schur evaluation through Giambelli's determinant on
-a list of power sums.  That evaluation is two steps: the family step
-(``newton_family``: h_k, and e_k through omega) and the determinant step
+and ``PowerSumSchur``, the one Schur evaluator on a sequence of power sums:
+Newton's identities (``newton_next``) feed Giambelli's determinant
 (``giambelli``, over the Durfee square, with Pieri's rule for its hooks).
-The families depend only on the power sums, not on the partition, so the
-oracle computes them once per bundle and runs only the determinant step per
-partition.  The determinant step keeps its hooks and minors in a dict keyed
-by the arms and legs they read, so partitions that share their leading arms
-share those minors when the caller passes the same dict.
 
 The evaluation at explicit roots (``schur_in_roots``) and the change of basis
 from symmetric polynomials in degree-1 roots to power sums
@@ -19,9 +13,10 @@ oracle against them, and no production path calls them.
 
 It parses no text: the command line reads partitions in ``logchern.cli``.
 
-All functions are pure; the memo tables (Stirling numbers, power-sum
-expansion data) sit behind lru_cache, keyed on every input, so concurrent use
-is safe and deterministic.
+The functions are pure and their memo tables (Stirling numbers, power-sum
+expansion data) sit behind lru_cache, keyed on every input; a
+``PowerSumSchur`` only grows its tables, so concurrent use is safe and
+deterministic.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ class Partition(tuple):
         if type(parts) is cls:
             return parts  # checked when it was built, and immutable since
         parts = tuple(parts)
-        if not all(isinstance(p, int) for p in parts):
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
             raise ValueError(f"partition parts must be integers: {parts}")
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be non-negative")
@@ -157,18 +152,7 @@ def newton_next(power_sums, fam, dual: bool = False) -> GradedPoly:
     return acc / k
 
 
-def newton_family(power_sums, dual: bool = False) -> list[GradedPoly]:
-    """h_0..h_n (e_0..e_n when ``dual``) from p_0..p_n by Newton's identities.
-
-    The family step of the Schur evaluation; p_0 only fixes the ring.
-    """
-    fam = [power_sums[0].ring.one()]
-    while len(fam) < len(power_sums):
-        fam.append(newton_next(power_sums, fam, dual))
-    return fam
-
-
-def giambelli(alpha, h, e, minors=None) -> GradedPoly:
+def giambelli(alpha, h, e, minors: dict) -> GradedPoly:
     """s_alpha = det( s_(a_i|b_j) ) over the d x d Durfee square: the determinant step.
 
     a_i = alpha_i - i and b_j = alpha'_j - j are alpha's Frobenius
@@ -178,15 +162,13 @@ def giambelli(alpha, h, e, minors=None) -> GradedPoly:
     Expanded along the last row.  The minor on the first k arms and a set of
     legs reads only those, so it is stored in ``minors`` under the key
     (arms[:k], legs), and a hook is its own 1x1 minor; one ``minors`` dict
-    may serve every call on the same h and e, in any order.  Without one, a
-    fresh dict is used.  A zero minor contributes no term.
+    may serve every call on the same h and e, in any order.  A zero minor
+    contributes no term.
     """
     alpha = Partition(alpha)
     d = sum(1 for i, p in enumerate(alpha) if p > i)
     arms = tuple(alpha[i] - i - 1 for i in range(d))
     legs = tuple(sum(1 for p in alpha if p > j) - j - 1 for j in range(d))
-    if minors is None:
-        minors = {}
 
     def hook(a: int, b: int) -> GradedPoly:
         if b == 0:
@@ -219,27 +201,45 @@ def giambelli(alpha, h, e, minors=None) -> GradedPoly:
     return minor(d, legs) if d else h[0].ring.one()
 
 
-def schur_from_power_sums(alpha, power_sums) -> GradedPoly:
-    """Schur polynomial s_alpha from its power sums p_0..p_n (Giambelli).
+class PowerSumSchur:
+    """s_alpha, for any alpha, on one sequence of power sums p_j = ``power_sum(j)``.
 
-    The family step (``newton_family`` of p for h, and of omega(p) for e)
-    followed by the determinant step (``giambelli``).  n = |alpha| always
-    suffices.
+    It runs ``giambelli`` on the Newton families h and e (``newton_next``),
+    growing on demand three tables that every partition evaluated on the
+    object shares: p, the families and Giambelli's minors.  p_0 fixes the
+    ring.  A sequence is a tuple replaced whole when it grows, so threads
+    sharing an object at most recompute an entry.
     """
-    alpha = Partition(alpha)
-    ell = len(alpha)
-    top = alpha[0] + ell - 1 if alpha else 0
-    if len(power_sums) <= top:
-        raise ValueError(f"s_{tuple(alpha)} needs power sums up to p_{top}")
-    h = newton_family(power_sums[: top + 1])
-    return giambelli(alpha, h, newton_family(power_sums[: max(ell, 1)], dual=True))
+
+    def __init__(self, power_sum):
+        self._power_sum = power_sum
+        self._p = (power_sum(0),)
+        one = self._p[0].ring.one()
+        self._families = {False: (one,), True: (one,)}
+        self._minors = {}
+
+    def _family(self, dual: bool, n: int) -> tuple[GradedPoly, ...]:
+        """h_0, h_1, ... through at least h_n (the e's when ``dual``); p grows as they read it."""
+        fam = self._families[dual]
+        while len(fam) <= n:
+            p = self._p
+            while len(p) <= len(fam):
+                p = self._p = p + (self._power_sum(len(p)),)
+            fam = self._families[dual] = fam + (newton_next(p, fam, dual),)
+        return fam
+
+    def __call__(self, alpha) -> GradedPoly:
+        alpha = Partition(alpha)
+        ell = len(alpha)
+        h = self._family(False, alpha[0] + ell - 1 if alpha else 0)
+        return giambelli(alpha, h, self._family(True, ell - 1), self._minors)
 
 
 def schur_in_roots(alpha, r: int, values) -> GradedPoly:
-    """Schur polynomial s_alpha at the given r values (Giambelli).
+    """Schur polynomial s_alpha at the given r values.
 
-    The root-ring witness: the oracle evaluates the same determinant on the
-    Adams power sums over e1..eD, and tests compare the two.
+    The root-ring witness: the oracle runs the same evaluator on the Adams
+    power sums over e1..eD, and tests compare the two.
     """
     alpha = Partition(alpha)
     if len(values) != r:
@@ -247,7 +247,7 @@ def schur_in_roots(alpha, r: int, values) -> GradedPoly:
     _check_values(values)
     if len(alpha) > r:
         raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
-    return schur_from_power_sums(alpha, [power_sum_poly(k, values) for k in range(alpha.size + 1)])
+    return PowerSumSchur(lambda k: power_sum_poly(k, values))(alpha)
 
 
 # -- power-sum basis conversion ---------------------------------------------

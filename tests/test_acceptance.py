@@ -15,6 +15,7 @@ import pytest
 
 from logchern import sweep, verify_delta4_proportionality, verify_nonproportional_hook
 from logchern.characters import (
+    adams,
     base_bundle,
     ch_ring,
     d_k,
@@ -23,7 +24,6 @@ from logchern.characters import (
     generic_bundle,
     log_character,
     modified_delta,
-    power_sum_character,
 )
 from logchern.formulas import hc_shift_check, sym_power_ch
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
@@ -228,7 +228,7 @@ def test_criterion_10_weak_additivity_and_power_sum_law():
     def p_alpha(alpha, r, D):
         acc = None
         for part in alpha:
-            chpart = power_sum_character(part, r, D)
+            chpart = adams(base_bundle(r, D), part)
             acc = chpart if acc is None else acc * chpart
         return acc
 

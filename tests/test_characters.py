@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logchern.characters import (
+    adams,
     base_bundle,
     ch_ring,
     chern_classes,
@@ -16,11 +17,11 @@ from logchern.characters import (
     from_chern_classes,
     log_character,
     modified_delta,
-    power_sum_character,
 )
 from logchern.cli import _character_json
-from logchern.oracle import base_in_roots
+from logchern.oracle import base_in_roots, exp_roots, root_ring
 from logchern.ring import PolyRing, graded_generators
+from logchern.symfunc import power_sum_poly
 from witness import delta4t_by_products, discriminants_by_fractions, power_sum_character_by_generators
 
 
@@ -409,30 +410,49 @@ class TestLowRankVanishing:
 
 class TestPowerSumCharacters:
     def test_d1_is_base(self):
-        assert power_sum_character(1, 3, 3) == base_bundle(3, 3)
+        assert adams(base_bundle(3, 3), 1) == base_bundle(3, 3)
 
     def test_rank_untouched(self):
         for d in (1, 2, 5):
-            assert power_sum_character(d, 4, 2).constant() == 4
+            assert adams(base_bundle(4, 2), d).constant() == 4
 
     def test_d2_scaling_law(self):
         v = base_bundle(3, 2)
-        p2 = power_sum_character(2, 3, 2)
+        p2 = adams(v, 2)
         assert d_k(p2, 2) == d_k(v, 2).scale(4)
 
     def test_equals_the_sum_of_scaled_generators(self):
         for D in range(1, 7):
             for r in range(1, 17):
                 for d in range(12):
-                    assert power_sum_character(d, r, D) == power_sum_character_by_generators(d, r, D)
+                    assert adams(base_bundle(r, D), d) == power_sum_character_by_generators(d, r, D)
         rank = Fraction(-5, 3)
-        assert power_sum_character(3, rank, 4) == power_sum_character_by_generators(3, rank, 4)
+        assert adams(base_bundle(rank, 4), 3) == power_sum_character_by_generators(3, rank, 4)
+
+    def test_is_the_power_sum_of_the_exponentiated_roots(self):
+        # psi^j (sum_i exp a_i) = sum_i exp(j a_i), in the ring of Chern roots
+        for r, D in ((1, 4), (3, 3), (4, 5)):
+            roots = exp_roots(root_ring(r, D))
+            for j in range(6):
+                assert adams(base_in_roots(r, D), j) == power_sum_poly(j, roots)
+
+    def test_is_a_ring_map_on_any_character(self):
+        # psi^i is additive and multiplicative, and psi^j psi^i = psi^(ij)
+        rng = random.Random(36)
+        ring = ch_ring(5)
+        for _ in range(6):
+            a, b = random_character(ring, rng), random_character(ring, rng)
+            for i in range(-2, 4):
+                assert adams(a + b, i) == adams(a, i) + adams(b, i)
+                assert adams(a * b, i) == adams(a, i) * adams(b, i)
+                for j in range(-2, 4):
+                    assert adams(adams(a, i), j) == adams(a, i * j)
 
     def test_power_sum_law_all_k(self):
         r = 3
         v = base_bundle(r, 5)
         for ell in range(1, 6):
-            p = power_sum_character(ell, r, 5)
+            p = adams(v, ell)
             for k in range(1, 6):
                 lhs = d_k(p, k) / p.constant()
                 rhs = (d_k(v, k) / v.constant()).scale(ell**k)
@@ -476,7 +496,7 @@ class TestWeakAdditivity:
     def p_alpha(alpha, r, D):
         acc = None
         for part in alpha:
-            ch = power_sum_character(part, r, D)
+            ch = adams(base_bundle(r, D), part)
             acc = ch if acc is None else acc * ch
         return acc
 
@@ -507,7 +527,7 @@ class TestWeakAdditivity:
     def test_unequal_degree_fails(self):
         # the counterexample again, through the P-construction machinery
         v = base_bundle(2, 3)
-        p2 = power_sum_character(2, 2, 3)
+        p2 = adams(v, 2)
         v2 = v * v
         s2 = (v2 + p2).scale(Fraction(1, 2))
         assert d_k(v + s2, 2) != d_k(v, 2) + d_k(s2, 2)

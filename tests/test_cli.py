@@ -35,20 +35,7 @@ def lowest_rank(command):
     return dict(ranged_options(command))["--rank"][0]
 
 
-def check_golden(name, text):
-    path = GOLDEN / name
-    assert text == path.read_text(), f"output drifted from {name}"
-
-
 class TestCh:
-    def test_both_matching_golden(self, capsys):
-        code, out = run(
-            capsys, "ch", "--rank", "2", "--partition", "2",
-            "--max-degree", "2", "--method", "both",
-        )
-        assert code == 0
-        check_golden("ch_sym2_rank2.txt", out)
-
     def test_determinant_rank_one(self, capsys):
         code, out = run(
             capsys, "ch", "--rank", "3", "--partition", "1,1,1",
@@ -142,11 +129,6 @@ class TestCh:
 
 
 class TestDelta:
-    def test_sym_square_factor_golden(self, capsys):
-        code, out = run(capsys, "delta", "--rank", "2", "--partition", "2", "--k", "2")
-        assert code == 0
-        check_golden("delta_sym2_rank2.txt", out)
-
     def test_wedge_factor(self, capsys):
         code, out = run(capsys, "delta", "--rank", "4", "--partition", "1,1", "--k", "2")
         assert code == 0
@@ -160,41 +142,8 @@ class TestVerify:
         assert "sweep: 3 cases, 3 passed, 0 failed" in out
         assert "typo-suspected, whitelisted" in out
 
-    def test_json_schema(self, capsys):
-        code, out = run(
-            capsys, "verify", "--max-rank", "2", "--max-size", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert list(data) == ["cases", "passed", "failed", "discrepancies"]
-        assert data["cases"] == 3
-        assert data["failed"] == 0
-        assert data["discrepancies"]
-        for row in data["discrepancies"]:
-            assert list(row) == [
-                "claim",
-                "paper_location",
-                "printed_value",
-                "measured_value",
-                "status",
-            ]
-            assert row["status"] in ("confirmed", "typo-suspected")
-
-    def test_json_golden(self, capsys):
-        code, out = run(
-            capsys, "verify", "--max-rank", "2", "--max-size", "2", "--format", "json"
-        )
-        assert code == 0
-        assert out.encode() == (GOLDEN / "verify_r2_s2.json").read_bytes()
-
 
 class TestOthers:
-    def test_lowrank_vanishes(self, capsys):
-        code, out = run(capsys, "lowrank", "--k", "4", "--rank", "3")
-        assert code == 0
-        assert out == "modified Delta_4 at rank 3: vanishes identically\n"
-
     def test_lowrank_nonzero_at_rank_equal_k(self, capsys):
         code, out = run(capsys, "lowrank", "--k", "4", "--rank", "4")
         assert code == 0
@@ -202,13 +151,6 @@ class TestOthers:
 
     def test_lowrank_rejects_other_k(self):
         assert main(["lowrank", "--k", "3", "--rank", "2"]) == 2
-
-    def test_mukai_golden(self, capsys):
-        code, out = run(
-            capsys, "mukai", "--v", "2,1,2", "--d", "3", "--partition", "2"
-        )
-        assert code == 0
-        check_golden("mukai_sym2_d3.txt", out)
 
     def test_mukai_primitive_case(self, capsys):
         code, out = run(
@@ -220,12 +162,6 @@ class TestOthers:
     def test_mukai_parse_error(self, capsys):
         code = main(["mukai", "--v", "2;1;2", "--d", "3", "--partition", "2"])
         assert code == 2
-
-    def test_delta4_output(self, capsys):
-        code, out = run(capsys, "delta4", "--rank", "3", "--m", "2")
-        assert code == 0
-        assert "proportional: yes, ratio 88" in out
-        assert "88/3" in out
 
     def test_hc_check(self, capsys):
         code, out = run(capsys, "hc-check", "--k", "2", "--rank", "2")

@@ -1,11 +1,12 @@
 """The library's public surface, and the oracle's independence.
 
-Every public module-level function and class in ``src/logchern`` must be
-referenced somewhere in the package outside its own definition; a helper
-that only the tests call belongs in ``tests/``.  Imports and ``__all__``
-entries are not references.  The functions the benchmark's tracer wraps
-(``TRACED`` in ``perfbench/trace_op.py``) are exempt: the root-ring witness
-is test-only, but the benchmark looks it up by name.  The sources are
+Every module-level function and class in ``src/logchern``, public or
+underscore-prefixed, must be referenced somewhere in the package outside its
+own definition; a helper that only the tests call belongs in ``tests/``.
+Imports and ``__all__`` entries are not references.  The public functions
+the benchmark's tracer wraps (``TRACED`` in ``perfbench/trace_op.py``) are
+exempt: the root-ring witness is test-only, but the benchmark looks it up by
+name.  The sources are
 parsed, never imported, except to check ``__all__`` against the package.
 
 The oracle is the side of every ``verify`` check that knows only the
@@ -23,14 +24,14 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unreferenced_definitions():
-    """``<module>.<name>`` of each public definition nothing else refers to."""
+    """``<module>.<name>`` of each definition nothing else refers to."""
     defined = []
     # name -> {(module, enclosing top-level definition or None)} that refer to it
     uses = {}
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = top.name if isinstance(top, DEFINITIONS) else None
-            if owner and not owner.startswith("_"):
+            if owner:
                 defined.append((path.stem, owner))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
@@ -46,8 +47,17 @@ def unreferenced_definitions():
 
 def test_every_public_definition_is_used_by_the_library():
     exempt = set(traced_names())
-    unused = [q for q in unreferenced_definitions() if q not in exempt]
+    unused = [q for q in unreferenced_definitions() if not _is_private(q) and q not in exempt]
     assert unused == [], f"public but unused by the library: {unused}"
+
+
+def test_every_private_definition_is_used_by_the_library():
+    unused = [q for q in unreferenced_definitions() if _is_private(q)]
+    assert unused == [], f"private but unused by the library: {unused}"
+
+
+def _is_private(qualname):
+    return qualname.partition(".")[2].startswith("_")
 
 
 def test_all_is_what_a_star_import_binds():

@@ -106,6 +106,14 @@ class TestPrimitivity:
             mukai_schur(MukaiVector(*fields), (2,))
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("field", [0, 1, 3])
+    def test_refuses_a_bool_field(self, field):
+        # bool is an int subclass, but True is no rank, degree or multiple of H
+        fields = [2, 1, 2, 3]
+        fields[field] = True
+        with pytest.raises(ValueError, match="^Mukai vector r, c and d must be integers: "):
+            MukaiVector(*fields)
+
     def test_bad_inputs(self):
         for r, d in ((0, 1), (-2, 1), (2, 0), (2, -3)):
             with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,25 +9,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logchern.characters import (
+    adams,
     base_bundle,
     ch_ring,
     d_k,
+    delta_k,
     discriminants,
     generic_bundle,
     normal_form,
-    power_sum_character,
 )
 from logchern.cli import main
 from logchern.formulas import schur_ch3
 from logchern.mukai import MukaiVector
 from logchern.oracle import (
-    _adams_power_sum,
     base_in_roots,
     char_to_roots,
     exp_roots,
     oracle_schur_ch,
     oracle_schur_total,
     root_ring,
+    schur_of,
 )
 from logchern.report import (
     Claim,
@@ -34,6 +36,7 @@ from logchern.report import (
     VerificationRecord,
     _equality_check,
     _over_e,
+    schur_factor,
     sweep,
     verify_delta4_proportionality,
     verify_nonproportional_hook,
@@ -43,13 +46,16 @@ from logchern.ring import GradedPoly, proportion
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
+    PowerSumSchur,
     power_sum_poly,
-    schur_from_power_sums,
     weyl_dim,
 )
 from witness import (
+    conjugate,
+    horizontal_strips,
     over_e_from_terms,
     plain_delta4_witnesses,
+    power_sum_character_by_generators,
     roots_to_ch_basis,
     ssyt_count,
     tableau_schur_total,
@@ -715,6 +721,100 @@ class TestSchurCoefficientMutations:
         assert report["failed"] == report["cases"] > 0
 
 
+def _schur_or_zero(nu, r, D):
+    """ch(S^nu E) of the generic rank-r bundle, which is 0 when nu has more than r parts."""
+    return oracle_schur_total(nu, r, D) if len(nu) <= r else ch_ring(D).zero()
+
+
+class TestLambdaRingWitnesses:
+    """Identities between the characters of different partitions.
+
+    A wrong sign in Newton's identities or Giambelli's determinant would have
+    to respect the whole lambda-ring structure to pass them (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, ch. I, Sec. 5 and Sec. 8).
+    """
+
+    @pytest.mark.parametrize("vertical", [False, True], ids=["horizontal", "vertical"])
+    def test_pieri(self, vertical):
+        # ch(S^alpha E) ch(S^k E) is the sum of ch(S^nu E) over the horizontal
+        # k-strips nu/alpha, and ch(S^alpha E) ch(Lambda^k E) the sum over the
+        # vertical ones, every nu with more than r rows counting 0
+        D = 3
+        checks = 0
+        for r in range(1, 9):
+            for alpha in (a for n in range(7) for a in enumerate_partitions(n, r)):
+                for k in range(1, 4):
+                    if vertical:
+                        factor = _schur_or_zero((1,) * k, r, D)
+                        nus = [conjugate(nu) for nu in horizontal_strips(conjugate(alpha), k)]
+                    else:
+                        factor = oracle_schur_total((k,), r, D)
+                        nus = horizontal_strips(alpha, k)
+                    rhs = sum((_schur_or_zero(nu, r, D) for nu in nus), ch_ring(D).zero())
+                    assert oracle_schur_total(alpha, r, D) * factor == rhs, (alpha, k, r)
+                    checks += 1
+        assert checks == 576
+
+    @pytest.mark.parametrize(
+        "outer, inner, nus",
+        [
+            ((2,), (2,), [(4,), (2, 2)]),
+            ((1, 1), (2,), [(3, 1)]),
+            ((2,), (1, 1), [(2, 2), (1, 1, 1, 1)]),
+            ((3,), (2,), [(6,), (4, 2), (2, 2, 2)]),
+        ],
+        ids=["h2[h2]", "e2[h2]", "h2[e2]", "h3[h2]"],
+    )
+    def test_plethysm(self, outer, inner, nus):
+        # S^outer(S^inner E) is the sum of S^nu E, every nu with more than r rows counting 0
+        for r in range(1, 7):
+            for D in (3, 5):
+                got = schur_of(outer, _schur_or_zero(inner, r, D))
+                assert got == sum((_schur_or_zero(nu, r, D) for nu in nus), ch_ring(D).zero()), (r, D)
+
+    def test_composite_functors(self):
+        # S^alpha(S^beta E) with n = dim S^beta E: its rank is dim_n(alpha), it
+        # is 0 when alpha has more than n rows, and its Delta_2 and Delta_3
+        # factors are the products of alpha's factor at rank n and beta's at
+        # rank r.  Where a Delta_3 class vanishes (every class at r = 2, and
+        # alpha's at n = 2) there is no factor, and the composite's class vanishes
+        D = 3
+        alphas = [a for m in range(1, 4) for a in enumerate_partitions(m, m)]
+        counts = Counter()
+        for r in range(2, 6):
+            base = generic_bundle(r, D)
+            for beta in (b for m in range(1, 4) for b in enumerate_partitions(m, r)):
+                inner, n = oracle_schur_total(beta, r, D), weyl_dim(beta, r)
+                for alpha in alphas:
+                    got = schur_of(alpha, inner)
+                    if len(alpha) > n:
+                        assert got == 0, (alpha, beta, r)
+                        counts["vanishes"] += 1
+                        continue
+                    assert got.constant() == weyl_dim(alpha, n)
+                    counts["rank"] += 1
+                    if n == 1:
+                        continue  # a line bundle, whose Delta_k vanish for k >= 2
+                    for k in (2, 3):
+                        cls = lambda a, k=k: delta_k(a, k)
+                        outer_ok, outer = schur_factor(alpha, n, D, cls)
+                        inner_ok, inner_factor = schur_factor(beta, r, D, cls)
+                        assert outer_ok and inner_ok
+                        if outer is None or inner_factor is None:
+                            assert cls(got) == 0, (alpha, beta, r, k)
+                            counts[f"delta{k} skipped"] += 1
+                        else:
+                            assert proportion(cls(got), cls(base)) == (True, outer * inner_factor)
+                            counts[f"delta{k} factor"] += 1
+        assert counts == {
+            "rank": 130,
+            "vanishes": 8,
+            "delta2 factor": 124,
+            "delta3 factor": 102,
+            "delta3 skipped": 22,
+        }
+
+
 class TestSharedFamilies:
     """The per-(r, D) memo tables behind the oracle change no answer."""
 
@@ -726,9 +826,9 @@ class TestSharedFamilies:
         pool = [a for n in range(9) for a in enumerate_partitions(n, r)]
         alphas = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
         for alpha in alphas:
-            adams = [power_sum_character(j, r, D) for j in range(alpha.size + 1)]
-            cold = normal_form(schur_from_power_sums(alpha, adams), r)
-            assert oracle_schur_total(alpha, r, D) == cold
+            # a fresh evaluator on the Adams sums r + sum_k j^k e_k, not yet in normal form
+            fresh = PowerSumSchur(lambda j: power_sum_character_by_generators(j, r, D))
+            assert oracle_schur_total(alpha, r, D) == normal_form(fresh(alpha), r)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -736,9 +836,10 @@ class TestSharedFamilies:
         r = data.draw(st.integers(1, 5))
         D = data.draw(st.integers(r + 1, 6))
         j = data.draw(st.integers(0, 9))
-        p = _adams_power_sum(r, D, j)
+        p = adams(generic_bundle(r, D), j)
         assert all(not any(exps[r:]) for exps in p.terms)
         assert normal_form(p, r) == p
+        assert p == normal_form(power_sum_character_by_generators(j, r, D), r)
         # r + sum_k j^k ch_k, read off the generic bundle's own components
         bundle = generic_bundle(r, D)
         terms = (bundle.component(k).scale(j**k) for k in range(1, D + 1))

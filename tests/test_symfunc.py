@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
@@ -6,25 +8,32 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchern.characters import chern_classes
+from logchern.characters import adams, chern_classes, generic_bundle
 from logchern.formulas import schur_ch3
-from logchern.oracle import _adams_family, _adams_power_sum, oracle_schur_ch
+from logchern.oracle import _schur_evaluator, oracle_schur_ch
 from logchern.ring import PolyRing, graded_generators, root_generators
 from logchern.symfunc import (
     Partition,
+    PowerSumSchur,
     enumerate_partitions,
     giambelli,
     is_symmetric,
-    newton_family,
     power_sum_poly,
     powersum_ring,
-    schur_from_power_sums,
     schur_in_roots,
     stirling2,
     sym_to_power_sums,
     weyl_dim,
 )
-from witness import det_by_cofactors, det_by_permutations, powersums_to_roots, ssyt_count
+from witness import (
+    conjugate,
+    det_by_cofactors,
+    det_by_permutations,
+    newton_family,
+    omega,
+    powersums_to_roots,
+    ssyt_count,
+)
 
 
 def roots(r, D):
@@ -97,6 +106,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="^partition parts must be integers: ") as exc:
             call()
         assert "\n" not in str(exc.value)
+
+    def test_rejects_a_bool_part(self):
+        # bool is an int subclass, but Partition((True,)) would print as True
+        for parts in ((True,), (2, False), [3, True]):
+            with pytest.raises(ValueError, match="^partition parts must be integers: "):
+                Partition(parts)
 
     def test_a_partition_is_taken_as_it_is(self):
         p = Partition((2, 1))
@@ -287,21 +302,17 @@ class TestSchur:
 
 
     def test_dual_form_equals_h_determinant(self):
-        # schur_from_power_sums takes Giambelli's determinant over the
-        # Durfee square; the h-form det(h_{alpha_i - i + j}) is built here
-        # on free power sums, for every partition of size <= 8
+        # PowerSumSchur takes Giambelli's determinant over the Durfee
+        # square; the h-form det(h_{alpha_i - i + j}) is built here on free
+        # power sums, for every partition of size <= 8
         for n in range(9):
             ring = powersum_ring(max(n, 1))
             ps = [ring.one()] + [ring.gen(f"p{k}") for k in range(1, n + 1)]
             hs = newton_family(ps)
+            schur = PowerSumSchur(ps.__getitem__)
             for alpha in enumerate_partitions(n, n):
                 matrix = jacobi_trudi_matrix(alpha, hs, ring.zero())
-                assert schur_from_power_sums(alpha, ps) == det_by_cofactors(matrix, ring)
-
-
-def conjugate(alpha):
-    first = alpha[0] if alpha else 0
-    return tuple(sum(1 for p in alpha if p > j) for j in range(first))
+                assert schur(alpha) == det_by_cofactors(matrix, ring)
 
 
 def jacobi_trudi_matrix(rows, fam, zero):
@@ -314,29 +325,33 @@ class TestJacobiTrudiSteps:
     """Giambelli's determinant and the Newton families against both Jacobi-Trudi matrices."""
 
     def test_both_forms_equal_the_root_ring_witness(self):
-        # giambelli on the family step's h and e equals the h-form
+        # giambelli on the Newton families h and e equals the h-form
         # det(h_{alpha_i - i + j}) and the e-form det(e_{alpha'_i - i + j}),
         # each expanded by the witness cofactor expansion
         for r in range(1, 5):
             for size in range(7):
                 ring, qs = roots(r, max(size, 1))
                 ps = [power_sum_poly(k, qs) for k in range(size + 1)]
-                hs, es = newton_family(ps), newton_family(ps, dual=True)
+                hs, es = newton_family(ps), newton_family(omega(ps))
                 for alpha in enumerate_partitions(size, r):
-                    got = giambelli(alpha, hs, es)
+                    got = giambelli(alpha, hs, es, {})
                     h_form = jacobi_trudi_matrix(alpha, hs, ring.zero())
                     e_form = jacobi_trudi_matrix(conjugate(alpha), es, ring.zero())
                     assert got == det_by_cofactors(h_form, ring), alpha
                     assert got == det_by_cofactors(e_form, ring), alpha
 
     def test_cached_family_is_the_newton_family_prefix(self):
+        # the oracle's evaluator on the generic bundle grows each family one
+        # entry at a time and keeps it: a shorter request reads the same
+        # tuple, and every prefix is the witness family of the Adams sums
         for r, D in ((1, 3), (2, 3), (3, 4), (5, 2)):
-            ps = [_adams_power_sum(r, D, j) for j in range(9)]
-            omega = [p if k % 2 else -p for k, p in enumerate(ps)]
-            for dual, sums in ((False, ps), (True, omega)):
-                full = _adams_family(r, D, dual, 8)
+            bundle = generic_bundle(r, D)
+            ps = [adams(bundle, j) for j in range(9)]
+            evaluator = _schur_evaluator(bundle)
+            for dual, sums in ((False, ps), (True, omega(ps))):
+                full = evaluator._family(dual, 8)
                 for n in range(9):
-                    assert _adams_family(r, D, dual, n) == full[: n + 1]
+                    assert evaluator._family(dual, n) is full
                     assert list(full[: n + 1]) == newton_family(sums[: n + 1])
 
     @pytest.mark.parametrize("dual", [False, True], ids=["h-form", "e-form"])
@@ -348,7 +363,8 @@ class TestJacobiTrudiSteps:
         rng = random.Random(8)
         for r in range(1, 7):
             for D in (1, 3, 5):
-                hs, es = _adams_family(r, D, False, 8), _adams_family(r, D, True, 8)
+                evaluator = _schur_evaluator(generic_bundle(r, D))
+                hs, es = evaluator._family(False, 8), evaluator._family(True, 8)
                 ring = hs[0].ring
                 alphas = [a for n in range(9) for a in enumerate_partitions(n, r)]
                 rng.shuffle(alphas)
@@ -360,8 +376,43 @@ class TestJacobiTrudiSteps:
                     else:
                         matrix = jacobi_trudi_matrix(alpha, hs, ring.zero())
                     assert shared == det_by_cofactors(matrix, ring), (alpha, r, D)
-                    assert shared == giambelli(alpha, hs, es)
+                    assert shared == giambelli(alpha, hs, es, {})
                 assert minors or r == 1
+
+
+class TestPowerSumSchur:
+    """One evaluator's shared tables, under concurrent use."""
+
+    def test_threads_sharing_one_evaluator_agree_with_fresh_ones(self):
+        # four threads fill one evaluator's tables in different orders, with
+        # a short switch interval; a misindexed family entry or a lost minor
+        # would make some value differ from a fresh single-partition evaluation
+        ring = powersum_ring(8)
+        ps = [ring.one()] + [ring.gen(f"p{k}") for k in range(1, 9)]
+        alphas = [a for n in range(9) for a in enumerate_partitions(n, n)]
+        expected = {alpha: PowerSumSchur(ps.__getitem__)(alpha) for alpha in alphas}
+        shared = PowerSumSchur(ps.__getitem__)
+        results = []
+
+        def work(seed):
+            order = alphas[:]
+            random.Random(seed).shuffle(order)
+            results.append([(alpha, shared(alpha)) for alpha in order])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        for got in results:
+            assert dict(got) == expected
 
 
 class TestDeterminant:

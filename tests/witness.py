@@ -20,9 +20,10 @@ eigenvalue, which the library now reads off the Schur table, the Adams
 character summed from scaled generators, and the symmetric-power double sum
 enumerated in full on every call, which the library now builds from its terms
 and from a per-degree skeleton.
-The rest are helpers only the tests use: the shifted-variable polynomials at
-rational points, Schur characters from the tableau definition of s_alpha,
-which shares no Schur identity with the oracle, the tableau count of the
+The rest are helpers only the tests use: the Newton family as a list, the
+shifted-variable polynomials at rational points, Schur characters from the
+tableau definition of s_alpha, which shares no Schur identity with the
+oracle, the horizontal strips of Pieri's rule, the tableau count of the
 Schur rank, and two verifications over the oracle.  The library's records
 are namedtuples, so a test that needs a changed copy calls their
 ``_replace``.
@@ -94,6 +95,53 @@ def reference_sum(a, b, c=1):
         else:
             out.pop(exps, None)
     return a.ring.from_terms(out)
+
+
+def newton_family(power_sums):
+    """h_0..h_n from p_0..p_n by Newton's identities, k h_k = sum_i p_i h_(k-i).
+
+    The e-family is this on ``omega(power_sums)``.  p_0 only fixes the ring.
+    """
+    ring = power_sums[0].ring
+    fam = [ring.one()]
+    for k in range(1, len(power_sums)):
+        fam.append(sum((power_sums[i] * fam[k - i] for i in range(1, k + 1)), ring.zero()) / k)
+    return fam
+
+
+def omega(power_sums):
+    """The involution omega on a list p_0, p_1, ...: p_i -> (-1)^(i-1) p_i."""
+    return [p if i % 2 else -p for i, p in enumerate(power_sums)]
+
+
+def conjugate(alpha):
+    """The conjugate partition, as a tuple: its parts are alpha's column lengths."""
+    first = alpha[0] if alpha else 0
+    return tuple(sum(1 for p in alpha if p > j) for j in range(first))
+
+
+def horizontal_strips(alpha, k):
+    """Every partition nu with nu/alpha a horizontal k-strip, at most one box per column.
+
+    Those are the nu of size |alpha| + k that interlace alpha:
+    nu_1 >= alpha_1 >= nu_2 >= alpha_2 >= ... (Macdonald, ch. I, Sec. 1).
+    The vertical strips are the conjugates of the horizontal strips on the
+    conjugate of alpha.
+    """
+    rows = list(alpha) + [0]
+    out = []
+
+    def grow(i, left, parts):
+        if i == len(rows):
+            if not left:
+                out.append(Partition(parts))
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(room + 1):
+            grow(i + 1, left - add, parts + [rows[i] + add])
+
+    grow(0, k, [])
+    return out
 
 
 def witness_schur_total(alpha, r, D):
