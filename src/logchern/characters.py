@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from logchern.ring import GradedPoly, PolyRing, graded_generators, rat
+from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, rat
 
 
 @lru_cache(maxsize=None)
@@ -74,18 +74,22 @@ def d_k(a: GradedPoly, k: int) -> GradedPoly:
 
 
 def discriminants(a: GradedPoly, up_to: int) -> tuple[GradedPoly, ...]:
-    """Delta_1..Delta_up_to."""
-    D, rank = a.ring.truncation, a.constant()
-    if not 1 <= up_to <= D:
-        raise ValueError(f"up_to must lie in 1..{D}")
+    """Delta_1..Delta_up_to, read off the log in one pass over its terms."""
+    ring, rank = a.ring, a.constant()
+    if not 1 <= up_to <= ring.truncation:
+        raise ValueError(f"up_to must lie in 1..{ring.truncation}")
     if rank == 0:
         raise ZeroDivisionError("discriminants need nonzero rank")
-    log = log_character(a)
+    log = (a / rank).log()
+    # Delta_k is the degree-k part of the log times (-1)^(k+1) k rank^k
     num, den = rank.numerator, rank.denominator
-    return tuple(
-        log.component(k)._times((-1) ** (k + 1) * k * num**k, den**k)
-        for k in range(1, up_to + 1)
-    )
+    scales = [(-1) ** (k + 1) * k * num**k for k in range(up_to + 1)]
+    parts: list[dict] = [{} for _ in scales]
+    for e, n in log.terms.items():
+        k = ring.wdeg(e)
+        if k <= up_to:
+            parts[k][e] = n * scales[k]
+    return tuple(_reduced(ring, log.den * den**k, parts[k]) for k in range(1, up_to + 1))
 
 
 def delta_k(a: GradedPoly, k: int) -> GradedPoly:

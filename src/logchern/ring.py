@@ -41,19 +41,17 @@ _TERM = r"[+-]?[^+-]+"
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, Fraction or ``num/den`` string to a Fraction."""
+    """Coerce an int (not a bool), Fraction or ``num/den`` string to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 def _num_den(x) -> tuple[int, int]:
     """(numerator, positive denominator) of anything ``rat`` accepts."""
-    if not isinstance(x, (int, Fraction)):
+    if type(x) not in (int, Fraction):
         x = rat(x)
     return x.numerator, x.denominator
 
@@ -285,15 +283,18 @@ class GradedPoly:
         ring = self.ring
         sums = ring._sums
         b = other.terms.items()
+        # with no constant term in other, a term of self at degree D meets none
+        floor = 0 if ring._zero_exp in other.terms else 1
         out: dict[tuple[int, ...], int] = {}
         for ea, na in self.terms.items():
             row = sums.get(ea)
             if row is None:
                 row = sums.setdefault(ea, _SumRow(ring, ea))
-            for eb, nb in b:
-                key = row[eb]
-                if key is not None:
-                    out[key] = out.get(key, 0) + na * nb
+            if row.limit >= floor:
+                for eb, nb in b:
+                    key = row[eb]
+                    if key is not None:
+                        out[key] = out.get(key, 0) + na * nb
         return _reduced(ring, self.den * other.den, {e: n for e, n in out.items() if n})
 
     __rmul__ = __mul__
@@ -422,7 +423,7 @@ class GradedPoly:
 
     def log(self) -> GradedPoly:
         """Truncated logarithm; requires constant term 1."""
-        if self.constant() != 1:
+        if self.terms.get(self.ring._zero_exp) != self.den:
             raise ValueError("log needs constant term 1")
         q = self - self.ring.one()
         result = power = q

@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from logchern.characters import delta_k
 from logchern.cli import main
 from logchern.formulas import schur_ch3
 from logchern.mukai import MukaiVector, is_primitive, mukai_schur
@@ -114,6 +113,11 @@ class TestPrimitivity:
         with pytest.raises(ValueError, match="^Mukai vector r, c and d must be integers: "):
             MukaiVector(*fields)
 
+    def test_refuses_a_bool_s(self):
+        # s goes through rat, which refuses a bool as it refuses a float
+        with pytest.raises(TypeError, match="not an exact rational: True"):
+            MukaiVector(2, 1, True, 3)
+
     def test_bad_inputs(self):
         for r, d in ((0, 1), (-2, 1), (2, 0), (2, -3)):
             with pytest.raises(ValueError):
@@ -178,7 +182,7 @@ class TestMukaiPairing:
         cases = 0
         for r in range(2, 6):
             for alpha in (a for n in range(6) for a in enumerate_partitions(n, r)):
-                ok, lam = schur_factor(alpha, r, 2, lambda a: delta_k(a, 2))
+                ok, lam = schur_factor(alpha, r, 2)
                 assert ok and lam is not None, (alpha, r)
                 for c, s, d in product((-1, 0, 1, 3), (-2, 0, 5), (1, 5)):
                     v = MukaiVector(r, c, s, d)

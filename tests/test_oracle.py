@@ -13,6 +13,7 @@ from logchern.characters import (
     base_bundle,
     ch_ring,
     d_k,
+    delta4t,
     delta_k,
     discriminants,
     generic_bundle,
@@ -35,6 +36,8 @@ from logchern.report import (
     SweepReport,
     VerificationRecord,
     _equality_check,
+    _factor_check,
+    _generic_class,
     _over_e,
     schur_factor,
     sweep,
@@ -282,6 +285,27 @@ class TestVerifySchur:
         assert not chk.holds
         assert chk.measured_value == "e1" and chk.printed_value == "2*e1"
 
+    def test_factor_check(self):
+        # the expected factor is an int pair, reduced or not
+        ring = ch_ring(2)
+        base = ring.parse("e2 - 1/2*e1^2")
+        measured = base.scale(Fraction(10, 3))
+        name = "Delta_2 scaling"
+        assert _factor_check(name, measured, base, (20, 6)) == Claim(name, "", "", "", True)
+        assert _factor_check(name, ring.zero(), base, (0, 5)) == Claim(name, "", "", "", True)
+        assert _factor_check(name, measured, base, (20, 3)) == Claim(
+            name, "", "factor 20/3", "factor 10/3", False
+        )
+        assert _factor_check(name, measured + ring.parse("e1^2"), base, (10, 3)) == Claim(
+            name, "", "factor 10/3", "factor none", False
+        )
+        assert _factor_check(name, ring.zero(), ring.zero(), None) == Claim(
+            name + " (vanishing regime)", "", "", "", True
+        )
+        assert _factor_check(name, measured, ring.zero(), None) == Claim(
+            name, "", "0", "-5/3*e1^2 + 10/3*e2", False
+        )
+
     def test_rank_six_beyond_the_sweep_box(self):
         for alpha in ((3,), (2, 1), (1, 1, 1)):
             rec = verify_schur(alpha, 6)
@@ -343,6 +367,15 @@ class TestDelta4:
     def test_degenerate_hook_is_base(self):
         for t in (2, 5):
             assert verify_nonproportional_hook((1,), 3, t) is False
+
+    def test_cached_generic_class_is_the_class_of_the_generic_bundle(self):
+        # schur_factor computes c(E) once per (r, k, t)
+        for r in range(1, 6):
+            for k in range(1, 5):
+                assert _generic_class(r, k, None) == delta_k(generic_bundle(r, k), k)
+            for t in (Fraction(r), Fraction(-2, 3), 1):
+                assert _generic_class(r, 4, t) == delta4t(generic_bundle(r, 4), t)
+        assert schur_factor((2,), 3, 4, Fraction(3)) == (True, 88)
 
 
 class TestSweep:
@@ -521,9 +554,9 @@ class TestWhitelistMutations:
 
         original = logchern.report.schur_factor
 
-        def doubled_wedge_delta3(alpha, r, D, cls):
-            ok, lam = original(alpha, r, D, cls)
-            if (Partition(alpha), r, D) == ((1, 1), 5, 3):
+        def doubled_wedge_delta3(alpha, r, k, t=None):
+            ok, lam = original(alpha, r, k, t)
+            if (Partition(alpha), r, k) == ((1, 1), 5, 3):
                 lam *= 2
             return ok, lam
 
@@ -657,6 +690,21 @@ class TestSchurCoefficientMutations:
         code, out = _verify_small(capsys, "--format", "json")
         assert code == 1
         assert json.loads(out)["failed"] > 0
+
+    def test_doubled_f2_prints_both_factors(self, capsys, monkeypatch):
+        # the measured factor goes to the lhs line and the expected one to the
+        # rhs line, each as an exact rational
+        import logchern.formulas
+
+        original = logchern.formulas.delta_tilde2
+        monkeypatch.setattr(logchern.formulas, "delta_tilde2", lambda alpha, r: 2 * original(alpha, r))
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert (
+            "  FAIL alpha=(2) r=3: Delta_2 scaling\n"
+            "       lhs: factor 10\n"
+            "       rhs: factor 20\n"
+        ) in out
 
     def test_wrong_ch2_table_coefficient_fails_verify(self, capsys, monkeypatch):
         import logchern.report
@@ -797,8 +845,8 @@ class TestLambdaRingWitnesses:
                         continue  # a line bundle, whose Delta_k vanish for k >= 2
                     for k in (2, 3):
                         cls = lambda a, k=k: delta_k(a, k)
-                        outer_ok, outer = schur_factor(alpha, n, D, cls)
-                        inner_ok, inner_factor = schur_factor(beta, r, D, cls)
+                        outer_ok, outer = schur_factor(alpha, n, k)
+                        inner_ok, inner_factor = schur_factor(beta, r, k)
                         assert outer_ok and inner_ok
                         if outer is None or inner_factor is None:
                             assert cls(got) == 0, (alpha, beta, r, k)

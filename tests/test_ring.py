@@ -10,6 +10,7 @@ from logchern.ring import (
     _SumRow,
     graded_generators,
     proportion,
+    rat,
     root_generators,
 )
 from witness import proportion_by_scaling, reference_product, reference_sum, substitute_by_products
@@ -88,6 +89,15 @@ class TestAdd:
         assert sum([x, x * x]) == ring.parse("a1 + a1^2")
         with pytest.raises(TypeError):
             x + 0.5
+
+    def test_a_bool_is_no_rational(self):
+        # bool is an int subclass, so only an explicit test keeps True out
+        with pytest.raises(TypeError, match="not an exact rational: True"):
+            rat(True)
+        with pytest.raises(TypeError, match="not an exact rational: False"):
+            RING23.gen("a1").scale(False)
+        with pytest.raises(TypeError):
+            RING23.one() + True
 
     def test_int_or_fraction_compares_as_a_constant(self):
         # == reads a scalar as + and * do, and equal values hash alike
@@ -198,8 +208,11 @@ class TestProductKernel:
         ring = data.draw(st.sampled_from(KERNEL_RINGS))
         a = data.draw(wide_poly_strategy(ring))
         b = data.draw(wide_poly_strategy(ring))
-        # (a + b)(a - b) cancels its cross terms
-        for x, y in ((a, b), (a + b, a - b), (a, ring.zero()), (ring.zero(), b)):
+        # (a + b)(a - b) cancels its cross terms; b with its constant term
+        # dropped leaves every term of a at degree D with nothing to meet
+        b0 = b - b.constant()
+        pairs = ((a, b), (a + b, a - b), (a, ring.zero()), (ring.zero(), b), (a, b0), (b0, b0))
+        for x, y in pairs:
             assert_kernel_matches(x, y)
 
     def test_cancellation_stores_no_zero(self):
@@ -220,6 +233,9 @@ class TestProductKernel:
             "-9/14*x*z + 2/5*x*z^2 + 6/7*y^2 - 45/28*x^3 - 9/2*z^6"
         )
         assert_kernel_matches(top, low)
+        # without the constant only x*z meets a term of degree <= 2
+        assert top * (low + Fraction(9, 14)) == ring.parse("2/5*x*z^2")
+        assert_kernel_matches(top, low + Fraction(9, 14))
 
     def test_row_made_by_one_operand_serves_another(self, monkeypatch):
         # the cold p * q fills p's rows on first lookup, one miss per pair of
@@ -346,8 +362,17 @@ class TestSeries:
         assert (ring.one() + x).log() == ring.parse("a1 - 1/2*a1^2")
 
     def test_log_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            RING23.zero().log()
+        # 0 is the case with no stored constant term
+        for constant in (0, 2, -1):
+            for p in (RING23.scalar(constant), RING23.scalar(constant) + RING23.gen("a1")):
+                with pytest.raises(ValueError, match="log needs constant term 1"):
+                    p.log()
+
+    def test_log_of_a_constant_one_over_a_denominator(self):
+        # (3 + a1)/3 stores its constant 1 as the numerator 3 over den 3
+        p = RING23.parse("3 + a1").scale(Fraction(1, 3))
+        assert (p.den, p.terms[(0, 0)]) == (3, 3)
+        assert p.log() == RING23.parse("1/3*a1 - 1/18*a1^2 + 1/81*a1^3")
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)

@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from logchern.characters import ch_ring, delta_k, log_character
+from logchern.characters import ch_ring, log_character
 from logchern.formulas import (
     _TABLE_MONOMIALS,
     _as_vector,
@@ -513,5 +513,5 @@ def plain_delta4_witnesses() -> list[tuple[int, int]]:
         (m, r)
         for r in range(2, 5)
         for m in range(2, 5)
-        if not schur_factor((m,), r, 4, lambda a: delta_k(a, 4))[0]
+        if not schur_factor((m,), r, 4)[0]
     ]
