@@ -21,13 +21,30 @@ and the normalized class d_k is ch_0 times the degree-k log coefficient,
 i.e. d_k = (-1)^{k+1} Delta_k / (k ch_0^{k-1}).  (The sign makes
 log(ch/ch_0) = sum d_k/ch_0 hold on the nose; d_1 = ch_1, d_2 = ch_2 -
 ch_1^2/(2 ch_0), and so on.)
+
+The log is never summed as a series.  Write ch = (R + A_1 + A_2 + ...)/den,
+with A_k the integer numerators of ch_k and R that of the rank, and let
+theta be the Euler derivation (the degree-k part times k).  Since theta is
+a derivation, theta(ch) = ch theta(log(ch/ch_0)); put L_k = [log(ch/ch_0)]_k
+and lambda_k = k R^k L_k.  Degree k of that identity, times den R^(k-1), is
+
+    lambda_k = k R^(k-1) A_k - [X_k (A_1 + ... + A_(k-1))]_k,
+    X_1 = 0,  X_(k+1) = R X_k + lambda_k,
+
+where [.]_k keeps the degree-k part and X_k is the sum over j < k of
+R^(k-1-j) lambda_j.  Every lambda_k is a sum of products of integer
+numerators, so the recurrence is exact and needs no division at all; then
+Delta_k = (-1)^(k+1) lambda_k / den^k and L_k = lambda_k / (k R^k), each put
+over its denominator once.  Degree k costs one product, X_k times the low
+part.  ``GradedPoly.log``, the series, is the reference the tests compare
+the recurrence with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, rat
 
@@ -54,15 +71,63 @@ def adams(a: GradedPoly, j: int) -> GradedPoly:
     the rank alone.
     """
     wdeg = a.ring.wdeg
-    return a.ring.from_terms({exps: c * j ** wdeg(exps) for exps, c in a.items()})
+    # psi^0 keeps the rank alone: every other numerator becomes 0
+    terms = {e: m for e, n in a.terms.items() if (m := n * j ** wdeg(e))}
+    return _reduced(a.ring, a.den, terms)
+
+
+def _log_numerators(a: GradedPoly, up_to: int) -> tuple[int, list[dict]]:
+    """R and lambda_1..lambda_up_to of the recurrence in the module docstring.
+
+    R is the integer numerator of the rank, which must be nonzero, and each
+    lambda_k is a dict of integer numerators of weighted degree k.
+    """
+    ring = a.ring
+    wdeg = ring.wdeg
+    R = a.terms[ring._zero_exp]
+    parts: list[dict] = [{} for _ in range(up_to + 1)]
+    for e, n in a.terms.items():
+        k = wdeg(e)
+        if k <= up_to:
+            parts[k][e] = n
+    lams: list[dict] = []
+    x: dict = {}  # X_k
+    low: dict = {}  # A_1 + ... + A_(k-1)
+    for k in range(1, up_to + 1):
+        scale = k * R ** (k - 1)
+        lam = {e: n * scale for e, n in parts[k].items()}
+        if k > 1:
+            for e, n in (GradedPoly(ring, 1, x) * GradedPoly(ring, 1, low)).terms.items():
+                if wdeg(e) == k:
+                    s = lam.get(e, 0) - n
+                    if s:
+                        lam[e] = s
+                    else:
+                        del lam[e]
+        lams.append(lam)
+        # X_k lives in degrees below k and lambda_k in degree k: no overlap
+        x = {e: R * n for e, n in x.items()} | lam
+        low = low | parts[k]
+    return R, lams
 
 
 def log_character(a: GradedPoly) -> GradedPoly:
     """log(ch/ch_0); degree-k coefficient is d_k/ch_0."""
-    rank = a.constant()
-    if rank == 0:
+    ring = a.ring
+    D = ring.truncation
+    if ring._zero_exp not in a.terms:
         raise ZeroDivisionError("log character needs nonzero rank")
-    return (a / rank).log()
+    R, lams = _log_numerators(a, D)
+    # L_k = lambda_k / (k R^k), over the one denominator lcm(1..D) R^D
+    M = lcm(*range(1, D + 1))
+    den = M * R**D
+    sign = -1 if den < 0 else 1
+    terms = {}
+    for k, lam in enumerate(lams, start=1):
+        f = sign * R ** (D - k) * (M // k)
+        for e, n in lam.items():
+            terms[e] = n * f
+    return _reduced(ring, sign * den, terms)
 
 
 def d_k(a: GradedPoly, k: int) -> GradedPoly:
@@ -74,22 +139,18 @@ def d_k(a: GradedPoly, k: int) -> GradedPoly:
 
 
 def discriminants(a: GradedPoly, up_to: int) -> tuple[GradedPoly, ...]:
-    """Delta_1..Delta_up_to, read off the log in one pass over its terms."""
-    ring, rank = a.ring, a.constant()
+    """Delta_1..Delta_up_to, each (-1)^(k+1) lambda_k / den^k."""
+    ring = a.ring
     if not 1 <= up_to <= ring.truncation:
         raise ValueError(f"up_to must lie in 1..{ring.truncation}")
-    if rank == 0:
+    if ring._zero_exp not in a.terms:
         raise ZeroDivisionError("discriminants need nonzero rank")
-    log = (a / rank).log()
-    # Delta_k is the degree-k part of the log times (-1)^(k+1) k rank^k
-    num, den = rank.numerator, rank.denominator
-    scales = [(-1) ** (k + 1) * k * num**k for k in range(up_to + 1)]
-    parts: list[dict] = [{} for _ in scales]
-    for e, n in log.terms.items():
-        k = ring.wdeg(e)
-        if k <= up_to:
-            parts[k][e] = n * scales[k]
-    return tuple(_reduced(ring, log.den * den**k, parts[k]) for k in range(1, up_to + 1))
+    _, lams = _log_numerators(a, up_to)
+    den = a.den
+    return tuple(
+        _reduced(ring, den**k, lam if k % 2 else {e: -n for e, n in lam.items()})
+        for k, lam in enumerate(lams, start=1)
+    )
 
 
 def delta_k(a: GradedPoly, k: int) -> GradedPoly:
@@ -152,7 +213,8 @@ def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:
     which pins down every ch_k through degree D: the inverse of
     ``chern_classes``, ch_k = (-1)^(k-1) [log(1 + c_1 + ... + c_r)]_k / (k-1)!.
     """
-    if not (isinstance(rank, int) or (isinstance(rank, Fraction) and rank.denominator == 1)):
+    # an int's denominator is 1; bool is an int subclass, but True is no rank
+    if isinstance(rank, bool) or not isinstance(rank, (int, Fraction)) or rank.denominator != 1:
         raise ValueError("rank must be a positive integer")
     r = int(rank)
     if r <= 0:
@@ -162,7 +224,7 @@ def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:
         if not c.is_homogeneous(i):
             raise ValueError(f"c_{i} is not homogeneous of degree {i}")
         total = total + c
-    log = total.log()
+    log = log_character(total)
     comps = (
         log.component(k).scale(Fraction((-1) ** (k - 1), factorial(k - 1)))
         for k in range(1, ring.truncation + 1)

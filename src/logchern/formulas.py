@@ -126,22 +126,23 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
         raise ValueError("rank must be a positive integer")
     if m < 0:
         raise ValueError("m must be non-negative")
-    ring = ch_ring(D)
     n = m + r - 1
-    terms = {(0,) * D: binomial(n, m)}
-    for exps, norm, weights in _sym_power_skeleton(D):
+    den, skeleton = _sym_power_skeleton(D)
+    terms = {(0,) * D: binomial(n, m) * den}
+    for exps, scale, weights in skeleton:
         coeff = sum(binomial(n, m - size) * w for size, w in weights)
         if coeff:
-            terms[exps] = Fraction(coeff, norm)
-    return ring.from_terms(terms)
+            terms[exps] = coeff * scale
+    return _reduced(ch_ring(D), den, terms)
 
 
 @lru_cache(maxsize=None)
-def _sym_power_skeleton(D: int) -> tuple:
+def _sym_power_skeleton(D: int) -> tuple[int, tuple]:
     """The part of ``sym_power_ch``'s double sum that depends on D alone.
 
-    One entry (exponent vector, ||alpha||, ((|beta|, weight), ...)) per
-    partition alpha with 1 <= |alpha| <= D, where weight sums
+    (L, entries): L is the lcm of the ||alpha||, and there is one entry
+    (exponent vector, L / ||alpha||, ((|beta|, weight), ...)) per partition
+    alpha with 1 <= |alpha| <= D, where weight sums
     prod_i (beta_i - 1)! S(alpha_i, beta_i) over the beta of that size.
     """
     skeleton = []
@@ -161,7 +162,8 @@ def _sym_power_skeleton(D: int) -> tuple:
             for part in alpha:
                 exps[part - 1] += 1
             skeleton.append((tuple(exps), norm, tuple(weights.items())))
-    return tuple(skeleton)
+    den = lcm(*(norm for _, norm, _ in skeleton))
+    return den, tuple((exps, den // norm, weights) for exps, norm, weights in skeleton)
 
 
 # -- degree <= 3 character tables ---------------------------------------------

@@ -54,6 +54,8 @@ PINS = benchmark_ops() + [
     _pin("delta-12-rows", "delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", "delta_12_rows.txt"),
     # the JSON of the claim table, with the whitelist's flags
     _pin("verify-r2-s2-json", "verify --max-rank 2 --max-size 2 --format json", "verify_r2_s2.json"),
+    # the deepest log: from_chern_classes, then Delta_5 over generator degrees 1..5
+    _pin("lowrank-k5-r5", "lowrank --k 5 --rank 5", "lowrank_k5_r5.txt"),
 ]
 
 
@@ -63,7 +65,7 @@ def test_the_workloads_are_found():
 
 def test_every_pinned_file_is_read_by_exactly_one_case():
     pinned = sorted([*GOLDEN.iterdir(), *EXPECTED.iterdir()])
-    assert len(pinned) == 15
+    assert len(pinned) == 16
     assert sorted(pin.values[1] for pin in PINS) == pinned
 
 

@@ -22,7 +22,13 @@ from logchern.cli import _character_json
 from logchern.oracle import base_in_roots, exp_roots, root_ring
 from logchern.ring import PolyRing, graded_generators
 from logchern.symfunc import power_sum_poly
-from witness import delta4t_by_products, discriminants_by_fractions, power_sum_character_by_generators
+from witness import (
+    d_k_by_series,
+    delta4t_by_products,
+    discriminants_by_fractions,
+    log_by_series,
+    power_sum_character_by_generators,
+)
 
 
 def delta_explicit(a, k):
@@ -170,6 +176,16 @@ class TestDiscriminants:
         a = base_bundle(2, 2).scale(0)
         with pytest.raises(ZeroDivisionError):
             discriminants(a, 2)
+        # rank 0 with higher terms over a denominator: each reader names itself
+        b = ch_ring(3).parse("1/2*e1 - 3*e2 + 2/3*e3")
+        for call, message in (
+            (lambda: discriminants(b, 3), "discriminants need nonzero rank"),
+            (lambda: delta_k(b, 2), "discriminants need nonzero rank"),
+            (lambda: log_character(b), "log character needs nonzero rank"),
+            (lambda: d_k(b, 2), "log character needs nonzero rank"),
+        ):
+            with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
+                call()
 
     def test_explicit_matches_log_extraction(self):
         # two independent routes to Delta_1..Delta_5; disagreement is fatal
@@ -202,18 +218,44 @@ class TestDiscriminants:
         assert d_k(s2, 2) == d_k(v, 2).scale(4)
 
 
-class TestFormerForms:
-    """discriminants and delta4t against the forms that made more products and Fractions."""
+# the e-rings, a Chern-root ring and a ring whose generator degrees are not 1..n
+FORMER_FORM_RINGS = (
+    *(ch_ring(D) for D in range(1, 7)),
+    root_ring(3, 4),
+    PolyRing([("x", 2), ("y", 3), ("z", 1)], 6),
+)
+FORMER_FORM_RANKS = (1, 3, -2, Fraction(1, 2), Fraction(-5, 3))
 
-    @given(st.integers(1, 6), st.integers(0, 2**16))
+
+class TestFormerForms:
+    """The log readers and delta4t against the forms that made more products and Fractions.
+
+    discriminants, log_character and d_k run the integer recurrence; their
+    references here sum the log series.
+    """
+
+    @given(st.sampled_from(FORMER_FORM_RANKS), st.integers(0, 2**16))
+    @example(Fraction(-5, 3), 0)
     @settings(max_examples=40, deadline=None)
-    def test_discriminants(self, D, seed):
+    def test_discriminants(self, rank, seed):
         rng = random.Random(seed)
-        a = random_character(ch_ring(D), rng)
-        full = discriminants_by_fractions(a, D)
-        # each shorter request drops the terms above up_to in its one pass
-        for up_to in range(1, D + 1):
-            assert discriminants(a, up_to) == full[:up_to]
+        for ring in FORMER_FORM_RINGS:
+            a = random_character(ring, rng, rank=Fraction(rank))
+            D = ring.truncation
+            full = discriminants_by_fractions(a, D)
+            for up_to in range(1, D + 1):
+                assert discriminants(a, up_to) == full[:up_to], (ring, up_to)
+
+    @given(st.sampled_from(FORMER_FORM_RANKS), st.integers(0, 2**16))
+    @example(Fraction(-5, 3), 0)
+    @settings(max_examples=40, deadline=None)
+    def test_log_character_and_d_k(self, rank, seed):
+        rng = random.Random(seed)
+        for ring in FORMER_FORM_RINGS:
+            a = random_character(ring, rng, rank=Fraction(rank))
+            assert log_character(a) == log_by_series(a), ring
+            for k in range(1, ring.truncation + 1):
+                assert d_k(a, k) == d_k_by_series(a, k), (ring, k)
 
     @given(
         st.integers(4, 6),
@@ -330,8 +372,10 @@ class TestChernClasses:
 
     def test_from_chern_requires_integer_rank(self):
         ring = PolyRing(graded_generators("c", 2), 2)
-        with pytest.raises(ValueError):
-            from_chern_classes(Fraction(1, 2), [ring.gen("c1")], ring)
+        # bool is an int subclass, but True is no rank
+        for rank in (Fraction(1, 2), True, False, 0, -1):
+            with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+                from_chern_classes(rank, [ring.gen("c1")], ring)
 
     def test_from_chern_rejects_inhomogeneous_class(self):
         ring = PolyRing(graded_generators("c", 2), 2)
@@ -429,8 +473,15 @@ class TestPowerSumCharacters:
             for r in range(1, 17):
                 for d in range(12):
                     assert adams(base_bundle(r, D), d) == power_sum_character_by_generators(d, r, D)
-        rank = Fraction(-5, 3)
-        assert adams(base_bundle(rank, 4), 3) == power_sum_character_by_generators(3, rank, 4)
+        # psi^0 leaves the rank alone, and negative j flips the odd degrees
+        for rank in (Fraction(-5, 3), Fraction(1, 2), 3):
+            for d in (0, -1, -2, 3):
+                got = adams(base_bundle(rank, 4), d)
+                assert got == power_sum_character_by_generators(d, rank, 4), (rank, d)
+        a = ch_ring(3).parse("7/2 + 1/3*e1 - 5/6*e1*e2 + e3")
+        assert adams(a, 0) == Fraction(7, 2)
+        assert adams(a, -1) == ch_ring(3).parse("7/2 - 1/3*e1 + 5/6*e1*e2 - e3")
+        assert adams(a, -2) == ch_ring(3).parse("7/2 - 2/3*e1 + 20/3*e1*e2 - 8*e3")
 
     def test_is_the_power_sum_of_the_exponentiated_roots(self):
         # psi^j (sum_i exp a_i) = sum_i exp(j a_i), in the ring of Chern roots

@@ -13,13 +13,14 @@ evaluates them through power sums.  It keeps the ring's former product and
 sum too, Fraction loops with one multiply or add per term, as the references
 for the integer arithmetic, and the former forms of the sweep's per-case
 steps (the proportionality test, the determinant by cofactors of one matrix,
-the restriction to e1..et, the discriminants, Delta_{4,t}, substitution and
-the Schur and exterior tables), which made the products and Fractions the library
-now skips or shares, the Mukai vector's closed form in the quadratic
-eigenvalue, which the library now reads off the Schur table, the Adams
-character summed from scaled generators, and the symmetric-power double sum
-enumerated in full on every call, which the library now builds from its terms
-and from a per-degree skeleton.
+the restriction to e1..et, Delta_{4,t}, substitution and the Schur and
+exterior tables), which made the products and Fractions the library now skips
+or shares, the log character, d_k and the discriminants from the log series,
+which the library now reads off an integer recurrence, the Mukai vector's
+closed form in the quadratic eigenvalue, which the library now reads off the
+Schur table, the Adams character summed from scaled generators, and the
+symmetric-power double sum enumerated in full on every call, which the
+library now builds from its terms and from a per-degree skeleton.
 The rest are helpers only the tests use: the Newton family as a list, the
 shifted-variable polynomials at rational points, Schur characters from the
 tableau definition of s_alpha, which shares no Schur identity with the
@@ -34,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from logchern.characters import ch_ring, log_character
+from logchern.characters import ch_ring
 from logchern.formulas import (
     _TABLE_MONOMIALS,
     _as_vector,
@@ -405,10 +406,21 @@ def over_e_from_terms(a, t):
     return ch_ring(t).from_terms({e[:t]: c for e, c in a.items() if wdeg(e) <= t})
 
 
+def log_by_series(a):
+    """log(ch/ch_0) as the series q - q^2/2 + q^3/3 - ... in q = ch/ch_0 - 1."""
+    return (a / a.constant()).log()
+
+
+def d_k_by_series(a, k):
+    """d_k as ch_0 times the degree-k part of the series log."""
+    return log_by_series(a).component(k).scale(a.constant())
+
+
 def discriminants_by_fractions(a, up_to):
-    """Delta_1..Delta_up_to, each log component scaled by the Fraction (-1)^(k+1) k rank^k."""
+    """Delta_1..Delta_up_to, each component of the series log scaled by the
+    Fraction (-1)^(k+1) k rank^k."""
     rank = a.constant()
-    log = log_character(a)
+    log = log_by_series(a)
     return tuple(
         log.component(k).scale(Fraction((-1) ** (k + 1)) * k * rank**k)
         for k in range(1, up_to + 1)
