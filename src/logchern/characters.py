@@ -20,7 +20,8 @@ Discriminants come from the logarithm of the normalized total character:
 and the normalized class d_k is ch_0 times the degree-k log coefficient,
 i.e. d_k = (-1)^{k+1} Delta_k / (k ch_0^{k-1}).  (The sign makes
 log(ch/ch_0) = sum d_k/ch_0 hold on the nose; d_1 = ch_1, d_2 = ch_2 -
-ch_1^2/(2 ch_0), and so on.)
+ch_1^2/(2 ch_0), and so on.)  ``log_character`` and ``d_k`` are these two
+identities; ``discriminants`` alone runs the recurrence below for Delta_k.
 
 The log is never summed as a series.  Write ch = (R + A_1 + A_2 + ...)/den,
 with A_k the integer numerators of ch_k and R that of the rank, and let
@@ -34,17 +35,16 @@ and lambda_k = k R^k L_k.  Degree k of that identity, times den R^(k-1), is
 where [.]_k keeps the degree-k part and X_k is the sum over j < k of
 R^(k-1-j) lambda_j.  Every lambda_k is a sum of products of integer
 numerators, so the recurrence is exact and needs no division at all; then
-Delta_k = (-1)^(k+1) lambda_k / den^k and L_k = lambda_k / (k R^k), each put
-over its denominator once.  Degree k costs one product, X_k times the low
-part.  ``GradedPoly.log``, the series, is the reference the tests compare
-the recurrence with.
+Delta_k = (-1)^(k+1) lambda_k / den^k, put over its denominator once.
+Degree k costs one product, X_k times the low part.  The tests compare the
+recurrence with the series q - q^2/2 + ..., kept in ``tests/witness.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, rat
 
@@ -70,19 +70,41 @@ def adams(a: GradedPoly, j: int) -> GradedPoly:
     power sum of the exponentiated roots; the rank is kept, and psi^0 A is
     the rank alone.
     """
+    if type(j) is not int:  # a bool or a Fraction j is refused too
+        raise TypeError(f"adams needs an int j, got {j!r}")
     wdeg = a.ring.wdeg
     # psi^0 keeps the rank alone: every other numerator becomes 0
     terms = {e: m for e, n in a.terms.items() if (m := n * j ** wdeg(e))}
     return _reduced(a.ring, a.den, terms)
 
 
-def _log_numerators(a: GradedPoly, up_to: int) -> tuple[int, list[dict]]:
-    """R and lambda_1..lambda_up_to of the recurrence in the module docstring.
+def log_character(a: GradedPoly) -> GradedPoly:
+    """log(ch/ch_0) = sum_k (-1)^(k+1) Delta_k / (k ch_0^k); degree k is d_k/ch_0."""
+    if a.ring._zero_exp not in a.terms:
+        raise ZeroDivisionError("log character needs nonzero rank")
+    r = a.constant()
+    ds = discriminants(a, a.ring.truncation)
+    terms = (dk.scale(Fraction((-1) ** (k + 1), k * r**k)) for k, dk in enumerate(ds, start=1))
+    return sum(terms, a.ring.zero())
 
-    R is the integer numerator of the rank, which must be nonzero, and each
-    lambda_k is a dict of integer numerators of weighted degree k.
-    """
+
+def d_k(a: GradedPoly, k: int) -> GradedPoly:
+    """Normalized discriminant d_k = (-1)^(k+1) Delta_k / (k ch_0^(k-1))."""
+    D = a.ring.truncation
+    if not 1 <= k <= D:
+        raise ValueError(f"k must lie in 1..{D}")
+    if a.ring._zero_exp not in a.terms:
+        raise ZeroDivisionError("log character needs nonzero rank")
+    return discriminants(a, k)[k - 1].scale(Fraction((-1) ** (k + 1), k * a.constant() ** (k - 1)))
+
+
+def discriminants(a: GradedPoly, up_to: int) -> tuple[GradedPoly, ...]:
+    """Delta_1..Delta_up_to, each (-1)^(k+1) lambda_k / den^k (module docstring)."""
     ring = a.ring
+    if not 1 <= up_to <= ring.truncation:
+        raise ValueError(f"up_to must lie in 1..{ring.truncation}")
+    if ring._zero_exp not in a.terms:
+        raise ZeroDivisionError("discriminants need nonzero rank")
     wdeg = ring.wdeg
     R = a.terms[ring._zero_exp]
     parts: list[dict] = [{} for _ in range(up_to + 1)]
@@ -108,44 +130,6 @@ def _log_numerators(a: GradedPoly, up_to: int) -> tuple[int, list[dict]]:
         # X_k lives in degrees below k and lambda_k in degree k: no overlap
         x = {e: R * n for e, n in x.items()} | lam
         low = low | parts[k]
-    return R, lams
-
-
-def log_character(a: GradedPoly) -> GradedPoly:
-    """log(ch/ch_0); degree-k coefficient is d_k/ch_0."""
-    ring = a.ring
-    D = ring.truncation
-    if ring._zero_exp not in a.terms:
-        raise ZeroDivisionError("log character needs nonzero rank")
-    R, lams = _log_numerators(a, D)
-    # L_k = lambda_k / (k R^k), over the one denominator lcm(1..D) R^D
-    M = lcm(*range(1, D + 1))
-    den = M * R**D
-    sign = -1 if den < 0 else 1
-    terms = {}
-    for k, lam in enumerate(lams, start=1):
-        f = sign * R ** (D - k) * (M // k)
-        for e, n in lam.items():
-            terms[e] = n * f
-    return _reduced(ring, sign * den, terms)
-
-
-def d_k(a: GradedPoly, k: int) -> GradedPoly:
-    """Normalized discriminant d_k = (-1)^(k+1) Delta_k / (k ch_0^(k-1))."""
-    D = a.ring.truncation
-    if not 1 <= k <= D:
-        raise ValueError(f"k must lie in 1..{D}")
-    return log_character(a).component(k).scale(a.constant())
-
-
-def discriminants(a: GradedPoly, up_to: int) -> tuple[GradedPoly, ...]:
-    """Delta_1..Delta_up_to, each (-1)^(k+1) lambda_k / den^k."""
-    ring = a.ring
-    if not 1 <= up_to <= ring.truncation:
-        raise ValueError(f"up_to must lie in 1..{ring.truncation}")
-    if ring._zero_exp not in a.terms:
-        raise ZeroDivisionError("discriminants need nonzero rank")
-    _, lams = _log_numerators(a, up_to)
     den = a.den
     return tuple(
         _reduced(ring, den**k, lam if k % 2 else {e: -n for e, n in lam.items()})

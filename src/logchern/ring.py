@@ -421,19 +421,6 @@ class GradedPoly:
             result = result + power / fact
         return result
 
-    def log(self) -> GradedPoly:
-        """Truncated logarithm; requires constant term 1."""
-        if self.terms.get(self.ring._zero_exp) != self.den:
-            raise ValueError("log needs constant term 1")
-        q = self - self.ring.one()
-        result = power = q
-        for j in range(2, self.ring.truncation + 1):
-            power = power * q
-            if power.is_zero():
-                break
-            result = result + power._times((-1) ** (j + 1), j)
-        return result
-
     # -- canonical form ----------------------------------------------------
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:

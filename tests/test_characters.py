@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -230,8 +231,9 @@ FORMER_FORM_RANKS = (1, 3, -2, Fraction(1, 2), Fraction(-5, 3))
 class TestFormerForms:
     """The log readers and delta4t against the forms that made more products and Fractions.
 
-    discriminants, log_character and d_k run the integer recurrence; their
-    references here sum the log series.
+    discriminants runs the integer recurrence, and log_character and d_k are
+    identities of its Delta_k; their references here sum the log series of
+    ``witness.series_log``.
     """
 
     @given(st.sampled_from(FORMER_FORM_RANKS), st.integers(0, 2**16))
@@ -482,6 +484,13 @@ class TestPowerSumCharacters:
         assert adams(a, 0) == Fraction(7, 2)
         assert adams(a, -1) == ch_ring(3).parse("7/2 - 1/3*e1 + 5/6*e1*e2 - e3")
         assert adams(a, -2) == ch_ring(3).parse("7/2 - 2/3*e1 + 20/3*e1*e2 - 8*e3")
+
+    def test_refuses_a_non_int_j(self):
+        # a Fraction or float j would leave numerators that are not ints
+        for a in (base_bundle(2, 2), base_bundle(Fraction(1, 3), 2)):
+            for j in (Fraction(1, 2), 2.0, True):
+                with pytest.raises(TypeError, match=re.escape(f"adams needs an int j, got {j!r}")):
+                    adams(a, j)
 
     def test_is_the_power_sum_of_the_exponentiated_roots(self):
         # psi^j (sum_i exp a_i) = sum_i exp(j a_i), in the ring of Chern roots

@@ -6,7 +6,10 @@ own definition; a helper that only the tests call belongs in ``tests/``.
 Imports and ``__all__`` entries are not references.  The public functions
 the benchmark's tracer wraps (``TRACED`` in ``perfbench/trace_op.py``) are
 exempt: the root-ring witness is test-only, but the benchmark looks it up by
-name.  The sources are
+name.  Each method of the package's classes that is not a dunder must be
+referenced too: some attribute access ``.name``, or a string constant
+``"name"`` (as in ``getattr``), must refer to it outside its own body.  The
+sources are
 parsed, never imported, except to check ``__all__`` against the package.
 
 The oracle is the side of every ``verify`` check that knows only the
@@ -20,7 +23,8 @@ from pathlib import Path
 from test_perfbench_names import traced_names
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "logchern"
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*METHODS, ast.ClassDef)
 
 
 def unreferenced_definitions():
@@ -54,6 +58,39 @@ def test_every_public_definition_is_used_by_the_library():
 def test_every_private_definition_is_used_by_the_library():
     unused = [q for q in unreferenced_definitions() if _is_private(q)]
     assert unused == [], f"private but unused by the library: {unused}"
+
+
+def unreferenced_methods():
+    """``<module>.<class>.<method>`` of each non-dunder method nothing else refers to."""
+    methods = []
+    owner = {}  # id of each node inside a method -> that method
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for module, tree in trees.items():
+        classes = (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
+        for cls in classes:
+            for item in cls.body:
+                if isinstance(item, METHODS) and not _is_dunder(item.name):
+                    qualname = f"{module}.{cls.name}.{item.name}"
+                    methods.append((qualname, item.name))
+                    owner.update((id(node), qualname) for node in ast.walk(item))
+    # name -> {method whose body refers to it, or None}
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(owner.get(id(node)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.setdefault(node.value, set()).add(owner.get(id(node)))
+    return [q for q, name in methods if not uses.get(name, set()) - {q}]
+
+
+def test_every_method_is_used_by_the_library():
+    unused = unreferenced_methods()
+    assert unused == [], f"methods unused by the library: {unused}"
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _is_private(qualname):

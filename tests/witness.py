@@ -15,12 +15,13 @@ for the integer arithmetic, and the former forms of the sweep's per-case
 steps (the proportionality test, the determinant by cofactors of one matrix,
 the restriction to e1..et, Delta_{4,t}, substitution and the Schur and
 exterior tables), which made the products and Fractions the library now skips
-or shares, the log character, d_k and the discriminants from the log series,
-which the library now reads off an integer recurrence, the Mukai vector's
-closed form in the quadratic eigenvalue, which the library now reads off the
-Schur table, the Adams character summed from scaled generators, and the
-symmetric-power double sum enumerated in full on every call, which the
-library now builds from its terms and from a per-degree skeleton.
+or shares, the truncated log series and the log character, d_k and the
+discriminants from it, which the library now reads off an integer
+recurrence, the Mukai vector's closed form in the quadratic eigenvalue,
+which the library now reads off the Schur table, the Adams character summed
+from scaled generators, and the symmetric-power double sum enumerated in
+full on every call, which the library now builds from its terms and from a
+per-degree skeleton.
 The rest are helpers only the tests use: the Newton family as a list, the
 shifted-variable polynomials at rational points, Schur characters from the
 tableau definition of s_alpha, which shares no Schur identity with the
@@ -406,9 +407,24 @@ def over_e_from_terms(a, t):
     return ch_ring(t).from_terms({e[:t]: c for e, c in a.items() if wdeg(e) <= t})
 
 
+def series_log(p):
+    """The truncated logarithm q - q^2/2 + q^3/3 - ... of p = 1 + q; p's
+    constant term must be 1."""
+    if p.constant() != 1:
+        raise ValueError("log needs constant term 1")
+    q = p - p.ring.one()
+    result = power = q
+    for j in range(2, p.ring.truncation + 1):
+        power = power * q
+        if power.is_zero():
+            break
+        result = result + power.scale(Fraction((-1) ** (j + 1), j))
+    return result
+
+
 def log_by_series(a):
-    """log(ch/ch_0) as the series q - q^2/2 + q^3/3 - ... in q = ch/ch_0 - 1."""
-    return (a / a.constant()).log()
+    """log(ch/ch_0) as the series log in q = ch/ch_0 - 1."""
+    return series_log(a / a.constant())
 
 
 def d_k_by_series(a, k):
