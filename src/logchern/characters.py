@@ -11,7 +11,7 @@ underlying bundle; the root-ring witness in the tests also builds
 characters over Chern-root rings.  The Adams operation ``adams`` is the
 graded scaling ch_k -> j^k ch_k of any character.  Above the rank,
 ``normal_form`` picks the canonical representative on the generic rank-r
-bundle.
+bundle, and ``chern_classes`` runs Newton's identities on p_k = k! ch_k.
 
 Discriminants come from the logarithm of the normalized total character:
 
@@ -47,6 +47,7 @@ from functools import lru_cache
 from math import factorial
 
 from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, rat
+from logchern.symfunc import newton_next
 
 
 @lru_cache(maxsize=None)
@@ -181,13 +182,15 @@ def modified_delta(a: GradedPoly, k: int) -> GradedPoly:
 
 
 def chern_classes(a: GradedPoly) -> tuple[GradedPoly, ...]:
-    """c_1..c_D: the graded pieces of c(E) = exp(sum_k (-1)^(k-1) (k-1)! ch_k)."""
-    D = a.ring.truncation
-    acc = a.ring.zero()
-    for k in range(1, D + 1):
-        acc = acc + a.component(k).scale((-1) ** (k - 1) * factorial(k - 1))
-    total = acc.exp()
-    return tuple(total.component(k) for k in range(1, D + 1))
+    """c_1..c_D by Newton: k c_k = sum_i (-1)^(i-1) p_i c_(k-i), p_k = k! ch_k.
+
+    So c_k is the degree-k part of exp(sum_j (-1)^(j-1) (j-1)! ch_j).
+    """
+    p = [a.component(k).scale(factorial(k)) for k in range(a.ring.truncation + 1)]
+    c = (a.ring.one(),)
+    while len(c) < len(p):
+        c += (newton_next(p, c, dual=True),)
+    return c[1:]
 
 
 def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:

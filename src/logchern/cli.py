@@ -51,7 +51,7 @@ MAX_DEGREE = 5
 # parts, but Giambelli's determinant is only as large as its Durfee square,
 # at most 8x8 at size 64.  The costliest known command is
 # ch --rank 2 --partition 64 --max-degree 5 --method oracle, bounded by its
-# Newton family up to h_64: 2,089 products; the 14-row
+# Newton family up to h_64: 2,099 products; the 14-row
 # delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5 makes 708.
 # The Weyl dimension product grows like a superfactorial of the rank,
 # and hc-check expands its polynomials over r + 1 free generators, about

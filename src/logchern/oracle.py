@@ -82,7 +82,8 @@ def root_ring(r: int, D: int) -> PolyRing:
 
 
 def exp_roots(ring: PolyRing) -> list[GradedPoly]:
-    return [ring.gen(name).exp() for name in ring.names]
+    degrees = range(ring.truncation + 1)  # exp(a_i) = sum_j a_i^j / j!
+    return [sum(ring.gen(n) ** j / factorial(j) for j in degrees) for n in ring.names]
 
 
 def base_in_roots(r: int, D: int) -> GradedPoly:

@@ -39,7 +39,7 @@ from logchern.characters import (
 from logchern.formulas import closed_ch, ext_power_ch3, f4_sym, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
 from logchern.oracle import oracle_schur_ch, oracle_schur_total
-from logchern.ring import GradedPoly, _reduced, proportion
+from logchern.ring import GradedPoly, _reduced, proportion, rat
 from logchern.symfunc import Partition, binomial, enumerate_partitions, weyl_dim
 
 MAX_SWEEP_RANK = 6
@@ -167,7 +167,7 @@ def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
     """
     if r < 2:
         raise ValueError("need r >= 2")
-    t = Fraction(r) if t is None else Fraction(t)
+    t = Fraction(r) if t is None else rat(t)
     ok, lam = schur_factor((m,), r, 4, t)
     printed = f4_sym(m, r) * Fraction(weyl_dim((m,), r), r) ** 4
     return Delta4Result(m, r, t, ok, lam, printed)
@@ -175,7 +175,7 @@ def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
 
 def verify_nonproportional_hook(alpha, r: int, t) -> bool:
     """True when Delta_{4,t}(S^alpha V) is confirmed NOT a multiple of Delta_{4,t}(V)."""
-    return not schur_factor(alpha, r, 4, Fraction(t))[0]
+    return not schur_factor(alpha, r, 4, rat(t))[0]
 
 
 # -- the sweep ----------------------------------------------------------------

@@ -41,10 +41,10 @@ _TERM = r"[+-]?[^+-]+"
 
 
 def rat(x) -> Fraction:
-    """Coerce an int (not a bool), Fraction or ``num/den`` string to a Fraction."""
+    """Coerce an int (not a bool) or a Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -402,23 +402,6 @@ class GradedPoly:
             if term is None:
                 term = target.one()
             result = result + term._times(n, self.den)
-        return result
-
-    # -- analytic series ---------------------------------------------------
-
-    def exp(self) -> GradedPoly:
-        """Truncated exponential; requires a zero constant term."""
-        if self.constant():
-            raise ValueError("exp needs a zero constant term")
-        result = self.ring.one()
-        power = self.ring.one()
-        fact = 1
-        for j in range(1, self.ring.truncation + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= j
-            result = result + power / fact
         return result
 
     # -- canonical form ----------------------------------------------------

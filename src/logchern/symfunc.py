@@ -72,6 +72,8 @@ def enumerate_partitions(size: int, max_parts: int) -> list[Partition]:
     """
     if size < 0:
         raise ValueError("size must be non-negative")
+    if max_parts < 0:
+        raise ValueError("max_parts must be non-negative")
     out: list[Partition] = []
 
     def rec(remaining, cap, nparts, prefix):
@@ -141,8 +143,8 @@ def newton_next(power_sums, fam, dual: bool = False) -> GradedPoly:
     """The next Newton entry h_k, k = len(fam), from p_1..p_k and h_0..h_(k-1).
 
     k h_k = sum_i p_i h_(k-i).  With ``dual`` the power sums are read through
-    omega, p_i -> (-1)^(i-1) p_i, which makes the family e_0, e_1, ... instead.
-    Entry k reads p_0..p_k only, so a family extends one entry at a time.
+    omega, p_i -> (-1)^(i-1) p_i, which makes e_0, e_1, ... (Chern classes on k! ch_k).
+    Entry k reads p_1..p_k only, so a family extends one entry at a time.
     """
     k = len(fam)
     acc = fam[0].ring.zero()

@@ -24,11 +24,13 @@ from logchern.oracle import base_in_roots, exp_roots, root_ring
 from logchern.ring import PolyRing, graded_generators
 from logchern.symfunc import power_sum_poly
 from witness import (
+    chern_classes_by_series,
     d_k_by_series,
     delta4t_by_products,
     discriminants_by_fractions,
     log_by_series,
     power_sum_character_by_generators,
+    series_exp,
 )
 
 
@@ -150,7 +152,7 @@ class TestBasics:
         assert data["rank"] == "3"
         ring = ch_ring(data["D"])
         parts = (ring.parse(text) for text in data["ch"].values())
-        assert sum(parts, ring.scalar(data["rank"])) == a
+        assert sum(parts, ring.parse(data["rank"])) == a
 
 
 class TestDiscriminants:
@@ -168,7 +170,7 @@ class TestDiscriminants:
 
     def test_line_bundle_deltas_vanish(self):
         ring = PolyRing([("t", 1)], 5)
-        line = ring.gen("t").exp()
+        line = series_exp(ring.gen("t"))
         assert log_character(line) == ring.gen("t")
         for k in range(2, 6):
             assert delta_k(line, k).is_zero()
@@ -229,11 +231,13 @@ FORMER_FORM_RANKS = (1, 3, -2, Fraction(1, 2), Fraction(-5, 3))
 
 
 class TestFormerForms:
-    """The log readers and delta4t against the forms that made more products and Fractions.
+    """The log readers, the Chern classes and delta4t against the forms that
+    made more products and Fractions.
 
     discriminants runs the integer recurrence, and log_character and d_k are
     identities of its Delta_k; their references here sum the log series of
-    ``witness.series_log``.
+    ``witness.series_log``.  chern_classes runs Newton's identities; its
+    reference sums the exp series of ``witness.series_exp``.
     """
 
     @given(st.sampled_from(FORMER_FORM_RANKS), st.integers(0, 2**16))
@@ -258,6 +262,15 @@ class TestFormerForms:
             assert log_character(a) == log_by_series(a), ring
             for k in range(1, ring.truncation + 1):
                 assert d_k(a, k) == d_k_by_series(a, k), (ring, k)
+
+    @given(st.sampled_from(FORMER_FORM_RANKS), st.integers(0, 2**16))
+    @example(Fraction(-5, 3), 0)
+    @settings(max_examples=40, deadline=None)
+    def test_chern_classes(self, rank, seed):
+        rng = random.Random(seed)
+        for ring in FORMER_FORM_RINGS:
+            a = random_character(ring, rng, rank=Fraction(rank))
+            assert chern_classes(a) == chern_classes_by_series(a), ring
 
     @given(
         st.integers(4, 6),
@@ -546,7 +559,7 @@ class TestTwistInvariance:
     def test_deltas_unchanged_by_line_twist(self):
         ring = PolyRing(graded_generators("e", 5) + (("t", 1),), 5)
         e = sum((ring.gen(f"e{k}") for k in range(1, 6)), ring.scalar(3))
-        line = ring.gen("t").exp()
+        line = series_exp(ring.gen("t"))
         twisted = e * line
         for k in range(2, 6):
             assert delta_k(twisted, k) == delta_k(e, k)

@@ -56,7 +56,7 @@ class TestCh:
         doc = json.loads(out)
         ring = ch_ring(doc["D"])
         parts = (ring.parse(text) for text in doc["ch"].values())
-        parsed = sum(parts, ring.scalar(doc["rank"]))
+        parsed = sum(parts, ring.parse(doc["rank"]))
         assert parsed == oracle_schur_ch((2, 1), 4, 3)
 
     def test_closed_refuses_high_degree_for_general_partition(self, capsys):

@@ -364,6 +364,14 @@ class TestDelta4:
         assert verify_nonproportional_hook((2, 1), 4, 4) is True
         assert verify_nonproportional_hook((3, 1), 4, 4) is True
 
+    def test_t_must_be_exact(self):
+        # t is read as delta4t reads it: a float or a bool is no rational
+        for t in (0.1, True):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                verify_delta4_proportionality(2, 3, t)
+            with pytest.raises(TypeError, match="not an exact rational"):
+                verify_nonproportional_hook((2, 1), 3, t)
+
     def test_degenerate_hook_is_base(self):
         for t in (2, 5):
             assert verify_nonproportional_hook((1,), 3, t) is False
@@ -919,10 +927,11 @@ class TestSharedFamilies:
         # while the cofactor expansion, log and the double sum still made
         # products by zero or by one, 1843 while each partition expanded its
         # own Jacobi-Trudi minors and substitution multiplied by constants,
-        # 1178 while each partition expanded its own Jacobi-Trudi determinant
+        # 1178 while each partition expanded its own Jacobi-Trudi determinant,
+        # 1037 while the Chern classes summed the exp series
         report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
         assert report.failed == 0
-        assert count == 1037
+        assert count == 1040
 
     def test_d_k_product_count(self, monkeypatch):
         # d_k(a, k) is Delta_k scaled, so it runs the recurrence to degree k
@@ -934,7 +943,7 @@ class TestSharedFamilies:
     @pytest.mark.parametrize(
         "argv, products",
         [
-            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2089),
+            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2099),
             ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1249),
             ("delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", 528),
             ("delta --rank 16 --partition 13,9,7,6,6,5,3,3,3,2,2,2,2 --k 5", 618),

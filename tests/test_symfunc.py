@@ -137,6 +137,12 @@ class TestPartition:
     def test_enumerate_empty(self):
         assert enumerate_partitions(0, 3) == [Partition(())]
 
+    def test_enumerate_refuses_a_negative_cap(self):
+        # no partition has fewer than 0 parts, not even the empty one
+        for size in (0, 3):
+            with pytest.raises(ValueError, match="max_parts must be non-negative"):
+                enumerate_partitions(size, -1)
+
     def test_enumerate_three_two(self):
         assert enumerate_partitions(3, 2) == [(3,), (2, 1)]
 

@@ -17,11 +17,12 @@ the restriction to e1..et, Delta_{4,t}, substitution and the Schur and
 exterior tables), which made the products and Fractions the library now skips
 or shares, the truncated log series and the log character, d_k and the
 discriminants from it, which the library now reads off an integer
-recurrence, the Mukai vector's closed form in the quadratic eigenvalue,
-which the library now reads off the Schur table, the Adams character summed
-from scaled generators, and the symmetric-power double sum enumerated in
-full on every call, which the library now builds from its terms and from a
-per-degree skeleton.
+recurrence, the truncated exp series and the Chern classes from it, which
+the library now runs through Newton's identities, the Mukai vector's closed
+form in the quadratic eigenvalue, which the library now reads off the Schur
+table, the Adams character summed from scaled generators, and the
+symmetric-power double sum enumerated in full on every call, which the
+library now builds from its terms and from a per-degree skeleton.
 The rest are helpers only the tests use: the Newton family as a list, the
 shifted-variable polynomials at rational points, Schur characters from the
 tableau definition of s_alpha, which shares no Schur identity with the
@@ -420,6 +421,32 @@ def series_log(p):
             break
         result = result + power.scale(Fraction((-1) ** (j + 1), j))
     return result
+
+
+def series_exp(p):
+    """The truncated exponential 1 + p + p^2/2! + ...; p's constant term must be 0."""
+    if p.constant():
+        raise ValueError("exp needs a zero constant term")
+    result = power = p.ring.one()
+    fact = 1
+    for j in range(1, p.ring.truncation + 1):
+        power = power * p
+        if power.is_zero():
+            break
+        fact *= j
+        result = result + power / fact
+    return result
+
+
+def chern_classes_by_series(a):
+    """c_1..c_D as the graded pieces of exp(sum_k (-1)^(k-1) (k-1)! ch_k)."""
+    D = a.ring.truncation
+    exponent = sum(
+        (a.component(k).scale((-1) ** (k - 1) * factorial(k - 1)) for k in range(1, D + 1)),
+        a.ring.zero(),
+    )
+    total = series_exp(exponent)
+    return tuple(total.component(k) for k in range(1, D + 1))
 
 
 def log_by_series(a):
