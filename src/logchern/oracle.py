@@ -4,14 +4,17 @@ A Schur functor of a bundle A with Chern roots a_i has total character
 s_alpha(exp a_1, exp a_2, ...) -- no formula involved beyond the definition.
 Its power sums are the Adams operations ch(psi^j A), the graded scaling
 ``characters.adams``, so ``schur_of`` evaluates s_alpha on them with
-``symfunc.PowerSumSchur``, for any character.  ``oracle_schur_total`` is
-``schur_of`` on the generic rank-r bundle, which is in normal form;
-``normal_form`` is a graded ring map fixing e1..er, so the result is in
-normal form too, and equality above the rank is plain ``==``.  Like every
-character in the package, the result is one ``GradedPoly``, the total
-ch_0 + ... + ch_D; ``oracle_schur_ch`` is ``oracle_schur_total`` with its
-rank checked against the Weyl dimension.  ``report`` verifies the closed
-formulas against these values, and nothing is compared with a tolerance.
+``symfunc.PowerSumSchur``, for any character.  ``oracle_schur_ch`` is the
+one guarded entry: it refuses a bad rank or partition, runs ``schur_of`` on
+the generic rank-r bundle and checks the result's rank against the Weyl
+dimension.  The generic bundle is in normal form; ``normal_form`` is a
+graded ring map fixing e1..er, so the result is in normal form too, and
+equality above the rank is plain ``==``.  Like every character in the
+package, the result is one ``GradedPoly``, the total ch_0 + ... + ch_D.
+``report`` verifies the closed formulas against these values, and nothing
+is compared with a tolerance.  Its sweep calls ``schur_of`` on the generic
+bundle itself, without the rank guard: there a wrong oracle rank is a
+failing check against the Schur table, recorded like any other.
 This module imports no closed formula: from the package it reads only
 ``characters``, ``ring`` and ``symfunc``, so nothing it computes can agree
 with a formula by calling it.
@@ -52,23 +55,18 @@ def schur_of(alpha, a: GradedPoly) -> GradedPoly:
     return _schur_evaluator(a)(alpha)
 
 
-def oracle_schur_total(alpha, r: int, D: int) -> GradedPoly:
-    """Total character of S^alpha E over e1..eD, in normal form.
+def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
+    """ch(S^alpha E) over e1..eD, computed purely from the splitting principle.
 
-    ``schur_of`` on the generic rank-r bundle.
+    ``schur_of`` on the generic rank-r bundle, its rank checked against the
+    Weyl dimension.
     """
     alpha = Partition(alpha)
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if len(alpha) > r:
         raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
-    return schur_of(alpha, generic_bundle(r, D))
-
-
-def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
-    """ch(S^alpha E) over e1..eD, computed purely from the splitting principle."""
-    alpha = Partition(alpha)
-    out = oracle_schur_total(alpha, r, D)
+    out = schur_of(alpha, generic_bundle(r, D))
     if out.constant() != weyl_dim(alpha, r):
         raise ArithmeticError("oracle rank disagrees with the Weyl dimension")
     return out

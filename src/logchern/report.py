@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from logchern.characters import (
@@ -38,7 +37,7 @@ from logchern.characters import (
 )
 from logchern.formulas import closed_ch, ext_power_ch3, f4_sym, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
-from logchern.oracle import oracle_schur_ch, oracle_schur_total
+from logchern.oracle import oracle_schur_ch, schur_of
 from logchern.ring import GradedPoly, _reduced, proportion, rat
 from logchern.symfunc import Partition, binomial, enumerate_partitions, weyl_dim
 
@@ -114,10 +113,12 @@ def verify_schur(alpha, r: int) -> VerificationRecord:
     f_k (r_alpha/r)^(k-1) Delta_k(E), with f_k the e_k coefficient of that
     same table.  Above t the table has no e_k: there k > r, Delta_k of E
     vanishes identically and its check is the vanishing regime.  Failures
-    are recorded, not raised.
+    are recorded, not raised: the oracle is ``schur_of`` on the generic
+    bundle, without ``oracle_schur_ch``'s rank guard.  A rank below 1 or a
+    partition with more than r parts is refused with ``ValueError``.
     """
     alpha = Partition(alpha)
-    total = oracle_schur_total(alpha, r, SWEEP_DEGREE)
+    total = schur_of(alpha, generic_bundle(r, SWEEP_DEGREE))
     t = min(SWEEP_DEGREE, r)
     oracle_t = _over_e(total, t)
     table = schur_ch3(alpha, r, t)
@@ -150,13 +151,9 @@ def schur_factor(alpha, r: int, k: int, t=None) -> tuple[bool, Fraction | None]:
     """``proportion(c(S^alpha E), c(E))`` on the generic rank-r bundle over
     e1..ek, for c = Delta_k, or Delta_{4,t} when t is given (k = 4)."""
     a = oracle_schur_ch(alpha, r, k)
-    return proportion(delta_k(a, k) if t is None else delta4t(a, t), _generic_class(r, k, t))
-
-
-@lru_cache(maxsize=None)
-def _generic_class(r: int, k: int, t) -> GradedPoly:
-    """schur_factor's c(E), once per (r, k, t)."""
-    return generic_discriminants(r, k)[-1] if t is None else delta4t(generic_bundle(r, k), t)
+    if t is None:
+        return proportion(delta_k(a, k), generic_discriminants(r, k)[-1])
+    return proportion(delta4t(a, t), delta4t(generic_bundle(r, k), t))
 
 
 def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:

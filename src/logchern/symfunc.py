@@ -140,15 +140,16 @@ def power_sum_poly(k: int, values) -> GradedPoly:
 
 
 def newton_next(power_sums, fam, dual: bool = False) -> GradedPoly:
-    """The next Newton entry h_k, k = len(fam), from p_1..p_k and h_0..h_(k-1).
+    """The next Newton entry h_k, k = len(fam), from p_1..p_k and h_0 = 1, h_1..h_(k-1).
 
     k h_k = sum_i p_i h_(k-i).  With ``dual`` the power sums are read through
     omega, p_i -> (-1)^(i-1) p_i, which makes e_0, e_1, ... (Chern classes on k! ch_k).
     Entry k reads p_1..p_k only, so a family extends one entry at a time.
+    The term i = k is p_k itself, as h_0 = 1, so entry k makes k - 1 products.
     """
     k = len(fam)
-    acc = fam[0].ring.zero()
-    for i in range(1, k + 1):
+    acc = -power_sums[k] if dual and k % 2 == 0 else power_sums[k]
+    for i in range(1, k):
         term = power_sums[i] * fam[k - i]
         acc = acc - term if dual and i % 2 == 0 else acc + term
     return acc / k

@@ -27,7 +27,6 @@ from logchern.oracle import (
     char_to_roots,
     exp_roots,
     oracle_schur_ch,
-    oracle_schur_total,
     root_ring,
     schur_of,
 )
@@ -37,7 +36,6 @@ from logchern.report import (
     VerificationRecord,
     _equality_check,
     _factor_check,
-    _generic_class,
     _over_e,
     schur_factor,
     sweep,
@@ -49,6 +47,7 @@ from logchern.ring import GradedPoly, proportion
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
+    newton_next,
     PowerSumSchur,
     power_sum_poly,
     weyl_dim,
@@ -120,7 +119,7 @@ class TestOracleCharacter:
             for size in range(7):
                 for alpha in enumerate_partitions(size, r):
                     got = roots_to_ch_basis(tableau_schur_total(alpha, r, 3), r)
-                    assert got == oracle_schur_total(alpha, r, 3), (alpha, r)
+                    assert got == oracle_schur_ch(alpha, r, 3), (alpha, r)
                     cases += 1
         assert cases == 73
 
@@ -279,6 +278,14 @@ class TestVerifySchur:
         assert rec.ok
         assert any("vanishing" in c.claim for c in rec.checks)
 
+    def test_refuses_too_many_parts_and_a_bad_rank(self):
+        # the sweep reads the oracle unguarded, so the table and the generic
+        # bundle refuse these, with the oracle's own messages
+        with pytest.raises(ValueError, match=r"^partition \(3, 2, 1\) has more than 2 parts$"):
+            verify_schur((3, 2, 1), 2)
+        with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+            verify_schur((1,), 0)
+
     def test_failure_stores_both_sides(self):
         ring = ch_ring(2)
         chk = _equality_check("demo", ring.parse("e1"), ring.parse("2*e1"))
@@ -317,7 +324,7 @@ class TestVerifySchur:
         for r, D in ((1, 3), (2, 3), (3, 3), (2, 5)):
             for size in range(1, 5):
                 for alpha in enumerate_partitions(size, r):
-                    total = oracle_schur_total(alpha, r, D)
+                    total = oracle_schur_ch(alpha, r, D)
                     for t in range(1, D):
                         assert _over_e(total, t) == over_e_from_terms(total, t)
                     assert _over_e(total, D) is total
@@ -376,13 +383,15 @@ class TestDelta4:
         for t in (2, 5):
             assert verify_nonproportional_hook((1,), 3, t) is False
 
-    def test_cached_generic_class_is_the_class_of_the_generic_bundle(self):
-        # schur_factor computes c(E) once per (r, k, t)
+    def test_schur_factor_divides_by_the_class_of_the_generic_bundle(self):
+        # S^(1) E = E, so its factor is 1 wherever c(E) does not vanish
         for r in range(1, 6):
             for k in range(1, 5):
-                assert _generic_class(r, k, None) == delta_k(generic_bundle(r, k), k)
+                lam = None if delta_k(generic_bundle(r, k), k).is_zero() else 1
+                assert schur_factor((1,), r, k) == (True, lam), (r, k)
             for t in (Fraction(r), Fraction(-2, 3), 1):
-                assert _generic_class(r, 4, t) == delta4t(generic_bundle(r, 4), t)
+                lam = None if delta4t(generic_bundle(r, 4), t).is_zero() else 1
+                assert schur_factor((1,), r, 4, t) == (True, lam), (r, t)
         assert schur_factor((2,), 3, 4, Fraction(3)) == (True, 88)
 
 
@@ -725,7 +734,7 @@ class TestSchurCoefficientMutations:
         code, out = _verify_small(capsys)
         assert code == 1
         # the whole characters over e1, e2 go to the lhs and rhs lines
-        oracle = oracle_schur_total((1,), 2, 2).text()
+        oracle = oracle_schur_ch((1,), 2, 2).text()
         table = wrong_ch2((1,), 2, 2).text()
         assert "e2" in table
         assert (
@@ -756,16 +765,15 @@ class TestSchurCoefficientMutations:
         # also catches a wrong oracle rank
         import logchern.report
 
-        original = logchern.report.oracle_schur_total
-
-        def rank_off_by_one(alpha, r, D):
-            total = original(alpha, r, D)
+        def rank_off_by_one(alpha, a):
+            total = schur_of(alpha, a)
             return total + total.ring.one()
 
         # only the sweep sees the mutant: verify_schur runs on a copy of the
-        # report's globals, while the claim table reads the oracle through
-        # oracle_schur_ch, whose own rank guard would raise (exit 2)
-        sweep_globals = {**vars(logchern.report), "oracle_schur_total": rank_off_by_one}
+        # report's globals, where it calls schur_of on the generic bundle
+        # itself; the claim table reads the oracle through oracle_schur_ch,
+        # whose rank guard would raise (exit 2)
+        sweep_globals = {**vars(logchern.report), "schur_of": rank_off_by_one}
         mutant = types.FunctionType(verify_schur.__code__, sweep_globals)
         monkeypatch.setattr(logchern.report, "verify_schur", mutant)
         code, out = _verify_small(capsys)
@@ -779,7 +787,7 @@ class TestSchurCoefficientMutations:
 
 def _schur_or_zero(nu, r, D):
     """ch(S^nu E) of the generic rank-r bundle, which is 0 when nu has more than r parts."""
-    return oracle_schur_total(nu, r, D) if len(nu) <= r else ch_ring(D).zero()
+    return oracle_schur_ch(nu, r, D) if len(nu) <= r else ch_ring(D).zero()
 
 
 class TestLambdaRingWitnesses:
@@ -804,10 +812,10 @@ class TestLambdaRingWitnesses:
                         factor = _schur_or_zero((1,) * k, r, D)
                         nus = [conjugate(nu) for nu in horizontal_strips(conjugate(alpha), k)]
                     else:
-                        factor = oracle_schur_total((k,), r, D)
+                        factor = oracle_schur_ch((k,), r, D)
                         nus = horizontal_strips(alpha, k)
                     rhs = sum((_schur_or_zero(nu, r, D) for nu in nus), ch_ring(D).zero())
-                    assert oracle_schur_total(alpha, r, D) * factor == rhs, (alpha, k, r)
+                    assert oracle_schur_ch(alpha, r, D) * factor == rhs, (alpha, k, r)
                     checks += 1
         assert checks == 576
 
@@ -840,7 +848,7 @@ class TestLambdaRingWitnesses:
         for r in range(2, 6):
             base = generic_bundle(r, D)
             for beta in (b for m in range(1, 4) for b in enumerate_partitions(m, r)):
-                inner, n = oracle_schur_total(beta, r, D), weyl_dim(beta, r)
+                inner, n = oracle_schur_ch(beta, r, D), weyl_dim(beta, r)
                 for alpha in alphas:
                     got = schur_of(alpha, inner)
                     if len(alpha) > n:
@@ -884,7 +892,7 @@ class TestSharedFamilies:
         for alpha in alphas:
             # a fresh evaluator on the Adams sums r + sum_k j^k e_k, not yet in normal form
             fresh = PowerSumSchur(lambda j: power_sum_character_by_generators(j, r, D))
-            assert oracle_schur_total(alpha, r, D) == normal_form(fresh(alpha), r)
+            assert oracle_schur_ch(alpha, r, D) == normal_form(fresh(alpha), r)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -928,10 +936,23 @@ class TestSharedFamilies:
         # products by zero or by one, 1843 while each partition expanded its
         # own Jacobi-Trudi minors and substitution multiplied by constants,
         # 1178 while each partition expanded its own Jacobi-Trudi determinant,
-        # 1037 while the Chern classes summed the exp series
+        # 1037 while the Chern classes summed the exp series, 1040 while
+        # Newton's identities multiplied p_k by the constant one
         report, count = self._count_cold_products(monkeypatch, lambda: sweep(6, 8))
         assert report.failed == 0
-        assert count == 1040
+        assert count == 982
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["h", "e"])
+    def test_newton_entry_k_makes_k_minus_1_products(self, monkeypatch, dual):
+        # the term p_k h_0 is p_k itself, as h_0 = e_0 = 1
+        bundle = generic_bundle(3, 4)
+        p = [adams(bundle, j) for j in range(7)]
+        fam = (bundle.ring.one(),)
+        for k in range(1, 7):
+            entry, count = self._count_cold_products(monkeypatch, lambda: newton_next(p, fam, dual))
+            assert count == k - 1, k
+            assert entry == schur_of((1,) * k if dual else (k,), bundle), k
+            fam += (entry,)
 
     def test_d_k_product_count(self, monkeypatch):
         # d_k(a, k) is Delta_k scaled, so it runs the recurrence to degree k
@@ -943,11 +964,11 @@ class TestSharedFamilies:
     @pytest.mark.parametrize(
         "argv, products",
         [
-            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2099),
-            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1249),
-            ("delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", 528),
-            ("delta --rank 16 --partition 13,9,7,6,6,5,3,3,3,2,2,2,2 --k 5", 618),
-            ("delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5", 708),
+            ("ch --rank 2 --partition 64 --max-degree 5 --method oracle", 2030),
+            ("delta --rank 16 --partition 8,8,8,8,8,8,8,8 --k 5", 1227),
+            ("delta --rank 16 --partition 12,11,9,8,6,5,4,3,2,2,1,1 --k 5", 494),
+            ("delta --rank 16 --partition 13,9,7,6,6,5,3,3,3,2,2,2,2 --k 5", 581),
+            ("delta --rank 16 --partition 14,5,5,5,5,5,5,5,4,3,3,2,2,1 --k 5", 668),
         ],
         ids=["ch-64", "delta-8x8", "delta-12-rows", "delta-13-rows", "delta-14-rows"],
     )

@@ -48,7 +48,7 @@ from logchern.formulas import (
     delta_tilde3,
 )
 from logchern.mukai import MukaiVector
-from logchern.oracle import exp_roots, oracle_schur_total, root_ring
+from logchern.oracle import exp_roots, oracle_schur_ch, root_ring
 from logchern.report import Claim, _equality_check, schur_factor
 from logchern.ring import rat
 from logchern.symfunc import (
@@ -557,7 +557,7 @@ def tableau_schur_total(alpha, r, D):
 
 def verify_sym_power_full(m: int, r: int, D: int) -> Claim:
     """Full-degree check of the symmetric-power double sum against the oracle."""
-    total = oracle_schur_total((m,), r, D)
+    total = oracle_schur_ch((m,), r, D)
     return _equality_check(f"S^{m}, r={r}, D={D}", total, closed_ch((m,), r, D))
 
 
