@@ -11,7 +11,8 @@ underlying bundle; the root-ring witness in the tests also builds
 characters over Chern-root rings.  The Adams operation ``adams`` is the
 graded scaling ch_k -> j^k ch_k of any character.  Above the rank,
 ``normal_form`` picks the canonical representative on the generic rank-r
-bundle, and ``chern_classes`` runs Newton's identities on p_k = k! ch_k.
+bundle, and ``chern_classes`` reads the Chern classes off Newton's
+identities on p_k = k! ch_k.
 
 Discriminants come from the logarithm of the normalized total character:
 
@@ -47,7 +48,7 @@ from functools import lru_cache
 from math import factorial
 
 from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, rat
-from logchern.symfunc import newton_next
+from logchern.symfunc import PowerSumSchur
 
 
 @lru_cache(maxsize=None)
@@ -182,15 +183,13 @@ def modified_delta(a: GradedPoly, k: int) -> GradedPoly:
 
 
 def chern_classes(a: GradedPoly) -> tuple[GradedPoly, ...]:
-    """c_1..c_D by Newton: k c_k = sum_i (-1)^(i-1) p_i c_(k-i), p_k = k! ch_k.
+    """c_1..c_D: the e-family of ``PowerSumSchur`` on the power sums p_k = k! ch_k.
 
-    So c_k is the degree-k part of exp(sum_j (-1)^(j-1) (j-1)! ch_j).
+    By Newton's identities k c_k = sum_i (-1)^(i-1) p_i c_(k-i), so c_k is
+    the degree-k part of exp(sum_j (-1)^(j-1) (j-1)! ch_j).
     """
-    p = [a.component(k).scale(factorial(k)) for k in range(a.ring.truncation + 1)]
-    c = (a.ring.one(),)
-    while len(c) < len(p):
-        c += (newton_next(p, c, dual=True),)
-    return c[1:]
+    evaluator = PowerSumSchur(lambda k: a.component(k).scale(factorial(k)))
+    return evaluator.family(True, a.ring.truncation)[1:]
 
 
 def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:
@@ -229,8 +228,7 @@ def generic_bundle(r: int, D: int) -> GradedPoly:
     base = base_bundle(r, D)
     if D <= r:
         return base
-    classes = chern_classes(base)[:r]
-    return from_chern_classes(r, classes, base.ring)
+    return from_chern_classes(r, chern_classes(base), base.ring)
 
 
 @lru_cache(maxsize=None)

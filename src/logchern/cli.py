@@ -260,10 +260,7 @@ def cmd_mukai(args) -> int:
     out = mukai_schur(v, alpha)
     print(f"v(E) = {v}, H^2 = {2 * args.d}")
     print(f"v(S^({alpha}) E) = {out}")
-    if out.s.denominator == 1:
-        print(f"primitive: {'yes' if is_primitive(out) else 'no'}")
-    else:
-        print("primitive: not applicable (vector is not integral)")
+    print(f"primitive: {'yes' if is_primitive(out) else 'no'}")
     return 0
 
 

@@ -307,8 +307,6 @@ def _delta_x_part(k: int, xs, r: int):
     A symmetric polynomial of degree <= 3 is a polynomial in p_1, p_2, p_3, so
     this is O(r) work; integer coordinates give an integer.
     """
-    if len(xs) != r:
-        raise ValueError("need exactly r coordinates")
     p1 = sum(xs)
     p2 = sum(x * x for x in xs)
     if k == 2:

@@ -59,15 +59,15 @@ def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
     """ch(S^alpha E) over e1..eD, computed purely from the splitting principle.
 
     ``schur_of`` on the generic rank-r bundle, its rank checked against the
-    Weyl dimension.
+    Weyl dimension.  That dimension is read first, so ``weyl_dim`` refuses a
+    partition with more than r parts before anything is evaluated.
     """
     alpha = Partition(alpha)
     if r < 1:
         raise ValueError("rank must be a positive integer")
-    if len(alpha) > r:
-        raise ValueError(f"partition {tuple(alpha)} has more than {r} parts")
+    dim = weyl_dim(alpha, r)
     out = schur_of(alpha, generic_bundle(r, D))
-    if out.constant() != weyl_dim(alpha, r):
+    if out.constant() != dim:
         raise ArithmeticError("oracle rank disagrees with the Weyl dimension")
     return out
 

@@ -139,13 +139,14 @@ def power_sum_poly(k: int, values) -> GradedPoly:
     return acc
 
 
-def newton_next(power_sums, fam, dual: bool = False) -> GradedPoly:
+def newton_next(power_sums, fam, dual: bool) -> GradedPoly:
     """The next Newton entry h_k, k = len(fam), from p_1..p_k and h_0 = 1, h_1..h_(k-1).
 
     k h_k = sum_i p_i h_(k-i).  With ``dual`` the power sums are read through
-    omega, p_i -> (-1)^(i-1) p_i, which makes e_0, e_1, ... (Chern classes on k! ch_k).
-    Entry k reads p_1..p_k only, so a family extends one entry at a time.
-    The term i = k is p_k itself, as h_0 = 1, so entry k makes k - 1 products.
+    omega, p_i -> (-1)^(i-1) p_i, which makes e_0, e_1, ... instead.
+    Entry k reads p_1..p_k only, so a family extends one entry at a time;
+    ``PowerSumSchur.family`` is its one driver.  The term i = k is p_k
+    itself, as h_0 = 1, so entry k makes k - 1 products.
     """
     k = len(fam)
     acc = -power_sums[k] if dual and k % 2 == 0 else power_sums[k]
@@ -207,11 +208,12 @@ def giambelli(alpha, h, e, minors: dict) -> GradedPoly:
 class PowerSumSchur:
     """s_alpha, for any alpha, on one sequence of power sums p_j = ``power_sum(j)``.
 
-    It runs ``giambelli`` on the Newton families h and e (``newton_next``),
+    It runs ``giambelli`` on the Newton families h and e (``family``),
     growing on demand three tables that every partition evaluated on the
     object shares: p, the families and Giambelli's minors.  p_0 fixes the
     ring.  A sequence is a tuple replaced whole when it grows, so threads
-    sharing an object at most recompute an entry.
+    sharing an object at most recompute an entry.  On p_k = k! ch_k of a
+    character the e-family is its Chern classes (``characters.chern_classes``).
     """
 
     def __init__(self, power_sum):
@@ -221,8 +223,11 @@ class PowerSumSchur:
         self._families = {False: (one,), True: (one,)}
         self._minors = {}
 
-    def _family(self, dual: bool, n: int) -> tuple[GradedPoly, ...]:
-        """h_0, h_1, ... through at least h_n (the e's when ``dual``); p grows as they read it."""
+    def family(self, dual: bool, n: int) -> tuple[GradedPoly, ...]:
+        """h_0, h_1, ... through at least h_n (the e's when ``dual``) by ``newton_next``.
+
+        p grows as the family reads it; a fresh object returns h_0..h_n exactly.
+        """
         fam = self._families[dual]
         while len(fam) <= n:
             p = self._p
@@ -234,8 +239,8 @@ class PowerSumSchur:
     def __call__(self, alpha) -> GradedPoly:
         alpha = Partition(alpha)
         ell = len(alpha)
-        h = self._family(False, alpha[0] + ell - 1 if alpha else 0)
-        return giambelli(alpha, h, self._family(True, ell - 1), self._minors)
+        h = self.family(False, alpha[0] + ell - 1 if alpha else 0)
+        return giambelli(alpha, h, self.family(True, ell - 1), self._minors)
 
 
 def schur_in_roots(alpha, r: int, values) -> GradedPoly:

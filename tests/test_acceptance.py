@@ -37,7 +37,7 @@ from logchern.symfunc import (
     weyl_dim,
 )
 from logchern.ring import root_generators
-from witness import plain_delta4_witnesses, ssyt_count, verify_sym_power_full
+from witness import monomials_of_degree, plain_delta4_witnesses, ssyt_count, verify_sym_power_full
 
 
 def _random_character(ring, rng):
@@ -45,28 +45,12 @@ def _random_character(ring, rng):
     comps = []
     for k in range(1, ring.truncation + 1):
         terms = {}
-        for exps in _monomials_of_degree(ring, k):
+        for exps in monomials_of_degree(ring, k):
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if c:
                 terms[exps] = c
         comps.append(ring.from_terms(terms))
     return sum(comps, ring.scalar(rank))
-
-
-def _monomials_of_degree(ring, k):
-    degs = ring.degrees
-    out = []
-
-    def rec(i, remaining, exps):
-        if i == len(degs):
-            if remaining == 0:
-                out.append(tuple(exps))
-            return
-        for e in range(remaining // degs[i] + 1):
-            rec(i + 1, remaining - e * degs[i], exps + [e])
-
-    rec(0, k, [])
-    return out
 
 
 def _delta2_factor(alpha, r):

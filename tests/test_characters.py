@@ -29,6 +29,7 @@ from witness import (
     delta4t_by_products,
     discriminants_by_fractions,
     log_by_series,
+    monomials_of_degree,
     power_sum_character_by_generators,
     series_exp,
 )
@@ -73,28 +74,12 @@ def random_character(ring, rng, rank=None):
     comps = []
     for k in range(1, ring.truncation + 1):
         terms = {}
-        for exps in _monomials_of_degree(ring, k):
+        for exps in monomials_of_degree(ring, k):
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if c:
                 terms[exps] = c
         comps.append(ring.from_terms(terms))
     return sum(comps, ring.scalar(rank))
-
-
-def _monomials_of_degree(ring, k):
-    degs = ring.degrees
-    out = []
-
-    def rec(i, remaining, exps):
-        if i == len(degs):
-            if remaining == 0:
-                out.append(tuple(exps))
-            return
-        for e in range(remaining // degs[i] + 1):
-            rec(i + 1, remaining - e * degs[i], exps + [e])
-
-    rec(0, k, [])
-    return out
 
 
 class TestBasics:
@@ -189,6 +174,22 @@ class TestDiscriminants:
         ):
             with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
                 call()
+
+    @pytest.mark.parametrize(
+        "call, exc, message",
+        [
+            (lambda: d_k(base_bundle(2, 2), 3), ValueError, "k must lie in 1..2"),
+            (lambda: discriminants(base_bundle(2, 2), 0), ValueError, "up_to must lie in 1..2"),
+            (lambda: delta4t(base_bundle(2, 3), 2), ValueError, "need D >= 4"),
+            (lambda: modified_delta(base_bundle(3, 5), 3), ValueError, "modified classes exist for k in {4, 5}"),
+            (lambda: modified_delta(base_bundle(3, 3), 4), ValueError, "need D >= 4"),
+        ],
+        ids=["d_k-k", "discriminants-up_to", "delta4t-D", "modified_delta-k", "modified_delta-D"],
+    )
+    def test_refuses_an_argument_out_of_range(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
 
     def test_explicit_matches_log_extraction(self):
         # two independent routes to Delta_1..Delta_5; disagreement is fatal
@@ -356,7 +357,7 @@ class TestChernClasses:
         classes = []
         for i in range(1, min(r, D) + 1):
             terms = {}
-            for exps in _monomials_of_degree(ring, i):
+            for exps in monomials_of_degree(ring, i):
                 c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 if c:
                     terms[exps] = c

@@ -159,6 +159,15 @@ class TestOthers:
         assert code == 0
         assert "(3, 3*H, 7)" in out and "primitive: yes" in out
 
+    def test_delta4_not_proportional(self, capsys):
+        code, out = run(capsys, "delta4", "--rank", "4", "--m", "2", "--t", "0")
+        assert code == 0
+        assert out == (
+            "Delta_(4,0)(S^2 V) vs Delta_(4,0)(V) at rank 4:\n"
+            "proportional: NO\n"
+            "printed coefficient f4*(r_m/r)^4: 500/7\n"
+        )
+
     def test_mukai_parse_error(self, capsys):
         code = main(["mukai", "--v", "2;1;2", "--d", "3", "--partition", "2"])
         assert code == 2

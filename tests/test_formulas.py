@@ -294,6 +294,23 @@ class TestF4:
             assert f4_sym(1, r) == Fraction((r + 1) ** 2, (r + 2) * (r + 3))
 
 
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: delta2_dot((1, 1, 1), 2), ValueError, "(1, 1, 1) has more than 2 coordinates"),
+        (lambda: sym_power_ch(-1, 2, 2), ValueError, "m must be non-negative"),
+        (lambda: ext_power_ch3(3, 2), ValueError, "need 0 <= n <= r"),
+        (lambda: f4_sym(-1, 2), ValueError, "need m >= 0 and r >= 1"),
+        (lambda: hc_shift_check(2, 1), ValueError, "need r >= 2"),
+    ],
+    ids=["delta2_dot-parts", "sym_power_ch-m", "ext_power_ch3-n", "f4_sym-m", "hc_shift_check-r"],
+)
+def test_refuses_an_argument_out_of_range(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestHCShift:
     def test_quadratic_constant_balances(self):
         # at x = (0,-1,...,1-r) (alpha = 0) both sides must give 0

@@ -51,6 +51,12 @@ class TestMukaiSchur:
                     # at r = 1 the line bundle with c = 3, d = 2 has s = 3^2 * 2 + 1
                     got = mukai_schur(MukaiVector(r, 3, 1 if r > 1 else 19, 2), alpha)
                     assert got.c == 3 * f1
+                    # c_2(S^alpha E) = x c_1^2 + y c_2 with integers x and y, so
+                    # 2 [e1^2] = f1^2 - 2x - y and [e2] = y are integers: an integral
+                    # input vector has an integral image, and mukai prints its primitivity
+                    ch = schur_ch3(alpha, r, 2)
+                    assert (2 * ch.coefficient((2, 0))).denominator == 1, (alpha, r)
+                    assert ch.coefficient((0, 1)).denominator == 1, (alpha, r)
 
     def test_s_is_a_fraction_and_values_compare(self):
         v = MukaiVector(2, 1, 2, 3)

@@ -100,6 +100,24 @@ class TestOracleCharacter:
         with pytest.raises(ValueError):
             oracle_schur_ch((1, 1, 1), 2, 2)
 
+    @pytest.mark.parametrize(
+        "call, exc, message",
+        [
+            (lambda: oracle_schur_ch((1,), 0, 2), ValueError, "rank must be a positive integer"),
+            # the partition is read first, then the rank, then the parts against it
+            (lambda: oracle_schur_ch((1, 2), 0, 3), ValueError, "parts not weakly decreasing: (1, 2)"),
+            (lambda: oracle_schur_ch((1,), 0, 3), ValueError, "rank must be a positive integer"),
+            (lambda: oracle_schur_ch((3, 2, 1), 2, 3), ValueError, "partition (3, 2, 1) has more than 2 parts"),
+            (lambda: oracle_schur_ch((1, 1, 1), 2, 0), ValueError, "partition (1, 1, 1) has more than 2 parts"),
+            (lambda: verify_delta4_proportionality(2, 1), ValueError, "need r >= 2"),
+        ],
+        ids=["oracle-rank", "oracle-order", "oracle-rank-D3", "oracle-parts", "oracle-parts-D0", "delta4-rank"],
+    )
+    def test_refuses_a_bad_argument(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
+
     def test_slope_law(self):
         # ch1/ch0 of S^alpha E is |alpha| * e1 / r, exactly
         for r in (2, 3, 4):

@@ -48,6 +48,7 @@ def poly_strategy(draw, ring, max_terms=6, zero_constant=False):
 
 RING23 = roots_ring(2, 3)
 RING35 = roots_ring(3, 5)
+E2 = PolyRing(graded_generators("e", 2), 2)
 
 
 class TestConstruction:
@@ -66,6 +67,42 @@ class TestConstruction:
     def test_overflow_monomial_rejected(self):
         with pytest.raises(ValueError):
             RING23.monomial((4, 0))
+
+    @pytest.mark.parametrize(
+        "call, exc, message",
+        [
+            (lambda: PolyRing(graded_generators("e", 2), 0), ValueError, "truncation must be >= 1"),
+            (lambda: E2.monomial((1,)), ValueError, "bad exponent vector (1,)"),
+            (lambda: E2.from_terms({(3, 0): 1}), ValueError, "term exceeds the truncation degree"),
+            (lambda: E2.parse("e1+"), ValueError, "cannot parse polynomial 'e1+'"),
+            (lambda: E2.gen("e1") / 0, ZeroDivisionError, "polynomial divided by zero"),
+            (lambda: E2.gen("e1") ** -1, ValueError, "negative powers are not defined here"),
+            (
+                lambda: E2.gen("e1").substitute(E2, {"e1": RING23.gen("a1"), "e2": RING23.gen("a2")}),
+                ValueError,
+                "substitution images live in the wrong ring",
+            ),
+            (
+                lambda: E2.gen("e2").substitute(E2, {"e1": E2.gen("e1")}),
+                ValueError,
+                "no image for generator e2",
+            ),
+        ],
+        ids=[
+            "truncation",
+            "monomial",
+            "from_terms",
+            "parse",
+            "divide-by-zero",
+            "negative-power",
+            "substitute-ring",
+            "substitute-missing",
+        ],
+    )
+    def test_refuses_a_bad_argument(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestAdd:

@@ -143,6 +143,19 @@ class TestPartition:
             with pytest.raises(ValueError, match="max_parts must be non-negative"):
                 enumerate_partitions(size, -1)
 
+    @pytest.mark.parametrize(
+        "call, exc, message",
+        [
+            (lambda: enumerate_partitions(-1, 2), ValueError, "size must be non-negative"),
+            (lambda: stirling2(-1, 0), ValueError, "arguments must be non-negative"),
+        ],
+        ids=["enumerate-size", "stirling2"],
+    )
+    def test_refuses_a_negative_argument(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
+
     def test_enumerate_three_two(self):
         assert enumerate_partitions(3, 2) == [(3,), (2, 1)]
 
@@ -355,9 +368,9 @@ class TestJacobiTrudiSteps:
             ps = [adams(bundle, j) for j in range(9)]
             evaluator = _schur_evaluator(bundle)
             for dual, sums in ((False, ps), (True, omega(ps))):
-                full = evaluator._family(dual, 8)
+                full = evaluator.family(dual, 8)
                 for n in range(9):
-                    assert evaluator._family(dual, n) is full
+                    assert evaluator.family(dual, n) is full
                     assert list(full[: n + 1]) == newton_family(sums[: n + 1])
 
     @pytest.mark.parametrize("dual", [False, True], ids=["h-form", "e-form"])
@@ -370,7 +383,7 @@ class TestJacobiTrudiSteps:
         for r in range(1, 7):
             for D in (1, 3, 5):
                 evaluator = _schur_evaluator(generic_bundle(r, D))
-                hs, es = evaluator._family(False, 8), evaluator._family(True, 8)
+                hs, es = evaluator.family(False, 8), evaluator.family(True, 8)
                 ring = hs[0].ring
                 alphas = [a for n in range(9) for a in enumerate_partitions(n, r)]
                 rng.shuffle(alphas)

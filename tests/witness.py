@@ -100,6 +100,23 @@ def reference_sum(a, b, c=1):
     return a.ring.from_terms(out)
 
 
+def monomials_of_degree(ring, k):
+    """The exponent vectors of weighted degree k in the ring's generators, in a fixed order."""
+    degs = ring.degrees
+    out = []
+
+    def rec(i, remaining, exps):
+        if i == len(degs):
+            if remaining == 0:
+                out.append(tuple(exps))
+            return
+        for e in range(remaining // degs[i] + 1):
+            rec(i + 1, remaining - e * degs[i], exps + [e])
+
+    rec(0, k, [])
+    return out
+
+
 def newton_family(power_sums):
     """h_0..h_n from p_0..p_n by Newton's identities, k h_k = sum_i p_i h_(k-i).
 
