@@ -218,7 +218,8 @@ def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:
     return sum(comps, ring.scalar(r))
 
 
-@lru_cache(maxsize=None)
+# typed, so that 2.0 and True miss the entries of 2 and 1 and are refused
+@lru_cache(maxsize=None, typed=True)
 def generic_bundle(r: int, D: int) -> GradedPoly:
     """The generic rank-r bundle over e1..eD, in normal form.
 
@@ -231,7 +232,7 @@ def generic_bundle(r: int, D: int) -> GradedPoly:
     return from_chern_classes(r, chern_classes(base), base.ring)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generic_discriminants(r: int, D: int) -> tuple[GradedPoly, ...]:
     """Delta_1..Delta_D of the generic rank-r bundle over e1..eD."""
     return discriminants(generic_bundle(r, D), D)

@@ -58,8 +58,10 @@ MAX_DEGREE = 5
 # C(r+k, k) terms each.  Rank 16 is the largest any documented command uses.
 MAX_RANK = 16
 # Largest partition size ch and delta accept, and largest m for delta4:
-# Newton's recurrence takes O(|alpha|^2) products of growing fractions
-# (size 300 takes about 4 s at degree 5 on one core of a 2-CPU VM).
+# Newton's recurrence takes O(|alpha|^2) products of polynomials with integer
+# numerators over one denominator.  oracle_schur_ch((m,), 2, 5), timed by
+# time.process_time() in a fresh Python 3.11 process on a 2-CPU VM (median
+# of five runs), took 0.07 s at m = 64 and 1.3 s at m = 300.
 MAX_SIZE = 64
 # One integer as the command line writes it (an int option, a partition's
 # parts, a Mukai vector's entries, delta4 --t's p and q): an optional minus

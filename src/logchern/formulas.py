@@ -8,7 +8,8 @@ how the discriminants of a bundle scale under Schur functors:
     Delta_3(S^a E) = dt3 (r_a/r)^3 Delta_3(E)
 
 with dt2 = d2dot/((r-1)(r+1)) and dt3 = d3dot/((r-2)(r-1)(r+1)(r+2)).
-The Schur table ``schur_ch3`` is the one reader of these eigenvalues: its
+The Schur table ``schur_ch3`` is the one reader of these eigenvalues, and it
+reads them as the integers d2dot and d3dot over those two denominators: its
 e_k coefficient is dt_k r_a/r (dt1 = |a|), so each factor above is that
 coefficient times (r_a/r)^(k-1).
 
@@ -91,18 +92,6 @@ def delta3_dot(alpha, r: int) -> int:
         + 12 * r * (p1 * s1 - s2)
         + r * r * (6 * t1 - 6 * (r + 1) * s1 + (r * r + 3 * r + 2) * p1)
     )
-
-
-def delta_tilde2(alpha, r: int) -> Fraction:
-    if r < 2:
-        raise ValueError("delta_tilde2 needs r >= 2")
-    return Fraction(delta2_dot(alpha, r), (r - 1) * (r + 1))
-
-
-def delta_tilde3(alpha, r: int) -> Fraction:
-    if r < 3:
-        raise ValueError("delta_tilde3 needs r >= 3 (factor r-2)")
-    return Fraction(delta3_dot(alpha, r), (r - 2) * (r - 1) * (r + 1) * (r + 2))
 
 
 # -- symmetric powers: the double-sum character ------------------------------
@@ -244,19 +233,19 @@ def schur_ch3(alpha, r: int, up_to: int | None = None) -> GradedPoly:
         ch1: |a|,  ch2: (|a|^2 - dt2)/(2r), dt2,
         ch3: (|a|^3 - 3|a| dt2 + 2 dt3)/(6r^2), (|a| dt2 - dt3)/r, dt3,
 
-    with dt2 = 0 at r = 1.  Built on ints: with dt2 = a2/L and dt3 = a3/L over
-    one common denominator L, every coefficient is an integer over 6 r^2 L.
+    with dt2 = 0 at r = 1.  Built on ints over the printed denominators:
+    dt2 = a2/L with a2 = d2dot and L = (r-1)(r+1) (L = 1 at r = 1, where
+    d2dot = 0); when ch3 is built, a2 and L are multiplied by (r-2)(r+2), so
+    that dt3 = a3/L with a3 = d3dot.  Every coefficient is an integer over
+    6 r^2 L.
     """
     alpha = Partition(alpha)
     up_to = _resolve_up_to(up_to, r, "the Schur table")
     ra, size = weyl_dim(alpha, r), alpha.size
-    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
-    L = dt2.denominator
+    L, a2 = (r - 1) * (r + 1) or 1, delta2_dot(alpha, r)
     if up_to >= 3:
-        dt3 = delta_tilde3(alpha, r)
-        L = lcm(L, dt3.denominator)
-        a3 = dt3.numerator * (L // dt3.denominator)
-    a2 = dt2.numerator * (L // dt2.denominator)
+        g = (r - 2) * (r + 2)
+        L, a2, a3 = L * g, a2 * g, delta3_dot(alpha, r)
     den = 6 * r * r * L
     rows = [(size * den,)]
     if up_to >= 2:

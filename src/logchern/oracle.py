@@ -63,7 +63,7 @@ def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
     partition with more than r parts before anything is evaluated.
     """
     alpha = Partition(alpha)
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("rank must be a positive integer")
     dim = weyl_dim(alpha, r)
     out = schur_of(alpha, generic_bundle(r, D))

@@ -283,18 +283,15 @@ class GradedPoly:
         ring = self.ring
         sums = ring._sums
         b = other.terms.items()
-        # with no constant term in other, a term of self at degree D meets none
-        floor = 0 if ring._zero_exp in other.terms else 1
         out: dict[tuple[int, ...], int] = {}
         for ea, na in self.terms.items():
             row = sums.get(ea)
             if row is None:
                 row = sums.setdefault(ea, _SumRow(ring, ea))
-            if row.limit >= floor:
-                for eb, nb in b:
-                    key = row[eb]
-                    if key is not None:
-                        out[key] = out.get(key, 0) + na * nb
+            for eb, nb in b:
+                key = row[eb]
+                if key is not None:
+                    out[key] = out.get(key, 0) + na * nb
         return _reduced(ring, self.den * other.den, {e: n for e, n in out.items() if n})
 
     __rmul__ = __mul__

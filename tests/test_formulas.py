@@ -11,8 +11,6 @@ from logchern.formulas import (
     closed_ch,
     delta2_dot,
     delta3_dot,
-    delta_tilde2,
-    delta_tilde3,
     ext_power_ch3,
     f4_sym,
     hc_shift_check,
@@ -88,12 +86,6 @@ class TestCasimirPolynomials:
             for size in range(9):
                 for alpha in enumerate_partitions(size, r):
                     assert delta2_dot(alpha, r) >= 0
-
-    def test_tilde_guards(self):
-        with pytest.raises(ValueError):
-            delta_tilde2((1,), 1)
-        with pytest.raises(ValueError):
-            delta_tilde3((1,), 2)
 
 
 def table_f(alpha, r, k):

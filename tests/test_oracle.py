@@ -17,6 +17,7 @@ from logchern.characters import (
     delta_k,
     discriminants,
     generic_bundle,
+    generic_discriminants,
     normal_form,
 )
 from logchern.cli import main
@@ -107,16 +108,36 @@ class TestOracleCharacter:
             # the partition is read first, then the rank, then the parts against it
             (lambda: oracle_schur_ch((1, 2), 0, 3), ValueError, "parts not weakly decreasing: (1, 2)"),
             (lambda: oracle_schur_ch((1,), 0, 3), ValueError, "rank must be a positive integer"),
+            # the rank is an int, whatever the caches hold for an equal key
+            (lambda: oracle_schur_ch((1,), 2.5, 3), ValueError, "rank must be a positive integer"),
+            (lambda: oracle_schur_ch((1,), 2.0, 3), ValueError, "rank must be a positive integer"),
+            (lambda: oracle_schur_ch((1,), True, 3), ValueError, "rank must be a positive integer"),
+            (lambda: oracle_schur_ch((1,), Fraction(3), 3), ValueError, "rank must be a positive integer"),
             (lambda: oracle_schur_ch((3, 2, 1), 2, 3), ValueError, "partition (3, 2, 1) has more than 2 parts"),
             (lambda: oracle_schur_ch((1, 1, 1), 2, 0), ValueError, "partition (1, 1, 1) has more than 2 parts"),
             (lambda: verify_delta4_proportionality(2, 1), ValueError, "need r >= 2"),
         ],
-        ids=["oracle-rank", "oracle-order", "oracle-rank-D3", "oracle-parts", "oracle-parts-D0", "delta4-rank"],
+        ids=[
+            "oracle-rank", "oracle-order", "oracle-rank-D3",
+            "oracle-rank-2.5", "oracle-rank-2.0", "oracle-rank-True", "oracle-rank-Fraction3",
+            "oracle-parts", "oracle-parts-D0", "delta4-rank",
+        ],
     )
     def test_refuses_a_bad_argument(self, call, exc, message):
         with pytest.raises(exc) as info:
             call()
         assert str(info.value) == message
+
+    def test_refuses_a_bad_rank_with_warm_caches(self):
+        # 2.0 == 2 and True == 1 hash alike, so an untyped cache would answer them
+        for r in (1, 2):
+            generic_discriminants(r, 3)
+        for r in (2.0, True):
+            with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+                oracle_schur_ch((1,), r, 3)
+            for cached in (generic_bundle, generic_discriminants):
+                with pytest.raises(TypeError, match=f"^not an exact rational: {r}$"):
+                    cached(r, 3)
 
     def test_slope_law(self):
         # ch1/ch0 of S^alpha E is |alpha| * e1 / r, exactly
@@ -714,11 +735,12 @@ class TestSchurCoefficientMutations:
     """
 
     def test_doubled_f2_fails_verify(self, capsys, monkeypatch):
-        # f2 = dt2 r_a/r, so doubling dt2 doubles the expected Delta_2 factor
+        # f2 = dt2 r_a/r with dt2 = d2dot/((r-1)(r+1)), so doubling d2dot doubles
+        # the expected Delta_2 factor
         import logchern.formulas
 
-        original = logchern.formulas.delta_tilde2
-        monkeypatch.setattr(logchern.formulas, "delta_tilde2", lambda alpha, r: 2 * original(alpha, r))
+        original = logchern.formulas.delta2_dot
+        monkeypatch.setattr(logchern.formulas, "delta2_dot", lambda alpha, r: 2 * original(alpha, r))
         code, out = _verify_small(capsys)
         assert code == 1
         assert ": Delta_2 scaling\n" in out
@@ -731,8 +753,8 @@ class TestSchurCoefficientMutations:
         # rhs line, each as an exact rational
         import logchern.formulas
 
-        original = logchern.formulas.delta_tilde2
-        monkeypatch.setattr(logchern.formulas, "delta_tilde2", lambda alpha, r: 2 * original(alpha, r))
+        original = logchern.formulas.delta2_dot
+        monkeypatch.setattr(logchern.formulas, "delta2_dot", lambda alpha, r: 2 * original(alpha, r))
         code, out = _verify_small(capsys)
         assert code == 1
         assert (
@@ -740,6 +762,17 @@ class TestSchurCoefficientMutations:
             "       lhs: factor 10\n"
             "       rhs: factor 20\n"
         ) in out
+
+    def test_doubled_f3_fails_verify(self, capsys, monkeypatch):
+        # f3 = dt3 r_a/r with dt3 = d3dot/((r-2)(r-1)(r+1)(r+2)), so doubling
+        # d3dot doubles the expected Delta_3 factor at every r >= 3
+        import logchern.formulas
+
+        original = logchern.formulas.delta3_dot
+        monkeypatch.setattr(logchern.formulas, "delta3_dot", lambda alpha, r: 2 * original(alpha, r))
+        code, out = _verify_small(capsys)
+        assert code == 1
+        assert "  FAIL alpha=(1) r=3: Delta_3 scaling\n" in out
 
     def test_wrong_ch2_table_coefficient_fails_verify(self, capsys, monkeypatch):
         import logchern.report

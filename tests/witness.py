@@ -9,7 +9,9 @@ cost grows like C(r+D, D), so the tests use it at small r and D.
 
 It also keeps the shifted-variable eigenvalue polynomials, delta2_dot and
 delta3_dot as the literal sums over index pairs and triples; the library
-evaluates them through power sums.  It keeps the ring's former product and
+evaluates them through power sums.  Over those sums it keeps the scaling
+factors dt2 and dt3 as Fractions, which the Schur table reads as integers
+over its own denominators.  It keeps the ring's former product and
 sum too, Fraction loops with one multiply or add per term, as the references
 for the integer arithmetic, and the former forms of the sweep's per-case
 steps (the proportionality test, the determinant by cofactors of one matrix,
@@ -44,8 +46,6 @@ from logchern.formulas import (
     _delta2_constant,
     _delta_x_part,
     closed_ch,
-    delta_tilde2,
-    delta_tilde3,
 )
 from logchern.mukai import MukaiVector
 from logchern.oracle import exp_roots, oracle_schur_ch, root_ring
@@ -274,6 +274,16 @@ def delta3_dot_sums(alpha, r):
     )
 
 
+def delta_tilde2(alpha, r):
+    """dt2 = d2dot/((r-1)(r+1)) from the literal sums, and 0 at r = 1."""
+    return Fraction(delta2_dot_sums(alpha, r), (r - 1) * (r + 1)) if r >= 2 else Fraction(0)
+
+
+def delta_tilde3(alpha, r):
+    """dt3 = d3dot/((r-2)(r-1)(r+1)(r+2)) from the literal sums, for r >= 3."""
+    return Fraction(delta3_dot_sums(alpha, r), (r - 2) * (r - 1) * (r + 1) * (r + 2))
+
+
 def proportion_by_scaling(x, y):
     """proportion's former decision: pivot on y's first term, then x == y.scale(lam)."""
     if x.ring != y.ring:
@@ -390,7 +400,7 @@ def table_by_fractions(alpha, r, up_to):
     """schur_ch3(alpha, r, up_to) with one Fraction per printed coefficient."""
     alpha = Partition(alpha)
     size = alpha.size
-    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
+    dt2 = delta_tilde2(alpha, r)
     dt3 = delta_tilde3(alpha, r) if up_to >= 3 else None
     rows = [(size,)]
     if up_to >= 2:
@@ -511,7 +521,7 @@ def mukai_schur_by_eigenvalue(v, alpha):
     alpha = Partition(alpha)
     r, size = v.r, alpha.size
     ra = weyl_dim(alpha, r)
-    dt2 = delta_tilde2(alpha, r) if r >= 2 else Fraction(0)
+    dt2 = delta_tilde2(alpha, r)
     weight = Fraction(ra, r)
     s_new = (
         Fraction(size * size - dt2, r) * weight * v.c**2 * v.d
