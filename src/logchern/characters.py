@@ -12,7 +12,10 @@ characters over Chern-root rings.  The Adams operation ``adams`` is the
 graded scaling ch_k -> j^k ch_k of any character.  Above the rank,
 ``normal_form`` picks the canonical representative on the generic rank-r
 bundle, and ``chern_classes`` reads the Chern classes off Newton's
-identities on p_k = k! ch_k.
+identities on p_k = k! ch_k.  A function given a bundle's rank r reads it
+through ``ring.positive_rank``, which refuses all but a positive int; the
+deliberate exceptions are ``base_bundle``, which builds virtual characters
+too, and ``modified_delta``, which checks the rank of its character.
 
 Discriminants come from the logarithm of the normalized total character:
 
@@ -22,7 +25,8 @@ and the normalized class d_k is ch_0 times the degree-k log coefficient,
 i.e. d_k = (-1)^{k+1} Delta_k / (k ch_0^{k-1}).  (The sign makes
 log(ch/ch_0) = sum d_k/ch_0 hold on the nose; d_1 = ch_1, d_2 = ch_2 -
 ch_1^2/(2 ch_0), and so on.)  ``log_character`` and ``d_k`` are these two
-identities; ``discriminants`` alone runs the recurrence below for Delta_k.
+identities; ``discriminants`` alone runs the recurrence below for Delta_k,
+and alone refuses a character of rank zero, for every reader of the log.
 
 The log is never summed as a series.  Write ch = (R + A_1 + A_2 + ...)/den,
 with A_k the integer numerators of ch_k and R that of the rank, and let
@@ -47,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, rat
+from logchern.ring import GradedPoly, PolyRing, _reduced, graded_generators, positive_rank, rat
 from logchern.symfunc import PowerSumSchur
 
 
@@ -82,8 +86,6 @@ def adams(a: GradedPoly, j: int) -> GradedPoly:
 
 def log_character(a: GradedPoly) -> GradedPoly:
     """log(ch/ch_0) = sum_k (-1)^(k+1) Delta_k / (k ch_0^k); degree k is d_k/ch_0."""
-    if a.ring._zero_exp not in a.terms:
-        raise ZeroDivisionError("log character needs nonzero rank")
     r = a.constant()
     ds = discriminants(a, a.ring.truncation)
     terms = (dk.scale(Fraction((-1) ** (k + 1), k * r**k)) for k, dk in enumerate(ds, start=1))
@@ -95,8 +97,6 @@ def d_k(a: GradedPoly, k: int) -> GradedPoly:
     D = a.ring.truncation
     if not 1 <= k <= D:
         raise ValueError(f"k must lie in 1..{D}")
-    if a.ring._zero_exp not in a.terms:
-        raise ZeroDivisionError("log character needs nonzero rank")
     return discriminants(a, k)[k - 1].scale(Fraction((-1) ** (k + 1), k * a.constant() ** (k - 1)))
 
 
@@ -199,12 +199,7 @@ def from_chern_classes(rank: int, classes, ring: PolyRing) -> GradedPoly:
     which pins down every ch_k through degree D: the inverse of
     ``chern_classes``, ch_k = (-1)^(k-1) [log(1 + c_1 + ... + c_r)]_k / (k-1)!.
     """
-    # an int's denominator is 1; bool is an int subclass, but True is no rank
-    if isinstance(rank, bool) or not isinstance(rank, (int, Fraction)) or rank.denominator != 1:
-        raise ValueError("rank must be a positive integer")
-    r = int(rank)
-    if r <= 0:
-        raise ValueError("rank must be a positive integer")
+    r = positive_rank(rank)
     total = ring.one()
     for i, c in enumerate(list(classes)[: min(r, ring.truncation)], start=1):
         if not c.is_homogeneous(i):
@@ -226,7 +221,7 @@ def generic_bundle(r: int, D: int) -> GradedPoly:
     ch_k = e_k for k <= r; above the rank, ch_k is the polynomial in
     e_1..e_r forced by c_1..c_r (those of e) and c_(>r) = 0.
     """
-    base = base_bundle(r, D)
+    base = base_bundle(positive_rank(r), D)
     if D <= r:
         return base
     return from_chern_classes(r, chern_classes(base), base.ring)
@@ -250,7 +245,7 @@ def normal_form(p: GradedPoly, r: int) -> GradedPoly:
     D = p.ring.truncation
     if p.ring != ch_ring(D):
         raise ValueError("normal forms are taken over e1..eD")
-    if D <= r:
+    if D <= positive_rank(r):
         return p
     bundle = generic_bundle(r, D)
     return p.substitute(p.ring, {f"e{k}": bundle.component(k) for k in range(1, D + 1)})

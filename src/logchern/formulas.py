@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from logchern.characters import ch_ring, normal_form
-from logchern.ring import GradedPoly, PolyRing, _reduced
+from logchern.ring import GradedPoly, PolyRing, _reduced, positive_rank
 from logchern.symfunc import Partition, binomial, enumerate_partitions, stirling2, weyl_dim
 
 
@@ -111,8 +111,7 @@ def sym_power_ch(m: int, r: int, D: int) -> GradedPoly:
     multiplicities and S is the Stirling number of the second kind.  The
     empty partition contributes the rank C(m+r-1, m).
     """
-    if r < 1:
-        raise ValueError("rank must be a positive integer")
+    positive_rank(r)
     if m < 0:
         raise ValueError("m must be non-negative")
     n = m + r - 1
@@ -185,8 +184,7 @@ def _table_character(rank: int, r: int, den: int, rows) -> GradedPoly:
 
 
 def _resolve_up_to(up_to: int | None, r: int, what: str) -> int:
-    if r < 1:
-        raise ValueError("rank must be positive")
+    positive_rank(r)
     if up_to is None:
         up_to = min(r, 3)
     if not 1 <= up_to <= 3:
@@ -332,7 +330,7 @@ def hc_shift_check(k: int, r: int) -> tuple[str, ...]:
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    if r < 2:
+    if positive_rank(r) < 2:
         raise ValueError("need r >= 2")
     ring = PolyRing([*((f"x{i}", 1) for i in range(1, r + 1)), ("a", 1)], k + 1)
     *xs, a = map(ring.gen, ring.names)

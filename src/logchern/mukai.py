@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from logchern.formulas import schur_ch3
-from logchern.ring import rat
+from logchern.ring import positive_rank, rat
 
 
 class MukaiVector(namedtuple("MukaiVector", "r c s d")):
@@ -34,8 +34,7 @@ class MukaiVector(namedtuple("MukaiVector", "r c s d")):
     def __new__(cls, r: int, c: int, s: Fraction, d: int):
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (r, c, d)):
             raise ValueError(f"Mukai vector r, c and d must be integers: {(r, c, d)}")
-        if r <= 0:
-            raise ValueError("rank must be positive")
+        positive_rank(r)
         if d <= 0:
             raise ValueError("need H^2 = 2d with d positive")
         return super().__new__(cls, r, c, rat(s), d)

@@ -5,15 +5,17 @@ s_alpha(exp a_1, exp a_2, ...) -- no formula involved beyond the definition.
 Its power sums are the Adams operations ch(psi^j A), the graded scaling
 ``characters.adams``, so ``schur_of`` evaluates s_alpha on them with
 ``symfunc.PowerSumSchur``, for any character.  ``oracle_schur_ch`` is the
-one guarded entry: it refuses a bad rank or partition, runs ``schur_of`` on
-the generic rank-r bundle and checks the result's rank against the Weyl
-dimension.  The generic bundle is in normal form; ``normal_form`` is a
-graded ring map fixing e1..er, so the result is in normal form too, and
-equality above the rank is plain ``==``.  Like every character in the
-package, the result is one ``GradedPoly``, the total ch_0 + ... + ch_D.
-``report`` verifies the closed formulas against these values, and nothing
-is compared with a tolerance.  Its sweep calls ``schur_of`` on the generic
-bundle itself, without the rank guard: there a wrong oracle rank is a
+one guarded entry: it refuses a bad partition, reads the rank through
+``ring.positive_rank`` as every function that takes a rank does, runs
+``schur_of`` on the generic rank-r bundle and checks the result's rank
+against the Weyl dimension.  The generic bundle is in normal form;
+``normal_form`` is a graded ring map fixing e1..er, so the result is in
+normal form too, and equality above the rank is plain ``==``.  Like every
+character in the package, the result is one ``GradedPoly``, the total
+ch_0 + ... + ch_D.  ``report`` verifies the closed formulas against these
+values, and nothing is compared with a tolerance.  Its sweep calls
+``schur_of`` on the generic bundle itself, without the Weyl-dimension
+guard: there a wrong oracle rank is a
 failing check against the Schur table, recorded like any other.
 This module imports no closed formula: from the package it reads only
 ``characters``, ``ring`` and ``symfunc``, so nothing it computes can agree
@@ -35,7 +37,7 @@ from functools import lru_cache
 from math import factorial
 
 from logchern.characters import adams, generic_bundle
-from logchern.ring import GradedPoly, PolyRing, root_generators
+from logchern.ring import GradedPoly, PolyRing, positive_rank, root_generators
 from logchern.symfunc import Partition, PowerSumSchur, power_sum_poly, weyl_dim
 
 
@@ -63,9 +65,7 @@ def oracle_schur_ch(alpha, r: int, D: int) -> GradedPoly:
     partition with more than r parts before anything is evaluated.
     """
     alpha = Partition(alpha)
-    if type(r) is not int or r < 1:
-        raise ValueError("rank must be a positive integer")
-    dim = weyl_dim(alpha, r)
+    dim = weyl_dim(alpha, positive_rank(r))
     out = schur_of(alpha, generic_bundle(r, D))
     if out.constant() != dim:
         raise ArithmeticError("oracle rank disagrees with the Weyl dimension")

@@ -38,7 +38,7 @@ from logchern.characters import (
 from logchern.formulas import closed_ch, ext_power_ch3, f4_sym, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector, mukai_schur
 from logchern.oracle import oracle_schur_ch, schur_of
-from logchern.ring import GradedPoly, _reduced, proportion, rat
+from logchern.ring import GradedPoly, _reduced, positive_rank, proportion, rat
 from logchern.symfunc import Partition, binomial, enumerate_partitions, weyl_dim
 
 MAX_SWEEP_RANK = 6
@@ -114,8 +114,8 @@ def verify_schur(alpha, r: int) -> VerificationRecord:
     same table.  Above t the table has no e_k: there k > r, Delta_k of E
     vanishes identically and its check is the vanishing regime.  Failures
     are recorded, not raised: the oracle is ``schur_of`` on the generic
-    bundle, without ``oracle_schur_ch``'s rank guard.  A rank below 1 or a
-    partition with more than r parts is refused with ``ValueError``.
+    bundle, without ``oracle_schur_ch``'s Weyl-dimension guard.  A rank that
+    is not a positive int, or a partition with more than r parts, is refused.
     """
     alpha = Partition(alpha)
     total = schur_of(alpha, generic_bundle(r, SWEEP_DEGREE))
@@ -162,7 +162,7 @@ def verify_delta4_proportionality(m: int, r: int, t=None) -> Delta4Result:
     Returns the measured ratio next to the printed coefficient
     f4 * (r_m/r)^4 without deciding which normalization was intended.
     """
-    if r < 2:
+    if positive_rank(r) < 2:
         raise ValueError("need r >= 2")
     t = Fraction(r) if t is None else rat(t)
     ok, lam = schur_factor((m,), r, 4, t)

@@ -49,6 +49,13 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def positive_rank(r) -> int:
+    """The rank r of a bundle: a positive int, not a bool, a float or a Fraction."""
+    if type(r) is int and r >= 1:
+        return r
+    raise ValueError("rank must be a positive integer")
+
+
 def _num_den(x) -> tuple[int, int]:
     """(numerator, positive denominator) of anything ``rat`` accepts."""
     if type(x) not in (int, Fraction):
@@ -130,27 +137,27 @@ class PolyRing:
         exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return self.monomial(exps)
 
-    def monomial(self, exps: Iterable[int], coeff=1) -> GradedPoly:
+    def _exponents(self, exps: Iterable[int]) -> tuple[int, ...]:
+        """exps as a tuple, refused unless it is a monomial of this ring."""
         exps = tuple(exps)
         if len(exps) != len(self.names) or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps}")
         if self.wdeg(exps) > self.truncation:
-            raise ValueError("monomial exceeds the truncation degree")
+            raise ValueError("term exceeds the truncation degree")
+        return exps
+
+    def monomial(self, exps: Iterable[int], coeff=1) -> GradedPoly:
+        exps = self._exponents(exps)
         num, den = _num_den(coeff)
         return GradedPoly(self, den, {exps: num}) if num else self.zero()
 
     def from_terms(self, terms: Mapping[tuple[int, ...], Fraction]) -> GradedPoly:
         out = {}
         for exps, c in terms.items():
-            exps = tuple(exps)
+            exps = self._exponents(exps)  # a zero coefficient's key too
             c = rat(c)
-            if not c:
-                continue
-            if len(exps) != len(self.names) or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps}")
-            if self.wdeg(exps) > self.truncation:
-                raise ValueError("term exceeds the truncation degree")
-            out[exps] = c
+            if c:
+                out[exps] = c
         den = lcm(*(c.denominator for c in out.values()))
         return _reduced(
             self, den, {e: c.numerator * (den // c.denominator) for e, c in out.items()}

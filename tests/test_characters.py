@@ -164,15 +164,16 @@ class TestDiscriminants:
         a = base_bundle(2, 2).scale(0)
         with pytest.raises(ZeroDivisionError):
             discriminants(a, 2)
-        # rank 0 with higher terms over a denominator: each reader names itself
+        # rank 0 with higher terms over a denominator: every reader of the
+        # log gets the refusal of discriminants, the one place that makes it
         b = ch_ring(3).parse("1/2*e1 - 3*e2 + 2/3*e3")
-        for call, message in (
-            (lambda: discriminants(b, 3), "discriminants need nonzero rank"),
-            (lambda: delta_k(b, 2), "discriminants need nonzero rank"),
-            (lambda: log_character(b), "log character needs nonzero rank"),
-            (lambda: d_k(b, 2), "log character needs nonzero rank"),
+        for call in (
+            lambda: discriminants(b, 3),
+            lambda: delta_k(b, 2),
+            lambda: log_character(b),
+            lambda: d_k(b, 2),
         ):
-            with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
+            with pytest.raises(ZeroDivisionError, match="^discriminants need nonzero rank$"):
                 call()
 
     @pytest.mark.parametrize(

@@ -242,9 +242,9 @@ class TestTables:
                     assert ext_power_ch3(n, r, up_to) == exterior_table_by_fractions(n, r, up_to)
 
     def test_tables_refuse_a_rank_below_one(self):
-        with pytest.raises(ValueError, match="rank must be positive"):
+        with pytest.raises(ValueError, match="^rank must be a positive integer$"):
             ext_power_ch3(0, 0, 1)
-        with pytest.raises(ValueError, match="rank must be positive"):
+        with pytest.raises(ValueError, match="^rank must be a positive integer$"):
             schur_ch3((), 0, 1)
 
     def test_schur_ch2_line_at_rank_one(self):

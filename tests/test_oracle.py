@@ -16,12 +16,13 @@ from logchern.characters import (
     delta4t,
     delta_k,
     discriminants,
+    from_chern_classes,
     generic_bundle,
     generic_discriminants,
     normal_form,
 )
 from logchern.cli import main
-from logchern.formulas import schur_ch3
+from logchern.formulas import closed_ch, ext_power_ch3, hc_shift_check, schur_ch3, sym_power_ch
 from logchern.mukai import MukaiVector
 from logchern.oracle import (
     base_in_roots,
@@ -44,7 +45,7 @@ from logchern.report import (
     verify_nonproportional_hook,
     verify_schur,
 )
-from logchern.ring import GradedPoly, proportion
+from logchern.ring import GradedPoly, PolyRing, graded_generators, proportion
 from logchern.symfunc import (
     Partition,
     enumerate_partitions,
@@ -65,6 +66,15 @@ from witness import (
     verify_sym_power_full,
     witness_schur_total,
 )
+
+
+def clear_package_caches():
+    """Empty every cache of the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "logchern" or name.startswith("logchern."):
+            for cached in vars(module).values():
+                if callable(getattr(cached, "cache_clear", None)):
+                    cached.cache_clear()
 
 
 class TestOracleCharacter:
@@ -136,8 +146,20 @@ class TestOracleCharacter:
             with pytest.raises(ValueError, match="^rank must be a positive integer$"):
                 oracle_schur_ch((1,), r, 3)
             for cached in (generic_bundle, generic_discriminants):
-                with pytest.raises(TypeError, match=f"^not an exact rational: {r}$"):
+                with pytest.raises(ValueError, match="^rank must be a positive integer$"):
                     cached(r, 3)
+
+    def test_refuses_a_rank_that_disagrees_with_the_weyl_dimension(self, monkeypatch, capsys):
+        # an oracle one off: the guarded entry refuses it, and the CLI prints
+        # the refusal as its one error line
+        schur = schur_of
+        monkeypatch.setattr("logchern.oracle.schur_of", lambda alpha, a: schur(alpha, a) + 1)
+        message = "oracle rank disagrees with the Weyl dimension"
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
+            oracle_schur_ch((2, 1), 3, 2)
+        argv = "ch --rank 3 --partition 2,1 --max-degree 2 --method oracle".split()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_slope_law(self):
         # ch1/ch0 of S^alpha E is |alpha| * e1 / r, exactly
@@ -188,6 +210,49 @@ def _draw_poly(data, ring):
     nums = data.draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
     den = data.draw(st.integers(1, 3))
     return ring.from_terms({m: Fraction(n, den) for m, n in zip(monos, nums)})
+
+
+def gated_calls(r):
+    """(name, call) for each function that reads a rank, called at rank r."""
+    c_ring = PolyRing(graded_generators("c", 2), 2)
+    return [
+        *((f"generic_bundle-D{D}", lambda D=D: generic_bundle(r, D)) for D in (2, 3, 4)),
+        ("generic_discriminants", lambda: generic_discriminants(r, 3)),
+        *((f"normal_form-D{D}", lambda D=D: normal_form(ch_ring(D).gen("e1"), r)) for D in (2, 3)),
+        ("from_chern_classes", lambda: from_chern_classes(r, [c_ring.gen("c1")], c_ring)),
+        ("oracle_schur_ch", lambda: oracle_schur_ch((1,), r, 3)),
+        ("sym_power_ch", lambda: sym_power_ch(2, r, 3)),
+        ("schur_ch3", lambda: schur_ch3((1,), r, 1)),
+        ("closed_ch-row", lambda: closed_ch((2,), r, 2)),
+        ("closed_ch-table", lambda: closed_ch((2, 1), r, 1)),
+        ("verify_schur", lambda: verify_schur((1,), r)),
+        ("hc_shift_check", lambda: hc_shift_check(2, r)),
+        ("verify_delta4_proportionality", lambda: verify_delta4_proportionality(2, r)),
+        ("ext_power_ch3", lambda: ext_power_ch3(0, r, 1)),
+        ("MukaiVector", lambda: MukaiVector(r, 1, 2, 3)),
+    ]
+
+
+class TestRankGate:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("r", [0, -1, 2.5, 2.0, True, Fraction(3), Fraction(5, 2)], ids=repr)
+    def test_every_reader_of_a_rank_refuses_a_bad_one_alike(self, r, warm):
+        # 2.0, True and Fraction(3) equal the ranks 2, 1 and 3 and hash
+        # alike, so a cache holding those ranks must not answer them
+        clear_package_caches()
+        if warm:
+            for rank in (1, 2):
+                generic_bundle(rank, 3)
+                generic_discriminants(rank, 3)
+        for name, call in gated_calls(r):
+            expected = "rank must be a positive integer"
+            if name == "ext_power_ch3" and r == -1:
+                expected = "need 0 <= n <= r"  # n is checked against r first
+            elif name == "MukaiVector" and type(r) is not int:
+                expected = f"Mukai vector r, c and d must be integers: {(r, 1, 3)}"
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == expected, name
 
 
 class TestRootRingWitness:
@@ -963,11 +1028,7 @@ class TestSharedFamilies:
     @staticmethod
     def _count_cold_products(monkeypatch, run):
         """run()'s value and the GradedPoly products it made, every package cache empty."""
-        for name, module in list(sys.modules.items()):
-            if name == "logchern" or name.startswith("logchern."):
-                for cached in vars(module).values():
-                    if callable(getattr(cached, "cache_clear", None)):
-                        cached.cache_clear()
+        clear_package_caches()
         count = 0
         product = GradedPoly.__mul__
 

@@ -73,7 +73,12 @@ class TestConstruction:
         [
             (lambda: PolyRing(graded_generators("e", 2), 0), ValueError, "truncation must be >= 1"),
             (lambda: E2.monomial((1,)), ValueError, "bad exponent vector (1,)"),
+            (lambda: E2.monomial((3, 0)), ValueError, "term exceeds the truncation degree"),
             (lambda: E2.from_terms({(3, 0): 1}), ValueError, "term exceeds the truncation degree"),
+            (lambda: E2.from_terms({(1, -1): 1}), ValueError, "bad exponent vector (1, -1)"),
+            # every key is checked, a zero coefficient's too, as monomial checks it
+            (lambda: E2.from_terms({(5, 5, 5): 0}), ValueError, "bad exponent vector (5, 5, 5)"),
+            (lambda: E2.from_terms({(3, 0): 0}), ValueError, "term exceeds the truncation degree"),
             (lambda: E2.parse("e1+"), ValueError, "cannot parse polynomial 'e1+'"),
             (lambda: E2.gen("e1") / 0, ZeroDivisionError, "polynomial divided by zero"),
             (lambda: E2.gen("e1") ** -1, ValueError, "negative powers are not defined here"),
@@ -91,7 +96,11 @@ class TestConstruction:
         ids=[
             "truncation",
             "monomial",
+            "monomial-degree",
             "from_terms",
+            "from_terms-exponents",
+            "from_terms-zero-exponents",
+            "from_terms-zero-degree",
             "parse",
             "divide-by-zero",
             "negative-power",
@@ -109,6 +118,8 @@ class TestAdd:
     def test_additive_inverse(self):
         x = RING23.gen("a1")
         assert (x + (-x)).is_zero()
+        assert bool(RING23.zero()) is False
+        assert bool(RING23.one()) is True
 
     def test_truncated_sum(self):
         ring = roots_ring(1, 2)
